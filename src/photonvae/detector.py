@@ -1,18 +1,18 @@
 """Detector response: efficiency loss and the multi-detector click collapse.
 
-A photon stream first survives Bernoulli thinning with the detection
-efficiency, then hits a balanced tree of click detectors that each report at
-most one click per observation (the low-rate dead-time regime), so the click
-count equals the number of distinct detectors hit.
+Photons reach a balanced tree of ``N`` click detectors one at a time; each
+detector reports at most one click per observation, so the click count is
+the number of distinct detectors hit.  The chain is a walk over the ``N + 1``
+"occupied detectors" states: a photon is lost with probability ``1 - eta``,
+lands on one of the ``k`` occupied detectors with probability ``eta k / N``,
+or on a free one with probability ``eta (N - k) / N``, moving ``k`` to
+``k + 1``.  Every term is a product of probabilities, so nothing cancels or
+underflows before the probability it stands for.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -29,15 +29,11 @@ class DetectorConfig:
 
     n_detectors: int
     efficiency: float
-    equal_split: bool = True
 
     def __post_init__(self):
         if self.n_detectors < 1:
             raise PhysicsError(f"n_detectors must be >= 1, got {self.n_detectors}")
-        if not (0.0 < self.efficiency <= 1.0):
-            raise PhysicsError(f"efficiency must lie in (0, 1], got {self.efficiency}")
-        if not self.equal_split:
-            raise PhysicsError("only the balanced splitter tree (equal_split=True) is modeled")
+        _check_efficiency(self.efficiency)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,80 +53,70 @@ class ClickCoefficients:
         return float(self.table[n, j])
 
 
-def apply_efficiency(pmf: PhotonPMF, efficiency: float) -> PhotonPMF:
-    """Bernoulli-thin a photon-number PMF: each photon survives with given probability."""
+def _check_efficiency(efficiency: float) -> None:
     if not (0.0 < efficiency <= 1.0):
         raise PhysicsError(f"efficiency must lie in (0, 1], got {efficiency}")
-    if efficiency == 1.0:
-        return pmf
-    size = pmf.probs.size
-    out = np.zeros(size)
-    miss = 1.0 - efficiency
-    for n in range(size):
-        # survival kernel comb(m, n) * eta^n * (1-eta)^(m-n), accumulated over m >= n
-        kernel = efficiency**n
-        total = kernel * pmf.probs[n]
-        for m in range(n + 1, size):
-            kernel *= miss * m / (m - n)
-            total += kernel * pmf.probs[m]
-        out[n] = total
+
+
+def _walk(advance: np.ndarray, n_photons: int):
+    """Yield, as a fresh array, the distribution over states 0..len(advance)
+    after m = 0..n_photons photons from state 0, where each photon moves state
+    k to k + 1 with probability ``advance[k]`` (the last state absorbs)."""
+    state = np.zeros(advance.size + 1)
+    state[0] = 1.0
+    stay = np.append(1.0 - advance, 1.0)
+    yield state
+    for _ in range(n_photons):
+        moved = state[:-1] * advance
+        state = state * stay
+        state[1:] += moved
+        yield state
+
+
+def apply_efficiency(pmf: PhotonPMF, efficiency: float) -> PhotonPMF:
+    """Bernoulli-thin a photon-number PMF: each photon survives with given probability."""
+    _check_efficiency(efficiency)
+    advance = np.full(pmf.n_max, efficiency)
+    out = np.zeros(pmf.probs.size)
+    for p, survivors in zip(pmf.probs, _walk(advance, pmf.n_max)):
+        out += p * survivors
     return PhotonPMF(out)
 
 
-@lru_cache(maxsize=None)
-def _click_table(n_detectors: int, j_max: int) -> np.ndarray:
-    n_top = min(n_detectors, j_max)
-    table = np.zeros((n_detectors + 1, j_max + 1))
-    table[0, 0] = 1.0
-    for j in range(1, j_max + 1):
-        denom = n_detectors**j
-        for n in range(1, min(n_top, j) + 1):
-            # surjections of j photons onto n chosen detectors, by inclusion-exclusion
-            surj = sum(
-                (-1) ** i * math.comb(n, i) * (n - i) ** j for i in range(n + 1)
-            )
-            table[n, j] = float(Fraction(math.comb(n_detectors, n) * surj, denom))
-    table.setflags(write=False)
-    return table
+def _click_table(n_detectors: int, j_max: int, efficiency: float) -> np.ndarray:
+    """Rows j = 0..j_max: click-count distribution of j incident photons."""
+    if n_detectors < 1:
+        raise PhysicsError(f"n_detectors must be >= 1, got {n_detectors}")
+    _check_efficiency(efficiency)
+    occupied = np.arange(n_detectors)
+    advance = efficiency * (n_detectors - occupied) / n_detectors
+    return np.array(list(_walk(advance, j_max)))
 
 
 def click_coefficients(n_detectors: int, j_max: int) -> ClickCoefficients:
-    """Closed-form occupancy coefficients for all photon counts up to ``j_max``."""
-    if n_detectors < 1:
-        raise PhysicsError(f"n_detectors must be >= 1, got {n_detectors}")
+    """Occupancy coefficients for all photon counts up to ``j_max``."""
     if j_max < 0:
         raise PhysicsError(f"j_max must be >= 0, got {j_max}")
-    return ClickCoefficients(n_detectors, _click_table(n_detectors, j_max))
+    return ClickCoefficients(n_detectors, _click_table(n_detectors, j_max, 1.0).T)
 
 
-def enumerate_click_row(n_detectors: int, j: int) -> np.ndarray:
-    """Brute-force C[., j] by walking all n_detectors**j photon-to-detector assignments.
-
-    Exponential in j; intended as the independent cross-check for small cases.
-    """
-    counts = np.zeros(n_detectors + 1, dtype=np.int64)
-    for assignment in itertools.product(range(n_detectors), repeat=j):
-        counts[len(set(assignment))] += 1
-    return counts / float(n_detectors**j)
-
-
-def apply_click_model(pmf: PhotonPMF, n_detectors: int) -> PhotonPMF:
-    """Collapse a photon-number PMF to the click-count PMF of the detector bank.
+def apply_click_model(pmf: PhotonPMF, n_detectors: int, efficiency: float = 1.0) -> PhotonPMF:
+    """Collapse a photon-number PMF to the click-count PMF of the detector bank,
+    each photon first surviving with probability ``efficiency``.
 
     The output support is 0..min(n_max, n_detectors), zero-padded out to index
     ``MAX_RECORDED_CLICKS`` for dataset compatibility.
     """
-    coeffs = click_coefficients(n_detectors, pmf.n_max)
-    out_n_max = max(min(pmf.n_max, n_detectors), MAX_RECORDED_CLICKS)
-    out = np.zeros(out_n_max + 1)
+    clicks = pmf.probs @ _click_table(n_detectors, pmf.n_max, efficiency)
     limit = min(n_detectors, pmf.n_max)
-    out[: limit + 1] = coeffs.table[: limit + 1, :] @ pmf.probs
+    out = np.zeros(max(limit, MAX_RECORDED_CLICKS) + 1)
+    out[: limit + 1] = clicks[: limit + 1]
     return PhotonPMF(out)
 
 
 def observed_chain(pmf: PhotonPMF, config: DetectorConfig) -> PhotonPMF:
-    """Efficiency thinning followed by the click collapse, in that order."""
-    return apply_click_model(apply_efficiency(pmf, config.efficiency), config.n_detectors)
+    """Efficiency thinning and the click collapse, in one walk."""
+    return apply_click_model(pmf, config.n_detectors, config.efficiency)
 
 
 def chain_mean(pmf: PhotonPMF, config: DetectorConfig) -> float:

@@ -50,13 +50,12 @@ class PhotonPMF:
         arr = np.asarray(self.probs, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise PhysicsError("probability vector must be 1-D and non-empty")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
-            raise PhysicsError("probabilities must lie in [0, 1]")
+        if np.any(arr < 0.0) or np.any(arr > 1.0 + _SUM_EXCESS):
+            raise PhysicsError(f"probabilities must lie in [0, 1 + {_SUM_EXCESS}]")
         total = float(arr.sum())
         if not (1.0 - TAIL_BOUND <= total <= 1.0 + _SUM_EXCESS):
             raise PhysicsError(
-                f"probability sum {total!r} outside [1 - {TAIL_BOUND}, 1 + {_SUM_EXCESS}]; "
-                "raise n_max to satisfy the tail bound"
+                f"probability sum {total!r} outside [1 - {TAIL_BOUND}, 1 + {_SUM_EXCESS}]"
             )
         arr = arr.copy()
         arr.setflags(write=False)
@@ -100,57 +99,54 @@ class SourceSpec:
 
 
 def _validate_args(mean: float, n_max: int, name: str) -> None:
-    if mean < 0.0:
-        raise PhysicsError(f"{name} must be >= 0, got {mean}")
+    if not 0.0 <= mean < np.inf:
+        raise PhysicsError(f"{name} must be finite and >= 0, got {mean}")
     if n_max < 0:
         raise PhysicsError(f"n_max must be >= 0, got {n_max}")
+
+
+def _poisson(mean: float, n_max: int) -> np.ndarray:
+    # Ratios to the mode term, multiplied outward from the mode and divided by
+    # their sum over the whole support: exp(-mean) underflows above a mean of
+    # about 745, and log-space terms miss normalization by up to mean * eps.
+    mode = int(mean)
+    n = np.arange(max(n_max, 2 * mode + 50) + 1)
+    below = np.cumprod(n[mode:0:-1] / mean)[::-1]
+    ratios = np.concatenate((below, [1.0], np.cumprod(mean / n[mode + 1 :])))
+    return ratios[: n_max + 1] / ratios.sum()
+
+
+def _geometric(nbar: float, n_max: int) -> np.ndarray:
+    return (nbar / (1.0 + nbar)) ** np.arange(n_max + 1) / (1.0 + nbar)
+
+
+def _photon_added(base: np.ndarray, mean: float) -> PhotonPMF:
+    """Apply a^dagger to a state of mean ``mean``: P(n) -> n P(n - 1) / (1 + mean)."""
+    probs = np.zeros(base.size)
+    probs[1:] = np.arange(1, base.size) * base[:-1] / (1.0 + mean)
+    return PhotonPMF(probs)
 
 
 def coherent_pmf(mean: float, n_max: int = DEFAULT_N_MAX) -> PhotonPMF:
     """Poisson photon statistics of a coherent state with mean photon number ``mean``."""
     _validate_args(mean, n_max, "mean")
-    probs = np.zeros(n_max + 1)
-    term = np.exp(-mean)
-    probs[0] = term
-    for n in range(1, n_max + 1):
-        term *= mean / n
-        probs[n] = term
-    return PhotonPMF(probs)
+    return PhotonPMF(_poisson(mean, n_max))
 
 
 def thermal_pmf(nbar: float, n_max: int = DEFAULT_N_MAX) -> PhotonPMF:
     """Bose-Einstein photon statistics of a thermal state with mean occupation ``nbar``."""
     _validate_args(nbar, n_max, "nbar")
-    probs = np.zeros(n_max + 1)
-    ratio = nbar / (1.0 + nbar)
-    term = 1.0 / (1.0 + nbar)
-    probs[0] = term
-    for n in range(1, n_max + 1):
-        term *= ratio
-        probs[n] = term
-    return PhotonPMF(probs)
+    return PhotonPMF(_geometric(nbar, n_max))
 
 
 def spacs_pmf(alpha_sq: float, n_max: int = DEFAULT_N_MAX) -> PhotonPMF:
     """Photon statistics of a single-photon-added coherent state.
 
-    Two scaled Poissonians shifted by one and two photons; terms whose
-    factorial argument would be negative are zero, so the vacuum
-    probability vanishes identically.
+    n * Poisson(n - 1) / (1 + alpha_sq), so the vacuum probability vanishes
+    identically.
     """
     _validate_args(alpha_sq, n_max, "alpha_sq")
-    probs = np.zeros(n_max + 1)
-    pref = np.exp(-alpha_sq) / (1.0 + alpha_sq)
-    # one-shifted term alpha_sq^(n-1)/(n-1)! and two-shifted term alpha_sq^(n-1)/(n-2)!
-    if n_max >= 1:
-        one_shift = 1.0
-        two_shift = 0.0
-        probs[1] = pref * one_shift
-        for n in range(2, n_max + 1):
-            one_shift *= alpha_sq / (n - 1)
-            two_shift = one_shift if n == 2 else two_shift * alpha_sq / (n - 2)
-            probs[n] = pref * (one_shift + two_shift)
-    return PhotonPMF(probs)
+    return _photon_added(_poisson(alpha_sq, n_max), alpha_sq)
 
 
 def spats_pmf(nbar: float, n_max: int = DEFAULT_N_MAX) -> PhotonPMF:
@@ -159,15 +155,7 @@ def spats_pmf(nbar: float, n_max: int = DEFAULT_N_MAX) -> PhotonPMF:
     Negative-binomial form n * nbar^(n-1) / (1+nbar)^(n+1), zero at n = 0.
     """
     _validate_args(nbar, n_max, "nbar")
-    probs = np.zeros(n_max + 1)
-    if n_max >= 1:
-        ratio = nbar / (1.0 + nbar)
-        geom = 1.0 / (1.0 + nbar) ** 2
-        probs[1] = geom
-        for n in range(2, n_max + 1):
-            geom *= ratio
-            probs[n] = n * geom
-    return PhotonPMF(probs)
+    return _photon_added(_geometric(nbar, n_max), nbar)
 
 
 def mixed_pmf(base: PhotonPMF, added: PhotonPMF, r: float) -> PhotonPMF:
@@ -199,10 +187,13 @@ def source_pmf(source: SourceSpec, n_max: int | None = None) -> PhotonPMF:
     while True:
         try:
             return _source_pmf_at(source, bound)
-        except PhysicsError:
+        except PhysicsError as err:
             if bound >= _AUTO_N_MAX_CAP:
-                raise
-            bound *= 2
+                raise PhysicsError(
+                    f"no automatic truncation up to n_max = {_AUTO_N_MAX_CAP} fits the "
+                    f"{source.kind.value} source at mean_param {source.mean_param}: {err}"
+                ) from err
+            bound = min(2 * bound, _AUTO_N_MAX_CAP)
 
 
 def _source_pmf_at(source: SourceSpec, n_max: int) -> PhotonPMF:

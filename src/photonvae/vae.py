@@ -269,7 +269,9 @@ class VAEClassifier:
         return self.forward(x, mode=INFER).probs
 
     def predict_class(self, x) -> np.ndarray:
-        probs = self.predict_proba(x)
+        return self._decide(self.predict_proba(x))
+
+    def _decide(self, probs: np.ndarray) -> np.ndarray:
         if self.spec.head_dim == 1:
             return (probs[:, 0] > 0.5).astype(np.int64)
         return np.argmax(probs, axis=1)
@@ -283,9 +285,6 @@ class VAEClassifier:
         kl = w_kl * loss_kl(fwd.mu, fwd.logvar)
         bce = w_bce * self._classification_loss(y, fwd)
         return LossValues(recon=recon, kl=kl, bce=bce)
-
-    def _labeled_mask(self, y) -> np.ndarray:
-        return np.asarray(y, dtype=np.int64).reshape(-1) >= 0
 
     def _classification_loss(self, y, fwd: Forward) -> float:
         y = np.asarray(y, dtype=np.int64).reshape(-1)
@@ -462,7 +461,8 @@ def train_model(
         if x_val is not None and len(x_val):
             fwd = model.forward(x_val, mode=INFER)
             values = model.losses(x_val, y_val, fwd, weights)
-            acc, _ = evaluate_model(model, x_val, y_val)
+            # the same count over the same length as evaluate_model's accuracy
+            acc = float(np.mean(model._decide(fwd.probs) == np.reshape(y_val, -1)))
             history.val_loss.append(values.total)
             history.val_accuracy.append(acc)
             if epoch < warmup_epochs:

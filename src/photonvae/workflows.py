@@ -69,7 +69,6 @@ class TrainPlan:
     train_etas: tuple[float, ...] = ()
     # extra training cells as (observed-mean target, efficiency) pairs
     target_nbar_obs_grid: tuple[tuple[float, float], ...] = ()
-    base_checkpoint: str | None = None
     eval_bin_sizes: tuple[int, ...] = ()
     eval_etas: tuple[float, ...] = ()
     eval_nbar_obs: tuple[float, ...] = ()
@@ -167,14 +166,21 @@ def invert_mean_param(
 
     if mean_at(hi) < target_mean:
         raise ValueError(f"target mean {target_mean} unreachable below param {hi}")
+    return _bisect(mean_at, target_mean, hi)
+
+
+def _bisect(mean_at, target: float, hi: float) -> float:
+    """Bisect [0, hi] for where the increasing ``mean_at`` reaches ``target``,
+    halving until no float lies strictly between the two ends."""
     lo = 0.0
-    for _ in range(80):
+    while True:
         mid = 0.5 * (lo + hi)
-        if mean_at(mid) < target_mean:
+        if not lo < mid < hi:
+            return mid
+        if mean_at(mid) < target:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 def _splits(meta: DatasetMeta, split_seed: int):
@@ -306,14 +312,7 @@ def invert_shared_intensity(target_nbar_obs: float, detector: DetectorConfig,
         )
     if mean_at(hi) < target_nbar_obs:
         raise ValueError(f"target {target_nbar_obs} unreachable below intensity {hi}")
-    lo = 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mean_at(mid) < target_nbar_obs:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(mean_at, target_nbar_obs, hi)
 
 
 def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
@@ -422,14 +421,12 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
         eta: observed_mean_for_sources(sources, DetectorConfig(LOSSY_N_DETECTORS, eta))
         for eta in plan.train_etas
     }
+    floors = {
+        eta: observed_mean_for_sources(lossless_sources(0.0), DetectorConfig(LOSSY_N_DETECTORS, eta))
+        for eta in plan.train_etas
+    }
     for target in plan.eval_nbar_obs:
-        candidates = [
-            eta
-            for eta in plan.train_etas
-            if observed_mean_for_sources(lossless_sources(0.0), DetectorConfig(LOSSY_N_DETECTORS, eta))
-            + 0.02
-            <= target
-        ]
+        candidates = [eta for eta in plan.train_etas if floors[eta] + 0.02 <= target]
         if not candidates:
             raise ValueError(f"observed-mean target {target} below every training floor")
         eta = min(candidates, key=lambda e: abs(anchor_means[e] - target))

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from photonvae.detector import (
@@ -11,10 +14,11 @@ from photonvae.detector import (
     apply_efficiency,
     chain_mean,
     click_coefficients,
-    enumerate_click_row,
     observed_chain,
 )
 from photonvae.distributions import (
+    _SUM_EXCESS,
+    TAIL_BOUND,
     PhotonPMF,
     PhysicsError,
     SourceKind,
@@ -24,6 +28,17 @@ from photonvae.distributions import (
     source_pmf,
     thermal_pmf,
 )
+
+
+def enumerate_click_row(n_detectors: int, j: int) -> np.ndarray:
+    """Brute-force C[., j] by walking all n_detectors**j photon-to-detector assignments.
+
+    Exponential in j; intended as the independent cross-check for small cases.
+    """
+    counts = np.zeros(n_detectors + 1, dtype=np.int64)
+    for assignment in itertools.product(range(n_detectors), repeat=j):
+        counts[len(set(assignment))] += 1
+    return counts / float(n_detectors**j)
 
 
 # --- click coefficients -------------------------------------------------------
@@ -103,6 +118,15 @@ def test_thinning_scales_mean(eta):
 def test_efficiency_range_rejected(eta):
     with pytest.raises(PhysicsError):
         apply_efficiency(coherent_pmf(1.0, 20), eta)
+    with pytest.raises(PhysicsError):
+        apply_click_model(coherent_pmf(1.0, 20), 4, eta)
+
+
+def test_efficiency_keeps_mass_where_eta_to_the_n_underflows():
+    # 0.2**n underflows from n = 463 on, well inside this source's support
+    pmf = thermal_pmf(300, 5000)
+    thinned = apply_efficiency(pmf, 0.2)
+    assert abs(thinned.probs.sum() - pmf.probs.sum()) <= TAIL_BOUND
 
 
 # --- click collapse ----------------------------------------------------------------
@@ -188,5 +212,50 @@ def test_detector_config_validation():
         DetectorConfig(4, 0.0)
     with pytest.raises(PhysicsError):
         DetectorConfig(4, 1.1)
-    with pytest.raises(PhysicsError):
-        DetectorConfig(4, 0.9, equal_split=False)
+
+
+def test_saturated_chain_within_rounding_of_one():
+    out = observed_chain(source_pmf(SourceSpec(SourceKind.COHERENT, 700.0)), DetectorConfig(6, 0.5))
+    assert out.probs[6] == pytest.approx(1.0, abs=1e-12)
+
+
+# --- properties and the coherent closed form -------------------------------------
+
+CHAIN_CASES = dict(
+    kind=st.sampled_from(list(SourceKind)),
+    mean=st.floats(0.0, 60.0),
+    n_detectors=st.integers(1, 8),
+    eta=st.floats(0.01, 1.0),
+)
+PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+
+
+@PROPERTY_SETTINGS
+@given(**CHAIN_CASES, ratio=st.floats(0.0, 1.0))
+def test_chain_output_is_a_normalized_pmf(kind, mean, n_detectors, eta, ratio):
+    out = observed_chain(source_pmf(SourceSpec(kind, mean, ratio)), DetectorConfig(n_detectors, eta))
+    assert np.all(out.probs >= 0.0)
+    # the same rounding slack PhotonPMF grants the sum
+    assert np.all(out.probs <= 1.0 + _SUM_EXCESS)
+    assert 1.0 - TAIL_BOUND <= out.probs.sum() <= 1.0 + _SUM_EXCESS
+    assert out.probs[n_detectors + 1 :].sum() == 0.0
+
+
+@PROPERTY_SETTINGS
+@given(mean=CHAIN_CASES["mean"], n_detectors=CHAIN_CASES["n_detectors"], eta=CHAIN_CASES["eta"])
+def test_coherent_chain_matches_binomial_closed_form(mean, n_detectors, eta):
+    # each detector of N sees Poisson(eta * mean / N) photons independently,
+    # so it clicks with probability 1 - exp(-eta * mean / N)
+    out = observed_chain(source_pmf(SourceSpec(SourceKind.COHERENT, mean)), DetectorConfig(n_detectors, eta))
+    k = np.arange(n_detectors + 1)
+    expected = stats.binom.pmf(k, n_detectors, -np.expm1(-eta * mean / n_detectors))
+    np.testing.assert_allclose(out.probs[: n_detectors + 1], expected, rtol=0, atol=1e-6)
+
+
+@PROPERTY_SETTINGS
+@given(**CHAIN_CASES)
+def test_click_model_efficiency_equals_thinning_first(kind, mean, n_detectors, eta):
+    pmf = source_pmf(SourceSpec(kind, mean, 0.5))
+    joint = apply_click_model(pmf, n_detectors, eta)
+    staged = apply_click_model(apply_efficiency(pmf, eta), n_detectors)
+    np.testing.assert_allclose(joint.probs, staged.probs, rtol=0, atol=1e-12)

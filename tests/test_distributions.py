@@ -220,8 +220,9 @@ def test_tail_bound_rejected_not_renormalized():
 
 def test_negative_parameters_rejected():
     for builder in (coherent_pmf, thermal_pmf, spacs_pmf, spats_pmf):
-        with pytest.raises(PhysicsError):
-            builder(-0.5, 20)
+        for value in (-0.5, math.nan, math.inf):
+            with pytest.raises(PhysicsError, match="finite and >= 0"):
+                builder(value, 20)
 
 
 def test_photon_pmf_rejects_bad_vectors():
@@ -246,6 +247,29 @@ def test_source_pmf_auto_growth():
     pmf = source_pmf(SourceSpec(SourceKind.SPATS, 1.3))
     assert pmf.n_max >= 40
     assert pmf.probs.sum() >= 1 - 1e-6
+
+
+def test_auto_growth_stops_at_the_cap():
+    # needs about 3,460 photon numbers: more than 2,560, fewer than 4,096
+    assert source_pmf(SourceSpec(SourceKind.THERMAL, 250.0)).n_max == 4096
+
+
+def test_auto_growth_failure_gives_no_n_max_advice():
+    # needs about 4,150 photon numbers, beyond the automatic cap
+    with pytest.raises(PhysicsError) as err:
+        source_pmf(SourceSpec(SourceKind.THERMAL, 300.0))
+    assert "raise n_max" not in str(err.value)
+    assert "4096" in str(err.value)
+
+
+@pytest.mark.parametrize("kind", [SourceKind.COHERENT, SourceKind.SPACS])
+def test_bright_poisson_sources_normalize(kind):
+    # exp(-800) underflows to zero; the terms themselves do not
+    a = 800.0
+    pmf = source_pmf(SourceSpec(kind, a))
+    assert 1.0 - 1e-6 <= pmf.probs.sum() <= 1.0 + 1e-12
+    expected = a if kind is SourceKind.COHERENT else (1 + 3 * a + a * a) / (1 + a)
+    assert pmf_mean(pmf) == pytest.approx(expected, rel=1e-9)
 
 
 def test_truncated_view():

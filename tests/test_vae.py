@@ -288,6 +288,23 @@ def test_train_model_runs_and_early_stops():
     model.assert_finite()
 
 
+def test_train_model_runs_one_validation_pass_per_epoch(monkeypatch):
+    rng = np.random.default_rng(12)
+    x = rng.random((300, 5))
+    y = (x[:, 0] > 0.5).astype(int)
+    modes = []
+    real_forward = VAEClassifier.forward
+
+    def counting_forward(self, x, **kwargs):
+        modes.append(kwargs.get("mode", INFER))
+        return real_forward(self, x, **kwargs)
+
+    monkeypatch.setattr(VAEClassifier, "forward", counting_forward)
+    history = train_model(binary_model(seed=6), x, y, x[:50], y[:50], epochs=3, batch_size=64)
+    assert len(history.val_accuracy) == 3
+    assert sum(mode != TRAIN for mode in modes) == 3
+
+
 def test_evaluate_model_confusion_shape():
     model = binary_model(seed=7)
     x = np.random.default_rng(13).random((20, 5))
