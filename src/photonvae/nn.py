@@ -9,9 +9,15 @@ same mode.  Modes:
 * ``"infer"``  — running-statistic normalization, dropout off.
 * ``"frozen"`` — like ``"infer"`` but intended for gradient checking: the
   normalization statistics are treated as constants in ``backward``.
+
+Layers list their parameter attributes by checkpoint leaf name in ``LEAVES``
+and write them only in place: a model may make them views into one vector
+(``NamedVector``), and an attribute rebound to a new array leaves that vector.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -26,27 +32,62 @@ class GradientError(RuntimeError):
     """Raised when a gradient turns non-finite during training."""
 
 
+# Branches are selected by arithmetic, which is cheaper than np.where; the
+# exponent's argument is clamped at 0 so the discarded branch cannot overflow.
+
+
 def selu(x: np.ndarray) -> np.ndarray:
-    return SELU_SCALE * np.where(x > 0, x, SELU_ALPHA * np.expm1(x))
+    return SELU_SCALE * (np.maximum(x, 0.0) + SELU_ALPHA * np.expm1(np.minimum(x, 0.0)))
 
 
 def selu_grad(x: np.ndarray) -> np.ndarray:
-    return SELU_SCALE * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(x))
+    pos = x > 0
+    return SELU_SCALE * (pos + ~pos * (SELU_ALPHA * np.exp(np.minimum(x, 0.0))))
 
 
 def leaky_relu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x, LEAKY_SLOPE * x)
+    return np.maximum(x, LEAKY_SLOPE * x)
 
 
 def leaky_relu_grad(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, 1.0, LEAKY_SLOPE)
+    return (x > 0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE
 
 
 _ACTIVATIONS = {"selu": (selu, selu_grad), "leaky_relu": (leaky_relu, leaky_relu_grad)}
 
 
+class NamedVector(dict):
+    """Name -> view into the leading entries of ``self.vector``, back to back in
+    insertion order, so one vector operation reaches every named array."""
+
+    def __init__(self, vector: np.ndarray, shapes: dict[str, tuple[int, ...]]):
+        super().__init__()
+        start = 0
+        for name, shape in shapes.items():
+            stop = start + math.prod(shape)
+            self[name] = vector[start:stop].reshape(shape)
+            start = stop
+        self.vector = vector[:start]
+
+    @classmethod
+    def pack(cls, arrays: dict[str, np.ndarray]) -> "NamedVector":
+        """Copy ``arrays``, in order, into a new float64 vector."""
+        vector = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
+        return cls(vector, {name: np.shape(a) for name, a in arrays.items()})
+
+    def require_finite(self, what: str) -> None:
+        """Raise ``GradientError`` naming the first array that holds a non-finite entry."""
+        if np.isfinite(self.vector).all():
+            return
+        for name, view in self.items():
+            if not np.isfinite(view).all():
+                raise GradientError(f"non-finite {what} {name!r}")
+
+
 class Dense:
     """Affine map with fan-in-scaled uniform weight init and zero biases."""
+
+    LEAVES = {"W": "weight", "b": "bias"}
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         bound = 1.0 / np.sqrt(in_dim)
@@ -61,22 +102,12 @@ class Dense:
         dx = dy @ self.weight.T
         return dx, {"W": x.T @ dy, "b": dy.sum(axis=0)}
 
-    def params(self):
-        return {"W": self.weight, "b": self.bias}
-
-    def set_param(self, leaf: str, value: np.ndarray):
-        if leaf == "W":
-            self.weight = value
-        elif leaf == "b":
-            self.bias = value
-        else:
-            raise KeyError(leaf)
-
 
 class BatchNorm:
     """Per-feature normalization with momentum-0.9 running statistics."""
 
     EPS = 1e-5
+    LEAVES = {leaf: leaf for leaf in ("gamma", "beta", "running_mean", "running_var")}
 
     def __init__(self, dim: int, momentum: float = 0.9):
         self.gamma = np.ones(dim)
@@ -87,17 +118,20 @@ class BatchNorm:
 
     def forward(self, x: np.ndarray, mode: str, update_running: bool = True):
         if mode == TRAIN:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            # the operations of x.mean(0) and x.var(0), centring x only once
+            n = x.shape[0]
+            mean = x.sum(axis=0) / n
+            centred = x - mean
+            var = (centred * centred).sum(axis=0) / n
             if update_running:
                 m = self.momentum
-                self.running_mean = m * self.running_mean + (1.0 - m) * mean
-                self.running_var = m * self.running_var + (1.0 - m) * var
+                self.running_mean[...] = m * self.running_mean + (1.0 - m) * mean
+                self.running_var[...] = m * self.running_var + (1.0 - m) * var
         else:
-            mean = self.running_mean
+            centred = x - self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        x_hat = (x - mean) * inv_std
+        x_hat = centred * inv_std
         return self.gamma * x_hat + self.beta, (x_hat, inv_std)
 
     def backward(self, dy: np.ndarray, cache, mode: str):
@@ -107,38 +141,20 @@ class BatchNorm:
         if mode == TRAIN:
             # full gradient through the batch mean and variance
             n = x_hat.shape[0]
-            dx = (
-                inv_std
-                / n
-                * (
-                    n * dx_hat
-                    - dx_hat.sum(axis=0)
-                    - x_hat * (dx_hat * x_hat).sum(axis=0)
-                )
+            dx = inv_std / n * (
+                n * dx_hat - dx_hat.sum(axis=0) - x_hat * (dx_hat * x_hat).sum(axis=0)
             )
         else:
             dx = dx_hat * inv_std
         return dx, grads
-
-    def params(self):
-        return {
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "running_mean": self.running_mean,
-            "running_var": self.running_var,
-        }
-
-    def set_param(self, leaf: str, value: np.ndarray):
-        if leaf not in ("gamma", "beta", "running_mean", "running_var"):
-            raise KeyError(leaf)
-        setattr(self, leaf, value)
 
 
 def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None):
     """Inverted dropout: scaled mask in training, identity otherwise."""
     if mode != TRAIN or rate <= 0.0:
         return x, None
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    # bool * (1 / (1 - rate)) has the bits of bool / (1 - rate) and is cheaper
+    mask = (rng.random(x.shape) >= rate) * (1.0 / (1.0 - rate))
     return x * mask, mask
 
 
@@ -168,12 +184,8 @@ class DenseBlock:
         dy = dy * self.act_grad(normed)
         dy, norm_grads = self.norm.backward(dy, norm_cache, mode)
         dx, dense_grads = self.dense.backward(dy, dense_cache)
-        return dx, {
-            "dense.W": dense_grads["W"],
-            "dense.b": dense_grads["b"],
-            "norm.gamma": norm_grads["gamma"],
-            "norm.beta": norm_grads["beta"],
-        }
+        return dx, {**{f"dense.{leaf}": g for leaf, g in dense_grads.items()},
+                    **{f"norm.{leaf}": g for leaf, g in norm_grads.items()}}
 
 
 class MLPStack:
@@ -197,10 +209,8 @@ class MLPStack:
         return y, caches
 
     def backward(self, dy, caches):
-        grads = {}
         dy, out_grads = self.out.backward(dy, caches[-1])
-        grads["out.W"] = out_grads["W"]
-        grads["out.b"] = out_grads["b"]
+        grads = {f"out.{leaf}": g for leaf, g in out_grads.items()}
         for i in range(len(self.blocks) - 1, -1, -1):
             dy, block_grads = self.blocks[i].backward(dy, caches[i])
             for leaf, g in block_grads.items():
@@ -210,40 +220,34 @@ class MLPStack:
     def named_params(self):
         """Deterministic (name, owner, leaf) walk; checkpoint order derives from it."""
         for i, block in enumerate(self.blocks):
-            for leaf in ("W", "b"):
-                yield f"hidden{i}.dense.{leaf}", block.dense, leaf
-            for leaf in ("gamma", "beta", "running_mean", "running_var"):
-                yield f"hidden{i}.norm.{leaf}", block.norm, leaf
-        for leaf in ("W", "b"):
+            for part, owner in (("dense", block.dense), ("norm", block.norm)):
+                for leaf in owner.LEAVES:
+                    yield f"hidden{i}.{part}.{leaf}", owner, leaf
+        for leaf in self.out.LEAVES:
             yield f"out.{leaf}", self.out, leaf
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction."""
+    """Adaptive-moment optimizer with bias correction, one update over a whole vector."""
 
-    def __init__(self, param_names, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = {name: None for name in param_names}
-        self.v = {name: None for name in param_names}
+        self.m = self.v = 0.0  # moment estimates; 0.0 broadcasts like zero vectors
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        """Update ``params`` in place from ``grads`` (same key sets)."""
+    def step(self, params: NamedVector, grads: NamedVector):
+        """Update ``params.vector`` in place from ``grads.vector`` (same layout)."""
+        grads.require_finite("gradient for parameter")
+        grad = grads.vector
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.step_count
         bias2 = 1.0 - b2**self.step_count
-        for name, grad in grads.items():
-            if not np.all(np.isfinite(grad)):
-                raise GradientError(f"non-finite gradient for parameter {name!r}")
-            if self.m[name] is None:
-                self.m[name] = np.zeros_like(grad)
-                self.v[name] = np.zeros_like(grad)
-            self.m[name] = b1 * self.m[name] + (1.0 - b1) * grad
-            self.v[name] = b2 * self.v[name] + (1.0 - b2) * grad * grad
-            m_hat = self.m[name] / bias1
-            v_hat = self.v[name] / bias2
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.m = b1 * self.m + (1.0 - b1) * grad
+        self.v = b2 * self.v + (1.0 - b2) * grad * grad
+        m_hat = self.m / bias1
+        v_hat = self.v / bias2
+        params.vector -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

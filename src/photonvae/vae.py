@@ -22,8 +22,8 @@ from .nn import (
     INFER,
     TRAIN,
     Adam,
-    GradientError,
     MLPStack,
+    NamedVector,
 )
 
 PROB_CLIP = 1e-7  # predicted probabilities are clamped to [PROB_CLIP, 1 - PROB_CLIP]
@@ -128,7 +128,6 @@ class Forward:
     logits: np.ndarray
     probs: np.ndarray
     eps: np.ndarray | None
-    mode: str
     caches: tuple
 
 
@@ -152,6 +151,12 @@ class VAEClassifier:
 
     A single seed controls weight initialization and the training-time noise
     streams (dropout masks, latent draws, shuffling).
+
+    Every named parameter is a view into one float64 vector, trainable ones
+    first, then the running statistics.  Training, the finiteness checks and
+    saved state all use that vector, so a layer attribute rebound to a new
+    array (rather than written in place) drops out of all three.  Copy a model
+    with get_state/set_state: copy.deepcopy would copy each view on its own.
     """
 
     def __init__(self, spec: NetworkSpec, seed: int = 0):
@@ -171,6 +176,14 @@ class VAEClassifier:
             "leaky_relu", spec.dropout_rate, init_rng,
         )
         self.rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
+        layout = sorted(self.named_params(), key=lambda p: p[2].startswith("running_"))
+        self._params = NamedVector.pack({n: getattr(o, o.LEAVES[leaf]) for n, o, leaf in layout})
+        trainable = {}
+        for name, owner, leaf in layout:
+            setattr(owner, owner.LEAVES[leaf], self._params[name])
+            if not leaf.startswith("running_"):
+                trainable[name] = self._params[name].shape
+        self._trainable = NamedVector(self._params.vector, trainable)
 
     def reseed(self, seed: int) -> None:
         """Restart the training noise stream (used when resuming from a checkpoint)."""
@@ -190,28 +203,22 @@ class VAEClassifier:
     def param_names(self) -> list[str]:
         return [name for name, _, _ in self.named_params()]
 
-    def trainable_refs(self) -> dict[str, np.ndarray]:
-        return {
-            name: getattr(owner, _ATTR[leaf])
-            for name, owner, leaf in self.named_params()
-            if not leaf.startswith("running_")
-        }
+    def trainable_refs(self) -> NamedVector:
+        """The trainable parameters, as views into the model's parameter vector."""
+        return self._trainable
 
     def get_state(self) -> dict[str, np.ndarray]:
-        return {name: getattr(owner, _ATTR[leaf]).copy() for name, owner, leaf in self.named_params()}
+        return {name: self._params[name].copy() for name in self.param_names()}
 
     def set_state(self, state: dict[str, np.ndarray]) -> None:
-        for name, owner, leaf in self.named_params():
+        for name in self.param_names():
             if name not in state:
                 raise KeyError(f"missing parameter {name!r}")
-            current = getattr(owner, _ATTR[leaf])
-            value = np.asarray(state[name], dtype=np.float64).reshape(current.shape)
-            owner.set_param(leaf, value.copy())
+            view = self._params[name]
+            view[...] = np.asarray(state[name], dtype=np.float64).reshape(view.shape)
 
     def assert_finite(self) -> None:
-        for name, owner, leaf in self.named_params():
-            if not np.all(np.isfinite(getattr(owner, _ATTR[leaf]))):
-                raise GradientError(f"non-finite values in parameter {name!r}")
+        self._params.require_finite("values in parameter")
 
     # --- forward passes ------------------------------------------------------
 
@@ -224,11 +231,7 @@ class VAEClassifier:
         eps: np.ndarray | None = None,
         update_running: bool = True,
     ) -> Forward:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.spec.input_dim:
-            raise DataMismatchError(
-                f"expected {self.spec.input_dim} input features, got {x.shape[1]}"
-            )
+        x = self._rows(x, self.spec.input_dim, "input features")
         if mode == TRAIN and rng is None:
             rng = self.rng
         enc_out, enc_caches = self.encoder.forward(x, mode, rng, update_running)
@@ -242,26 +245,30 @@ class VAEClassifier:
         probs = _sigmoid(logits) if self.spec.head_dim == 1 else _softmax(logits)
         return Forward(
             mu=mu, logvar=logvar, z=z, x_hat=x_hat, logits=logits, probs=probs,
-            eps=eps, mode=mode, caches=(enc_caches, dec_caches, clf_caches),
+            eps=eps, caches=(enc_caches, dec_caches, clf_caches),
         )
 
+    @staticmethod
+    def _rows(a, width: int, what: str) -> np.ndarray:
+        """``a`` as a float64 matrix of ``width`` columns, or DataMismatchError."""
+        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+        if a.shape[1] != width:
+            raise DataMismatchError(f"expected {width} {what}, got {a.shape[1]}")
+        return a
+
     def encode(self, x, *, mode: str = INFER, rng=None):
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.spec.input_dim:
-            raise DataMismatchError(
-                f"expected {self.spec.input_dim} input features, got {x.shape[1]}"
-            )
+        x = self._rows(x, self.spec.input_dim, "input features")
         out, _ = self.encoder.forward(x, mode, rng if rng is not None else self.rng)
         latent = self.spec.latent_dim
         return out[:, :latent], out[:, latent:]
 
     def decode(self, z, *, mode: str = INFER, rng=None):
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        z = self._rows(z, self.spec.latent_dim, "latent components")
         out, _ = self.decoder.forward(z, mode, rng if rng is not None else self.rng)
         return out
 
     def classify(self, z, *, mode: str = INFER, rng=None):
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+        z = self._rows(z, self.spec.latent_dim, "latent components")
         logits, _ = self.classifier.forward(z, mode, rng if rng is not None else self.rng)
         return _sigmoid(logits) if self.spec.head_dim == 1 else _softmax(logits)
 
@@ -330,7 +337,7 @@ class VAEClassifier:
             dlogits[live] = delta * (w_bce / n_labeled)
         return dlogits
 
-    def _backward(self, x, y, fwd: Forward, weights) -> dict[str, np.ndarray]:
+    def _backward(self, x, y, fwd: Forward, weights) -> NamedVector:
         w_recon, w_kl, w_bce = weights
         n, d = x.shape
         enc_caches, dec_caches, clf_caches = fwd.caches
@@ -355,20 +362,10 @@ class VAEClassifier:
             ("encoder", enc_grads), ("decoder", dec_grads), ("classifier", clf_grads),
         ):
             for leaf, g in stack_grads.items():
-                if not np.all(np.isfinite(g)):
-                    raise GradientError(f"non-finite gradient for {stack_name}.{leaf}")
                 grads[f"{stack_name}.{leaf}"] = g
-        return grads
-
-
-_ATTR = {
-    "W": "weight",
-    "b": "bias",
-    "gamma": "gamma",
-    "beta": "beta",
-    "running_mean": "running_mean",
-    "running_var": "running_var",
-}
+        flat = NamedVector.pack({name: grads[name] for name in self._trainable})
+        flat.require_finite("gradient for parameter")
+        return flat
 
 
 # --- training ---------------------------------------------------------------
@@ -430,7 +427,7 @@ def train_model(
     x_train = np.asarray(x_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64).reshape(-1)
     params = model.trainable_refs()
-    optimizer = Adam(params.keys(), lr=learning_rate)
+    optimizer = Adam(lr=learning_rate)
     history = TrainHistory()
     best_val = np.inf
     best_state = None

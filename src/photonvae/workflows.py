@@ -164,14 +164,19 @@ def invert_mean_param(
         pmf = source_pmf(SourceSpec(kind, param, mix_ratio), n_max=None)
         return chain_mean(pmf, detector) if detector is not None else pmf_mean(pmf)
 
-    if mean_at(hi) < target_mean:
-        raise ValueError(f"target mean {target_mean} unreachable below param {hi}")
-    return _bisect(mean_at, target_mean, hi)
+    return _bisect(mean_at, target_mean, hi, "target mean")
 
 
-def _bisect(mean_at, target: float, hi: float) -> float:
+def _bisect(mean_at, target: float, hi: float, what: str) -> float:
     """Bisect [0, hi] for where the increasing ``mean_at`` reaches ``target``,
-    halving until no float lies strictly between the two ends."""
+    halving until no float lies strictly between the two ends.  Targets outside
+    [mean_at(0), mean_at(hi)] are refused; for photon-added sources mean_at(0)
+    is the single-photon floor, which no intensity gets under."""
+    floor = mean_at(0.0)
+    if target < floor:
+        raise ValueError(f"{what} {target} below the single-photon floor {floor:.3f}")
+    if mean_at(hi) < target:
+        raise ValueError(f"{what} {target} unreachable below intensity {hi}")
     lo = 0.0
     while True:
         mid = 0.5 * (lo + hi)
@@ -304,15 +309,8 @@ def invert_shared_intensity(target_nbar_obs: float, detector: DetectorConfig,
     def mean_at(param: float) -> float:
         return observed_mean_for_sources(lossless_sources(param), detector)
 
-    floor = mean_at(0.0)
-    if target_nbar_obs < floor:
-        raise ValueError(
-            f"observed-mean target {target_nbar_obs} below the single-photon floor "
-            f"{floor:.3f} at efficiency {detector.efficiency}"
-        )
-    if mean_at(hi) < target_nbar_obs:
-        raise ValueError(f"target {target_nbar_obs} unreachable below intensity {hi}")
-    return _bisect(mean_at, target_nbar_obs, hi)
+    what = f"observed-mean target (efficiency {detector.efficiency})"
+    return _bisect(mean_at, target_nbar_obs, hi, what)
 
 
 def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonvae.nn import (
     FROZEN,
@@ -10,11 +12,14 @@ from photonvae.nn import (
     Dense,
     DenseBlock,
     GradientError,
+    LEAKY_SLOPE,
     MLPStack,
+    NamedVector,
     SELU_ALPHA,
     SELU_SCALE,
     dropout_forward,
     leaky_relu,
+    leaky_relu_grad,
     selu,
     selu_grad,
 )
@@ -50,6 +55,42 @@ def test_selu_values():
 
 def test_leaky_relu_values():
     np.testing.assert_allclose(leaky_relu(np.array([-2.0, 3.0])), [-0.02, 3.0])
+
+
+# reference forms of the activations, selecting their branch with np.where
+def where_selu(x):
+    return SELU_SCALE * np.where(x > 0, x, SELU_ALPHA * np.expm1(x))
+
+
+def where_selu_grad(x):
+    return SELU_SCALE * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(x))
+
+
+def where_leaky_relu(x):
+    return np.where(x > 0, x, LEAKY_SLOPE * x)
+
+
+def where_leaky_relu_grad(x):
+    return np.where(x > 0, 1.0, LEAKY_SLOPE)
+
+
+# signed zeros, the smallest subnormal and normal magnitudes, and +-800, where
+# exp and expm1 overflow
+EDGE_INPUTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+               1.0, -1.0, 800.0, -800.0]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=40))
+def test_activations_equal_np_where_forms(values):
+    x = np.array(EDGE_INPUTS + values)
+    with np.errstate(over="ignore"):  # the where forms evaluate the branch they drop
+        expected = [f(x) for f in (where_selu, where_selu_grad, where_leaky_relu, where_leaky_relu_grad)]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = [f(x) for f in (selu, selu_grad, leaky_relu, leaky_relu_grad)]
+    for want, have in zip(expected, got):
+        assert have.dtype == np.float64
+        assert np.array_equal(have, want)
 
 
 def test_dropout_keep_frequency():
@@ -149,43 +190,47 @@ def test_block_frozen_mode_is_deterministic():
 
 
 def test_adam_zero_gradient_is_identity():
-    params = {"w": np.array([1.0, -2.0])}
-    adam = Adam(params.keys())
-    adam.step(params, {"w": np.zeros(2)})
+    params = NamedVector.pack({"w": np.array([1.0, -2.0])})
+    adam = Adam()
+    adam.step(params, NamedVector.pack({"w": np.zeros(2)}))
     np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
 
 def test_adam_moves_against_gradient():
-    params = {"w": np.array([0.0])}
-    adam = Adam(params.keys())
+    params = NamedVector.pack({"w": np.array([0.0])})
+    adam = Adam()
     for _ in range(10):
-        adam.step(params, {"w": np.array([3.0])})
+        adam.step(params, NamedVector.pack({"w": np.array([3.0])}))
     assert params["w"][0] < 0.0
 
 
 def test_adam_quadratic_bowl_convergence():
     # Adam's bias-corrected step magnitude is about lr per step, so covering
     # the unit distance within 500 steps needs lr >= ~2e-3
-    params = {"w": np.array([1.0])}
-    adam = Adam(params.keys(), lr=1e-2)
+    params = NamedVector.pack({"w": np.array([1.0])})
+    adam = Adam(lr=1e-2)
     for _ in range(500):
-        adam.step(params, {"w": 2.0 * params["w"]})
+        adam.step(params, NamedVector.pack({"w": 2.0 * params["w"]}))
     assert abs(params["w"][0]) < 0.1
 
 
 def test_adam_default_rate_descends_quadratic_bowl():
-    params = {"w": np.array([1.0])}
-    adam = Adam(params.keys())
+    params = NamedVector.pack({"w": np.array([1.0])})
+    adam = Adam()
     trace = []
     for _ in range(500):
-        adam.step(params, {"w": 2.0 * params["w"]})
+        adam.step(params, NamedVector.pack({"w": 2.0 * params["w"]}))
         trace.append(params["w"][0])
     assert trace[-1] < 0.6
     assert all(b <= a for a, b in zip(trace, trace[1:]))
 
 
 def test_adam_rejects_non_finite_gradient():
-    params = {"w": np.array([1.0])}
-    adam = Adam(params.keys())
+    params = NamedVector.pack({"w": np.array([1.0])})
+    adam = Adam()
     with pytest.raises(GradientError):
-        adam.step(params, {"w": np.array([np.nan])})
+        adam.step(params, NamedVector.pack({"w": np.array([np.nan])}))
+    params = NamedVector.pack({"a": np.array([1.0]), "w": np.array([1.0, 2.0])})
+    with pytest.raises(GradientError, match="'w'"):
+        adam.step(params, NamedVector.pack({"a": np.array([0.5]), "w": np.array([0.0, np.inf])}))
+    np.testing.assert_array_equal(params.vector, [1.0, 1.0, 2.0])

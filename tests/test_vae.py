@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -124,6 +125,13 @@ def test_forward_rejects_wrong_width():
         binary_model().forward(np.zeros((2, 6)))
 
 
+def test_decode_and_classify_reject_wrong_latent_width():
+    model = binary_model()
+    for method in (model.decode, model.classify):
+        with pytest.raises(DataMismatchError, match="expected 3 latent components, got 4"):
+            method(np.zeros((2, 4)))
+
+
 # --- loss functions -----------------------------------------------------------------
 
 
@@ -237,6 +245,37 @@ def test_non_finite_parameters_raise_gradient_error():
         )
 
 
+def test_non_finite_gradient_names_its_parameter(monkeypatch):
+    model = binary_model(seed=0)
+    head = model.classifier.out
+    real_backward = head.backward
+
+    def nan_bias_gradient(dy, cache):
+        dx, grads = real_backward(dy, cache)
+        return dx, {**grads, "b": np.full_like(grads["b"], np.nan)}
+
+    monkeypatch.setattr(head, "backward", nan_bias_gradient)
+    with pytest.raises(GradientError, match="gradient for parameter 'classifier.out.b'"):
+        model.loss_and_grads(
+            np.random.default_rng(0).random((4, 5)),
+            np.array([0, 1, 0, 1]),
+            mode=FROZEN,
+            eps=np.zeros((4, 3)),
+        )
+
+
+@pytest.mark.parametrize(
+    "name", ["decoder.hidden1.norm.running_var", "classifier.out.W", "encoder.hidden0.dense.b"]
+)
+def test_assert_finite_names_the_non_finite_parameter(name):
+    model = binary_model(seed=0)
+    model.assert_finite()
+    owner, leaf = next((o, leaf) for n, o, leaf in model.named_params() if n == name)
+    getattr(owner, owner.LEAVES[leaf]).reshape(-1)[-1] = np.nan
+    with pytest.raises(GradientError, match=f"values in parameter '{name}'"):
+        model.assert_finite()
+
+
 # --- training behavior -------------------------------------------------------------------
 
 
@@ -253,7 +292,7 @@ def test_fixed_batch_loss_mostly_nonincreasing():
     x[y == 1, 1] += 0.3  # separable signal
     model = binary_model(seed=1)
     params = model.trainable_refs()
-    adam = Adam(params.keys())
+    adam = Adam()
     wins = 0
     for _ in range(50):
         state = copy.deepcopy(model.rng.bit_generator.state)
@@ -303,6 +342,37 @@ def test_train_model_runs_one_validation_pass_per_epoch(monkeypatch):
     history = train_model(binary_model(seed=6), x, y, x[:50], y[:50], epochs=3, batch_size=64)
     assert len(history.val_accuracy) == 3
     assert sum(mode != TRAIN for mode in modes) == 3
+
+
+# SHA-256 of a short run's final parameters and loss history: any change to the
+# arithmetic or the order of a training step changes it.  Recorded with numpy 2.4
+# and OpenBLAS; another BLAS may round the matmuls differently.
+PINNED_TRAINING_SHA256 = {
+    2: "19d5162f28e381640444b7bc2c4f48589d259820e21395f61b11556e5d6b4e6a",
+    4: "946bd5075aa33f18839598b887321739db775a8373baf2eec9402607cbac4148",
+}
+
+
+@pytest.mark.parametrize("num_classes", [2, 4])
+def test_training_bytes_are_pinned(num_classes):
+    rng = np.random.default_rng(40 + num_classes)
+    x = rng.random((300, 5))
+    y = rng.integers(0, num_classes, 300)
+    x[:, 1] += 0.5 * y
+    model = VAEClassifier(NetworkSpec(num_classes=num_classes), seed=num_classes)
+    # the high rate makes validation loss turn up, so the best epoch is restored
+    history = train_model(
+        model, x[:240], y[:240], x[240:], y[240:], epochs=12, batch_size=64,
+        patience=2, warmup_epochs=3, learning_rate=0.1,
+    )
+    assert history.best_epoch < history.epochs_run - 1 < 11
+    digest = hashlib.sha256()
+    state = model.get_state()
+    for name in model.param_names():
+        digest.update(np.ascontiguousarray(state[name], dtype="<f8").tobytes())
+    for series in (history.train_loss, history.val_loss, history.val_accuracy):
+        digest.update(np.asarray(series, dtype="<f8").tobytes())
+    assert digest.hexdigest() == PINNED_TRAINING_SHA256[num_classes]
 
 
 def test_evaluate_model_confusion_shape():

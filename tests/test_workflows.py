@@ -56,6 +56,18 @@ def test_invert_mean_param_ideal_and_chain():
     assert chain_mean(pmf, detector) == pytest.approx(1.3, abs=1e-6)
 
 
+@pytest.mark.parametrize("kind", [SourceKind.SPACS, SourceKind.SPATS])
+def test_invert_mean_param_rejects_target_below_single_photon_floor(kind):
+    with pytest.raises(ValueError, match="single-photon floor"):
+        invert_mean_param(kind, 0.3)
+    with pytest.raises(ValueError, match="single-photon floor"):
+        invert_mean_param(kind, 0.3, DetectorConfig(4, 0.9))
+
+
+def test_invert_mean_param_zero_target_for_classical_source():
+    assert invert_mean_param(SourceKind.COHERENT, 0.0) == 0.0
+
+
 def test_invert_shared_intensity_floor():
     detector = DetectorConfig(4, 0.9)
     with pytest.raises(ValueError):
