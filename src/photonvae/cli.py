@@ -6,6 +6,13 @@ effective merged config next to its outputs, and prints a single JSON summary
 line on stdout.  Log chatter goes to stderr so output files and stdout stay
 byte-reproducible.
 
+``main`` frames every command.  It loads the config and resolves the seed, the
+run name and the output directory, then calls ``cmd_<command>(args, config,
+seed, out, name)``.  A command returns only its own summary fields; ``main``
+adds ``command``, ``name`` and ``seed``, echoes the config and prints the
+summary.  A command that resolves flags into settings (``sweep``'s grid)
+writes them into ``config``, so the echoed config is the effective one.
+
 Exit codes: 0 success, 1 config/usage error, 2 physics validation error,
 3 checkpoint format/version error, 4 dataset/network mismatch.
 """
@@ -23,7 +30,6 @@ import numpy as np
 from .detector import DetectorConfig
 from .distributions import PhysicsError, SourceKind, SourceSpec
 from .sampling import (
-    Dataset,
     DatasetMeta,
     feature_matrix,
     generate_dataset,
@@ -55,6 +61,7 @@ from .workflows import (
 )
 
 SEED_ENV_VAR = "PHOTONVAE_SEED"
+_REQUIRED = object()
 
 
 class ConfigError(ValueError):
@@ -84,6 +91,28 @@ def _load_config(path: str | None) -> dict:
     return payload
 
 
+def _require(config, key: str, kind=None, default=_REQUIRED):
+    """``config[key]`` converted by ``kind``; an absent key gets ``default``.
+    A missing object, a missing required key or a value ``kind`` refuses is a
+    ConfigError that names the field."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"expected an object holding {key!r}, got {config!r}")
+    if key not in config:
+        if default is _REQUIRED:
+            raise ConfigError(f"config is missing required field {key!r}")
+        return default
+    if kind is None:
+        return config[key]
+    try:
+        return kind(config[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config field {key!r} has a bad value {config[key]!r}: {exc}") from exc
+
+
+def _list_of(kind):
+    return lambda values: [kind(value) for value in values]
+
+
 def _resolve_seed(config: dict, args) -> int:
     if args.seed is not None:
         return int(args.seed)
@@ -93,64 +122,35 @@ def _resolve_seed(config: dict, args) -> int:
             return int(env)
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
-    return int(config.get("seed", 0))
-
-
-def _require(config: dict, key: str):
-    if key not in config:
-        raise ConfigError(f"config is missing required field {key!r}")
-    return config[key]
-
-
-def _name(config: dict, args) -> str:
-    if "name" in config:
-        return str(config["name"])
-    return Path(args.config).stem
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _echo_config(out: Path, name: str, effective: dict) -> None:
-    (out / f"{name}.config.json").write_text(
-        json.dumps(effective, indent=2, sort_keys=True) + "\n"
-    )
+    return _require(config, "seed", int, 0)
 
 
 def _parse_sources(entries) -> tuple[tuple[str, SourceSpec], ...]:
     sources = []
     for entry in entries:
-        try:
-            kind = SourceKind(entry["kind"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"bad class entry {entry!r}: {exc}") from exc
-        sources.append(
-            (
-                str(entry.get("label", kind.value)),
-                SourceSpec(kind, float(_require(entry, "mean_param")),
-                           float(entry.get("mix_ratio", 1.0))),
-            )
-        )
+        kind = _require(entry, "kind", SourceKind)
+        spec = SourceSpec(kind, _require(entry, "mean_param", float),
+                          _require(entry, "mix_ratio", float, 1.0))
+        sources.append((_require(entry, "label", str, kind.value), spec))
     return tuple(sources)
 
 
-def _parse_detector(payload: dict) -> DetectorConfig:
+def _parse_detector(payload) -> DetectorConfig:
     return DetectorConfig(
-        n_detectors=int(_require(payload, "n_detectors")),
-        efficiency=float(_require(payload, "efficiency")),
+        _require(payload, "n_detectors", int), _require(payload, "efficiency", float)
     )
 
 
-def _summary(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _dataset_meta(sources, detector, bin_size: int, bins_per_class: int, seed: int) -> DatasetMeta:
+    try:
+        return DatasetMeta(sources, detector, bin_size, bins_per_class, seed)
+    except ValueError as exc:  # bin size, bin count or class labels out of range
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_rows(paths) -> list:
     rows = []
-    for path in paths if isinstance(paths, (list, tuple)) else [paths]:
+    for path in paths:
         try:
             rows.extend(load_dataset_csv(path))
         except OSError as exc:
@@ -166,7 +166,7 @@ def _dataset_paths(config: dict) -> list[str]:
     if "datasets" in config:
         paths = config["datasets"]
         return list(paths) if isinstance(paths, (list, tuple)) else [paths]
-    return [str(_require(config, "dataset"))]
+    return [_require(config, "dataset", str)]
 
 
 def _class_order(config: dict, rows) -> list[str]:
@@ -175,8 +175,8 @@ def _class_order(config: dict, rows) -> list[str]:
     return sorted({row.label for row in rows})
 
 
-def _features_flag(config: dict, default: str = "probs") -> str:
-    features = str(config.get("features", default))
+def _features_flag(config: dict) -> str:
+    features = _require(config, "features", str, "probs")
     if features not in ("probs", "probs+nbar"):
         raise ConfigError(f"features must be 'probs' or 'probs+nbar', got {features!r}")
     return features
@@ -186,55 +186,59 @@ def _model_features(model: VAEClassifier) -> str:
     return "probs+nbar" if model.spec.input_dim == 6 else "probs"
 
 
+def _xy(rows, class_order: list[str], include_nbar: bool):
+    """Network inputs and class indices; a label outside ``class_order`` is a mismatch."""
+    try:
+        y = label_vector(rows, class_order)
+    except ValueError as exc:
+        raise DataMismatchError(str(exc)) from exc
+    return feature_matrix(rows, include_nbar), y
+
+
+def _report(out: Path, name: str, model: VAEClassifier, class_order: list[str], cells) -> dict:
+    """Score each (confusion key, rows, report fields) cell, write ``{name}_report.csv``
+    and ``{name}_confusion.csv``, and return the summary fields."""
+    include_nbar = _model_features(model) == "probs+nbar"
+    report_rows, confusions = [], {}
+    for key, rows, fields in cells:
+        accuracy, confusions[key] = evaluate_model(model, *_xy(rows, class_order, include_nbar))
+        report_rows.append({**fields, "accuracy": accuracy})
+    report_path = out / f"{name}_report.csv"
+    write_report_csv(report_path, report_rows)
+    write_confusion_csv(out / f"{name}_confusion.csv", confusions, class_order)
+    return {"report": str(report_path), "cells": report_rows}
+
+
 # --- commands -------------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(config, args)
-    name = _name(config, args)
-    out = _out_dir(args)
-    meta = DatasetMeta(
-        sources=_parse_sources(_require(config, "classes")),
-        detector=_parse_detector(_require(config, "detector")),
-        bin_size=int(_require(config, "bin_size")),
-        bins_per_class=int(_require(config, "bins_per_class")),
-        seed=seed,
+def cmd_gen(args, config: dict, seed: int, out: Path, name: str) -> dict:
+    meta = _dataset_meta(
+        _parse_sources(_require(config, "classes", list)),
+        _parse_detector(_require(config, "detector")),
+        _require(config, "bin_size", int),
+        _require(config, "bins_per_class", int),
+        seed,
     )
     dataset = generate_dataset(meta)
     csv_path = out / f"{name}.csv"
     write_dataset_csv(csv_path, dataset)
     write_dataset_meta(out / f"{name}.meta.json", dataset)
-    _echo_config(out, name, {**config, "seed": seed, "name": name, "out": str(out)})
-    _summary(
-        {
-            "command": "gen",
-            "name": name,
-            "rows": len(dataset.rows),
-            "csv": str(csv_path),
-            "seed": seed,
-        }
-    )
-    return 0
+    return {"rows": len(dataset.rows), "csv": str(csv_path)}
 
 
-def _train_common(args, base_model: VAEClassifier | None, base_header: dict | None) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(config, args)
-    name = _name(config, args)
-    out = _out_dir(args)
+def cmd_train(args, config: dict, seed: int, out: Path, name: str, base=None) -> dict:
+    """Train from scratch, or from ``base`` = (model, checkpoint header) when fine-tuning."""
     rows = _load_rows(_dataset_paths(config))
     class_order = _class_order(config, rows)
-
-    if base_model is not None:
-        features = _model_features(base_model)
+    if base is not None:
+        model, header = base
+        features = _model_features(model)
         if "features" in config and config["features"] != features:
             raise DataMismatchError(
                 f"checkpoint expects {features!r} inputs, config says {config['features']!r}"
             )
-        if base_header and base_header.get("class_labels") != class_order:
-            class_order = list(base_header["class_labels"])
-        model = base_model
+        class_order = list(header["class_labels"])
         model.reseed(seed)
         warmup, weights = 0, FINETUNE_WEIGHTS
     else:
@@ -244,201 +248,96 @@ def _train_common(args, base_model: VAEClassifier | None, base_header: dict | No
             num_classes=max(len(class_order), 2),
         )
         model = VAEClassifier(spec, seed=seed)
-        warmup, weights = int(config.get("warmup_epochs", WARMUP_EPOCHS)), (1.0, 1.0, 1.0)
+        warmup, weights = _require(config, "warmup_epochs", int, WARMUP_EPOCHS), (1.0, 1.0, 1.0)
+    options = {
+        "epochs": _require(config, "epochs", int, 200),
+        "batch_size": _require(config, "batch_size", int, 512),
+        "learning_rate": _require(config, "learning_rate", float, 1e-3),
+    }
+    warmup_bce_weight = _require(config, "warmup_bce_weight", float, WARMUP_BCE_WEIGHT)
 
     include_nbar = features == "probs+nbar"
-    train_rows, val_rows, test_rows = split_rows(rows, seed=derived_seed(seed, 40))
-    x_t, y_t = feature_matrix(train_rows, include_nbar), label_vector(train_rows, class_order)
-    x_v, y_v = feature_matrix(val_rows, include_nbar), label_vector(val_rows, class_order)
-    x_s, y_s = feature_matrix(test_rows, include_nbar), label_vector(test_rows, class_order)
-
-    epochs = int(config.get("epochs", 200))
-    batch_size = int(config.get("batch_size", 512))
-    learning_rate = float(config.get("learning_rate", 1e-3))
+    parts = split_rows(rows, seed=derived_seed(seed, 40))
+    train, val, test = (_xy(part, class_order, include_nbar) for part in parts)
     history = train_model(
-        model, x_t, y_t, x_v, y_v,
-        epochs=epochs,
-        batch_size=batch_size,
-        learning_rate=learning_rate,
-        weights=weights,
-        warmup_epochs=warmup,
-        warmup_bce_weight=float(config.get("warmup_bce_weight", WARMUP_BCE_WEIGHT)),
+        model, *train, *val, **options,
+        weights=weights, warmup_epochs=warmup, warmup_bce_weight=warmup_bce_weight,
     )
-    accuracy, _ = evaluate_model(model, x_s, y_s)
+    accuracy, _ = evaluate_model(model, *test)
 
     ckpt_path = out / f"{name}.ckpt"
     save_checkpoint(
-        ckpt_path,
-        model,
-        seed=seed,
-        epochs_trained=history.epochs_run,
-        class_labels=class_order,
-        hyperparameters={
-            "epochs": epochs,
-            "batch_size": batch_size,
-            "learning_rate": learning_rate,
-            "warmup_epochs": warmup,
-            "features": features,
-        },
+        ckpt_path, model, seed=seed, epochs_trained=history.epochs_run, class_labels=class_order,
+        hyperparameters={**options, "warmup_epochs": warmup, "features": features},
     )
-    _echo_config(out, name, {**config, "seed": seed, "name": name, "out": str(out)})
-    _summary(
-        {
-            "command": "finetune" if base_model is not None else "train",
-            "name": name,
-            "checkpoint": str(ckpt_path),
-            "epochs_run": history.epochs_run,
-            "final_train_loss": history.train_loss[-1],
-            "final_val_loss": history.val_loss[-1] if history.val_loss else None,
-            "test_accuracy": accuracy,
-            "seed": seed,
-        }
-    )
-    return 0
+    return {
+        "checkpoint": str(ckpt_path),
+        "epochs_run": history.epochs_run,
+        "final_train_loss": history.train_loss[-1],
+        "final_val_loss": history.val_loss[-1] if history.val_loss else None,
+        "test_accuracy": accuracy,
+    }
 
 
-def cmd_train(args) -> int:
-    return _train_common(args, None, None)
-
-
-def cmd_finetune(args) -> int:
+def cmd_finetune(args, config: dict, seed: int, out: Path, name: str) -> dict:
     if not args.base_checkpoint:
         raise UsageError("finetune requires --base-checkpoint PATH")
-    model, header = load_checkpoint(args.base_checkpoint)
-    return _train_common(args, model, header)
+    return cmd_train(args, config, seed, out, name, base=load_checkpoint(args.base_checkpoint))
 
 
-def cmd_eval(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(config, args)
-    name = _name(config, args)
-    out = _out_dir(args)
-    model, header = load_checkpoint(str(_require(config, "checkpoint")))
-    class_order = list(header["class_labels"])
-    include_nbar = _model_features(model) == "probs+nbar"
+def cmd_eval(args, config: dict, seed: int, out: Path, name: str) -> dict:
+    model, header = load_checkpoint(_require(config, "checkpoint", str))
 
-    report_rows = []
-    confusions = {}
-    for path in _dataset_paths(config):
-        rows = _load_rows([path])
-        try:
-            y = label_vector(rows, class_order)
-        except ValueError as exc:
-            raise DataMismatchError(str(exc)) from exc
-        x = feature_matrix(rows, include_nbar)
-        accuracy, confusion = evaluate_model(model, x, y)
-        report_rows.append(
-            {
-                "dataset": str(path),
-                "rows": len(rows),
-                "bin_size": rows[0].bin_size,
-                "accuracy": accuracy,
-            }
-        )
-        confusions[Path(path).stem] = confusion
-    report_path = out / f"{name}_report.csv"
-    write_report_csv(report_path, report_rows)
-    write_confusion_csv(out / f"{name}_confusion.csv", confusions, class_order)
-    _echo_config(out, name, {**config, "seed": seed, "name": name, "out": str(out)})
-    _summary(
-        {
-            "command": "eval",
-            "name": name,
-            "report": str(report_path),
-            "cells": report_rows,
-            "seed": seed,
-        }
-    )
-    return 0
+    def cells():  # one dataset loaded at a time
+        for path in _dataset_paths(config):
+            rows = _load_rows([path])
+            fields = {"dataset": str(path), "rows": len(rows), "bin_size": rows[0].bin_size}
+            yield Path(path).stem, rows, fields
+
+    return _report(out, name, model, list(header["class_labels"]), cells())
 
 
-def cmd_export_latent(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(config, args)
-    name = _name(config, args)
-    out = _out_dir(args)
-    model, header = load_checkpoint(str(_require(config, "checkpoint")))
+def cmd_export_latent(args, config: dict, seed: int, out: Path, name: str) -> dict:
+    model, header = load_checkpoint(_require(config, "checkpoint", str))
+    class_labels = list(header["class_labels"])
     rows = _load_rows([_require(config, "dataset")])
     try:
-        latents = export_latent(model, rows, list(header["class_labels"]))
+        latents = export_latent(model, rows, class_labels)
     except ValueError as exc:
         raise DataMismatchError(str(exc)) from exc
     latent_path = out / f"{name}_latent.csv"
-    write_latent_csv(latent_path, latents, list(header["class_labels"]))
-    _echo_config(out, name, {**config, "seed": seed, "name": name, "out": str(out)})
-    _summary(
-        {
-            "command": "export-latent",
-            "name": name,
-            "latent": str(latent_path),
-            "rows": int(latents.shape[0]),
-            "seed": seed,
-        }
+    write_latent_csv(latent_path, latents, class_labels)
+    return {"latent": str(latent_path), "rows": int(latents.shape[0])}
+
+
+def cmd_sweep(args, config: dict, seed: int, out: Path, name: str) -> dict:
+    model, header = load_checkpoint(_require(config, "checkpoint", str))
+    sources = _parse_sources(_require(config, "classes", list))
+    detector = _require(config, "detector")
+    n_detectors = _require(detector, "n_detectors", int)
+    bins_per_class = _require(config, "bins_per_class", int, 400)
+    config["bin_sizes"] = bin_sizes = (
+        args.bin_sizes or _require(config, "bin_sizes", _list_of(int), None)
+        or [_require(config, "bin_size", int)]
     )
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    seed = _resolve_seed(config, args)
-    name = _name(config, args)
-    out = _out_dir(args)
-    model, header = load_checkpoint(str(_require(config, "checkpoint")))
-    class_order = list(header["class_labels"])
-    include_nbar = _model_features(model) == "probs+nbar"
-    sources = _parse_sources(_require(config, "classes"))
-    detector_payload = dict(_require(config, "detector"))
-
-    bin_sizes = args.bin_sizes or config.get("bin_sizes") or [int(_require(config, "bin_size"))]
-    etas = args.etas or config.get("etas") or [float(detector_payload["efficiency"])]
-    bins_per_class = int(config.get("bins_per_class", 400))
-
-    report_rows = []
-    confusions = {}
-    for bin_size in bin_sizes:
-        for eta in etas:
-            detector = DetectorConfig(int(detector_payload["n_detectors"]), float(eta))
-            meta = DatasetMeta(
-                sources=sources,
-                detector=detector,
-                bin_size=int(bin_size),
-                bins_per_class=bins_per_class,
-                seed=derived_seed(seed, 50, int(bin_size), round(float(eta) * 1000)),
-            )
-            dataset = generate_dataset(meta)
-            try:
-                y = label_vector(dataset.rows, class_order)
-            except ValueError as exc:
-                raise DataMismatchError(str(exc)) from exc
-            x = feature_matrix(dataset.rows, include_nbar)
-            accuracy, confusion = evaluate_model(model, x, y)
-            report_rows.append(
-                {
-                    "bin_size": int(bin_size),
-                    "eta": float(eta),
-                    "nbar_obs": float(np.mean([r.nbar_obs for r in dataset.rows])),
-                    "accuracy": accuracy,
-                }
-            )
-            confusions[f"bin{bin_size}_eta{eta:g}"] = confusion
-    report_path = out / f"{name}_report.csv"
-    write_report_csv(report_path, report_rows)
-    write_confusion_csv(out / f"{name}_confusion.csv", confusions, class_order)
-    _echo_config(
-        out, name,
-        {**config, "seed": seed, "name": name, "out": str(out),
-         "bin_sizes": [int(b) for b in bin_sizes], "etas": [float(e) for e in etas]},
+    config["etas"] = etas = (
+        args.etas or _require(config, "etas", _list_of(float), None)
+        or [_require(detector, "efficiency", float)]
     )
-    _summary(
-        {
-            "command": "sweep",
-            "name": name,
-            "report": str(report_path),
-            "cells": report_rows,
-            "seed": seed,
-        }
-    )
-    return 0
+
+    def cells():  # one dataset generated at a time
+        for bin_size in bin_sizes:
+            for eta in etas:
+                meta = _dataset_meta(
+                    sources, DetectorConfig(n_detectors, eta), bin_size, bins_per_class,
+                    derived_seed(seed, 50, bin_size, round(eta * 1000)),
+                )
+                rows = generate_dataset(meta).rows
+                nbar_obs = float(np.mean([r.nbar_obs for r in rows]))
+                fields = {"bin_size": bin_size, "eta": eta, "nbar_obs": nbar_obs}
+                yield f"bin{bin_size}_eta{eta:g}", rows, fields
+
+    return _report(out, name, model, list(header["class_labels"]), cells())
 
 
 # --- argument parsing -------------------------------------------------------
@@ -491,7 +390,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        config = _load_config(args.config)
+        seed = _resolve_seed(config, args)
+        name = _require(config, "name", str, Path(args.config).stem)
+        out = Path(args.out or ".")
+        out.mkdir(parents=True, exist_ok=True)
+        fields = args.handler(args, config, seed, out, name)
+        effective = json.dumps({**config, "seed": seed, "name": name, "out": str(out)},
+                               indent=2, sort_keys=True)
+        (out / f"{name}.config.json").write_text(effective + "\n")
+        summary = {"command": args.command, "name": name, **fields, "seed": seed}
+        print(json.dumps(summary, sort_keys=True))
+        return 0
     except UsageError as exc:
         _log(f"usage error: {exc}")
         return 1

@@ -208,12 +208,6 @@ def split_rows(
     return train, val, test
 
 
-def split_dataset(
-    dataset: Dataset, seed: int, fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
-) -> tuple[list[BinnedObservation], list[BinnedObservation], list[BinnedObservation]]:
-    return split_rows(dataset.rows, seed, fractions)
-
-
 # --- feature extraction ---------------------------------------------------
 
 N_PROB_FEATURES = 5  # network inputs use P(0)..P(4)

@@ -17,12 +17,11 @@ from .detector import DetectorConfig, chain_mean
 from .distributions import SourceKind, SourceSpec, pmf_mean, source_pmf
 from .sampling import (
     BinnedObservation,
-    Dataset,
     DatasetMeta,
     feature_matrix,
     generate_dataset,
     label_vector,
-    split_dataset,
+    split_rows,
 )
 from .vae import (
     NetworkSpec,
@@ -95,8 +94,6 @@ class EvalReport:
 
 @dataclass
 class Algorithm1Result:
-    plan: TrainPlan
-    class_labels: list[str]
     base_model: VAEClassifier
     finetuned: dict[int, VAEClassifier]
     accuracies: dict[int, float]
@@ -106,19 +103,13 @@ class Algorithm1Result:
 
 @dataclass
 class Algorithm2Result:
-    plan: TrainPlan
-    class_labels: list[str]
     model: VAEClassifier
-    per_eta_accuracy: dict[float, float]
-    sweep_rows: list[dict]
     report: EvalReport
     history: TrainHistory
 
 
 @dataclass
 class MixedGridResult:
-    plan: TrainPlan
-    class_labels: list[str]
     model: VAEClassifier
     cells: dict[tuple[float, float], float]
     report: EvalReport
@@ -175,6 +166,8 @@ def _bisect(mean_at, target: float, hi: float, what: str) -> float:
     floor = mean_at(0.0)
     if target < floor:
         raise ValueError(f"{what} {target} below the single-photon floor {floor:.3f}")
+    if target == floor:  # halving down to 0.0 would take over a thousand steps
+        return 0.0
     if mean_at(hi) < target:
         raise ValueError(f"{what} {target} unreachable below intensity {hi}")
     lo = 0.0
@@ -189,18 +182,22 @@ def _bisect(mean_at, target: float, hi: float, what: str) -> float:
 
 
 def _splits(meta: DatasetMeta, split_seed: int):
-    dataset = generate_dataset(meta)
-    return dataset, split_dataset(dataset, seed=split_seed)
+    """Train, validation and test rows of a freshly generated dataset."""
+    return split_rows(generate_dataset(meta).rows, seed=split_seed)
 
 
 def _xy(rows, class_labels, include_nbar):
     return feature_matrix(rows, include_nbar), label_vector(rows, class_labels)
 
 
+def _score(model: VAEClassifier, rows, class_labels: list[str]):
+    """Accuracy and confusion matrix; six-input models also see ``nbar_obs``."""
+    return evaluate_model(model, *_xy(rows, class_labels, model.spec.input_dim > 5))
+
+
 def export_latent(model: VAEClassifier, rows, class_labels: list[str]) -> np.ndarray:
     """Per-sample latent means with the class index as the last column."""
-    include_nbar = model.spec.input_dim > 5
-    x, y = _xy(rows, class_labels, include_nbar)
+    x, y = _xy(rows, class_labels, model.spec.input_dim > 5)
     mu, _ = model.encode(x)
     return np.hstack([mu, y[:, None].astype(np.float64)])
 
@@ -230,7 +227,7 @@ def run_algorithm1(plan: TrainPlan, base_model: VAEClassifier | None = None) -> 
 
     base_stage = plan.stages[0]
     histories: dict[int, TrainHistory] = {}
-    _, (train_rows, val_rows, _) = data[base_stage.bin_size]
+    train_rows, val_rows, _ = data[base_stage.bin_size]
     x_t, y_t = _xy(train_rows, class_labels, False)
     x_v, y_v = _xy(val_rows, class_labels, False)
     if base_model is None:
@@ -253,7 +250,7 @@ def run_algorithm1(plan: TrainPlan, base_model: VAEClassifier | None = None) -> 
     finetuned: dict[int, VAEClassifier] = {}
     for stage in plan.stages[1:]:
         model = clone_model(base_model, derived_seed(plan.seed, 13, stage.bin_size))
-        _, (train_rows, val_rows, _) = data[stage.bin_size]
+        train_rows, val_rows, _ = data[stage.bin_size]
         x_t, y_t = _xy(train_rows, class_labels, False)
         x_v, y_v = _xy(val_rows, class_labels, False)
         histories[stage.bin_size] = train_model(
@@ -265,19 +262,15 @@ def run_algorithm1(plan: TrainPlan, base_model: VAEClassifier | None = None) -> 
     accuracies: dict[int, float] = {}
     eval_sizes = plan.eval_bin_sizes or tuple(sizes)
     for size in eval_sizes:
-        model = finetuned.get(size, base_model)
-        _, (_, _, test_rows) = data[size]
-        x_s, y_s = _xy(test_rows, class_labels, False)
-        acc, confusion = evaluate_model(model, x_s, y_s)
+        test_rows = data[size][2]
+        acc, report.confusions[f"bin{size}"] = _score(
+            finetuned.get(size, base_model), test_rows, class_labels
+        )
         accuracies[size] = acc
         report.rows.append({"bin_size": size, "accuracy": acc, "n_test": len(test_rows)})
-        report.confusions[f"bin{size}"] = confusion
 
-    _, (_, _, base_test) = data[base_stage.bin_size]
-    report.latents = export_latent(base_model, base_test, class_labels)
+    report.latents = export_latent(base_model, data[base_stage.bin_size][2], class_labels)
     return Algorithm1Result(
-        plan=plan,
-        class_labels=class_labels,
         base_model=base_model,
         finetuned=finetuned,
         accuracies=accuracies,
@@ -343,7 +336,7 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
             bins_per_class=plan.bins_per_class,
             seed=derived_seed(plan.seed, 20, round(intensity * 1000), round(eta * 1000)),
         )
-        _, (train_rows, val_rows, test_rows) = _splits(
+        train_rows, val_rows, test_rows = _splits(
             meta, split_seed=derived_seed(plan.seed, 21, round(intensity * 1000), round(eta * 1000))
         )
         train_parts.extend(train_rows)
@@ -366,52 +359,36 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
     )
 
     report = EvalReport(class_labels=class_labels)
-    per_eta_accuracy: dict[float, float] = {}
-    for eta, rows in per_eta_test.items():
-        x_s, y_s = _xy(rows, class_labels, True)
-        acc, confusion = evaluate_model(model, x_s, y_s)
-        per_eta_accuracy[eta] = acc
-        report.confusions[f"train_eta{eta:g}"] = confusion
+
+    def score_cell(rows, eta, intensity, cell, confusion_key):
+        acc, report.confusions[confusion_key] = _score(model, rows, class_labels)
         report.rows.append(
             {
                 "eta": eta,
                 "bin_size": bin_size,
-                "nbar_the": plan.mean_param,
+                "nbar_the": intensity,
                 "nbar_obs": float(np.mean([r.nbar_obs for r in rows])),
                 "accuracy": acc,
-                "cell": "held_out",
+                "cell": cell,
             }
         )
 
-    sweep_rows: list[dict] = []
+    for eta, rows in per_eta_test.items():
+        score_cell(rows, eta, plan.mean_param, "held_out", f"train_eta{eta:g}")
 
-    def sweep_cell(cell_sources, eta, tag, key):
+    def sweep_cell(intensity, eta, tag, key):
         meta = DatasetMeta(
-            sources=cell_sources,
+            sources=lossless_sources(intensity),
             detector=DetectorConfig(LOSSY_N_DETECTORS, eta),
             bin_size=bin_size,
             bins_per_class=plan.eval_bins_per_class,
             seed=derived_seed(plan.seed, 23, *key),
         )
-        dataset = generate_dataset(meta)
-        x_s, y_s = _xy(dataset.rows, class_labels, True)
-        acc, confusion = evaluate_model(model, x_s, y_s)
-        row = {
-            "eta": eta,
-            "bin_size": bin_size,
-            "nbar_the": cell_sources[0][1].mean_param,
-            "nbar_obs": float(np.mean([r.nbar_obs for r in dataset.rows])),
-            "accuracy": acc,
-            "cell": tag,
-        }
-        sweep_rows.append(row)
-        report.rows.append(row)
-        report.confusions[f"{tag}_{key[-1]}"] = confusion
-        return row
+        score_cell(generate_dataset(meta).rows, eta, intensity, tag, f"{tag}_{key[-1]}")
 
     # accuracy vs efficiency at the plan intensity
     for eta in plan.eval_etas:
-        sweep_cell(sources, eta, "eta_sweep", (0, round(eta * 1000)))
+        sweep_cell(plan.mean_param, eta, "eta_sweep", (0, round(eta * 1000)))
     # accuracy vs observed mean: each target is realized at the training
     # efficiency whose own observed mean sits closest (low means go with low
     # efficiencies), subject to the single-photon floor
@@ -429,20 +406,9 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
             raise ValueError(f"observed-mean target {target} below every training floor")
         eta = min(candidates, key=lambda e: abs(anchor_means[e] - target))
         intensity = invert_shared_intensity(target, DetectorConfig(LOSSY_N_DETECTORS, eta))
-        sweep_cell(
-            lossless_sources(intensity), eta, "nbar_sweep",
-            (1, round(eta * 1000), round(target * 1000)),
-        )
+        sweep_cell(intensity, eta, "nbar_sweep", (1, round(eta * 1000), round(target * 1000)))
 
-    return Algorithm2Result(
-        plan=plan,
-        class_labels=class_labels,
-        model=model,
-        per_eta_accuracy=per_eta_accuracy,
-        sweep_rows=sweep_rows,
-        report=report,
-        history=history,
-    )
+    return Algorithm2Result(model=model, report=report, history=history)
 
 
 # --- four-class mixture grid ----------------------------------------------------
@@ -491,7 +457,7 @@ def run_mixed_grid(plan: TrainPlan) -> MixedGridResult:
             bins_per_class=pure_bins,
             seed=derived_seed(plan.seed, 30, MIX_CLASS_LABELS.index(label)),
         )
-        _, (t, v, _) = _splits(meta, split_seed=derived_seed(plan.seed, 33, MIX_CLASS_LABELS.index(label)))
+        t, v, _ = _splits(meta, split_seed=derived_seed(plan.seed, 33, MIX_CLASS_LABELS.index(label)))
         train_parts.extend(t)
         val_parts.extend(v)
     for r in train_rs:
@@ -506,7 +472,7 @@ def run_mixed_grid(plan: TrainPlan) -> MixedGridResult:
                 bins_per_class=per_r_bins,
                 seed=derived_seed(plan.seed, 31, MIX_CLASS_LABELS.index(label), round(r * 1000)),
             )
-            _, (t, v, _) = _splits(
+            t, v, _ = _splits(
                 meta,
                 split_seed=derived_seed(plan.seed, 34, MIX_CLASS_LABELS.index(label), round(r * 1000)),
             )
@@ -536,18 +502,15 @@ def run_mixed_grid(plan: TrainPlan) -> MixedGridResult:
                 bins_per_class=plan.eval_bins_per_class,
                 seed=derived_seed(plan.seed, 35, i, j),
             )
-            dataset = generate_dataset(meta)
-            x_s, y_s = _xy(dataset.rows, MIX_CLASS_LABELS, True)
-            acc, confusion = evaluate_model(model, x_s, y_s)
+            acc, report.confusions[f"r1_{r_thermal:g}_r2_{r_coherent:g}"] = _score(
+                model, generate_dataset(meta).rows, MIX_CLASS_LABELS
+            )
             cells[(r_thermal, r_coherent)] = acc
             report.rows.append(
                 {"r1": r_thermal, "r2": r_coherent, "bin_size": bin_size, "accuracy": acc}
             )
-            report.confusions[f"r1_{r_thermal:g}_r2_{r_coherent:g}"] = confusion
 
     return MixedGridResult(
-        plan=plan,
-        class_labels=list(MIX_CLASS_LABELS),
         model=model,
         cells=cells,
         report=report,

@@ -1,26 +1,138 @@
+import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 from photonvae import cli
+from photonvae.vae import NetworkSpec, VAEClassifier, save_checkpoint
 from photonvae.workflows import FINETUNE_WEIGHTS, WARMUP_EPOCHS
+
+CLASSES = [{"kind": "spacs", "mean_param": 1.3}, {"kind": "spats", "mean_param": 1.3}]
+DETECTOR = {"n_detectors": 6, "efficiency": 1.0}
 
 
 def test_finetune_command_trains_on_classification_weighted_objective(
-    tmp_path, monkeypatch, record_train_weights
+    run_cli, record_train_weights
 ):
     calls = record_train_weights(cli)
-    monkeypatch.chdir(tmp_path)
     configs = {
         "data.json": {
             "name": "data", "seed": 1, "bin_size": 20, "bins_per_class": 60,
-            "classes": [{"kind": "spacs", "mean_param": 1.3}, {"kind": "spats", "mean_param": 1.3}],
-            "detector": {"n_detectors": 6, "efficiency": 1.0},
+            "classes": CLASSES, "detector": DETECTOR,
         },
         "train.json": {"name": "model", "datasets": ["data.csv"], "epochs": 2},
         "tune.json": {"name": "tuned", "datasets": ["data.csv"], "epochs": 2},
     }
-    for filename, config in configs.items():
-        (tmp_path / filename).write_text(json.dumps(config))
-    assert cli.main(["gen", "--config", "data.json"]) == 0
-    assert cli.main(["train", "--config", "train.json"]) == 0
-    assert cli.main(["finetune", "--config", "tune.json", "--base-checkpoint", "model.ckpt"]) == 0
+    assert run_cli("gen", "--config", "data.json", configs=configs)[0] == 0
+    assert run_cli("train", "--config", "train.json")[0] == 0
+    assert run_cli("finetune", "--config", "tune.json", "--base-checkpoint", "model.ckpt")[0] == 0
     assert calls == [((1.0, 1.0, 1.0), WARMUP_EPOCHS), (FINETUNE_WEIGHTS, 0)]
+
+
+# --- exit codes -------------------------------------------------------------
+
+GEN = {"name": "data", "seed": 1, "bin_size": 20, "bins_per_class": 10,
+       "classes": CLASSES, "detector": DETECTOR}
+# labels the prepared checkpoint (spacs, spats) does not know
+FOREIGN = {**GEN, "name": "foreign",
+           "classes": [{"kind": "coherent", "mean_param": 1.3}, {"kind": "thermal", "mean_param": 1.3}]}
+SWEEP = {"checkpoint": "model.ckpt", "classes": CLASSES, "detector": DETECTOR, "bin_size": 20,
+         "bins_per_class": 10}
+
+EXIT_CASES = {
+    "success": (0, "", ["gen", "--config", "c.json"], GEN),
+    "no_config": (1, "config error: --config", ["gen"], None),
+    "unknown_command": (1, "usage error:", ["frobnicate", "--config", "c.json"], GEN),
+    "finetune_without_base": (1, "usage error: finetune requires --base-checkpoint",
+                              ["finetune", "--config", "c.json"], {"datasets": ["foreign.csv"]}),
+    "sweep_without_n_detectors": (1, "config error:", ["sweep", "--config", "c.json"],
+                                  {**SWEEP, "detector": {"efficiency": 1.0}}),
+    "zero_bin_size": (1, "config error:", ["gen", "--config", "c.json"], {**GEN, "bin_size": 0}),
+    "string_class_entry": (1, "config error:", ["gen", "--config", "c.json"],
+                           {**GEN, "classes": ["spacs"]}),
+    "non_numeric_epochs": (1, "config error:", ["train", "--config", "c.json"],
+                           {"datasets": ["foreign.csv"], "epochs": "many"}),
+    "efficiency_above_one": (2, "physics validation error:", ["gen", "--config", "c.json"],
+                             {**GEN, "detector": {"n_detectors": 6, "efficiency": 1.5}}),
+    "bad_checkpoint_magic": (3, "checkpoint error:", ["eval", "--config", "c.json"],
+                             {"checkpoint": "bad.ckpt", "datasets": ["foreign.csv"]}),
+    "eval_foreign_labels": (4, "dataset/network mismatch:", ["eval", "--config", "c.json"],
+                            {"checkpoint": "model.ckpt", "datasets": ["foreign.csv"]}),
+    "finetune_foreign_labels": (4, "dataset/network mismatch:",
+                                ["finetune", "--config", "c.json", "--base-checkpoint", "model.ckpt"],
+                                {"datasets": ["foreign.csv"], "epochs": 1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_exit_code_contract(case, run_cli, tmp_path):
+    code, prefix, argv, config = EXIT_CASES[case]
+    assert run_cli("gen", "--config", "foreign.json", configs={"foreign.json": FOREIGN})[0] == 0
+    model = VAEClassifier(NetworkSpec(input_dim=5, num_classes=2), seed=0)
+    save_checkpoint(tmp_path / "model.ckpt", model, seed=0, epochs_trained=0,
+                    class_labels=["spacs", "spats"])
+    (tmp_path / "bad.ckpt").write_bytes(b"NOPE" + bytes(60))
+
+    got, stdout, stderr = run_cli(*argv, configs={"c.json": config} if config else None)
+    assert got == code
+    assert stderr.startswith(prefix)
+    if code == 0:
+        assert stderr == ""
+        assert json.loads(stdout)["command"] == argv[0]
+    else:
+        assert stdout == ""
+        assert "\n" not in stderr.rstrip("\n")
+
+
+# --- byte-stable outputs ----------------------------------------------------
+
+PIPELINE_DETECTOR = {"n_detectors": 4, "efficiency": 0.9}
+PIPELINE_CONFIGS = {
+    "data.json": {"name": "data", "seed": 1, "bin_size": 20, "bins_per_class": 60,
+                  "classes": CLASSES, "detector": PIPELINE_DETECTOR},
+    "small.json": {"name": "small", "seed": 2, "bin_size": 10, "bins_per_class": 40,
+                   "classes": CLASSES, "detector": PIPELINE_DETECTOR},
+    "train.json": {"name": "model", "datasets": ["data/data.csv"], "epochs": 4,
+                   "warmup_epochs": 2, "batch_size": 32, "features": "probs+nbar"},
+    "tune.json": {"name": "tuned", "datasets": ["data/small.csv"], "epochs": 3, "batch_size": 32},
+    "eval.json": {"name": "eval", "checkpoint": "runs/tuned.ckpt",
+                  "datasets": ["data/data.csv", "data/small.csv"]},
+    "latent.json": {"name": "latent", "checkpoint": "runs/model.ckpt", "dataset": "data/small.csv"},
+    "sweep.json": {"name": "sweep", "checkpoint": "runs/tuned.ckpt", "classes": CLASSES,
+                   "detector": PIPELINE_DETECTOR, "bin_size": 10, "bins_per_class": 30},
+}
+PIPELINE = (
+    ("gen", "--config", "data.json", "--out", "data"),
+    ("gen", "--config", "small.json", "--out", "data"),
+    ("train", "--config", "train.json", "--out", "runs"),
+    ("finetune", "--config", "tune.json", "--base-checkpoint", "runs/model.ckpt", "--out", "runs"),
+    ("eval", "--config", "eval.json", "--out", "reports"),
+    ("export-latent", "--config", "latent.json", "--out", "reports"),
+    ("sweep", "--config", "sweep.json", "--out", "reports", "--bin-sizes", "10,20",
+     "--eta", "0.8", "--seed", "5"),
+)
+# SHA-256 of every file the pipeline leaves and of its stdout; a new value
+# means some output byte changed
+PINNED_PIPELINE_SHA256 = "e3b95191c5a8da3314f7b6f2664c5c88a729c30a2182c5e648e13a08f0572489"
+
+
+def _pipeline_digest(run_cli, root: Path) -> str:
+    stdout = []
+    for k, argv in enumerate(PIPELINE):
+        code, out, err = run_cli(*argv, configs=PIPELINE_CONFIGS if k == 0 else None, cwd=root)
+        assert code == 0, err
+        stdout.append(out)
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
+    for text in stdout:
+        digest.update(text.encode())
+    return digest.hexdigest()
+
+
+def test_cli_outputs_are_byte_stable(run_cli, tmp_path):
+    first = _pipeline_digest(run_cli, tmp_path / "a")
+    assert _pipeline_digest(run_cli, tmp_path / "b") == first
+    assert first == PINNED_PIPELINE_SHA256

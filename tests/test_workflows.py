@@ -68,6 +68,19 @@ def test_invert_mean_param_zero_target_for_classical_source():
     assert invert_mean_param(SourceKind.COHERENT, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("kind", [SourceKind.COHERENT, SourceKind.THERMAL])
+def test_target_at_the_floor_returns_without_bisecting(kind, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return chain_mean(*args, **kwargs)
+
+    monkeypatch.setattr(workflows, "chain_mean", counting)
+    assert invert_mean_param(kind, 0.0, DetectorConfig(4, 0.9)) == 0.0
+    assert 1 <= len(calls) <= 3
+
+
 def test_invert_shared_intensity_floor():
     detector = DetectorConfig(4, 0.9)
     with pytest.raises(ValueError):
