@@ -31,6 +31,7 @@ from .detector import DetectorConfig
 from .distributions import PhysicsError, SourceKind, SourceSpec
 from .sampling import (
     DatasetMeta,
+    concat_rows,
     feature_matrix,
     generate_dataset,
     label_vector,
@@ -113,6 +114,20 @@ def _list_of(kind):
     return lambda values: [kind(value) for value in values]
 
 
+def _count(value) -> int:
+    """A whole number >= 1; a fractional value such as 2.7 is refused, not truncated."""
+    number = float(value)
+    if not (number >= 1 and number.is_integer()):
+        raise ValueError("expected a whole number >= 1")
+    return int(number)
+
+
+def _array(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
 def _resolve_seed(config: dict, args) -> int:
     if args.seed is not None:
         return int(args.seed)
@@ -148,31 +163,33 @@ def _dataset_meta(sources, detector, bin_size: int, bins_per_class: int, seed: i
         raise ConfigError(str(exc)) from exc
 
 
-def _load_rows(paths) -> list:
-    rows = []
+def _load_rows(paths):
+    parts = []
     for path in paths:
         try:
-            rows.extend(load_dataset_csv(path))
+            parts.append(load_dataset_csv(path))
         except OSError as exc:
             raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"bad dataset {path}: {exc}") from exc
-    if not rows:
+    if not sum(map(len, parts)):
         raise ConfigError("datasets contain no rows")
-    return rows
+    return concat_rows(parts)
 
 
 def _dataset_paths(config: dict) -> list[str]:
     if "datasets" in config:
-        paths = config["datasets"]
-        return list(paths) if isinstance(paths, (list, tuple)) else [paths]
+        if isinstance(config["datasets"], str):
+            return [config["datasets"]]
+        return _require(config, "datasets", _list_of(str))
     return [_require(config, "dataset", str)]
 
 
 def _class_order(config: dict, rows) -> list[str]:
-    if "classes" in config and config["classes"] and isinstance(config["classes"][0], str):
-        return [str(label) for label in config["classes"]]
-    return sorted({row.label for row in rows})
+    classes = _require(config, "classes", _array, None)
+    if classes and isinstance(classes[0], str):
+        return [str(label) for label in classes]
+    return np.unique(rows.labels).tolist()
 
 
 def _features_flag(config: dict) -> str:
@@ -214,10 +231,10 @@ def _report(out: Path, name: str, model: VAEClassifier, class_order: list[str], 
 
 def cmd_gen(args, config: dict, seed: int, out: Path, name: str) -> dict:
     meta = _dataset_meta(
-        _parse_sources(_require(config, "classes", list)),
+        _parse_sources(_require(config, "classes", _array)),
         _parse_detector(_require(config, "detector")),
-        _require(config, "bin_size", int),
-        _require(config, "bins_per_class", int),
+        _require(config, "bin_size", _count),
+        _require(config, "bins_per_class", _count),
         seed,
     )
     dataset = generate_dataset(meta)
@@ -250,8 +267,8 @@ def cmd_train(args, config: dict, seed: int, out: Path, name: str, base=None) ->
         model = VAEClassifier(spec, seed=seed)
         warmup, weights = _require(config, "warmup_epochs", int, WARMUP_EPOCHS), (1.0, 1.0, 1.0)
     options = {
-        "epochs": _require(config, "epochs", int, 200),
-        "batch_size": _require(config, "batch_size", int, 512),
+        "epochs": _require(config, "epochs", _count, 200),
+        "batch_size": _require(config, "batch_size", _count, 512),
         "learning_rate": _require(config, "learning_rate", float, 1e-3),
     }
     warmup_bce_weight = _require(config, "warmup_bce_weight", float, WARMUP_BCE_WEIGHT)
@@ -291,7 +308,7 @@ def cmd_eval(args, config: dict, seed: int, out: Path, name: str) -> dict:
     def cells():  # one dataset loaded at a time
         for path in _dataset_paths(config):
             rows = _load_rows([path])
-            fields = {"dataset": str(path), "rows": len(rows), "bin_size": rows[0].bin_size}
+            fields = {"dataset": str(path), "rows": len(rows), "bin_size": int(rows.bin_size[0])}
             yield Path(path).stem, rows, fields
 
     return _report(out, name, model, list(header["class_labels"]), cells())
@@ -312,13 +329,13 @@ def cmd_export_latent(args, config: dict, seed: int, out: Path, name: str) -> di
 
 def cmd_sweep(args, config: dict, seed: int, out: Path, name: str) -> dict:
     model, header = load_checkpoint(_require(config, "checkpoint", str))
-    sources = _parse_sources(_require(config, "classes", list))
+    sources = _parse_sources(_require(config, "classes", _array))
     detector = _require(config, "detector")
     n_detectors = _require(detector, "n_detectors", int)
-    bins_per_class = _require(config, "bins_per_class", int, 400)
+    bins_per_class = _require(config, "bins_per_class", _count, 400)
     config["bin_sizes"] = bin_sizes = (
-        args.bin_sizes or _require(config, "bin_sizes", _list_of(int), None)
-        or [_require(config, "bin_size", int)]
+        args.bin_sizes or _require(config, "bin_sizes", _list_of(_count), None)
+        or [_require(config, "bin_size", _count)]
     )
     config["etas"] = etas = (
         args.etas or _require(config, "etas", _list_of(float), None)
@@ -333,7 +350,7 @@ def cmd_sweep(args, config: dict, seed: int, out: Path, name: str) -> dict:
                     derived_seed(seed, 50, bin_size, round(eta * 1000)),
                 )
                 rows = generate_dataset(meta).rows
-                nbar_obs = float(np.mean([r.nbar_obs for r in rows]))
+                nbar_obs = float(np.mean(rows.nbar_obs))
                 fields = {"bin_size": bin_size, "eta": eta, "nbar_obs": nbar_obs}
                 yield f"bin{bin_size}_eta{eta:g}", rows, fields
 

@@ -1,8 +1,10 @@
-"""Seeded Monte Carlo click sampling, binning, and labeled dataset emission.
+"""Seeded Monte Carlo click sampling and labeled dataset emission, in columns.
 
-Every bin owns an independent RNG stream derived from (dataset seed,
-class index, bin index), so sharded or parallel generation reproduces the
-serial result bit for bit.
+A dataset holds its bins as arrays: the occurrences of 0..6 clicks in each bin,
+its label and its bin size.  One class's bins are drawn in blocks of
+``BLOCK_BINS``, one multinomial draw per block from a stream keyed by (dataset
+seed, class index, block index), so sharded or parallel generation
+reproduces the serial result bit for bit.
 """
 
 from __future__ import annotations
@@ -30,21 +32,46 @@ CSV_HEADER = (
 )
 _FLOAT_FMT = "{:.9g}"
 
-META_FORMAT_VERSION = 1
+_CLICKS = np.arange(MAX_RECORDED_CLICKS + 1)
+
+# version 2: histograms come from one multinomial stream per block of bins
+META_FORMAT_VERSION = 2
+BLOCK_BINS = 256
 
 
-@dataclass(frozen=True)
-class BinnedObservation:
-    """Empirical click statistics of one bin: fractions of counts 0..6 and their mean."""
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Bins in columns: in row i, ``counts[i, k]`` of the ``bin_size[i]`` detection
+    windows saw k clicks (k = 0..6), and ``labels[i]`` names the class."""
 
-    p_obs: tuple[float, ...]
-    nbar_obs: float
-    label: str
-    bin_size: int
+    counts: np.ndarray  # (n, 7) int64
+    labels: np.ndarray  # (n,) str
+    bin_size: np.ndarray  # (n,) int64
 
-    def __post_init__(self):
-        if len(self.p_obs) != MAX_RECORDED_CLICKS + 1:
-            raise ValueError(f"p_obs must have {MAX_RECORDED_CLICKS + 1} entries")
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def take(self, index) -> Rows:
+        return Rows(self.counts[index], self.labels[index], self.bin_size[index])
+
+    @property
+    def p_obs(self) -> np.ndarray:
+        """Fractions of each bin's windows with 0..6 clicks."""
+        return self.counts / self.bin_size[:, None]
+
+    @property
+    def nbar_obs(self) -> np.ndarray:
+        """Mean click count of each bin."""
+        return (self.counts @ _CLICKS) / self.bin_size
+
+
+def concat_rows(parts: list[Rows]) -> Rows:
+    """One table holding the rows of ``parts`` in order."""
+    return Rows(
+        np.concatenate([part.counts for part in parts]),
+        np.concatenate([part.labels for part in parts]),
+        np.concatenate([part.bin_size for part in parts]),
+    )
 
 
 @dataclass(frozen=True)
@@ -71,56 +98,12 @@ class DatasetMeta:
 
 @dataclass(frozen=True)
 class Dataset:
-    rows: tuple[BinnedObservation, ...]
+    """Generated rows with what regenerates them (``meta``) and, per label, the
+    realized pre-loss source mean ``nbar_the``; the CSV and sidecar writers read it."""
+
+    rows: Rows
     meta: DatasetMeta
-    nbar_the: dict[str, float]  # realized pre-loss source mean per label
-
-
-def sample_counts(pmf: PhotonPMF, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw iid click counts by inverse CDF; residual tail mass lands on n_max."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    cdf = np.cumsum(pmf.probs)
-    draws = np.searchsorted(cdf, rng.random(count), side="right")
-    return np.minimum(draws, pmf.n_max).astype(np.int64)
-
-
-def bin_statistics(counts, bin_size: int, label: str) -> list[BinnedObservation]:
-    """Group counts into full bins of ``bin_size`` and compute per-bin fractions.
-
-    A trailing partial bin is dropped rather than padded.  Counts above the
-    recorded maximum of 6 are rejected: they cannot occur for a detector-bounded
-    stream and would corrupt the empirical fractions.
-    """
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.size and (counts.min() < 0 or counts.max() > MAX_RECORDED_CLICKS):
-        raise PhysicsError(
-            f"click counts must lie in 0..{MAX_RECORDED_CLICKS}, "
-            f"got range [{counts.min()}, {counts.max()}]"
-        )
-    n_bins = counts.size // bin_size
-    ns = np.arange(MAX_RECORDED_CLICKS + 1, dtype=np.float64)
-    rows = []
-    for b in range(n_bins):
-        chunk = counts[b * bin_size : (b + 1) * bin_size]
-        occur = np.bincount(chunk, minlength=MAX_RECORDED_CLICKS + 1)
-        p_obs = occur / float(bin_size)
-        rows.append(
-            BinnedObservation(
-                p_obs=tuple(float(v) for v in p_obs),
-                nbar_obs=float(np.dot(ns, p_obs)),
-                label=label,
-                bin_size=bin_size,
-            )
-        )
-    return rows
-
-
-def derive_bin_rng(seed: int, class_index: int, bin_index: int) -> np.random.Generator:
-    """Independent stream for one bin; identical regardless of generation order."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(class_index, bin_index))
-    )
+    nbar_the: dict[str, float]
 
 
 def observed_click_pmf(source: SourceSpec, detector: DetectorConfig) -> PhotonPMF:
@@ -141,71 +124,60 @@ def observed_click_pmf(source: SourceSpec, detector: DetectorConfig) -> PhotonPM
     return observed
 
 
-def generate_bins(
-    source: SourceSpec,
-    detector: DetectorConfig,
-    bin_size: int,
-    label: str,
-    seed: int,
-    class_index: int,
-    start: int,
-    stop: int,
-) -> list[BinnedObservation]:
-    """Generate bins [start, stop) for one class; shard-safe by construction."""
-    observed = observed_click_pmf(source, detector)
-    rows = []
-    for bin_index in range(start, stop):
-        rng = derive_bin_rng(seed, class_index, bin_index)
-        counts = sample_counts(observed, bin_size, rng)
-        rows.extend(bin_statistics(counts, bin_size, label))
-    return rows
+def _draw(
+    observed: PhotonPMF, bin_size: int, seed: int, class_index: int, start: int, stop: int
+) -> np.ndarray:
+    """Click histograms of one class's bins [start, stop), shape (stop - start, 7).
+
+    Block b holds bins [b * BLOCK_BINS, (b + 1) * BLOCK_BINS) and is always drawn
+    whole from its own stream keyed (seed, class_index, b), so any cut of a bin
+    range reproduces the serial draw.  The multinomial gives its last category
+    what the others leave, so residual tail mass lands on n_max.
+    """
+    first = start // BLOCK_BINS
+    blocks = [
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(class_index, b)))
+        .multinomial(bin_size, observed.probs, size=BLOCK_BINS)
+        for b in range(first, -(-stop // BLOCK_BINS))
+    ]
+    offset = first * BLOCK_BINS
+    counts = np.zeros((stop - start, MAX_RECORDED_CLICKS + 1), dtype=np.int64)
+    counts[:, : observed.n_max + 1] = np.concatenate(blocks)[start - offset : stop - offset]
+    return counts
 
 
 def generate_dataset(meta: DatasetMeta) -> Dataset:
     """Deterministically generate ``bins_per_class`` labeled bins per class."""
-    rows: list[BinnedObservation] = []
+    parts = []
     nbar_the = {}
+    n = meta.bins_per_class
     for class_index, (label, source) in enumerate(meta.sources):
         nbar_the[label] = pmf_mean(source_pmf(source, n_max=None))
-        rows.extend(
-            generate_bins(
-                source,
-                meta.detector,
-                meta.bin_size,
-                label,
-                meta.seed,
-                class_index,
-                0,
-                meta.bins_per_class,
-            )
-        )
-    return Dataset(rows=tuple(rows), meta=meta, nbar_the=nbar_the)
+        observed = observed_click_pmf(source, meta.detector)
+        counts = _draw(observed, meta.bin_size, meta.seed, class_index, 0, n)
+        parts.append(Rows(counts, np.full(n, label), np.full(n, meta.bin_size, dtype=np.int64)))
+    return Dataset(rows=concat_rows(parts), meta=meta, nbar_the=nbar_the)
 
 
 def split_rows(
-    rows, seed: int, fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
-) -> tuple[list[BinnedObservation], list[BinnedObservation], list[BinnedObservation]]:
-    """Stratified train/validation/test split with a seeded shuffle per class."""
+    rows: Rows, seed: int, fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
+) -> tuple[Rows, Rows, Rows]:
+    """Stratified train/validation/test split with a seeded shuffle per class,
+    classes taken in order of first appearance."""
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("split fractions must sum to 1")
-    # spawn key disjoint from per-bin streams, which use two-component keys
+    # spawn key disjoint from the block streams, which use two-component keys
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x5B17,)))
-    labels: list[str] = []
-    for row in rows:
-        if row.label not in labels:
-            labels.append(row.label)
-    train: list[BinnedObservation] = []
-    val: list[BinnedObservation] = []
-    test: list[BinnedObservation] = []
-    for label in labels:
-        members = [row for row in rows if row.label == label]
-        order = rng.permutation(len(members))
+    labels, first = np.unique(rows.labels, return_index=True)
+    parts = tuple([np.empty(0, dtype=np.int64)] for _ in range(3))
+    for label in labels[np.argsort(first)]:
+        members = np.flatnonzero(rows.labels == label)
+        order = members[rng.permutation(len(members))]
         n_train = int(len(members) * fractions[0])
         n_val = int(len(members) * fractions[1])
-        train.extend(members[i] for i in order[:n_train])
-        val.extend(members[i] for i in order[n_train : n_train + n_val])
-        test.extend(members[i] for i in order[n_train + n_val :])
-    return train, val, test
+        for part, index in zip(parts, np.split(order, [n_train, n_train + n_val])):
+            part.append(index)
+    return tuple(rows.take(np.concatenate(part)) for part in parts)
 
 
 # --- feature extraction ---------------------------------------------------
@@ -213,21 +185,17 @@ def split_rows(
 N_PROB_FEATURES = 5  # network inputs use P(0)..P(4)
 
 
-def feature_matrix(rows, include_nbar: bool) -> np.ndarray:
+def feature_matrix(rows: Rows, include_nbar: bool) -> np.ndarray:
     """Stack [P(0)..P(4)] (optionally + nbar_obs) network inputs, one row per bin."""
-    feats = np.array(
-        [row.p_obs[:N_PROB_FEATURES] for row in rows], dtype=np.float64
-    ).reshape(len(rows), N_PROB_FEATURES)
-    if include_nbar:
-        nbar = np.array([[row.nbar_obs] for row in rows])
-        feats = np.hstack([feats, nbar])
-    return feats
+    feats = rows.counts[:, :N_PROB_FEATURES] / rows.bin_size[:, None]
+    return np.hstack([feats, rows.nbar_obs[:, None]]) if include_nbar else feats
 
 
-def label_vector(rows, class_order: list[str]) -> np.ndarray:
+def label_vector(rows: Rows, class_order: list[str]) -> np.ndarray:
+    names, codes = np.unique(rows.labels, return_inverse=True)
     index = {label: k for k, label in enumerate(class_order)}
     try:
-        return np.array([index[row.label] for row in rows], dtype=np.int64)
+        return np.array([index[name] for name in names.tolist()], dtype=np.int64)[codes]
     except KeyError as exc:
         raise ValueError(f"row label {exc} not in class order {class_order}") from exc
 
@@ -240,46 +208,68 @@ def _fmt(value: float) -> str:
 
 
 def write_dataset_csv(path, dataset: Dataset) -> None:
-    meta = dataset.meta
-    source_by_label = dict(meta.sources)
-    lines = [CSV_HEADER]
-    for row in dataset.rows:
-        src = source_by_label[row.label]
-        fields = (
-            [_fmt(p) for p in row.p_obs]
-            + [
-                _fmt(row.nbar_obs),
-                row.label,
-                str(row.bin_size),
-                _fmt(meta.detector.efficiency),
-                str(meta.detector.n_detectors),
-                _fmt(dataset.nbar_the[row.label]),
-                src.kind.value,
-                _fmt(src.mix_ratio),
-            ]
-        )
-        lines.append(",".join(fields))
+    meta, rows = dataset.meta, dataset.rows
+    # a bin's fractions and mean take few distinct values: format each once
+    values = np.hstack([rows.p_obs, rows.nbar_obs[:, None]])
+    distinct, inverse = np.unique(values, return_inverse=True)
+    cells = np.array([_fmt(v) for v in distinct.tolist()])[inverse.reshape(values.shape)]
+    tail = {
+        label: f"{_fmt(meta.detector.efficiency)},{meta.detector.n_detectors},"
+        f"{_fmt(dataset.nbar_the[label])},{src.kind.value},{_fmt(src.mix_ratio)}"
+        for label, src in meta.sources
+    }
+    lines = [CSV_HEADER] + [
+        f"{','.join(fields)},{label},{size},{tail[label]}"
+        for fields, label, size in zip(cells.tolist(), rows.labels.tolist(), rows.bin_size.tolist())
+    ]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_dataset_csv(path) -> list[BinnedObservation]:
-    """Read back the rows of a dataset CSV (metadata columns live in the sidecar)."""
-    text = Path(path).read_text().strip().split("\n")
-    header = text[0].strip()
+def _refuse(bad: np.ndarray, problem: str) -> None:
+    """Raise for the first row flagged in ``bad``, naming its line in the file."""
+    if bad.any():
+        raise ValueError(f"line {int(np.argmax(bad)) + 2}: {problem}")
+
+
+def _parse(table: np.ndarray, kind, what: str) -> np.ndarray:
+    """``table`` converted to ``kind``; a cell that does not convert names its line."""
+    try:
+        return table.astype(kind)
+    except (ValueError, OverflowError):
+        for line, cells in enumerate(table, start=2):
+            try:
+                np.asarray(cells).astype(kind)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"line {line}: bad {what}: {exc}") from exc
+        raise
+
+
+def load_dataset_csv(path) -> Rows:
+    """Read back the rows of a dataset CSV (metadata columns live in the sidecar).
+
+    Counts are recovered as rint(p * bin_size).  A row is refused, with its line
+    named, unless it has every field, a bin size >= 1, and fractions in [0, 1]
+    that lie within 1e-6 of whole counts summing to the bin size.
+    """
+    lines = Path(path).read_text().strip().split("\n")
+    header = lines[0].strip()
     if header != CSV_HEADER:
         raise ValueError(f"unexpected dataset header {header!r}")
-    rows = []
-    for line in text[1:]:
-        parts = line.split(",")
-        rows.append(
-            BinnedObservation(
-                p_obs=tuple(float(v) for v in parts[:7]),
-                nbar_obs=float(parts[7]),
-                label=parts[8],
-                bin_size=int(parts[9]),
-            )
-        )
-    return rows
+    width = CSV_HEADER.count(",") + 1
+    fields = [line.split(",") for line in lines[1:]]
+    _refuse(np.array([len(cells) for cells in fields]) != width, f"a row needs {width} fields")
+    table = np.array(fields, dtype=object).reshape(len(fields), width)
+    p = _parse(table[:, : MAX_RECORDED_CLICKS + 1], np.float64, "fraction")
+    bin_size = _parse(table[:, 9], np.int64, "bin_size")
+    _refuse(bin_size < 1, "bin_size must be >= 1")
+    _refuse(~((p >= 0.0) & (p <= 1.0)).all(axis=1), "fractions must lie in [0, 1]")
+    counts = np.rint(p * bin_size[:, None]).astype(np.int64)
+    _refuse(
+        (np.abs(p - counts / bin_size[:, None]) > 1e-6).any(axis=1),
+        "fractions are not whole counts of bin_size",
+    )
+    _refuse(counts.sum(axis=1) != bin_size, "counts do not sum to bin_size")
+    return Rows(counts, table[:, 8].astype(str), bin_size)
 
 
 def meta_to_dict(dataset: Dataset) -> dict:
@@ -312,6 +302,12 @@ def write_dataset_meta(path, dataset: Dataset) -> None:
 
 
 def meta_from_dict(payload: dict) -> DatasetMeta:
+    version = payload.get("format_version")
+    if version != META_FORMAT_VERSION:
+        raise ValueError(
+            f"dataset meta format_version {version!r} is not the supported version "
+            f"{META_FORMAT_VERSION}; its rows were drawn from other random streams"
+        )
     sources = tuple(
         (
             entry["label"],

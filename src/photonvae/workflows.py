@@ -16,8 +16,9 @@ import numpy as np
 from .detector import DetectorConfig, chain_mean
 from .distributions import SourceKind, SourceSpec, pmf_mean, source_pmf
 from .sampling import (
-    BinnedObservation,
     DatasetMeta,
+    Rows,
+    concat_rows,
     feature_matrix,
     generate_dataset,
     label_vector,
@@ -326,8 +327,8 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
         intensity = invert_shared_intensity(target, DetectorConfig(LOSSY_N_DETECTORS, eta))
         pairs.append((intensity, eta))
 
-    train_parts, val_parts, test_parts = [], [], []
-    per_eta_test: dict[float, list[BinnedObservation]] = {}
+    train_parts, val_parts = [], []
+    per_eta_test: dict[float, Rows] = {}
     for intensity, eta in pairs:
         meta = DatasetMeta(
             sources=lossless_sources(intensity),
@@ -339,9 +340,8 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
         train_rows, val_rows, test_rows = _splits(
             meta, split_seed=derived_seed(plan.seed, 21, round(intensity * 1000), round(eta * 1000))
         )
-        train_parts.extend(train_rows)
-        val_parts.extend(val_rows)
-        test_parts.extend(test_rows)
+        train_parts.append(train_rows)
+        val_parts.append(val_rows)
         if intensity == plan.mean_param:
             per_eta_test[eta] = test_rows
 
@@ -349,8 +349,8 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
         NetworkSpec(input_dim=6, num_classes=len(class_labels)),
         seed=derived_seed(plan.seed, 22),
     )
-    x_t, y_t = _xy(train_parts, class_labels, True)
-    x_v, y_v = _xy(val_parts, class_labels, True)
+    x_t, y_t = _xy(concat_rows(train_parts), class_labels, True)
+    x_v, y_v = _xy(concat_rows(val_parts), class_labels, True)
     history = train_model(
         model, x_t, y_t, x_v, y_v,
         epochs=plan.stages[0].epochs,
@@ -367,7 +367,7 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
                 "eta": eta,
                 "bin_size": bin_size,
                 "nbar_the": intensity,
-                "nbar_obs": float(np.mean([r.nbar_obs for r in rows])),
+                "nbar_obs": float(np.mean(rows.nbar_obs)),
                 "accuracy": acc,
                 "cell": cell,
             }
@@ -448,42 +448,24 @@ def run_mixed_grid(plan: TrainPlan) -> MixedGridResult:
     per_r_bins = max(plan.bins_per_class // len(train_rs), 1)
     pure_bins = per_r_bins * len(train_rs)
 
+    # (labeled source, bins, seed namespace, key): pure classes, then each training ratio
+    cells = [(labeled, pure_bins, 30, (k,)) for k, labeled in
+             enumerate(_mixed_sources(coherent_param, thermal_param, 1.0, 1.0)[:2])]
+    cells += [((label, source), per_r_bins, 31, (MIX_CLASS_LABELS.index(label), round(r * 1000)))
+              for r in train_rs
+              for label, source in _mixed_sources(coherent_param, thermal_param, r, r)[2:]]
     train_parts, val_parts = [], []
-    for label, source in _mixed_sources(coherent_param, thermal_param, 1.0, 1.0)[:2]:
-        meta = DatasetMeta(
-            sources=((label, source),),
-            detector=detector,
-            bin_size=bin_size,
-            bins_per_class=pure_bins,
-            seed=derived_seed(plan.seed, 30, MIX_CLASS_LABELS.index(label)),
-        )
-        t, v, _ = _splits(meta, split_seed=derived_seed(plan.seed, 33, MIX_CLASS_LABELS.index(label)))
-        train_parts.extend(t)
-        val_parts.extend(v)
-    for r in train_rs:
-        for label, param, kind in (
-            ("mix_spacs", coherent_param, SourceKind.MIXED_COHERENT_SPACS),
-            ("mix_spats", thermal_param, SourceKind.MIXED_THERMAL_SPATS),
-        ):
-            meta = DatasetMeta(
-                sources=((label, SourceSpec(kind, param, r)),),
-                detector=detector,
-                bin_size=bin_size,
-                bins_per_class=per_r_bins,
-                seed=derived_seed(plan.seed, 31, MIX_CLASS_LABELS.index(label), round(r * 1000)),
-            )
-            t, v, _ = _splits(
-                meta,
-                split_seed=derived_seed(plan.seed, 34, MIX_CLASS_LABELS.index(label), round(r * 1000)),
-            )
-            train_parts.extend(t)
-            val_parts.extend(v)
+    for labeled, bins, space, key in cells:
+        meta = DatasetMeta((labeled,), detector, bin_size, bins, derived_seed(plan.seed, space, *key))
+        t, v, _ = _splits(meta, split_seed=derived_seed(plan.seed, space + 3, *key))
+        train_parts.append(t)
+        val_parts.append(v)
 
     model = VAEClassifier(
         NetworkSpec(input_dim=6, num_classes=4), seed=derived_seed(plan.seed, 32)
     )
-    x_t, y_t = _xy(train_parts, MIX_CLASS_LABELS, True)
-    x_v, y_v = _xy(val_parts, MIX_CLASS_LABELS, True)
+    x_t, y_t = _xy(concat_rows(train_parts), MIX_CLASS_LABELS, True)
+    x_v, y_v = _xy(concat_rows(val_parts), MIX_CLASS_LABELS, True)
     history = train_model(
         model, x_t, y_t, x_v, y_v,
         epochs=plan.stages[0].epochs,

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from photonvae import cli
+from photonvae.sampling import CSV_HEADER
 from photonvae.vae import NetworkSpec, VAEClassifier, save_checkpoint
 from photonvae.workflows import FINETUNE_WEIGHTS, WARMUP_EPOCHS
 
@@ -53,6 +54,19 @@ EXIT_CASES = {
                            {**GEN, "classes": ["spacs"]}),
     "non_numeric_epochs": (1, "config error:", ["train", "--config", "c.json"],
                            {"datasets": ["foreign.csv"], "epochs": "many"}),
+    "zero_epochs": (1, "config error: config field 'epochs'", ["train", "--config", "c.json"],
+                    {"datasets": ["foreign.csv"], "epochs": 0}),
+    "fractional_epochs": (1, "config error: config field 'epochs'", ["train", "--config", "c.json"],
+                          {"datasets": ["foreign.csv"], "epochs": 2.7}),
+    "zero_batch_size": (1, "config error: config field 'batch_size'", ["train", "--config", "c.json"],
+                        {"datasets": ["foreign.csv"], "epochs": 1, "batch_size": 0}),
+    "classes_object": (1, "config error: config field 'classes'", ["train", "--config", "c.json"],
+                       {"datasets": ["foreign.csv"], "epochs": 1, "classes": {"a": 1}}),
+    "datasets_number": (1, "config error: config field 'datasets'", ["train", "--config", "c.json"],
+                        {"datasets": 7, "epochs": 1}),
+    "dataset_row_not_whole_counts": (1, "config error: bad dataset bad.csv: line 2:",
+                                     ["eval", "--config", "c.json"],
+                                     {"checkpoint": "model.ckpt", "datasets": ["bad.csv"]}),
     "efficiency_above_one": (2, "physics validation error:", ["gen", "--config", "c.json"],
                              {**GEN, "detector": {"n_detectors": 6, "efficiency": 1.5}}),
     "bad_checkpoint_magic": (3, "checkpoint error:", ["eval", "--config", "c.json"],
@@ -73,6 +87,7 @@ def test_exit_code_contract(case, run_cli, tmp_path):
     save_checkpoint(tmp_path / "model.ckpt", model, seed=0, epochs_trained=0,
                     class_labels=["spacs", "spats"])
     (tmp_path / "bad.ckpt").write_bytes(b"NOPE" + bytes(60))
+    (tmp_path / "bad.csv").write_text(f"{CSV_HEADER}\n0.33,0.67,0,0,0,0,0,0.67,spacs,20,1,6,1.3,spacs,1\n")
 
     got, stdout, stderr = run_cli(*argv, configs={"c.json": config} if config else None)
     assert got == code
@@ -114,7 +129,7 @@ PIPELINE = (
 )
 # SHA-256 of every file the pipeline leaves and of its stdout; a new value
 # means some output byte changed
-PINNED_PIPELINE_SHA256 = "e3b95191c5a8da3314f7b6f2664c5c88a729c30a2182c5e648e13a08f0572489"
+PINNED_PIPELINE_SHA256 = "0fa1faaed336dea9a79d20d5c0be2996ca186014503f1d9633035afcf98adc24"
 
 
 def _pipeline_digest(run_cli, root: Path) -> str:

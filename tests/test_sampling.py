@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from photonvae.detector import DetectorConfig, observed_chain
 from photonvae.distributions import (
@@ -11,19 +12,20 @@ from photonvae.distributions import (
     source_pmf,
 )
 from photonvae.sampling import (
-    BinnedObservation,
+    BLOCK_BINS,
+    CSV_HEADER,
+    META_FORMAT_VERSION,
     DatasetMeta,
-    bin_statistics,
-    derive_bin_rng,
+    Rows,
+    _draw,
+    concat_rows,
     feature_matrix,
-    generate_bins,
     generate_dataset,
     label_vector,
     load_dataset_csv,
     meta_from_dict,
     meta_to_dict,
     observed_click_pmf,
-    sample_counts,
     split_rows,
     write_dataset_csv,
     write_dataset_meta,
@@ -48,80 +50,96 @@ def small_meta(bin_size=10, bins_per_class=40, seed=7, detector=LOSSLESS):
 # --- sampling --------------------------------------------------------------
 
 
+def rows_of(counts, label="a"):
+    """Rows holding the given click histograms; each bin size is its row sum."""
+    counts = np.asarray(counts, dtype=np.int64)
+    return Rows(counts, np.full(len(counts), label), counts.sum(axis=1))
+
+
 def test_sample_counts_degenerate():
-    rng = np.random.default_rng(0)
-    zeros = sample_counts(PhotonPMF(np.array([1.0, 0.0])), 100, rng)
-    assert np.all(zeros == 0)
-    ones = sample_counts(PhotonPMF(np.array([0.0, 1.0])), 100, rng)
-    assert np.all(ones == 1)
+    zeros = _draw(PhotonPMF(np.array([1.0, 0.0])), 100, seed=0, class_index=0, start=0, stop=50)
+    assert np.all(zeros[:, 0] == 100) and np.all(zeros[:, 1:] == 0)
+    ones = _draw(PhotonPMF(np.array([0.0, 1.0])), 100, seed=0, class_index=0, start=0, stop=50)
+    assert np.all(ones[:, 1] == 100) and ones.sum() == 50 * 100
 
 
 def test_sample_counts_concentration():
-    rng = np.random.default_rng(11)
-    draws = sample_counts(PhotonPMF(np.array([0.5, 0.5])), 10**6, rng)
-    # 4 sigma binomial bound
-    assert abs(draws.mean() - 0.5) < 0.002
+    counts = _draw(PhotonPMF(np.array([0.5, 0.5])), 1000, seed=11, class_index=0, start=0, stop=1000)
+    # 10**6 windows; 4 sigma binomial bound
+    assert abs(counts[:, 1].sum() / 10**6 - 0.5) < 0.002
 
 
 def test_sample_counts_residual_tail_goes_to_n_max():
-    class TopDraw:
-        def random(self, count):
-            return np.full(count, 1.0 - 1e-9)
-
-    pmf = PhotonPMF(np.array([0.6, 0.4 - 5e-7]))  # tail 5e-7 unassigned
-    counts = sample_counts(pmf, 8, TopDraw())
-    assert np.all(counts == 1)
+    pmf = PhotonPMF(np.array([0.0, 0.0, 1.0 - 5e-7]))  # tail 5e-7 unassigned
+    counts = _draw(pmf, 8, seed=3, class_index=0, start=0, stop=300)
+    assert counts.shape == (300, 7)
+    assert np.all(counts[:, 2] == 8)
+    assert counts.sum() == 300 * 8
 
 
 def test_empirical_matches_chain_probabilities():
     observed = observed_chain(source_pmf(SourceSpec(SourceKind.SPATS, 0.45)), DetectorConfig(4, 0.9))
-    rng = np.random.default_rng(3)
-    n = 10**6
-    draws = sample_counts(observed, n, rng)
-    empirical = np.bincount(draws, minlength=observed.n_max + 1) / n
+    n = 5000 * 200
+    pooled = _draw(observed, 200, seed=3, class_index=0, start=0, stop=5000).sum(axis=0)
+    empirical = pooled / n
     for k, p in enumerate(observed.probs):
         sigma = np.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(empirical[k] - p) <= 5 * sigma + 1e-9
 
 
-# --- binning ----------------------------------------------------------------
+def test_pooled_counts_pass_chi_square():
+    # every window of every bin is one draw from the observed click PMF
+    for source, detector in (
+        (SourceSpec(SourceKind.SPATS, 1.3), LOSSLESS),
+        (SourceSpec(SourceKind.THERMAL, 0.8), DetectorConfig(4, 0.7)),
+    ):
+        observed = observed_click_pmf(source, detector)
+        dataset = generate_dataset(
+            DatasetMeta((("x", source),), detector, bin_size=50, bins_per_class=2000, seed=21)
+        )
+        pooled = dataset.rows.counts.sum(axis=0)
+        support = observed.probs > 1e-9
+        assert pooled[~support].sum() == 0
+        expected = observed.probs[support] / observed.probs[support].sum() * pooled.sum()
+        assert stats.chisquare(pooled[support], expected).pvalue > 1e-3
+
+
+# --- bins --------------------------------------------------------------------
 
 
 def test_bin_statistics_direct_count():
-    rows = bin_statistics([0, 0, 1, 1], 4, "lab")
-    assert len(rows) == 1
-    assert rows[0].p_obs[:2] == (0.5, 0.5)
-    assert rows[0].nbar_obs == 0.5
-    assert rows[0].label == "lab"
+    row = rows_of([[2, 2, 0, 0, 0, 0, 0]], label="lab")
+    np.testing.assert_array_equal(row.p_obs[0, :2], [0.5, 0.5])
+    assert row.nbar_obs[0] == 0.5
+    assert row.labels[0] == "lab" and row.bin_size[0] == 4
 
 
 def test_bin_statistics_constant_counts():
-    rows = bin_statistics([2] * 200, 200, "x")
-    assert rows[0].p_obs[2] == 1.0
-    assert rows[0].nbar_obs == 2.0
+    row = rows_of([[0, 0, 200, 0, 0, 0, 0]])
+    assert row.p_obs[0, 2] == 1.0
+    assert row.nbar_obs[0] == 2.0
 
 
 def test_bin_statistics_drops_trailing_remainder():
-    rows = bin_statistics([0, 1, 2, 3, 4], 2, "x")
-    assert len(rows) == 2
+    # a range ending inside a block keeps only its own bins of that block
+    observed = observed_click_pmf(SourceSpec(SourceKind.SPATS, 1.3), LOSSLESS)
+    assert _draw(observed, 20, seed=1, class_index=0, start=0, stop=5).shape == (5, 7)
+    assert _draw(observed, 20, seed=1, class_index=0, start=250, stop=260).shape == (10, 7)
 
 
-def test_bin_statistics_rejects_out_of_range():
-    with pytest.raises(PhysicsError):
-        bin_statistics([0, 7], 2, "x")
-    with pytest.raises(PhysicsError):
-        bin_statistics([-1, 0], 2, "x")
+def test_bin_statistics_rejects_out_of_range(tmp_path):
+    path = tmp_path / "bad.csv"
+    for fractions in ("-0.05,1.05,0,0,0,0,0", "1.05,-0.05,0,0,0,0,0", "nan,1,0,0,0,0,0"):
+        path.write_text(f"{CSV_HEADER}\n{fractions},1,a,20,1,6,1.3,spacs,1\n")
+        with pytest.raises(ValueError, match=r"line 2: fractions must lie in \[0, 1\]"):
+            load_dataset_csv(path)
 
 
 def test_bin_fractions_are_multiples_of_inverse_bin_size():
-    rng = np.random.default_rng(5)
-    counts = rng.integers(0, 5, size=600)
-    for row in bin_statistics(counts, 200, "x"):
-        for p in row.p_obs:
-            assert p * 200 == pytest.approx(round(p * 200), abs=1e-9)
-        assert row.nbar_obs == pytest.approx(
-            float(np.dot(np.arange(7), row.p_obs)), abs=1e-12
-        )
+    rows = generate_dataset(small_meta(bin_size=200, bins_per_class=300)).rows
+    scaled = rows.p_obs * 200
+    np.testing.assert_allclose(scaled, np.round(scaled), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(rows.nbar_obs, rows.p_obs @ np.arange(7), rtol=0, atol=1e-12)
 
 
 def test_bin_mean_matches_chain_mean_within_three_sigma():
@@ -129,8 +147,8 @@ def test_bin_mean_matches_chain_mean_within_three_sigma():
     source = SourceSpec(SourceKind.SPATS, 0.45)  # realized source mean 1.9
     detector = DetectorConfig(4, 0.9)
     observed = observed_chain(source_pmf(source), detector)
-    rows = generate_bins(source, detector, 200, "spats", seed=99, class_index=0, start=0, stop=2000)
-    grand_mean = float(np.mean([row.nbar_obs for row in rows]))
+    counts = _draw(observed_click_pmf(source, detector), 200, seed=99, class_index=0, start=0, stop=2000)
+    grand_mean = float(np.mean(rows_of(counts).nbar_obs))
     mean = pmf_mean(observed)
     var = float(np.dot(np.arange(observed.probs.size) ** 2, observed.probs)) - mean**2
     sigma = np.sqrt(var / (2000 * 200))
@@ -144,14 +162,17 @@ def test_generate_dataset_row_count_and_balance():
     meta = small_meta(bin_size=10, bins_per_class=2000)
     dataset = generate_dataset(meta)
     assert len(dataset.rows) == 4000
-    labels = [row.label for row in dataset.rows]
+    labels = dataset.rows.labels.tolist()
     assert labels.count("spacs") == labels.count("spats") == 2000
+    assert np.all(dataset.rows.bin_size == 10)
+    assert np.all(dataset.rows.counts.sum(axis=1) == 10)
 
 
 def test_generate_dataset_deterministic():
     a = generate_dataset(small_meta())
     b = generate_dataset(small_meta())
-    assert a.rows == b.rows
+    for column in ("counts", "labels", "bin_size"):
+        np.testing.assert_array_equal(getattr(a.rows, column), getattr(b.rows, column))
     assert a.nbar_the == b.nbar_the
 
 
@@ -162,26 +183,52 @@ def test_generate_dataset_records_preloss_mean():
 
 
 def test_lossless_spacs_has_no_vacuum_clicks():
-    meta = small_meta(bin_size=50, bins_per_class=60)
-    dataset = generate_dataset(meta)
-    for row in dataset.rows:
-        if row.label == "spacs":
-            assert row.p_obs[0] == 0.0
+    rows = generate_dataset(small_meta(bin_size=50, bins_per_class=60)).rows
+    assert np.all(rows.counts[rows.labels == "spacs", 0] == 0)
+
+
+def test_saturated_source_generates_all_six_click_bins():
+    source = SourceSpec(SourceKind.COHERENT, 700.0)
+    meta = DatasetMeta((("bright", source),), DetectorConfig(6, 0.5), 30, 300, seed=4)
+    counts = generate_dataset(meta).rows.counts
+    assert np.all(counts[:, 6] == 30) and counts[:, :6].sum() == 0
 
 
 def test_sharded_generation_matches_serial():
-    source = SourceSpec(SourceKind.SPATS, 1.3)
-    full = generate_bins(source, LOSSLESS, 25, "spats", seed=42, class_index=1, start=0, stop=12)
-    first = generate_bins(source, LOSSLESS, 25, "spats", seed=42, class_index=1, start=0, stop=5)
-    second = generate_bins(source, LOSSLESS, 25, "spats", seed=42, class_index=1, start=5, stop=12)
-    assert full == first + second
+    observed = observed_click_pmf(SourceSpec(SourceKind.SPATS, 1.3), LOSSLESS)
+
+    def draw(start, stop):
+        return _draw(observed, 25, seed=42, class_index=1, start=start, stop=stop)
+
+    assert BLOCK_BINS == 256  # the cuts below fall off block boundaries
+    np.testing.assert_array_equal(draw(0, 300), np.vstack([draw(0, 100), draw(100, 300)]))
+    np.testing.assert_array_equal(
+        draw(0, 600), np.vstack([draw(0, 5), draw(5, 513), draw(513, 600)])
+    )
 
 
 def test_bin_streams_are_independent_of_order():
-    a = derive_bin_rng(9, 0, 3).random(4)
-    derive_bin_rng(9, 1, 0).random(100)
-    b = derive_bin_rng(9, 0, 3).random(4)
-    np.testing.assert_array_equal(a, b)
+    # one class's bins do not depend on which other classes are generated
+    spacs = ("spacs", SourceSpec(SourceKind.SPACS, 1.3))
+    with_spats = generate_dataset(small_meta()).rows
+    with_coherent = generate_dataset(
+        DatasetMeta((spacs, ("coh", SourceSpec(SourceKind.COHERENT, 1.3))), LOSSLESS, 10, 40, seed=7)
+    ).rows
+    np.testing.assert_array_equal(
+        with_spats.counts[with_spats.labels == "spacs"],
+        with_coherent.counts[with_coherent.labels == "spacs"],
+    )
+    spats = observed_click_pmf(SourceSpec(SourceKind.SPATS, 1.3), LOSSLESS)
+    np.testing.assert_array_equal(
+        with_spats.counts[with_spats.labels == "spats"],
+        _draw(spats, 10, seed=7, class_index=1, start=0, stop=40),
+    )
+    # the class index and the seed both key the stream
+    for seed, class_index in ((7, 0), (8, 1)):
+        assert not np.array_equal(
+            _draw(spats, 10, seed=seed, class_index=class_index, start=0, stop=40),
+            _draw(spats, 10, seed=7, class_index=1, start=0, stop=40),
+        )
 
 
 def test_observed_click_pmf_support_guard():
@@ -208,36 +255,38 @@ def test_dataset_meta_validation():
 # --- splits ----------------------------------------------------------------------
 
 
+def sorted_rows(rows):
+    return sorted(zip(rows.labels.tolist(), map(tuple, rows.counts.tolist())))
+
+
 def test_split_rows_stratified_and_deterministic():
     dataset = generate_dataset(small_meta(bins_per_class=100))
     train, val, test = split_rows(dataset.rows, seed=5)
     assert len(train) == 160 and len(val) == 20 and len(test) == 20
     for part in (train, val, test):
-        labels = [row.label for row in part]
+        labels = part.labels.tolist()
         assert labels.count("spacs") == labels.count("spats")
-    again = split_rows(dataset.rows, seed=5)
-    assert (train, val, test) == again
-    assert sorted(map(hash, train + val + test)) == sorted(map(hash, dataset.rows))
+    for part, again in zip((train, val, test), split_rows(dataset.rows, seed=5)):
+        np.testing.assert_array_equal(part.counts, again.counts)
+        np.testing.assert_array_equal(part.labels, again.labels)
+    assert sorted_rows(concat_rows([train, val, test])) == sorted_rows(dataset.rows)
 
 
 # --- features ----------------------------------------------------------------------
 
 
 def test_feature_matrix_shapes_and_values():
-    row = BinnedObservation((0.5, 0.3, 0.2, 0.0, 0.0, 0.0, 0.0), 0.7, "a", 10)
-    plain = feature_matrix([row], include_nbar=False)
+    row = rows_of([[5, 3, 2, 0, 0, 0, 0]])
+    plain = feature_matrix(row, include_nbar=False)
     assert plain.shape == (1, 5)
     np.testing.assert_allclose(plain[0], [0.5, 0.3, 0.2, 0.0, 0.0])
-    with_nbar = feature_matrix([row], include_nbar=True)
+    with_nbar = feature_matrix(row, include_nbar=True)
     assert with_nbar.shape == (1, 6)
     assert with_nbar[0, 5] == 0.7
 
 
 def test_label_vector_mapping_and_rejection():
-    rows = [
-        BinnedObservation((1.0, 0, 0, 0, 0, 0, 0), 0.0, "b", 4),
-        BinnedObservation((1.0, 0, 0, 0, 0, 0, 0), 0.0, "a", 4),
-    ]
+    rows = concat_rows([rows_of([[4, 0, 0, 0, 0, 0, 0]], "b"), rows_of([[4, 0, 0, 0, 0, 0, 0]], "a")])
     np.testing.assert_array_equal(label_vector(rows, ["a", "b"]), [1, 0])
     with pytest.raises(ValueError):
         label_vector(rows, ["a"])
@@ -247,16 +296,36 @@ def test_label_vector_mapping_and_rejection():
 
 
 def test_csv_round_trip(tmp_path):
-    dataset = generate_dataset(small_meta(bin_size=20, bins_per_class=15))
+    dataset = generate_dataset(small_meta(bin_size=30, bins_per_class=15, detector=DetectorConfig(4, 0.9)))
     path = tmp_path / "data.csv"
     write_dataset_csv(path, dataset)
     rows = load_dataset_csv(path)
     assert len(rows) == len(dataset.rows)
-    for loaded, original in zip(rows, dataset.rows):
-        assert loaded.label == original.label
-        assert loaded.bin_size == original.bin_size
-        assert loaded.p_obs == original.p_obs  # exact multiples of 1/bin_size
-        assert loaded.nbar_obs == pytest.approx(original.nbar_obs, rel=1e-8)
+    np.testing.assert_array_equal(rows.counts, dataset.rows.counts)  # rint(p * bin_size)
+    np.testing.assert_array_equal(rows.labels, dataset.rows.labels)
+    np.testing.assert_array_equal(rows.bin_size, dataset.rows.bin_size)
+    for include_nbar in (False, True):
+        np.testing.assert_array_equal(
+            feature_matrix(rows, include_nbar), feature_matrix(dataset.rows, include_nbar)
+        )
+
+
+def test_csv_lines_match_per_row_formatting(tmp_path):
+    # the writer formats each distinct value once; this is the per-row form
+    dataset = generate_dataset(small_meta(bin_size=30, bins_per_class=20, detector=DetectorConfig(4, 0.9)))
+    path = tmp_path / "data.csv"
+    write_dataset_csv(path, dataset)
+    sources = dict(dataset.meta.sources)
+    want = [CSV_HEADER]
+    for counts, label in zip(dataset.rows.counts.tolist(), dataset.rows.labels.tolist()):
+        fractions = [c / 30 for c in counts]
+        nbar = sum(k * c for k, c in enumerate(counts)) / 30
+        fields = ["{:.9g}".format(v) for v in fractions + [nbar]] + [
+            label, "30", "0.9", "4", "{:.9g}".format(dataset.nbar_the[label]),
+            sources[label].kind.value, "1",
+        ]
+        want.append(",".join(fields))
+    assert path.read_text() == "\n".join(want) + "\n"
 
 
 def test_csv_write_is_byte_stable(tmp_path):
@@ -271,6 +340,7 @@ def test_csv_write_is_byte_stable(tmp_path):
 def test_meta_sidecar_round_trip(tmp_path):
     dataset = generate_dataset(small_meta())
     payload = meta_to_dict(dataset)
+    assert payload["format_version"] == META_FORMAT_VERSION == 2
     rebuilt = meta_from_dict(payload)
     assert rebuilt == dataset.meta
     path = tmp_path / "meta.json"
@@ -278,8 +348,36 @@ def test_meta_sidecar_round_trip(tmp_path):
     assert path.read_text().startswith("{")
 
 
+@pytest.mark.parametrize("version", [1, 3, None])
+def test_meta_sidecar_refuses_other_format_versions(version):
+    payload = meta_to_dict(generate_dataset(small_meta()))
+    payload["format_version"] = version
+    with pytest.raises(ValueError, match=rf"format_version {version!r} .* supported version 2"):
+        meta_from_dict(payload)
+
+
 def test_load_rejects_foreign_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         load_dataset_csv(path)
+
+
+GOOD_ROW = "0.5,0.25,0.25,0,0,0,0,0.75,a,20,1,6,1.3,spacs,1"
+
+
+@pytest.mark.parametrize("bad, problem", [
+    ("0.53,0.22,0.25,0,0,0,0,0.72,a,20,1,6,1.3,spacs,1", "fractions are not whole counts"),
+    ("0.5,0.25,0.2,0,0,0,0,0.65,a,20,1,6,1.3,spacs,1", "counts do not sum to bin_size"),
+    ("0.5,0.25,0.25,0,0,0,0,0.75,a,0,1,6,1.3,spacs,1", "bin_size must be >= 1"),
+    ("0.5,0.25,0.25,0,0,0,0,0.75,a,20.5,1,6,1.3,spacs,1", "bad bin_size"),
+    ("0.5,0.25,x,0,0,0,0,0.75,a,20,1,6,1.3,spacs,1", "bad fraction"),
+    ("0.5,0.25,0.25,0,0,0,0.75,a,20,1,6,1.3,spacs,1", "a row needs 15 fields"),
+])
+def test_load_refuses_rows_that_are_not_whole_bins(tmp_path, bad, problem):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{CSV_HEADER}\n{GOOD_ROW}\n{GOOD_ROW}\n{bad}\n")
+    with pytest.raises(ValueError, match=f"line 4: {problem}"):
+        load_dataset_csv(path)
+    path.write_text(f"{CSV_HEADER}\n{GOOD_ROW}\n")
+    assert len(load_dataset_csv(path)) == 1
