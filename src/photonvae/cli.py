@@ -51,9 +51,6 @@ from .vae import (
     train_model,
 )
 from .workflows import (
-    FINETUNE_WEIGHTS,
-    WARMUP_BCE_WEIGHT,
-    WARMUP_EPOCHS,
     derived_seed,
     export_latent,
     write_confusion_csv,
@@ -257,7 +254,6 @@ def cmd_train(args, config: dict, seed: int, out: Path, name: str, base=None) ->
             )
         class_order = list(header["class_labels"])
         model.reseed(seed)
-        warmup, weights = 0, FINETUNE_WEIGHTS
     else:
         features = _features_flag(config)
         spec = NetworkSpec(
@@ -265,27 +261,22 @@ def cmd_train(args, config: dict, seed: int, out: Path, name: str, base=None) ->
             num_classes=max(len(class_order), 2),
         )
         model = VAEClassifier(spec, seed=seed)
-        warmup, weights = _require(config, "warmup_epochs", int, WARMUP_EPOCHS), (1.0, 1.0, 1.0)
     options = {
         "epochs": _require(config, "epochs", _count, 200),
         "batch_size": _require(config, "batch_size", _count, 512),
         "learning_rate": _require(config, "learning_rate", float, 1e-3),
     }
-    warmup_bce_weight = _require(config, "warmup_bce_weight", float, WARMUP_BCE_WEIGHT)
 
     include_nbar = features == "probs+nbar"
     parts = split_rows(rows, seed=derived_seed(seed, 40))
     train, val, test = (_xy(part, class_order, include_nbar) for part in parts)
-    history = train_model(
-        model, *train, *val, **options,
-        weights=weights, warmup_epochs=warmup, warmup_bce_weight=warmup_bce_weight,
-    )
+    history = train_model(model, *train, *val, **options)
     accuracy, _ = evaluate_model(model, *test)
 
     ckpt_path = out / f"{name}.ckpt"
     save_checkpoint(
         ckpt_path, model, seed=seed, epochs_trained=history.epochs_run, class_labels=class_order,
-        hyperparameters={**options, "warmup_epochs": warmup, "features": features},
+        hyperparameters={**options, "features": features},
     )
     return {
         "checkpoint": str(ckpt_path),
@@ -305,11 +296,14 @@ def cmd_finetune(args, config: dict, seed: int, out: Path, name: str) -> dict:
 def cmd_eval(args, config: dict, seed: int, out: Path, name: str) -> dict:
     model, header = load_checkpoint(_require(config, "checkpoint", str))
 
-    def cells():  # one dataset loaded at a time
+    def cells():  # one dataset loaded at a time; one cell per bin size it holds
         for path in _dataset_paths(config):
             rows = _load_rows([path])
-            fields = {"dataset": str(path), "rows": len(rows), "bin_size": int(rows.bin_size[0])}
-            yield Path(path).stem, rows, fields
+            stem, sizes = Path(path).stem, np.unique(rows.bin_size).tolist()
+            for size in sizes:
+                part = rows.take(rows.bin_size == size)
+                fields = {"dataset": str(path), "rows": len(part), "bin_size": size}
+                yield stem if len(sizes) == 1 else f"{stem}_bin{size}", part, fields
 
     return _report(out, name, model, list(header["class_labels"]), cells())
 

@@ -1,11 +1,14 @@
 """Variational autoencoder with a classifier attached to the bottleneck.
 
 Encoder and decoder are SELU dense stacks, the classifier a LeakyReLU stack
-reading the latent code.  Training minimizes the plain sum of mean-squared
+reading the latent code.  Training minimizes the sum of mean-squared
 reconstruction error, KL divergence against a standard normal, and
-cross-entropy on the labeled samples.  All gradients are analytic, including
-the path through the latent sampling (gradients flow through the mean and
-log-variance, never through the noise draw).
+CLASSIFICATION_WEIGHT times the cross-entropy on the labeled samples (rows
+labeled -1 are unlabeled).  The weight holds for every epoch of every run: on
+the plain sum, reconstruction and KL fall faster than the classifier learns,
+and the latent code collapses to chance.  All gradients are analytic,
+including the path through the latent sampling (gradients flow through the
+mean and log-variance, never through the noise draw).
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from .nn import (
 )
 
 PROB_CLIP = 1e-7  # predicted probabilities are clamped to [PROB_CLIP, 1 - PROB_CLIP]
+
+CLASSIFICATION_WEIGHT = 20.0  # cross-entropy weight in every training objective
 
 CHECKPOINT_MAGIC = b"PVAE"
 CHECKPOINT_VERSION = 1
@@ -110,6 +115,8 @@ def loss_bce(y: np.ndarray, y_hat: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LossValues:
+    """Loss components; ``bce`` already carries CLASSIFICATION_WEIGHT."""
+
     recon: float
     kl: float
     bce: float
@@ -285,13 +292,13 @@ class VAEClassifier:
 
     # --- losses and gradients -------------------------------------------------
 
-    def losses(self, x, y, fwd: Forward, weights=(1.0, 1.0, 1.0)) -> LossValues:
+    def losses(self, x, y, fwd: Forward) -> LossValues:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        w_recon, w_kl, w_bce = weights
-        recon = w_recon * loss_recon(x, fwd.x_hat)
-        kl = w_kl * loss_kl(fwd.mu, fwd.logvar)
-        bce = w_bce * self._classification_loss(y, fwd)
-        return LossValues(recon=recon, kl=kl, bce=bce)
+        return LossValues(
+            recon=loss_recon(x, fwd.x_hat),
+            kl=loss_kl(fwd.mu, fwd.logvar),
+            bce=CLASSIFICATION_WEIGHT * self._classification_loss(y, fwd),
+        )
 
     def _classification_loss(self, y, fwd: Forward) -> float:
         y = np.asarray(y, dtype=np.int64).reshape(-1)
@@ -305,46 +312,46 @@ class VAEClassifier:
         return float(-np.mean(np.log(p_true)))
 
     def loss_and_grads(self, x, y, *, mode: str, rng=None, eps=None,
-                       update_running: bool = True, weights=(1.0, 1.0, 1.0)):
+                       update_running: bool = True):
         fwd = self.forward(x, mode=mode, rng=rng, eps=eps, update_running=update_running)
-        values = self.losses(x, y, fwd, weights)
-        grads = self._backward(np.atleast_2d(np.asarray(x, dtype=np.float64)), y, fwd, weights)
+        values = self.losses(x, y, fwd)
+        grads = self._backward(np.atleast_2d(np.asarray(x, dtype=np.float64)), y, fwd)
         return values, grads, fwd
 
     def loss_value(self, x, y, *, mode: str, rng=None, eps=None,
-                   update_running: bool = True, weights=(1.0, 1.0, 1.0)) -> float:
+                   update_running: bool = True) -> float:
         fwd = self.forward(x, mode=mode, rng=rng, eps=eps, update_running=update_running)
-        return self.losses(x, y, fwd, weights).total
+        return self.losses(x, y, fwd).total
 
-    def _head_grad(self, y, fwd: Forward, w_bce: float) -> np.ndarray:
-        """d(bce)/d(logits) with the probability clamp honored."""
+    def _head_grad(self, y, fwd: Forward) -> np.ndarray:
+        """d(weighted bce)/d(logits) with the probability clamp honored."""
         y = np.asarray(y, dtype=np.int64).reshape(-1)
         mask = y >= 0
         n_labeled = int(mask.sum())
         dlogits = np.zeros_like(fwd.logits)
-        if n_labeled == 0 or w_bce == 0.0:
+        if n_labeled == 0:
             return dlogits
+        scale = CLASSIFICATION_WEIGHT / n_labeled
         if self.spec.head_dim == 1:
             p = fwd.probs[:, 0]
             live = mask & (p > PROB_CLIP) & (p < 1.0 - PROB_CLIP)
-            dlogits[live, 0] = (p[live] - y[live]) * (w_bce / n_labeled)
+            dlogits[live, 0] = (p[live] - y[live]) * scale
         else:
             rows = np.flatnonzero(mask)
             p_true = fwd.probs[rows, y[rows]]
             live = rows[p_true > PROB_CLIP]
             delta = fwd.probs[live].copy()
             delta[np.arange(live.size), y[live]] -= 1.0
-            dlogits[live] = delta * (w_bce / n_labeled)
+            dlogits[live] = delta * scale
         return dlogits
 
-    def _backward(self, x, y, fwd: Forward, weights) -> NamedVector:
-        w_recon, w_kl, w_bce = weights
+    def _backward(self, x, y, fwd: Forward) -> NamedVector:
         n, d = x.shape
         enc_caches, dec_caches, clf_caches = fwd.caches
 
-        dx_hat = (2.0 * w_recon / (n * d)) * (fwd.x_hat - x)
+        dx_hat = (2.0 / (n * d)) * (fwd.x_hat - x)
         dz_dec, dec_grads = self.decoder.backward(dx_hat, dec_caches)
-        dz_clf, clf_grads = self.classifier.backward(self._head_grad(y, fwd, w_bce), clf_caches)
+        dz_clf, clf_grads = self.classifier.backward(self._head_grad(y, fwd), clf_caches)
         dz = dz_dec + dz_clf
 
         dmu = dz.copy()
@@ -352,8 +359,8 @@ class VAEClassifier:
             dlogvar = dz * fwd.eps * 0.5 * np.exp(0.5 * fwd.logvar)
         else:
             dlogvar = np.zeros_like(fwd.logvar)
-        dmu += (w_kl / n) * fwd.mu
-        dlogvar += (w_kl / (2.0 * n)) * (np.exp(fwd.logvar) - 1.0)
+        dmu += (1.0 / n) * fwd.mu
+        dlogvar += (0.5 / n) * (np.exp(fwd.logvar) - 1.0)
 
         _, enc_grads = self.encoder.backward(np.hstack([dmu, dlogvar]), enc_caches)
 
@@ -401,28 +408,14 @@ def train_model(
     batch_size: int = 512,
     learning_rate: float = 1e-3,
     patience: int = 20,
-    weights=(1.0, 1.0, 1.0),
-    warmup_epochs: int = 0,
-    warmup_bce_weight: float = 20.0,
 ) -> TrainHistory:
     """Mini-batch Adam training with optional early stopping on validation loss.
 
     Uses the model's own noise stream, so a fresh model plus a fixed seed gives
     a bit-for-bit reproducible run.  When a validation set is supplied, the
     parameters giving the best validation loss are restored at the end.
-
-    From a cold start the plain loss sum settles into a collapsed latent space
-    (the KL pull wins before the classifier produces usable gradients), so the
-    first ``warmup_epochs`` epochs scale the classification term up by
-    ``warmup_bce_weight``; all remaining epochs, the validation criterion and
-    the early-stopping window use the unmodified objective.
-
-    Fine-tuning from trained weights collapses the same way: the
-    reconstruction and KL terms fall faster than the classification term
-    rises, so the classifier drifts to chance while the plain validation sum
-    keeps improving.  Fine-tuning callers therefore pass the warmup's
-    classification weight in ``weights``, which then also decides the restored
-    best epoch.
+    Training and the choice of that epoch use the one objective of
+    ``VAEClassifier.losses``, from a cold start and when fine-tuning alike.
     """
     x_train = np.asarray(x_train, dtype=np.float64)
     y_train = np.asarray(y_train, dtype=np.int64).reshape(-1)
@@ -434,10 +427,6 @@ def train_model(
     stale = 0
     n = x_train.shape[0]
     for epoch in range(epochs):
-        if epoch < warmup_epochs:
-            epoch_weights = (weights[0], weights[1], weights[2] * warmup_bce_weight)
-        else:
-            epoch_weights = weights
         order = model.rng.permutation(n)
         # a singleton final batch would make batch statistics degenerate
         if n % batch_size == 1:
@@ -446,9 +435,7 @@ def train_model(
         n_batches = 0
         for start in range(0, len(order), batch_size):
             idx = order[start : start + batch_size]
-            values, grads, _ = model.loss_and_grads(
-                x_train[idx], y_train[idx], mode=TRAIN, weights=epoch_weights
-            )
+            values, grads, _ = model.loss_and_grads(x_train[idx], y_train[idx], mode=TRAIN)
             optimizer.step(params, grads)
             model.assert_finite()
             epoch_loss += values.total
@@ -457,13 +444,11 @@ def train_model(
         history.epochs_run = epoch + 1
         if x_val is not None and len(x_val):
             fwd = model.forward(x_val, mode=INFER)
-            values = model.losses(x_val, y_val, fwd, weights)
+            values = model.losses(x_val, y_val, fwd)
             # the same count over the same length as evaluate_model's accuracy
             acc = float(np.mean(model._decide(fwd.probs) == np.reshape(y_val, -1)))
             history.val_loss.append(values.total)
             history.val_accuracy.append(acc)
-            if epoch < warmup_epochs:
-                continue
             if values.total < best_val - 1e-12:
                 best_val = values.total
                 best_state = model.get_state()

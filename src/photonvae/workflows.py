@@ -35,14 +35,6 @@ from .vae import (
 LOSSLESS_DETECTOR = DetectorConfig(n_detectors=6, efficiency=1.0)
 LOSSY_N_DETECTORS = 4
 
-# cold-start supervision warmup (see train_model)
-WARMUP_EPOCHS = 30
-WARMUP_BCE_WEIGHT = 20.0
-# fine-tuning from trained weights keeps the warmup's classification weight
-# for every epoch and for its best-epoch choice; on the plain sum the latent
-# code collapses while the validation loss still improves (see train_model)
-FINETUNE_WEIGHTS = (1.0, 1.0, WARMUP_BCE_WEIGHT)
-
 
 @dataclass(frozen=True)
 class TrainStage:
@@ -236,17 +228,10 @@ def run_algorithm1(plan: TrainPlan, base_model: VAEClassifier | None = None) -> 
             NetworkSpec(input_dim=5, num_classes=len(class_labels)),
             seed=derived_seed(plan.seed, 12),
         )
-        warmup, weights = WARMUP_EPOCHS, (1.0, 1.0, 1.0)
     else:
         base_model = clone_model(base_model, derived_seed(plan.seed, 12))
-        warmup, weights = 0, FINETUNE_WEIGHTS
-    histories[base_stage.bin_size] = train_model(
-        base_model, x_t, y_t, x_v, y_v,
-        epochs=base_stage.epochs,
-        weights=weights,
-        warmup_epochs=warmup,
-        warmup_bce_weight=WARMUP_BCE_WEIGHT,
-    )
+    histories[base_stage.bin_size] = train_model(base_model, x_t, y_t, x_v, y_v,
+                                                 epochs=base_stage.epochs)
 
     finetuned: dict[int, VAEClassifier] = {}
     for stage in plan.stages[1:]:
@@ -254,9 +239,7 @@ def run_algorithm1(plan: TrainPlan, base_model: VAEClassifier | None = None) -> 
         train_rows, val_rows, _ = data[stage.bin_size]
         x_t, y_t = _xy(train_rows, class_labels, False)
         x_v, y_v = _xy(val_rows, class_labels, False)
-        histories[stage.bin_size] = train_model(
-            model, x_t, y_t, x_v, y_v, epochs=stage.epochs, weights=FINETUNE_WEIGHTS
-        )
+        histories[stage.bin_size] = train_model(model, x_t, y_t, x_v, y_v, epochs=stage.epochs)
         finetuned[stage.bin_size] = model
 
     report = EvalReport(class_labels=class_labels)
@@ -351,12 +334,7 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
     )
     x_t, y_t = _xy(concat_rows(train_parts), class_labels, True)
     x_v, y_v = _xy(concat_rows(val_parts), class_labels, True)
-    history = train_model(
-        model, x_t, y_t, x_v, y_v,
-        epochs=plan.stages[0].epochs,
-        warmup_epochs=WARMUP_EPOCHS,
-        warmup_bce_weight=WARMUP_BCE_WEIGHT,
-    )
+    history = train_model(model, x_t, y_t, x_v, y_v, epochs=plan.stages[0].epochs)
 
     report = EvalReport(class_labels=class_labels)
 
@@ -466,12 +444,7 @@ def run_mixed_grid(plan: TrainPlan) -> MixedGridResult:
     )
     x_t, y_t = _xy(concat_rows(train_parts), MIX_CLASS_LABELS, True)
     x_v, y_v = _xy(concat_rows(val_parts), MIX_CLASS_LABELS, True)
-    history = train_model(
-        model, x_t, y_t, x_v, y_v,
-        epochs=plan.stages[0].epochs,
-        warmup_epochs=WARMUP_EPOCHS,
-        warmup_bce_weight=WARMUP_BCE_WEIGHT,
-    )
+    history = train_model(model, x_t, y_t, x_v, y_v, epochs=plan.stages[0].epochs)
 
     report = EvalReport(class_labels=list(MIX_CLASS_LABELS))
     cells: dict[tuple[float, float], float] = {}

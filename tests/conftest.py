@@ -11,24 +11,6 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 
 @pytest.fixture
-def record_train_weights(monkeypatch):
-    """Patch ``module.train_model`` to log (weights, warmup_epochs) per call."""
-
-    def install(module):
-        calls = []
-        real = module.train_model
-
-        def recording(*args, **kwargs):
-            calls.append((kwargs.get("weights", (1.0, 1.0, 1.0)), kwargs.get("warmup_epochs", 0)))
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(module, "train_model", recording)
-        return calls
-
-    return install
-
-
-@pytest.fixture
 def run_cli(tmp_path, monkeypatch):
     """``run_cli(*argv, configs={filename: payload}, cwd=tmp_path)`` writes each
     config as JSON into ``cwd``, runs ``cli.main(argv)`` there in process and

@@ -7,28 +7,9 @@ import pytest
 from photonvae import cli
 from photonvae.sampling import CSV_HEADER
 from photonvae.vae import NetworkSpec, VAEClassifier, save_checkpoint
-from photonvae.workflows import FINETUNE_WEIGHTS, WARMUP_EPOCHS
 
 CLASSES = [{"kind": "spacs", "mean_param": 1.3}, {"kind": "spats", "mean_param": 1.3}]
 DETECTOR = {"n_detectors": 6, "efficiency": 1.0}
-
-
-def test_finetune_command_trains_on_classification_weighted_objective(
-    run_cli, record_train_weights
-):
-    calls = record_train_weights(cli)
-    configs = {
-        "data.json": {
-            "name": "data", "seed": 1, "bin_size": 20, "bins_per_class": 60,
-            "classes": CLASSES, "detector": DETECTOR,
-        },
-        "train.json": {"name": "model", "datasets": ["data.csv"], "epochs": 2},
-        "tune.json": {"name": "tuned", "datasets": ["data.csv"], "epochs": 2},
-    }
-    assert run_cli("gen", "--config", "data.json", configs=configs)[0] == 0
-    assert run_cli("train", "--config", "train.json")[0] == 0
-    assert run_cli("finetune", "--config", "tune.json", "--base-checkpoint", "model.ckpt")[0] == 0
-    assert calls == [((1.0, 1.0, 1.0), WARMUP_EPOCHS), (FINETUNE_WEIGHTS, 0)]
 
 
 # --- exit codes -------------------------------------------------------------
@@ -100,6 +81,30 @@ def test_exit_code_contract(case, run_cli, tmp_path):
         assert "\n" not in stderr.rstrip("\n")
 
 
+def test_eval_scores_each_bin_size_of_a_mixed_dataset(run_cli, tmp_path):
+    configs = {
+        "b20.json": {**GEN, "name": "b20"},
+        "b50.json": {**GEN, "name": "b50", "seed": 2, "bin_size": 50},
+        "eval.json": {"name": "eval", "checkpoint": "model.ckpt", "datasets": ["mixed.csv"]},
+    }
+    assert run_cli("gen", "--config", "b20.json", configs=configs)[0] == 0
+    assert run_cli("gen", "--config", "b50.json")[0] == 0
+    b20, b50 = ((tmp_path / f"{n}.csv").read_text().splitlines() for n in ("b20", "b50"))
+    (tmp_path / "mixed.csv").write_text("\n".join(b20 + b50[1:]) + "\n")
+    model = VAEClassifier(NetworkSpec(input_dim=5, num_classes=2), seed=0)
+    save_checkpoint(tmp_path / "model.ckpt", model, seed=0, epochs_trained=0,
+                    class_labels=["spacs", "spats"])
+
+    code, stdout, stderr = run_cli("eval", "--config", "eval.json")
+    assert code == 0, stderr
+    cells = json.loads(stdout)["cells"]
+    assert [(cell["bin_size"], cell["rows"]) for cell in cells] == [(20, 20), (50, 20)]
+    report = (tmp_path / "eval_report.csv").read_text().splitlines()
+    assert [line.split(",")[1:3] for line in report] == [["rows", "bin_size"], ["20", "20"], ["20", "50"]]
+    confusion = (tmp_path / "eval_confusion.csv").read_text().splitlines()[1:]
+    assert sorted({line.split(",")[0] for line in confusion}) == ["mixed_bin20", "mixed_bin50"]
+
+
 # --- byte-stable outputs ----------------------------------------------------
 
 PIPELINE_DETECTOR = {"n_detectors": 4, "efficiency": 0.9}
@@ -129,7 +134,7 @@ PIPELINE = (
 )
 # SHA-256 of every file the pipeline leaves and of its stdout; a new value
 # means some output byte changed
-PINNED_PIPELINE_SHA256 = "0fa1faaed336dea9a79d20d5c0be2996ca186014503f1d9633035afcf98adc24"
+PINNED_PIPELINE_SHA256 = "af5793e6ce5756f4b44edb0d13dc83fc800d7ea51dfc24db7ccefb50a38746fc"
 
 
 def _pipeline_digest(run_cli, root: Path) -> str:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fd_utils import make_case, max_relative_error
+from photonvae import vae
 from photonvae.nn import FROZEN, INFER, TRAIN, GradientError
 from photonvae.vae import (
     CheckpointError,
@@ -219,15 +220,14 @@ def test_zero_input_zero_weights_give_zero_weight_gradients():
     assert np.any(grads["classifier.out.b"] != 0.0)
 
 
-def test_doubling_bce_weight_doubles_classifier_gradients():
+def test_doubling_bce_weight_doubles_classifier_gradients(monkeypatch):
     model = binary_model(seed=2)
     x = np.random.default_rng(6).random((16, 5))
     y = np.random.default_rng(7).integers(0, 2, 16)
     eps = np.random.default_rng(8).standard_normal((16, 3))
     _, base, _ = model.loss_and_grads(x, y, mode=FROZEN, eps=eps, update_running=False)
-    _, doubled, _ = model.loss_and_grads(
-        x, y, mode=FROZEN, eps=eps, update_running=False, weights=(1.0, 1.0, 2.0)
-    )
+    monkeypatch.setattr(vae, "CLASSIFICATION_WEIGHT", 2.0 * vae.CLASSIFICATION_WEIGHT)
+    _, doubled, _ = model.loss_and_grads(x, y, mode=FROZEN, eps=eps, update_running=False)
     for name in base:
         if name.startswith("classifier."):
             np.testing.assert_allclose(doubled[name], 2.0 * base[name], rtol=0, atol=0)
@@ -348,8 +348,8 @@ def test_train_model_runs_one_validation_pass_per_epoch(monkeypatch):
 # arithmetic or the order of a training step changes it.  Recorded with numpy 2.4
 # and OpenBLAS; another BLAS may round the matmuls differently.
 PINNED_TRAINING_SHA256 = {
-    2: "19d5162f28e381640444b7bc2c4f48589d259820e21395f61b11556e5d6b4e6a",
-    4: "946bd5075aa33f18839598b887321739db775a8373baf2eec9402607cbac4148",
+    2: "e0205c2b8f72d19651d44382e9c9b3f40c2b410044e265e98e81e074c6775b6d",
+    4: "3436bb2c81fd3372e6b8f85455ffb0760c7e355f8efbe222c57e1ace105c4a19",
 }
 
 
@@ -362,10 +362,10 @@ def test_training_bytes_are_pinned(num_classes):
     model = VAEClassifier(NetworkSpec(num_classes=num_classes), seed=num_classes)
     # the high rate makes validation loss turn up, so the best epoch is restored
     history = train_model(
-        model, x[:240], y[:240], x[240:], y[240:], epochs=12, batch_size=64,
-        patience=2, warmup_epochs=3, learning_rate=0.1,
+        model, x[:240], y[:240], x[240:], y[240:], epochs=24, batch_size=64,
+        patience=2, learning_rate=0.1,
     )
-    assert history.best_epoch < history.epochs_run - 1 < 11
+    assert history.best_epoch < history.epochs_run - 1 < 23
     digest = hashlib.sha256()
     state = model.get_state()
     for name in model.param_names():
