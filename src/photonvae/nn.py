@@ -37,7 +37,12 @@ class GradientError(RuntimeError):
 
 
 def selu(x: np.ndarray) -> np.ndarray:
-    return SELU_SCALE * (np.maximum(x, 0.0) + SELU_ALPHA * np.expm1(np.minimum(x, 0.0)))
+    out = np.minimum(x, 0.0)
+    np.expm1(out, out=out)
+    out *= SELU_ALPHA
+    out += np.maximum(x, 0.0)
+    out *= SELU_SCALE
+    return out
 
 
 def selu_grad(x: np.ndarray) -> np.ndarray:
@@ -95,7 +100,9 @@ class Dense:
         self.bias = np.zeros(out_dim)
 
     def forward(self, x: np.ndarray):
-        return x @ self.weight + self.bias, x
+        y = x @ self.weight
+        y += self.bias
+        return y, x
 
     def backward(self, dy: np.ndarray, cache):
         x = cache
@@ -131,8 +138,11 @@ class BatchNorm:
             centred = x - self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        x_hat = centred * inv_std
-        return self.gamma * x_hat + self.beta, (x_hat, inv_std)
+        x_hat = centred
+        x_hat *= inv_std
+        y = x_hat * self.gamma
+        y += self.beta
+        return y, (x_hat, inv_std)
 
     def backward(self, dy: np.ndarray, cache, mode: str):
         x_hat, inv_std = cache
@@ -141,12 +151,16 @@ class BatchNorm:
         if mode == TRAIN:
             # full gradient through the batch mean and variance
             n = x_hat.shape[0]
-            dx = inv_std / n * (
-                n * dx_hat - dx_hat.sum(axis=0) - x_hat * (dx_hat * x_hat).sum(axis=0)
-            )
+            dx_hat_sum = dx_hat.sum(axis=0)
+            proj = dx_hat * x_hat
+            np.multiply(x_hat, proj.sum(axis=0), out=proj)
+            dx_hat *= n
+            dx_hat -= dx_hat_sum
+            dx_hat -= proj
+            dx_hat *= inv_std / n
         else:
-            dx = dx_hat * inv_std
-        return dx, grads
+            dx_hat *= inv_std
+        return dx_hat, grads
 
 
 def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None):
@@ -154,7 +168,9 @@ def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: np.random.Genera
     if mode != TRAIN or rate <= 0.0:
         return x, None
     # bool * (1 / (1 - rate)) has the bits of bool / (1 - rate) and is cheaper
-    mask = (rng.random(x.shape) >= rate) * (1.0 / (1.0 - rate))
+    mask = rng.random(x.shape)
+    np.greater_equal(mask, rate, out=mask)
+    mask *= 1.0 / (1.0 - rate)
     return x * mask, mask
 
 
@@ -180,8 +196,9 @@ class DenseBlock:
 
     def backward(self, dy, cache):
         dense_cache, norm_cache, normed, mask, mode = cache
-        dy = dropout_backward(dy, mask)
-        dy = dy * self.act_grad(normed)
+        grad = self.act_grad(normed)
+        grad *= dropout_backward(dy, mask)
+        dy = grad
         dy, norm_grads = self.norm.backward(dy, norm_cache, mode)
         dx, dense_grads = self.dense.backward(dy, dense_cache)
         return dx, {**{f"dense.{leaf}": g for leaf, g in dense_grads.items()},
