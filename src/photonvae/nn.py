@@ -13,6 +13,11 @@ same mode.  Modes:
 Layers list their parameter attributes by checkpoint leaf name in ``LEAVES``
 and write them only in place: a model may make them views into one vector
 (``NamedVector``), and an attribute rebound to a new array leaves that vector.
+
+A block caches its activation's output, and the activation derivatives are
+computed from that output, so SELU's needs no exponential.  Functions finish
+their arithmetic in place, but only on temporaries they allocated themselves:
+no argument, and no array held in a cache, is ever written.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import numpy as np
 SELU_ALPHA = 1.6732632423543772
 SELU_SCALE = 1.0507009873554805
 LEAKY_SLOPE = 0.01
+_SELU_SATURATION = SELU_SCALE * SELU_ALPHA  # -selu(x) as x -> -inf
 
 TRAIN, INFER, FROZEN = "train", "infer", "frozen"
 
@@ -32,8 +38,8 @@ class GradientError(RuntimeError):
     """Raised when a gradient turns non-finite during training."""
 
 
-# Branches are selected by arithmetic, which is cheaper than np.where; the
-# exponent's argument is clamped at 0 so the discarded branch cannot overflow.
+# Branches are selected by arithmetic, which is cheaper than np.where; selu
+# clamps the exponent's argument at 0 so the discarded branch cannot overflow.
 
 
 def selu(x: np.ndarray) -> np.ndarray:
@@ -45,17 +51,27 @@ def selu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def selu_grad(x: np.ndarray) -> np.ndarray:
-    pos = x > 0
-    return SELU_SCALE * (pos + ~pos * (SELU_ALPHA * np.exp(np.minimum(x, 0.0))))
+def selu_grad(y: np.ndarray) -> np.ndarray:
+    """Derivative of ``selu`` given its output ``y = selu(x)``: SELU_SCALE where
+    y > 0, else SCALE * ALPHA * exp(x) = y + SCALE * ALPHA, so no exponential
+    is evaluated."""
+    grad = np.minimum(y, 0.0)
+    grad += _SELU_SATURATION
+    # SATURATION - SCALE is exact (the two are within a factor of 2), so
+    # subtracting it from SATURATION leaves exactly SELU_SCALE where y > 0
+    grad -= (y > 0) * (_SELU_SATURATION - SELU_SCALE)
+    return grad
 
 
 def leaky_relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, LEAKY_SLOPE * x)
 
 
-def leaky_relu_grad(x: np.ndarray) -> np.ndarray:
-    return (x > 0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE
+def leaky_relu_grad(y: np.ndarray) -> np.ndarray:
+    """Derivative of ``leaky_relu`` given its output, which has the input's sign."""
+    grad = (y > 0) * (1.0 - LEAKY_SLOPE)
+    grad += LEAKY_SLOPE
+    return grad
 
 
 _ACTIVATIONS = {"selu": (selu, selu_grad), "leaky_relu": (leaky_relu, leaky_relu_grad)}
@@ -146,28 +162,27 @@ class BatchNorm:
 
     def backward(self, dy: np.ndarray, cache, mode: str):
         x_hat, inv_std = cache
-        grads = {"gamma": (dy * x_hat).sum(axis=0), "beta": dy.sum(axis=0)}
-        dx_hat = dy * self.gamma
-        if mode == TRAIN:
-            # full gradient through the batch mean and variance
-            n = x_hat.shape[0]
-            dx_hat_sum = dx_hat.sum(axis=0)
-            proj = dx_hat * x_hat
-            np.multiply(x_hat, proj.sum(axis=0), out=proj)
-            dx_hat *= n
-            dx_hat -= dx_hat_sum
-            dx_hat -= proj
-            dx_hat *= inv_std / n
-        else:
-            dx_hat *= inv_std
-        return dx_hat, grads
+        proj = dy * x_hat
+        grads = {"gamma": proj.sum(axis=0), "beta": dy.sum(axis=0)}
+        if mode != TRAIN:
+            return dy * (self.gamma * inv_std), grads
+        # full gradient through the batch mean and variance:
+        # gamma * inv_std * (dy - mean(dy) - x_hat * mean(dy * x_hat)), whose
+        # two batch sums are the parameter gradients
+        n = x_hat.shape[0]
+        np.multiply(x_hat, grads["gamma"] / n, out=proj)
+        dx = dy - grads["beta"] / n
+        dx -= proj
+        dx *= self.gamma * inv_std
+        return dx, grads
 
 
 def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None):
     """Inverted dropout: scaled mask in training, identity otherwise."""
     if mode != TRAIN or rate <= 0.0:
         return x, None
-    # bool * (1 / (1 - rate)) has the bits of bool / (1 - rate) and is cheaper
+    # the 0/1 keep mask, written over the uniform draws, times 1 / (1 - rate)
+    # has the bits of mask / (1 - rate) and is cheaper
     mask = rng.random(x.shape)
     np.greater_equal(mask, rate, out=mask)
     mask *= 1.0 / (1.0 - rate)
@@ -192,14 +207,13 @@ class DenseBlock:
         normed, norm_cache = self.norm.forward(pre, mode, update_running)
         activated = self.act(normed)
         out, mask = dropout_forward(activated, self.dropout_rate, mode, rng)
-        return out, (dense_cache, norm_cache, normed, mask, mode)
+        return out, (dense_cache, norm_cache, activated, mask, mode)
 
     def backward(self, dy, cache):
-        dense_cache, norm_cache, normed, mask, mode = cache
-        grad = self.act_grad(normed)
+        dense_cache, norm_cache, activated, mask, mode = cache
+        grad = self.act_grad(activated)
         grad *= dropout_backward(dy, mask)
-        dy = grad
-        dy, norm_grads = self.norm.backward(dy, norm_cache, mode)
+        dy, norm_grads = self.norm.backward(grad, norm_cache, mode)
         dx, dense_grads = self.dense.backward(dy, dense_cache)
         return dx, {**{f"dense.{leaf}": g for leaf, g in dense_grads.items()},
                     **{f"norm.{leaf}": g for leaf, g in norm_grads.items()}}

@@ -387,14 +387,31 @@ class TrainHistory:
     epochs_run: int = 0
 
 
-def evaluate_model(model: VAEClassifier, x, y) -> tuple[float, np.ndarray]:
-    """Accuracy and confusion matrix (rows true class, columns predicted)."""
+def _labels(y, num_classes: int) -> np.ndarray:
+    """``y`` as an int64 vector, or DataMismatchError for a label outside
+    -1..num_classes-1 (-1 marks an unlabeled row)."""
     y = np.asarray(y, dtype=np.int64).reshape(-1)
-    pred = model.predict_class(x)
-    k = model.spec.num_classes
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (y, pred), 1)
-    return float(np.trace(confusion) / max(len(y), 1)), confusion
+    if y.size and (y.min() < -1 or y.max() >= num_classes):
+        bad = y[(y < -1) | (y >= num_classes)][0]
+        raise DataMismatchError(
+            f"label {bad} outside -1..{num_classes - 1} (-1 marks an unlabeled row)"
+        )
+    return y
+
+
+def _score(pred: np.ndarray, y, num_classes: int) -> tuple[float, np.ndarray]:
+    """Accuracy and confusion matrix (rows true class, columns predicted) over
+    the labeled rows only; with none, the accuracy reads 0."""
+    y = _labels(y, num_classes)
+    labeled = y >= 0
+    k = num_classes
+    confusion = np.bincount(k * y[labeled] + pred[labeled], minlength=k * k).reshape(k, k)
+    return float(np.trace(confusion) / max(confusion.sum(), 1)), confusion
+
+
+def evaluate_model(model: VAEClassifier, x, y) -> tuple[float, np.ndarray]:
+    """Accuracy and confusion matrix of ``model`` on the labeled rows of (x, y)."""
+    return _score(model.predict_class(x), y, model.spec.num_classes)
 
 
 def train_model(
@@ -418,7 +435,7 @@ def train_model(
     ``VAEClassifier.losses``, from a cold start and when fine-tuning alike.
     """
     x_train = np.asarray(x_train, dtype=np.float64)
-    y_train = np.asarray(y_train, dtype=np.int64).reshape(-1)
+    y_train = _labels(y_train, model.spec.num_classes)
     params = model.trainable_refs()
     optimizer = Adam(lr=learning_rate)
     history = TrainHistory()
@@ -445,8 +462,7 @@ def train_model(
         if x_val is not None and len(x_val):
             fwd = model.forward(x_val, mode=INFER)
             values = model.losses(x_val, y_val, fwd)
-            # the same count over the same length as evaluate_model's accuracy
-            acc = float(np.mean(model._decide(fwd.probs) == np.reshape(y_val, -1)))
+            acc, _ = _score(model._decide(fwd.probs), y_val, model.spec.num_classes)
             history.val_loss.append(values.total)
             history.val_accuracy.append(acc)
             if values.total < best_val - 1e-12:

@@ -17,6 +17,7 @@ from photonvae.nn import (
     NamedVector,
     SELU_ALPHA,
     SELU_SCALE,
+    dropout_backward,
     dropout_forward,
     leaky_relu,
     leaky_relu_grad,
@@ -57,7 +58,9 @@ def test_leaky_relu_values():
     np.testing.assert_allclose(leaky_relu(np.array([-2.0, 3.0])), [-0.02, 3.0])
 
 
-# reference forms of the activations, selecting their branch with np.where
+# reference forms of the activations, selecting their branch with np.where; the
+# derivatives are functions of the input, and where_selu_grad is the exp form
+# the library computed before it took the derivative from the output
 def where_selu(x):
     return SELU_SCALE * np.where(x > 0, x, SELU_ALPHA * np.expm1(x))
 
@@ -74,6 +77,12 @@ def where_leaky_relu_grad(x):
     return np.where(x > 0, 1.0, LEAKY_SLOPE)
 
 
+EPS = np.finfo(np.float64).eps
+# selu_grad's y + SCALE * ALPHA rounds differently from SCALE * ALPHA * exp(x);
+# the difference is absolute, a few units in the last place of the largest
+# derivative, SCALE * ALPHA (near y -> -SCALE * ALPHA)
+SELU_GRAD_ATOL = 4 * EPS * SELU_SCALE * SELU_ALPHA
+
 # signed zeros, the smallest subnormal and normal magnitudes, and +-800, where
 # exp and expm1 overflow
 EDGE_INPUTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
@@ -87,10 +96,16 @@ def test_activations_equal_np_where_forms(values):
     with np.errstate(over="ignore"):  # the where forms evaluate the branch they drop
         expected = [f(x) for f in (where_selu, where_selu_grad, where_leaky_relu, where_leaky_relu_grad)]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        got = [f(x) for f in (selu, selu_grad, leaky_relu, leaky_relu_grad)]
-    for want, have in zip(expected, got):
+        y_selu, y_leaky = selu(x), leaky_relu(x)
+        got = [y_selu, selu_grad(y_selu), y_leaky, leaky_relu_grad(y_leaky)]
+    for have in got:
         assert have.dtype == np.float64
-        assert np.array_equal(have, want)
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[2], expected[2])
+    # the derivatives read the output: LeakyReLU's keeps the input's sign, so its
+    # derivative is exact; SELU's differs from the exp form by rounding only
+    assert np.array_equal(got[3], expected[3])
+    assert np.abs(got[1] - expected[1]).max() <= SELU_GRAD_ATOL
 
 
 def test_dropout_keep_frequency():
@@ -163,6 +178,98 @@ def test_batchnorm_train_backward_matches_finite_differences():
             param[i] = saved
             fd = (up - down) / (2 * h)
             assert grads[name][i] == pytest.approx(fd, abs=1e-5)
+
+
+def parent_batchnorm_backward(bn, dy, cache, mode):
+    """BatchNorm.backward as it was before it reused its parameter gradients:
+    it forms dy * gamma and sums it, and its product with x_hat, over the batch."""
+    x_hat, inv_std = cache
+    grads = {"gamma": (dy * x_hat).sum(axis=0), "beta": dy.sum(axis=0)}
+    dx_hat = dy * bn.gamma
+    if mode == TRAIN:
+        n = x_hat.shape[0]
+        dx = inv_std / n * (
+            n * dx_hat - dx_hat.sum(axis=0) - x_hat * (dx_hat * x_hat).sum(axis=0)
+        )
+    else:
+        dx = dx_hat * inv_std
+    return dx, grads
+
+
+MODES = st.sampled_from([TRAIN, INFER, FROZEN])
+
+
+def _batchnorm_case(rng, n, d, x_scale):
+    bn = BatchNorm(d)
+    bn.gamma[...] = rng.normal(size=d)
+    bn.beta[...] = rng.normal(size=d)
+    bn.running_mean[...] = rng.normal(size=d)
+    bn.running_var[...] = rng.random(d) + 0.1
+    x = rng.normal(x_scale * rng.normal(size=d), x_scale, size=(n, d))
+    return bn, x
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(n=st.integers(2, 64), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), mode=MODES,
+       x_scale=st.sampled_from([1e-3, 1.0, 1e3]), dy_scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_batchnorm_backward_matches_parent_formula(n, d, seed, mode, x_scale, dy_scale):
+    rng = np.random.default_rng(seed)
+    bn, x = _batchnorm_case(rng, n, d, x_scale)
+    dy = dy_scale * rng.normal(size=(n, d))
+    _, cache = bn.forward(x, mode, update_running=False)
+    dx, grads = bn.backward(dy, cache, mode)
+    want_dx, want_grads = parent_batchnorm_backward(bn, dy, cache, mode)
+    for name, want in want_grads.items():
+        assert np.array_equal(grads[name], want)
+    # both forms sum n rows, whose rounding error grows with n, scaled by the
+    # largest term of gamma * inv_std * (dy - mean(dy) - x_hat * mean(dy * x_hat))
+    x_hat, inv_std = cache
+    scale = np.abs(bn.gamma * inv_std).max() * np.abs(dy).max() * (1.0 + np.abs(x_hat).max() ** 2)
+    assert np.abs(dx - want_dx).max() <= 4 * n * EPS * scale
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1), mode=MODES,
+       activation=st.sampled_from(["selu", "leaky_relu"]))
+def test_block_activation_derivative_matches_input_form(n, seed, mode, activation):
+    """What a block passes back into its BatchNorm, from the cached output,
+    against the reference derivative at the normalized input."""
+    rng = np.random.default_rng(seed)
+    block = DenseBlock(5, 12, activation, 0.3, rng)
+    block.norm.gamma[...] = rng.normal(size=12)
+    block.norm.beta[...] = rng.normal(size=12)
+    x = 3.0 * rng.normal(size=(n, 5))
+    dy = rng.normal(size=(n, 12))
+    _, cache = block.forward(x, mode, rng, update_running=False)
+    seen = []
+    norm_backward = block.norm.backward
+    block.norm.backward = lambda g, *args: seen.append(g) or norm_backward(g, *args)
+    block.backward(dy, cache)
+
+    x_hat, _ = cache[1]
+    normed = x_hat * block.norm.gamma + block.norm.beta
+    upstream = dropout_backward(dy, cache[3])
+    if activation == "leaky_relu":
+        assert np.array_equal(seen[0], upstream * where_leaky_relu_grad(normed))
+    else:
+        want = upstream * where_selu_grad(normed)
+        # the derivative's difference, plus one rounding of each product
+        tol = np.abs(upstream) * (SELU_GRAD_ATOL + EPS * SELU_SCALE * SELU_ALPHA)
+        assert np.all(np.abs(seen[0] - want) <= tol)
+
+
+@pytest.mark.parametrize("mode", [TRAIN, INFER, FROZEN])
+def test_stack_leaves_its_inputs_unchanged(mode):
+    rng = np.random.default_rng(8)
+    for activation in ("selu", "leaky_relu"):
+        stack = MLPStack(5, (16, 8), 3, activation, 0.2, rng)
+        x = rng.normal(size=(32, 5))
+        dy = rng.normal(size=(32, 3))
+        x_before, dy_before = x.tobytes(), dy.tobytes()
+        _, caches = stack.forward(x, mode, rng)
+        stack.backward(dy, caches)
+        assert x.tobytes() == x_before
+        assert dy.tobytes() == dy_before
 
 
 def test_dense_block_and_stack_shapes():

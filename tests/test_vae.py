@@ -205,6 +205,18 @@ def test_gradients_match_in_training_mode_batch_statistics():
     assert worst < 1e-4, at
 
 
+@pytest.mark.parametrize("mode", [TRAIN, FROZEN])
+def test_loss_and_grads_leaves_inputs_unchanged_and_returns_fresh_gradients(mode):
+    model, x, y, eps = make_case(NetworkSpec(), seed=3, batch=16)
+    x_before, y_before = x.tobytes(), y.tobytes()
+    _, first, _ = model.loss_and_grads(x, y, mode=mode, eps=eps, update_running=False)
+    first_before = first.vector.tobytes()
+    _, second, _ = model.loss_and_grads(x, y, mode=mode, eps=eps, update_running=False)
+    assert x.tobytes() == x_before and y.tobytes() == y_before
+    assert not np.shares_memory(first.vector, second.vector)
+    assert first.vector.tobytes() == first_before
+
+
 def test_zero_input_zero_weights_give_zero_weight_gradients():
     model = binary_model(seed=0)
     for name, owner, leaf in model.named_params():
@@ -348,8 +360,8 @@ def test_train_model_runs_one_validation_pass_per_epoch(monkeypatch):
 # arithmetic or the order of a training step changes it.  Recorded with numpy 2.4
 # and OpenBLAS; another BLAS may round the matmuls differently.
 PINNED_TRAINING_SHA256 = {
-    2: "e0205c2b8f72d19651d44382e9c9b3f40c2b410044e265e98e81e074c6775b6d",
-    4: "3436bb2c81fd3372e6b8f85455ffb0760c7e355f8efbe222c57e1ace105c4a19",
+    2: "7ff7afe70fc1e2717d1848cbfbed3632bd12bc21ca945d119c42862731e45ccc",
+    4: "1789083aa62f1536b69c674d9bf36b7ddc9946ff82fe2e257a1f688bbccf75be",
 }
 
 
@@ -383,6 +395,32 @@ def test_evaluate_model_confusion_shape():
     assert confusion.shape == (2, 2)
     assert confusion.sum() == 20
     assert acc == pytest.approx(np.trace(confusion) / 20)
+
+
+def test_unlabeled_rows_are_scored_alike_by_evaluation_and_training():
+    y = np.array([0, 1, -1, 1, 0, -1])
+    x = np.random.default_rng(0).random((6, 5))
+    model = binary_model(seed=0)
+    history = train_model(model, x, [0, 1, 0, 1, 0, 1], x, y, epochs=1, batch_size=6)
+    pred = model.predict_class(x)
+    assert np.all(pred[y == -1] == 1)  # where a -1 read as the last class would score
+    acc, confusion = evaluate_model(model, x, y)
+    labeled = y >= 0
+    assert acc == history.val_accuracy[0] == np.mean(pred[labeled] == y[labeled])
+    assert confusion.sum() == 4
+
+
+@pytest.mark.parametrize("bad", [-2, 2])
+def test_labels_outside_the_classes_are_refused(bad):
+    model = binary_model(seed=0)
+    x = np.random.default_rng(1).random((4, 5))
+    y = np.array([0, 1, bad, -1])
+    with pytest.raises(DataMismatchError, match=f"label {bad} outside -1..1"):
+        evaluate_model(model, x, y)
+    with pytest.raises(DataMismatchError):
+        train_model(model, x, y, epochs=1)
+    with pytest.raises(DataMismatchError):
+        train_model(model, x, [0, 1, 0, 1], x, y, epochs=1)
 
 
 def test_accuracy_invariant_under_row_permutation():
