@@ -399,12 +399,11 @@ def _labels(y, num_classes: int) -> np.ndarray:
     return y
 
 
-def _score(pred: np.ndarray, y, num_classes: int) -> tuple[float, np.ndarray]:
-    """Accuracy and confusion matrix (rows true class, columns predicted) over
-    the labeled rows only; with none, the accuracy reads 0."""
-    y = _labels(y, num_classes)
+def _score(pred: np.ndarray, y, k: int) -> tuple[float, np.ndarray]:
+    """Accuracy and k x k confusion matrix (rows true class, columns predicted)
+    over the labeled rows only; with none, the accuracy reads 0."""
+    y = _labels(y, k)
     labeled = y >= 0
-    k = num_classes
     confusion = np.bincount(k * y[labeled] + pred[labeled], minlength=k * k).reshape(k, k)
     return float(np.trace(confusion) / max(confusion.sum(), 1)), confusion
 
@@ -436,6 +435,8 @@ def train_model(
     """
     x_train = np.asarray(x_train, dtype=np.float64)
     y_train = _labels(y_train, model.spec.num_classes)
+    if y_val is not None:
+        y_val = _labels(y_val, model.spec.num_classes)
     params = model.trainable_refs()
     optimizer = Adam(lr=learning_rate)
     history = TrainHistory()

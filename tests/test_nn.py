@@ -243,7 +243,12 @@ def test_block_activation_derivative_matches_input_form(n, seed, mode, activatio
     _, cache = block.forward(x, mode, rng, update_running=False)
     seen = []
     norm_backward = block.norm.backward
-    block.norm.backward = lambda g, *args: seen.append(g) or norm_backward(g, *args)
+
+    def recording_backward(g, *args):
+        seen.append(g)
+        return norm_backward(g, *args)
+
+    block.norm.backward = recording_backward
     block.backward(dy, cache)
 
     x_hat, _ = cache[1]

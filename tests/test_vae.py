@@ -410,12 +410,12 @@ def test_unlabeled_rows_are_scored_alike_by_evaluation_and_training():
     assert confusion.sum() == 4
 
 
-@pytest.mark.parametrize("bad", [-2, 2])
-def test_labels_outside_the_classes_are_refused(bad):
-    model = binary_model(seed=0)
+@pytest.mark.parametrize("num_classes, bad", [(2, -2), (2, 2), (4, 4)])
+def test_labels_outside_the_classes_are_refused(num_classes, bad):
+    model = VAEClassifier(NetworkSpec(num_classes=num_classes), seed=0)
     x = np.random.default_rng(1).random((4, 5))
     y = np.array([0, 1, bad, -1])
-    with pytest.raises(DataMismatchError, match=f"label {bad} outside -1..1"):
+    with pytest.raises(DataMismatchError, match=f"label {bad} outside -1..{num_classes - 1}"):
         evaluate_model(model, x, y)
     with pytest.raises(DataMismatchError):
         train_model(model, x, y, epochs=1)
