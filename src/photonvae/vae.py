@@ -388,11 +388,13 @@ class TrainHistory:
 
 
 def _labels(y, num_classes: int) -> np.ndarray:
-    """``y`` as an int64 vector, or DataMismatchError for a label outside
-    -1..num_classes-1 (-1 marks an unlabeled row)."""
-    y = np.asarray(y, dtype=np.int64).reshape(-1)
-    if y.size and (y.min() < -1 or y.max() >= num_classes):
-        bad = y[(y < -1) | (y >= num_classes)][0]
+    """``y`` as an int64 vector, or DataMismatchError for a label that is not
+    one of the integers -1..num_classes-1 (-1 marks an unlabeled row)."""
+    given = np.asarray(y).reshape(-1)
+    y = given.astype(np.int64)
+    outside = (y != given) | (y < -1) | (y >= num_classes)
+    if outside.any():
+        bad = given[outside][0]
         raise DataMismatchError(
             f"label {bad} outside -1..{num_classes - 1} (-1 marks an unlabeled row)"
         )

@@ -199,22 +199,17 @@ def parent_batchnorm_backward(bn, dy, cache, mode):
 MODES = st.sampled_from([TRAIN, INFER, FROZEN])
 
 
-def _batchnorm_case(rng, n, d, x_scale):
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(n=st.integers(2, 64), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), mode=MODES,
+       x_scale=st.sampled_from([1e-3, 1.0, 1e3]), dy_scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_batchnorm_backward_matches_parent_formula(n, d, seed, mode, x_scale, dy_scale):
+    rng = np.random.default_rng(seed)
     bn = BatchNorm(d)
     bn.gamma[...] = rng.normal(size=d)
     bn.beta[...] = rng.normal(size=d)
     bn.running_mean[...] = rng.normal(size=d)
     bn.running_var[...] = rng.random(d) + 0.1
     x = rng.normal(x_scale * rng.normal(size=d), x_scale, size=(n, d))
-    return bn, x
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(n=st.integers(2, 64), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), mode=MODES,
-       x_scale=st.sampled_from([1e-3, 1.0, 1e3]), dy_scale=st.sampled_from([1e-3, 1.0, 1e3]))
-def test_batchnorm_backward_matches_parent_formula(n, d, seed, mode, x_scale, dy_scale):
-    rng = np.random.default_rng(seed)
-    bn, x = _batchnorm_case(rng, n, d, x_scale)
     dy = dy_scale * rng.normal(size=(n, d))
     _, cache = bn.forward(x, mode, update_running=False)
     dx, grads = bn.backward(dy, cache, mode)

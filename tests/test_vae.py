@@ -410,7 +410,7 @@ def test_unlabeled_rows_are_scored_alike_by_evaluation_and_training():
     assert confusion.sum() == 4
 
 
-@pytest.mark.parametrize("num_classes, bad", [(2, -2), (2, 2), (4, 4)])
+@pytest.mark.parametrize("num_classes, bad", [(2, -2), (2, 2), (4, 4), (2, 0.5)])
 def test_labels_outside_the_classes_are_refused(num_classes, bad):
     model = VAEClassifier(NetworkSpec(num_classes=num_classes), seed=0)
     x = np.random.default_rng(1).random((4, 5))
