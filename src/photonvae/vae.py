@@ -1,19 +1,22 @@
 """Variational autoencoder with a classifier attached to the bottleneck.
 
 Encoder and decoder are SELU dense stacks, the classifier a LeakyReLU stack
-reading the latent code.  Training minimizes the sum of mean-squared
+reading the latent code.  Its head is one softmax over ``num_classes`` logits,
+for two classes as for more.  Training minimizes the sum of mean-squared
 reconstruction error, KL divergence against a standard normal, and
 CLASSIFICATION_WEIGHT times the cross-entropy on the labeled samples (rows
 labeled -1 are unlabeled).  The weight holds for every epoch of every run: on
 the plain sum, reconstruction and KL fall faster than the classifier learns,
 and the latent code collapses to chance.  All gradients are analytic,
 including the path through the latent sampling (gradients flow through the
-mean and log-variance, never through the noise draw).
+mean and log-variance, never through the noise draw).  Checkpoints are
+written in format version 2, the first with that head at every class count.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -29,12 +32,12 @@ from .nn import (
     NamedVector,
 )
 
-PROB_CLIP = 1e-7  # predicted probabilities are clamped to [PROB_CLIP, 1 - PROB_CLIP]
+PROB_CLIP = 1e-7  # a true-class probability below this is clamped, and its row gets no gradient
 
 CLASSIFICATION_WEIGHT = 20.0  # cross-entropy weight in every training objective
 
 CHECKPOINT_MAGIC = b"PVAE"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 1 held a single-logit head for two classes
 
 
 class CheckpointError(RuntimeError):
@@ -48,7 +51,8 @@ class DataMismatchError(ValueError):
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture hyperparameters. Widths list hidden layers only; the
-    encoder output is 2*latent_dim and the decoder output is input_dim."""
+    encoder output is 2*latent_dim, the decoder output is input_dim and the
+    classifier output is num_classes softmax logits."""
 
     input_dim: int = 5
     latent_dim: int = 3
@@ -67,10 +71,6 @@ class NetworkSpec:
             raise ValueError("num_classes must be >= 2")
         for name in ("encoder_widths", "decoder_widths", "classifier_widths"):
             object.__setattr__(self, name, tuple(int(w) for w in getattr(self, name)))
-
-    @property
-    def head_dim(self) -> int:
-        return 1 if self.num_classes == 2 else self.num_classes
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -105,14 +105,6 @@ def loss_kl(mu: np.ndarray, logvar: np.ndarray) -> float:
     return float(-0.5 / n * np.sum(1.0 + logvar - mu**2 - np.exp(logvar)))
 
 
-def loss_bce(y: np.ndarray, y_hat: np.ndarray) -> float:
-    """Binary cross entropy over labeled samples; probabilities are clamped
-    before the logarithm."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    p = np.clip(np.asarray(y_hat, dtype=np.float64).reshape(-1), PROB_CLIP, 1.0 - PROB_CLIP)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
 @dataclass(frozen=True)
 class LossValues:
     """Loss components; ``bce`` already carries CLASSIFICATION_WEIGHT."""
@@ -136,15 +128,6 @@ class Forward:
     probs: np.ndarray
     eps: np.ndarray | None
     caches: tuple
-
-
-def _sigmoid(t: np.ndarray) -> np.ndarray:
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
 
 
 def _softmax(t: np.ndarray) -> np.ndarray:
@@ -179,7 +162,7 @@ class VAEClassifier:
             "selu", spec.dropout_rate, init_rng,
         )
         self.classifier = MLPStack(
-            spec.latent_dim, spec.classifier_widths, spec.head_dim,
+            spec.latent_dim, spec.classifier_widths, spec.num_classes,
             "leaky_relu", spec.dropout_rate, init_rng,
         )
         self.rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
@@ -249,9 +232,8 @@ class VAEClassifier:
         z = reparameterize(mu, logvar, eps) if eps is not None else mu
         x_hat, dec_caches = self.decoder.forward(z, mode, rng, update_running)
         logits, clf_caches = self.classifier.forward(z, mode, rng, update_running)
-        probs = _sigmoid(logits) if self.spec.head_dim == 1 else _softmax(logits)
         return Forward(
-            mu=mu, logvar=logvar, z=z, x_hat=x_hat, logits=logits, probs=probs,
+            mu=mu, logvar=logvar, z=z, x_hat=x_hat, logits=logits, probs=_softmax(logits),
             eps=eps, caches=(enc_caches, dec_caches, clf_caches),
         )
 
@@ -277,18 +259,13 @@ class VAEClassifier:
     def classify(self, z, *, mode: str = INFER, rng=None):
         z = self._rows(z, self.spec.latent_dim, "latent components")
         logits, _ = self.classifier.forward(z, mode, rng if rng is not None else self.rng)
-        return _sigmoid(logits) if self.spec.head_dim == 1 else _softmax(logits)
+        return _softmax(logits)
 
     def predict_proba(self, x) -> np.ndarray:
         return self.forward(x, mode=INFER).probs
 
     def predict_class(self, x) -> np.ndarray:
-        return self._decide(self.predict_proba(x))
-
-    def _decide(self, probs: np.ndarray) -> np.ndarray:
-        if self.spec.head_dim == 1:
-            return (probs[:, 0] > 0.5).astype(np.int64)
-        return np.argmax(probs, axis=1)
+        return np.argmax(self.predict_proba(x), axis=1)
 
     # --- losses and gradients -------------------------------------------------
 
@@ -306,8 +283,6 @@ class VAEClassifier:
         n_labeled = int(mask.sum())
         if n_labeled == 0:
             return 0.0
-        if self.spec.head_dim == 1:
-            return loss_bce(y[mask], fwd.probs[mask, 0])
         p_true = np.clip(fwd.probs[mask, y[mask]], PROB_CLIP, 1.0)
         return float(-np.mean(np.log(p_true)))
 
@@ -324,25 +299,19 @@ class VAEClassifier:
         return self.losses(x, y, fwd).total
 
     def _head_grad(self, y, fwd: Forward) -> np.ndarray:
-        """d(weighted bce)/d(logits) with the probability clamp honored."""
+        """d(weighted cross-entropy)/d(logits); a row whose true-class
+        probability is clamped gets none."""
         y = np.asarray(y, dtype=np.int64).reshape(-1)
         mask = y >= 0
         n_labeled = int(mask.sum())
         dlogits = np.zeros_like(fwd.logits)
         if n_labeled == 0:
             return dlogits
-        scale = CLASSIFICATION_WEIGHT / n_labeled
-        if self.spec.head_dim == 1:
-            p = fwd.probs[:, 0]
-            live = mask & (p > PROB_CLIP) & (p < 1.0 - PROB_CLIP)
-            dlogits[live, 0] = (p[live] - y[live]) * scale
-        else:
-            rows = np.flatnonzero(mask)
-            p_true = fwd.probs[rows, y[rows]]
-            live = rows[p_true > PROB_CLIP]
-            delta = fwd.probs[live].copy()
-            delta[np.arange(live.size), y[live]] -= 1.0
-            dlogits[live] = delta * scale
+        rows = np.flatnonzero(mask)
+        live = rows[fwd.probs[rows, y[rows]] > PROB_CLIP]
+        delta = fwd.probs[live].copy()
+        delta[np.arange(live.size), y[live]] -= 1.0
+        dlogits[live] = delta * (CLASSIFICATION_WEIGHT / n_labeled)
         return dlogits
 
     def _backward(self, x, y, fwd: Forward) -> NamedVector:
@@ -465,7 +434,7 @@ def train_model(
         if x_val is not None and len(x_val):
             fwd = model.forward(x_val, mode=INFER)
             values = model.losses(x_val, y_val, fwd)
-            acc, _ = _score(model._decide(fwd.probs), y_val, model.spec.num_classes)
+            acc, _ = _score(np.argmax(fwd.probs, axis=1), y_val, model.spec.num_classes)
             history.val_loss.append(values.total)
             history.val_accuracy.append(acc)
             if values.total < best_val - 1e-12:
@@ -484,9 +453,10 @@ def train_model(
 
 # --- checkpoint format --------------------------------------------------------
 
-# layout: magic, uint32 LE format version, uint64 LE header length,
-# UTF-8 JSON header, then all parameters as little-endian float64 in
-# the order listed by the header's "param_order".
+# layout (format version 2): magic, uint32 LE format version, uint64 LE
+# header length, UTF-8 JSON header, then all parameters as little-endian
+# float64 in the order listed by the header's "param_order".  The classifier
+# head holds num_classes softmax logits for every class count.
 
 
 def save_checkpoint(path, model: VAEClassifier, *, seed: int, epochs_trained: int,
@@ -529,18 +499,34 @@ def load_checkpoint(path) -> tuple[VAEClassifier, dict]:
         header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
-    spec = NetworkSpec.from_dict(header["network"])
+    try:
+        spec = NetworkSpec.from_dict(header["network"])
+        listed = list(zip(header["param_order"], header["param_shapes"]))
+    except KeyError as exc:
+        raise CheckpointError(f"{path}: header field {exc} missing") from exc
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: header does not describe a network ({exc})") from exc
     model = VAEClassifier(spec, seed=header.get("seed", 0))
+    expected = {name: view.shape for name, view in model._params.items()}
     offset = 16 + header_len
     state = {}
-    for name, shape in zip(header["param_order"], header["param_shapes"]):
-        size = int(np.prod(shape)) if shape else 1
-        end = offset + 8 * size
+    for name, shape in listed:
+        if name not in expected:
+            raise CheckpointError(f"{path}: parameter {name!r} is not in the network")
+        if tuple(shape) != expected[name]:
+            raise CheckpointError(
+                f"{path}: parameter {name!r} has shape {list(shape)}, "
+                f"the network needs {list(expected[name])}"
+            )
+        end = offset + 8 * math.prod(shape)
         if end > len(raw):
             raise CheckpointError(f"{path}: parameter block truncated at {name!r}")
         state[name] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape)
         offset = end
     if offset != len(raw):
         raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after parameters")
+    missing = [name for name in expected if name not in state]
+    if missing:
+        raise CheckpointError(f"{path}: parameter {missing[0]!r} missing")
     model.set_state(state)
     return model, header

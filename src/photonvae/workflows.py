@@ -34,6 +34,8 @@ from .vae import (
 
 LOSSLESS_DETECTOR = DetectorConfig(n_detectors=6, efficiency=1.0)
 LOSSY_N_DETECTORS = 4
+# the intensity inversions bisect [0, INTENSITY_BRACKET]
+INTENSITY_BRACKET = 80.0
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,6 @@ class TrainPlan:
     n_detectors: int = 6
     efficiency: float = 1.0
     train_etas: tuple[float, ...] = ()
-    # extra training cells as (observed-mean target, efficiency) pairs
-    target_nbar_obs_grid: tuple[tuple[float, float], ...] = ()
     eval_bin_sizes: tuple[int, ...] = ()
     eval_etas: tuple[float, ...] = ()
     eval_nbar_obs: tuple[float, ...] = ()
@@ -134,8 +134,6 @@ def invert_mean_param(
     kind: SourceKind,
     target_mean: float,
     detector: DetectorConfig | None = None,
-    mix_ratio: float = 1.0,
-    hi: float = 80.0,
 ) -> float:
     """Bisect the source intensity whose (observed or ideal) mean hits the target.
 
@@ -145,25 +143,26 @@ def invert_mean_param(
         raise ValueError("target mean must be >= 0")
 
     def mean_at(param: float) -> float:
-        pmf = source_pmf(SourceSpec(kind, param, mix_ratio), n_max=None)
+        pmf = source_pmf(SourceSpec(kind, param), n_max=None)
         return chain_mean(pmf, detector) if detector is not None else pmf_mean(pmf)
 
-    return _bisect(mean_at, target_mean, hi, "target mean")
+    return _bisect(mean_at, target_mean, "target mean")
 
 
-def _bisect(mean_at, target: float, hi: float, what: str) -> float:
-    """Bisect [0, hi] for where the increasing ``mean_at`` reaches ``target``,
-    halving until no float lies strictly between the two ends.  Targets outside
-    [mean_at(0), mean_at(hi)] are refused; for photon-added sources mean_at(0)
-    is the single-photon floor, which no intensity gets under."""
+def _bisect(mean_at, target: float, what: str) -> float:
+    """Bisect [0, INTENSITY_BRACKET] for where the increasing ``mean_at``
+    reaches ``target``, halving until no float lies strictly between the two
+    ends.  Targets outside [mean_at(0), mean_at(INTENSITY_BRACKET)] are
+    refused; for photon-added sources mean_at(0) is the single-photon floor,
+    which no intensity gets under."""
     floor = mean_at(0.0)
     if target < floor:
         raise ValueError(f"{what} {target} below the single-photon floor {floor:.3f}")
     if target == floor:  # halving down to 0.0 would take over a thousand steps
         return 0.0
+    lo, hi = 0.0, INTENSITY_BRACKET
     if mean_at(hi) < target:
         raise ValueError(f"{what} {target} unreachable below intensity {hi}")
-    lo = 0.0
     while True:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
@@ -273,8 +272,7 @@ def observed_mean_for_sources(sources, detector: DetectorConfig) -> float:
     )
 
 
-def invert_shared_intensity(target_nbar_obs: float, detector: DetectorConfig,
-                            hi: float = 80.0) -> float:
+def invert_shared_intensity(target_nbar_obs: float, detector: DetectorConfig) -> float:
     """Shared photon-added-pair intensity whose class-averaged observed mean
     hits the target.
 
@@ -287,46 +285,35 @@ def invert_shared_intensity(target_nbar_obs: float, detector: DetectorConfig,
         return observed_mean_for_sources(lossless_sources(param), detector)
 
     what = f"observed-mean target (efficiency {detector.efficiency})"
-    return _bisect(mean_at, target_nbar_obs, hi, what)
+    return _bisect(mean_at, target_nbar_obs, what)
 
 
 def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
-    """Train one six-input model over a grid of (intensity, efficiency) pairs,
-    then sweep accuracy over further efficiencies and observed-mean targets.
-
-    The training grid holds the plan intensity at every ``train_etas`` value,
-    plus one pair per ``target_nbar_obs_grid`` entry, found by inverting the
-    observed-mean curve at a training efficiency (cycled).  The extra pairs
-    widen the observed-mean coverage so one model serves the whole sweep.
-    """
+    """Train one six-input model on the plan intensity at every ``train_etas``
+    efficiency, then sweep accuracy over further efficiencies and observed-mean
+    targets."""
     if not plan.train_etas:
         raise ValueError("lossy training needs at least one efficiency")
     sources = lossless_sources(plan.mean_param)
     class_labels = [label for label, _ in sources]
     bin_size = plan.stages[0].bin_size
 
-    pairs = [(plan.mean_param, eta) for eta in plan.train_etas]
-    for target, eta in plan.target_nbar_obs_grid:
-        intensity = invert_shared_intensity(target, DetectorConfig(LOSSY_N_DETECTORS, eta))
-        pairs.append((intensity, eta))
-
     train_parts, val_parts = [], []
     per_eta_test: dict[float, Rows] = {}
-    for intensity, eta in pairs:
+    for eta in plan.train_etas:
+        key = (round(plan.mean_param * 1000), round(eta * 1000))
         meta = DatasetMeta(
-            sources=lossless_sources(intensity),
+            sources=sources,
             detector=DetectorConfig(LOSSY_N_DETECTORS, eta),
             bin_size=bin_size,
             bins_per_class=plan.bins_per_class,
-            seed=derived_seed(plan.seed, 20, round(intensity * 1000), round(eta * 1000)),
+            seed=derived_seed(plan.seed, 20, *key),
         )
-        train_rows, val_rows, test_rows = _splits(
-            meta, split_seed=derived_seed(plan.seed, 21, round(intensity * 1000), round(eta * 1000))
+        train_rows, val_rows, per_eta_test[eta] = _splits(
+            meta, split_seed=derived_seed(plan.seed, 21, *key)
         )
         train_parts.append(train_rows)
         val_parts.append(val_rows)
-        if intensity == plan.mean_param:
-            per_eta_test[eta] = test_rows
 
     model = VAEClassifier(
         NetworkSpec(input_dim=6, num_classes=len(class_labels)),

@@ -52,6 +52,8 @@ EXIT_CASES = {
                              {**GEN, "detector": {"n_detectors": 6, "efficiency": 1.5}}),
     "bad_checkpoint_magic": (3, "checkpoint error:", ["eval", "--config", "c.json"],
                              {"checkpoint": "bad.ckpt", "datasets": ["foreign.csv"]}),
+    "misfit_checkpoint_header": (3, "checkpoint error:", ["eval", "--config", "c.json"],
+                                 {"checkpoint": "misfit.ckpt", "datasets": ["foreign.csv"]}),
     "eval_foreign_labels": (4, "dataset/network mismatch:", ["eval", "--config", "c.json"],
                             {"checkpoint": "model.ckpt", "datasets": ["foreign.csv"]}),
     "finetune_foreign_labels": (4, "dataset/network mismatch:",
@@ -68,6 +70,11 @@ def test_exit_code_contract(case, run_cli, tmp_path):
     save_checkpoint(tmp_path / "model.ckpt", model, seed=0, epochs_trained=0,
                     class_labels=["spacs", "spats"])
     (tmp_path / "bad.ckpt").write_bytes(b"NOPE" + bytes(60))
+    # four-class parameters under a header that announces two classes
+    save_checkpoint(tmp_path / "misfit.ckpt", VAEClassifier(NetworkSpec(num_classes=4), seed=0),
+                    seed=0, epochs_trained=0, class_labels=["spacs", "spats"])
+    misfit = (tmp_path / "misfit.ckpt").read_bytes()
+    (tmp_path / "misfit.ckpt").write_bytes(misfit.replace(b'"num_classes": 4', b'"num_classes": 2'))
     (tmp_path / "bad.csv").write_text(f"{CSV_HEADER}\n0.33,0.67,0,0,0,0,0,0.67,spacs,20,1,6,1.3,spacs,1\n")
 
     got, stdout, stderr = run_cli(*argv, configs={"c.json": config} if config else None)
@@ -134,7 +141,7 @@ PIPELINE = (
 )
 # SHA-256 of every file the pipeline leaves and of its stdout; a new value
 # means some output byte changed
-PINNED_PIPELINE_SHA256 = "2000437a66a2f03264c9b723c9ecfaf13d8b8d897104b6676b862e349c79f5cf"
+PINNED_PIPELINE_SHA256 = "ea7e5d5be3737e22372752bd68c92cee76158a13fa6fdbc9a1c0632029661d5c"
 
 
 def _pipeline_digest(run_cli, root: Path) -> str:

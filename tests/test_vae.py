@@ -1,5 +1,8 @@
 import hashlib
+import json
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +17,6 @@ from photonvae.vae import (
     VAEClassifier,
     evaluate_model,
     load_checkpoint,
-    loss_bce,
     loss_kl,
     loss_recon,
     reparameterize,
@@ -37,7 +39,7 @@ def test_network_widths_follow_spec():
     assert [b.dense.weight.shape[1] for b in model.decoder.blocks] == [8, 16, 32, 16]
     assert model.decoder.out.weight.shape == (16, 5)
     assert [b.dense.weight.shape[1] for b in model.classifier.blocks] == [16, 8]
-    assert model.classifier.out.weight.shape == (8, 1)
+    assert model.classifier.out.weight.shape == (8, 2)
     four = VAEClassifier(NetworkSpec(input_dim=6, num_classes=4), seed=0)
     assert four.classifier.out.weight.shape == (8, 4)
 
@@ -161,13 +163,24 @@ def test_loss_kl_formula():
     assert loss_kl(mu, logvar) == pytest.approx(expected, abs=1e-12)
 
 
-def test_loss_bce_frozen_value():
-    assert loss_bce(np.array([1]), np.array([0.5])) == pytest.approx(math.log(2), abs=1e-9)
-
-
-def test_loss_bce_clamps_probabilities():
-    assert np.isfinite(loss_bce(np.array([1]), np.array([0.0])))
-    assert np.isfinite(loss_bce(np.array([0]), np.array([1.0])))
+@pytest.mark.parametrize("num_classes", [2, 4])
+def test_cross_entropy_clamps_the_true_class_probability(num_classes):
+    model = VAEClassifier(NetworkSpec(num_classes=num_classes), seed=0)
+    model.classifier.out.weight[:] = 0.0
+    model.classifier.out.bias[:] = 0.0
+    model.classifier.out.bias[-1] = -40.0  # the last class gets probability ~4e-18
+    x = np.random.default_rng(5).random((3, 5))
+    y = np.array([num_classes - 1, 0, -1])
+    fwd = model.forward(x, mode=INFER)
+    assert fwd.probs[0, -1] < vae.PROB_CLIP
+    expected = -0.5 * (math.log(vae.PROB_CLIP) + math.log(fwd.probs[1, 0]))
+    bce = model.losses(x, y, fwd).bce
+    assert np.isfinite(bce)
+    assert bce == pytest.approx(vae.CLASSIFICATION_WEIGHT * expected, rel=1e-12)
+    dlogits = model._head_grad(y, fwd)
+    assert np.all(dlogits[0] == 0.0)  # clamped
+    assert np.any(dlogits[1] != 0.0)
+    assert np.all(dlogits[2] == 0.0)  # unlabeled
 
 
 def test_loss_total_is_component_sum():
@@ -360,7 +373,7 @@ def test_train_model_runs_one_validation_pass_per_epoch(monkeypatch):
 # arithmetic or the order of a training step changes it.  Recorded with numpy 2.4
 # and OpenBLAS; another BLAS may round the matmuls differently.
 PINNED_TRAINING_SHA256 = {
-    2: "7ff7afe70fc1e2717d1848cbfbed3632bd12bc21ca945d119c42862731e45ccc",
+    2: "3b7b0820f92a27fc255e6802d267f3c58bcbcd610cecf9cb459c8c22c759d85e",
     4: "1789083aa62f1536b69c674d9bf36b7ddc9946ff82fe2e257a1f688bbccf75be",
 }
 
@@ -401,6 +414,7 @@ def test_unlabeled_rows_are_scored_alike_by_evaluation_and_training():
     y = np.array([0, 1, -1, 1, 0, -1])
     x = np.random.default_rng(0).random((6, 5))
     model = binary_model(seed=0)
+    model.classifier.out.bias[:] = [0.0, 10.0]  # every row is predicted as class 1
     history = train_model(model, x, [0, 1, 0, 1, 0, 1], x, y, epochs=1, batch_size=6)
     pred = model.predict_class(x)
     assert np.all(pred[y == -1] == 1)  # where a -1 read as the last class would score
@@ -468,14 +482,53 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_rejects_future_version(tmp_path):
+@pytest.mark.parametrize("version", [1, 99])
+def test_checkpoint_rejects_future_version(tmp_path, version):
     model = binary_model(seed=11)
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, model, seed=11, epochs_trained=1, class_labels=["x", "y"])
     raw = bytearray(path.read_bytes())
-    raw[4:8] = (99).to_bytes(4, "little")
+    raw[4:8] = version.to_bytes(4, "little")
     path.write_bytes(bytes(raw))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=f"format version {version} unsupported"):
+        load_checkpoint(path)
+
+
+def _four_class_weights_under_two_class_network(header):
+    header["network"]["num_classes"] = 2
+
+
+def _renamed_parameter(header):
+    header["param_order"][header["param_order"].index("classifier.out.W")] = "classifier.head.W"
+
+
+def _dropped_last_parameter(header):
+    header["param_order"].pop()
+    return 8 * math.prod(header["param_shapes"].pop())  # bytes to cut from the block
+
+
+def _no_network(header):
+    del header["network"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_four_class_weights_under_two_class_network,
+     "parameter 'classifier.out.W' has shape [8, 4], the network needs [8, 2]"),
+    (_renamed_parameter, "parameter 'classifier.head.W' is not in the network"),
+    (_dropped_last_parameter, "parameter 'classifier.out.b' missing"),
+    (_no_network, "header field 'network' missing"),
+], ids=["shape", "unknown_name", "missing_name", "no_network"])
+def test_checkpoint_refuses_a_header_that_does_not_fit_its_network(tmp_path, edit, message):
+    path = tmp_path / "model.ckpt"
+    model = VAEClassifier(NetworkSpec(num_classes=4), seed=13)
+    save_checkpoint(path, model, seed=13, epochs_trained=1, class_labels=list("abcd"))
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + length])
+    cut = edit(header) or 0
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + length : len(raw) - cut])
+    with pytest.raises(CheckpointError, match=re.escape(message)):
         load_checkpoint(path)
 
 
