@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -180,6 +182,21 @@ def test_generate_dataset_records_preloss_mean():
     dataset = generate_dataset(small_meta())
     assert dataset.nbar_the["spacs"] == pytest.approx((1 + 3 * 1.3 + 1.3**2) / 2.3, abs=1e-6)
     assert dataset.nbar_the["spats"] == pytest.approx(2 * 1.3 + 1, abs=1e-6)
+
+
+# SHA-256 of the counts and pre-loss means of two small datasets, one per
+# detector: any change to a source PMF, the detector chain or the block draws
+# changes it
+PINNED_DATASET_SHA256 = "d5874f3289762a20c277a9ed4f219d36c484af092a43115f11758c6947f30866"
+
+
+def test_generated_counts_are_pinned():
+    digest = hashlib.sha256()
+    for detector in (LOSSLESS, DetectorConfig(4, 0.7)):
+        dataset = generate_dataset(small_meta(bin_size=30, bins_per_class=300, detector=detector))
+        digest.update(np.ascontiguousarray(dataset.rows.counts, dtype="<i8").tobytes())
+        digest.update(np.array(list(dataset.nbar_the.values()), dtype="<f8").tobytes())
+    assert digest.hexdigest() == PINNED_DATASET_SHA256
 
 
 def test_lossless_spacs_has_no_vacuum_clicks():
