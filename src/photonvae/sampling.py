@@ -106,13 +106,14 @@ class Dataset:
     nbar_the: dict[str, float]
 
 
-def observed_click_pmf(source: SourceSpec, detector: DetectorConfig) -> PhotonPMF:
-    """Push a source through the detector chain and bound the support at 6 clicks.
+def observed_click_pmf(source: PhotonPMF, detector: DetectorConfig) -> PhotonPMF:
+    """Push a source's photon-number PMF through the detector chain and bound
+    the support at 6 clicks.
 
     Configurations whose click distribution carries more than the tail bound
     above 6 clicks cannot produce valid dataset rows and are rejected.
     """
-    observed = observed_chain(source_pmf(source, n_max=None), detector)
+    observed = observed_chain(source, detector)
     if observed.n_max > MAX_RECORDED_CLICKS:
         excess = float(observed.probs[MAX_RECORDED_CLICKS + 1 :].sum())
         if excess > TAIL_BOUND:
@@ -152,8 +153,9 @@ def generate_dataset(meta: DatasetMeta) -> Dataset:
     nbar_the = {}
     n = meta.bins_per_class
     for class_index, (label, source) in enumerate(meta.sources):
-        nbar_the[label] = pmf_mean(source_pmf(source, n_max=None))
-        observed = observed_click_pmf(source, meta.detector)
+        pmf = source_pmf(source, n_max=None)
+        nbar_the[label] = pmf_mean(pmf)
+        observed = observed_click_pmf(pmf, meta.detector)
         counts = _draw(observed, meta.bin_size, meta.seed, class_index, 0, n)
         parts.append(Rows(counts, np.full(n, label), np.full(n, meta.bin_size, dtype=np.int64)))
     return Dataset(rows=concat_rows(parts), meta=meta, nbar_the=nbar_the)

@@ -95,7 +95,7 @@ def test_pooled_counts_pass_chi_square():
         (SourceSpec(SourceKind.SPATS, 1.3), LOSSLESS),
         (SourceSpec(SourceKind.THERMAL, 0.8), DetectorConfig(4, 0.7)),
     ):
-        observed = observed_click_pmf(source, detector)
+        observed = observed_click_pmf(source_pmf(source), detector)
         dataset = generate_dataset(
             DatasetMeta((("x", source),), detector, bin_size=50, bins_per_class=2000, seed=21)
         )
@@ -124,7 +124,7 @@ def test_bin_statistics_constant_counts():
 
 def test_bin_statistics_drops_trailing_remainder():
     # a range ending inside a block keeps only its own bins of that block
-    observed = observed_click_pmf(SourceSpec(SourceKind.SPATS, 1.3), LOSSLESS)
+    observed = observed_click_pmf(source_pmf(SourceSpec(SourceKind.SPATS, 1.3)), LOSSLESS)
     assert _draw(observed, 20, seed=1, class_index=0, start=0, stop=5).shape == (5, 7)
     assert _draw(observed, 20, seed=1, class_index=0, start=250, stop=260).shape == (10, 7)
 
@@ -149,7 +149,9 @@ def test_bin_mean_matches_chain_mean_within_three_sigma():
     source = SourceSpec(SourceKind.SPATS, 0.45)  # realized source mean 1.9
     detector = DetectorConfig(4, 0.9)
     observed = observed_chain(source_pmf(source), detector)
-    counts = _draw(observed_click_pmf(source, detector), 200, seed=99, class_index=0, start=0, stop=2000)
+    counts = _draw(
+        observed_click_pmf(source_pmf(source), detector), 200, seed=99, class_index=0, start=0, stop=2000
+    )
     grand_mean = float(np.mean(rows_of(counts).nbar_obs))
     mean = pmf_mean(observed)
     var = float(np.dot(np.arange(observed.probs.size) ** 2, observed.probs)) - mean**2
@@ -212,7 +214,7 @@ def test_saturated_source_generates_all_six_click_bins():
 
 
 def test_sharded_generation_matches_serial():
-    observed = observed_click_pmf(SourceSpec(SourceKind.SPATS, 1.3), LOSSLESS)
+    observed = observed_click_pmf(source_pmf(SourceSpec(SourceKind.SPATS, 1.3)), LOSSLESS)
 
     def draw(start, stop):
         return _draw(observed, 25, seed=42, class_index=1, start=start, stop=stop)
@@ -235,7 +237,7 @@ def test_bin_streams_are_independent_of_order():
         with_spats.counts[with_spats.labels == "spacs"],
         with_coherent.counts[with_coherent.labels == "spacs"],
     )
-    spats = observed_click_pmf(SourceSpec(SourceKind.SPATS, 1.3), LOSSLESS)
+    spats = observed_click_pmf(source_pmf(SourceSpec(SourceKind.SPATS, 1.3)), LOSSLESS)
     np.testing.assert_array_equal(
         with_spats.counts[with_spats.labels == "spats"],
         _draw(spats, 10, seed=7, class_index=1, start=0, stop=40),
@@ -251,8 +253,8 @@ def test_bin_streams_are_independent_of_order():
 def test_observed_click_pmf_support_guard():
     # 10 detectors at unit efficiency let a bright source exceed 6 clicks
     with pytest.raises(PhysicsError):
-        observed_click_pmf(SourceSpec(SourceKind.COHERENT, 3.0), DetectorConfig(10, 1.0))
-    ok = observed_click_pmf(SourceSpec(SourceKind.COHERENT, 3.0), LOSSLESS)
+        observed_click_pmf(source_pmf(SourceSpec(SourceKind.COHERENT, 3.0)), DetectorConfig(10, 1.0))
+    ok = observed_click_pmf(source_pmf(SourceSpec(SourceKind.COHERENT, 3.0)), LOSSLESS)
     assert ok.n_max == 6
 
 
