@@ -1,8 +1,13 @@
 """Dense-network building blocks with hand-written backpropagation.
 
-Everything runs in float64.  Each layer's ``forward`` returns the output plus
-an opaque cache consumed by ``backward``; a forward/backward pair must use the
-same mode.  Modes:
+Each layer computes in the dtype of the arrays it receives and holds: the
+model trains and infers in float32, and the gradient checks build float64
+models as their reference.  No temporary may promote: a Python float is
+weakly typed and takes the array's dtype, but a boolean array times a Python
+float is float64, so such constants are first made scalars of the array's
+dtype.  Each layer's ``forward`` returns the output plus an opaque cache
+consumed by ``backward``; a forward/backward pair must use the same mode.
+Modes:
 
 * ``"train"``  — batch-statistic normalization, dropout active, gradients flow
   through the batch statistics.
@@ -55,11 +60,12 @@ def selu_grad(y: np.ndarray) -> np.ndarray:
     """Derivative of ``selu`` given its output ``y = selu(x)``: SELU_SCALE where
     y > 0, else SCALE * ALPHA * exp(x) = y + SCALE * ALPHA, so no exponential
     is evaluated."""
+    saturation, scale = y.dtype.type(_SELU_SATURATION), y.dtype.type(SELU_SCALE)
     grad = np.minimum(y, 0.0)
-    grad += _SELU_SATURATION
-    # SATURATION - SCALE is exact (the two are within a factor of 2), so
-    # subtracting it from SATURATION leaves exactly SELU_SCALE where y > 0
-    grad -= (y > 0) * (_SELU_SATURATION - SELU_SCALE)
+    grad += saturation
+    # saturation - scale is exact in any dtype (the two are within a factor of
+    # 2), so subtracting it from saturation leaves exactly scale where y > 0
+    grad -= (y > 0) * (saturation - scale)
     return grad
 
 
@@ -69,7 +75,7 @@ def leaky_relu(x: np.ndarray) -> np.ndarray:
 
 def leaky_relu_grad(y: np.ndarray) -> np.ndarray:
     """Derivative of ``leaky_relu`` given its output, which has the input's sign."""
-    grad = (y > 0) * (1.0 - LEAKY_SLOPE)
+    grad = (y > 0) * y.dtype.type(1.0 - LEAKY_SLOPE)
     grad += LEAKY_SLOPE
     return grad
 
@@ -91,9 +97,11 @@ class NamedVector(dict):
         self.vector = vector[:start]
 
     @classmethod
-    def pack(cls, arrays: dict[str, np.ndarray]) -> "NamedVector":
-        """Copy ``arrays``, in order, into a new float64 vector."""
-        vector = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=np.float64)
+    def pack(cls, arrays: dict[str, np.ndarray], dtype=None) -> "NamedVector":
+        """Copy ``arrays``, in order, into a new vector of ``dtype``, by default
+        the type their values promote to (so a float64 array among float32 ones
+        shows)."""
+        vector = np.concatenate([np.ravel(a) for a in arrays.values()], dtype=dtype)
         return cls(vector, {name: np.shape(a) for name, a in arrays.items()})
 
     def require_finite(self, what: str) -> None:
@@ -181,9 +189,9 @@ def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: np.random.Genera
     """Inverted dropout: scaled mask in training, identity otherwise."""
     if mode != TRAIN or rate <= 0.0:
         return x, None
-    # the 0/1 keep mask, written over the uniform draws, times 1 / (1 - rate)
-    # has the bits of mask / (1 - rate) and is cheaper
-    mask = rng.random(x.shape)
+    # the 0/1 keep mask is written over the uniform draws, which are drawn in
+    # x's dtype, and scaled in place
+    mask = rng.random(x.shape, dtype=x.dtype)
     np.greater_equal(mask, rate, out=mask)
     mask *= 1.0 / (1.0 - rate)
     return x * mask, mask
@@ -259,7 +267,9 @@ class MLPStack:
 
 
 class Adam:
-    """Adaptive-moment optimizer with bias correction, one update over a whole vector."""
+    """Adaptive-moment optimizer with bias correction, one update over a whole
+    vector.  The moments are allocated at the first step, in the dtype of the
+    parameter vector, and updated in place."""
 
     def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -267,7 +277,7 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self.m = self.v = 0.0  # moment estimates; 0.0 broadcasts like zero vectors
+        self.m = self.v = None  # moment estimates
 
     def step(self, params: NamedVector, grads: NamedVector):
         """Update ``params.vector`` in place from ``grads.vector`` (same layout)."""
@@ -277,8 +287,19 @@ class Adam:
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.step_count
         bias2 = 1.0 - b2**self.step_count
-        self.m = b1 * self.m + (1.0 - b1) * grad
-        self.v = b2 * self.v + (1.0 - b2) * grad * grad
-        m_hat = self.m / bias1
-        v_hat = self.v / bias2
-        params.vector -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        if self.m is None:
+            self.m = np.zeros_like(params.vector)
+            self.v = np.zeros_like(params.vector)
+        m, v = self.m, self.v
+        m *= b1
+        m += (1.0 - b1) * grad
+        v *= b2
+        v += (1.0 - b2) * grad * grad
+        # lr * m_hat / (sqrt(v_hat) + eps), in the order of operations it is written in
+        denom = v / bias2
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        update = m / bias1
+        update *= self.lr
+        update /= denom
+        params.vector -= update

@@ -93,14 +93,19 @@ def reparameterize(mu: np.ndarray, logvar: np.ndarray, eps: np.ndarray) -> np.nd
     return mu + np.exp(0.5 * logvar) * eps
 
 
+# The losses are reduced in float64 whatever the network's dtype, so that the
+# choice of the best epoch keeps its resolution.
+
+
 def loss_recon(x: np.ndarray, x_hat: np.ndarray) -> float:
     """Mean squared reconstruction error over samples and components."""
-    return float(np.mean((x - x_hat) ** 2))
+    return float(np.mean(np.subtract(x, x_hat, dtype=np.float64) ** 2))
 
 
 def loss_kl(mu: np.ndarray, logvar: np.ndarray) -> float:
     """KL divergence of the diagonal-Gaussian posterior from a standard normal,
     summed over latent components and averaged over samples."""
+    mu, logvar = np.asarray(mu, dtype=np.float64), np.asarray(logvar, dtype=np.float64)
     n = mu.shape[0]
     return float(-0.5 / n * np.sum(1.0 + logvar - mu**2 - np.exp(logvar)))
 
@@ -142,16 +147,19 @@ class VAEClassifier:
     A single seed controls weight initialization and the training-time noise
     streams (dropout masks, latent draws, shuffling).
 
-    Every named parameter is a view into one float64 vector, trainable ones
-    first, then the running statistics.  Training, the finiteness checks and
+    Every named parameter is a view into one vector of ``dtype``, trainable
+    ones first, then the running statistics.  The network trains and infers
+    in float32; float64 models serve as the gradient checks' reference.
+    Initial weights are drawn in float64 and rounded into the vector.  Training, the finiteness checks and
     saved state all use that vector, so a layer attribute rebound to a new
     array (rather than written in place) drops out of all three.  Copy a model
     with get_state/set_state: copy.deepcopy would copy each view on its own.
     """
 
-    def __init__(self, spec: NetworkSpec, seed: int = 0):
+    def __init__(self, spec: NetworkSpec, seed: int = 0, *, dtype=np.float32):
         self.spec = spec
         self.seed = seed
+        self.dtype = np.dtype(dtype)
         init_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
         self.encoder = MLPStack(
             spec.input_dim, spec.encoder_widths, 2 * spec.latent_dim,
@@ -167,7 +175,9 @@ class VAEClassifier:
         )
         self.rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
         layout = sorted(self.named_params(), key=lambda p: p[2].startswith("running_"))
-        self._params = NamedVector.pack({n: getattr(o, o.LEAVES[leaf]) for n, o, leaf in layout})
+        self._params = NamedVector.pack(
+            {n: getattr(o, o.LEAVES[leaf]) for n, o, leaf in layout}, self.dtype
+        )
         trainable = {}
         for name, owner, leaf in layout:
             setattr(owner, owner.LEAVES[leaf], self._params[name])
@@ -205,7 +215,8 @@ class VAEClassifier:
             if name not in state:
                 raise KeyError(f"missing parameter {name!r}")
             view = self._params[name]
-            view[...] = np.asarray(state[name], dtype=np.float64).reshape(view.shape)
+            # a float64 value (as a checkpoint stores) rounds to the nearest
+            view[...] = np.asarray(state[name], dtype=self.dtype).reshape(view.shape)
 
     def assert_finite(self) -> None:
         self._params.require_finite("values in parameter")
@@ -228,7 +239,9 @@ class VAEClassifier:
         latent = self.spec.latent_dim
         mu, logvar = enc_out[:, :latent], enc_out[:, latent:]
         if mode == TRAIN and eps is None:
-            eps = rng.standard_normal(mu.shape)
+            eps = rng.standard_normal(mu.shape, dtype=self.dtype)
+        elif eps is not None:
+            eps = np.asarray(eps, dtype=self.dtype)
         z = reparameterize(mu, logvar, eps) if eps is not None else mu
         x_hat, dec_caches = self.decoder.forward(z, mode, rng, update_running)
         logits, clf_caches = self.classifier.forward(z, mode, rng, update_running)
@@ -237,10 +250,10 @@ class VAEClassifier:
             eps=eps, caches=(enc_caches, dec_caches, clf_caches),
         )
 
-    @staticmethod
-    def _rows(a, width: int, what: str) -> np.ndarray:
-        """``a`` as a float64 matrix of ``width`` columns, or DataMismatchError."""
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    def _rows(self, a, width: int, what: str) -> np.ndarray:
+        """``a`` as a matrix of the model's dtype with ``width`` columns, or
+        DataMismatchError."""
+        a = np.atleast_2d(np.asarray(a, dtype=self.dtype))
         if a.shape[1] != width:
             raise DataMismatchError(f"expected {width} {what}, got {a.shape[1]}")
         return a
@@ -270,7 +283,7 @@ class VAEClassifier:
     # --- losses and gradients -------------------------------------------------
 
     def losses(self, x, y, fwd: Forward) -> LossValues:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        x = self._rows(x, self.spec.input_dim, "input features")
         return LossValues(
             recon=loss_recon(x, fwd.x_hat),
             kl=loss_kl(fwd.mu, fwd.logvar),
@@ -283,14 +296,15 @@ class VAEClassifier:
         n_labeled = int(mask.sum())
         if n_labeled == 0:
             return 0.0
+        # clamped in the model's dtype, as _head_grad compares, then reduced in float64
         p_true = np.clip(fwd.probs[mask, y[mask]], PROB_CLIP, 1.0)
-        return float(-np.mean(np.log(p_true)))
+        return float(-np.mean(np.log(p_true, dtype=np.float64)))
 
     def loss_and_grads(self, x, y, *, mode: str, rng=None, eps=None,
                        update_running: bool = True):
         fwd = self.forward(x, mode=mode, rng=rng, eps=eps, update_running=update_running)
         values = self.losses(x, y, fwd)
-        grads = self._backward(np.atleast_2d(np.asarray(x, dtype=np.float64)), y, fwd)
+        grads = self._backward(self._rows(x, self.spec.input_dim, "input features"), y, fwd)
         return values, grads, fwd
 
     def loss_value(self, x, y, *, mode: str, rng=None, eps=None,
@@ -404,8 +418,10 @@ def train_model(
     Training and the choice of that epoch use the one objective of
     ``VAEClassifier.losses``, from a cold start and when fine-tuning alike.
     """
-    x_train = np.asarray(x_train, dtype=np.float64)
+    x_train = np.asarray(x_train, dtype=model.dtype)
     y_train = _labels(y_train, model.spec.num_classes)
+    if x_val is not None:
+        x_val = np.asarray(x_val, dtype=model.dtype)
     if y_val is not None:
         y_val = _labels(y_val, model.spec.num_classes)
     params = model.trainable_refs()
@@ -456,7 +472,10 @@ def train_model(
 # layout (format version 2): magic, uint32 LE format version, uint64 LE
 # header length, UTF-8 JSON header, then all parameters as little-endian
 # float64 in the order listed by the header's "param_order".  The classifier
-# head holds num_classes softmax logits for every class count.
+# head holds num_classes softmax logits for every class count.  A float32
+# model's parameters widen to float64 exactly, so save -> load -> save gives
+# the same bytes; float64 values (from an older float64 model) load rounded
+# to the nearest float32.
 
 
 def save_checkpoint(path, model: VAEClassifier, *, seed: int, epochs_trained: int,

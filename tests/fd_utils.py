@@ -19,8 +19,10 @@ REL_FLOOR = 1e-3
 
 
 def make_case(spec: NetworkSpec, seed: int, batch: int = 8):
-    """Deterministic model, batch, labels and latent noise for one check."""
-    model = VAEClassifier(spec, seed=seed)
+    """Deterministic model, batch, labels and latent noise for one check.  The
+    model is float64: central differences at FD_STEP need its resolution, and
+    it is the reference the float32 network is compared against."""
+    model = VAEClassifier(spec, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(seed + 7919)
     x = rng.random((batch, spec.input_dim))
     if spec.input_dim > 5:

@@ -26,6 +26,17 @@ from photonvae.nn import (
 )
 
 
+DTYPES = [np.float32, np.float64]
+
+
+def cast_params(dtype, *owners):
+    """Rebind each layer's parameters as copies in ``dtype``; a model holds them
+    as views into one vector of its dtype, which layers built alone do not."""
+    for owner in owners:
+        for attr in owner.LEAVES.values():
+            setattr(owner, attr, getattr(owner, attr).astype(dtype))
+
+
 def test_dense_init_scaling():
     rng = np.random.default_rng(0)
     layer = Dense(64, 8, rng)
@@ -34,17 +45,23 @@ def test_dense_init_scaling():
     assert np.all(layer.bias == 0.0)
 
 
-def test_dense_forward_backward():
+def test_dense_forward_backward(dtype=np.float64):
     rng = np.random.default_rng(1)
     layer = Dense(3, 2, rng)
-    x = rng.random((5, 3))
+    cast_params(dtype, layer)
+    x = rng.random((5, 3)).astype(dtype)
     y, cache = layer.forward(x)
     np.testing.assert_allclose(y, x @ layer.weight + layer.bias)
-    dy = rng.random((5, 2))
+    dy = rng.random((5, 2)).astype(dtype)
     dx, grads = layer.backward(dy, cache)
+    assert y.dtype == dx.dtype == grads["W"].dtype == grads["b"].dtype == dtype
     np.testing.assert_allclose(dx, dy @ layer.weight.T)
     np.testing.assert_allclose(grads["W"], x.T @ dy)
     np.testing.assert_allclose(grads["b"], dy.sum(axis=0))
+
+
+def test_dense_forward_backward_in_float32():
+    test_dense_forward_backward(np.float32)
 
 
 def test_selu_values():
@@ -74,75 +91,113 @@ def where_leaky_relu(x):
 
 
 def where_leaky_relu_grad(x):
-    return np.where(x > 0, 1.0, LEAKY_SLOPE)
+    return np.where(x > 0, 1.0, LEAKY_SLOPE).astype(x.dtype)
 
 
 EPS = np.finfo(np.float64).eps
-# selu_grad's y + SCALE * ALPHA rounds differently from SCALE * ALPHA * exp(x);
-# the difference is absolute, a few units in the last place of the largest
-# derivative, SCALE * ALPHA (near y -> -SCALE * ALPHA)
-SELU_GRAD_ATOL = 4 * EPS * SELU_SCALE * SELU_ALPHA
-
-# signed zeros, the smallest subnormal and normal magnitudes, and +-800, where
-# exp and expm1 overflow
-EDGE_INPUTS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
-               1.0, -1.0, 800.0, -800.0]
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=40))
-def test_activations_equal_np_where_forms(values):
-    x = np.array(EDGE_INPUTS + values)
+def selu_grad_atol(dtype):
+    """selu_grad's y + SCALE * ALPHA rounds differently from SCALE * ALPHA * exp(x);
+    the difference is absolute, a few units in the last place of the largest
+    derivative, SCALE * ALPHA (near y -> -SCALE * ALPHA)."""
+    return 4 * np.finfo(dtype).eps * SELU_SCALE * SELU_ALPHA
+
+
+SELU_GRAD_ATOL = selu_grad_atol(np.float64)
+
+
+def edge_inputs(dtype):
+    """Signed zeros, the smallest subnormal and normal magnitudes, and +-800,
+    where exp and expm1 overflow."""
+    info = np.finfo(dtype)
+    return [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+            info.smallest_normal, -info.smallest_normal, 1.0, -1.0, 800.0, -800.0]
+
+
+# magnitudes whose SELU still fits the dtype
+INPUT_BOUND = {np.float32: 1e38, np.float64: 1e300}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(dtype=st.sampled_from(DTYPES), data=st.data())
+def test_activations_equal_np_where_forms(dtype, data):
+    bound, width = float(dtype(INPUT_BOUND[dtype])), np.finfo(dtype).bits
+    values = data.draw(st.lists(st.floats(min_value=-bound, max_value=bound, width=width), max_size=40))
+    x = np.array(edge_inputs(dtype) + values, dtype=dtype)
     with np.errstate(over="ignore"):  # the where forms evaluate the branch they drop
         expected = [f(x) for f in (where_selu, where_selu_grad, where_leaky_relu, where_leaky_relu_grad)]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         y_selu, y_leaky = selu(x), leaky_relu(x)
         got = [y_selu, selu_grad(y_selu), y_leaky, leaky_relu_grad(y_leaky)]
-    for have in got:
-        assert have.dtype == np.float64
+    for have in got + expected:
+        assert have.dtype == dtype
     assert np.array_equal(got[0], expected[0])
     assert np.array_equal(got[2], expected[2])
     # the derivatives read the output: LeakyReLU's keeps the input's sign, so its
     # derivative is exact; SELU's differs from the exp form by rounding only
     assert np.array_equal(got[3], expected[3])
-    assert np.abs(got[1] - expected[1]).max() <= SELU_GRAD_ATOL
+    assert np.abs(got[1] - expected[1]).max() <= selu_grad_atol(dtype)
 
 
-def test_dropout_keep_frequency():
+def test_dropout_keep_frequency(dtype=np.float64):
     rng = np.random.default_rng(2)
-    x = np.ones((1, 50))
+    x = np.ones((1, 50), dtype=dtype)
     kept = np.zeros(50)
     passes = 10**4
     for _ in range(passes):
-        out, _ = dropout_forward(x, 0.2, TRAIN, rng)
+        out, mask = dropout_forward(x, 0.2, TRAIN, rng)
+        assert out.dtype == mask.dtype == dtype
         kept += (out[0] != 0.0)
     freq = kept / passes
     assert np.all(np.abs(freq - 0.8) < 0.02)
 
 
-def test_dropout_inverted_scaling_and_inference_identity():
+def test_dropout_keep_frequency_in_float32():
+    test_dropout_keep_frequency(np.float32)
+
+
+def test_dropout_inverted_scaling_and_inference_identity(dtype=np.float64):
     rng = np.random.default_rng(3)
-    x = np.ones((2000, 20))
+    x = np.ones((2000, 20), dtype=dtype)
     out, mask = dropout_forward(x, 0.2, TRAIN, rng)
+    assert out.dtype == mask.dtype == dtype
     assert set(np.unique(out)) <= {0.0, 1.0 / 0.8}
     assert out.mean() == pytest.approx(1.0, abs=0.02)
+    dx = dropout_backward(np.ones_like(x), mask)
+    assert dx.dtype == dtype
+    np.testing.assert_array_equal(dx, out)
     same, none = dropout_forward(x, 0.2, INFER, None)
     assert none is None
     np.testing.assert_array_equal(same, x)
 
 
-def test_batchnorm_train_normalizes_and_tracks_running_stats():
+def test_dropout_inverted_scaling_and_inference_identity_in_float32():
+    test_dropout_inverted_scaling_and_inference_identity(np.float32)
+
+
+def test_batchnorm_train_normalizes_and_tracks_running_stats(dtype=np.float64):
     bn = BatchNorm(3)
+    cast_params(dtype, bn)
     rng = np.random.default_rng(4)
-    x = rng.normal(5.0, 2.0, size=(512, 3))
+    x = rng.normal(5.0, 2.0, size=(512, 3)).astype(dtype)
+    # 1e-12 at float64, the same number of units in the last place at float32
+    atol = 1e-12 * np.finfo(dtype).eps / EPS
     out, _ = bn.forward(x, TRAIN)
-    assert np.allclose(out.mean(axis=0), 0.0, atol=1e-12)
+    assert out.dtype == dtype
+    assert np.allclose(out.mean(axis=0), 0.0, atol=atol)
     assert np.allclose(out.std(axis=0), 1.0, atol=1e-3)
-    np.testing.assert_allclose(bn.running_mean, 0.1 * x.mean(axis=0), atol=1e-12)
+    np.testing.assert_allclose(bn.running_mean, 0.1 * x.mean(axis=0), atol=atol)
+    assert bn.running_mean.dtype == bn.running_var.dtype == dtype
     # inference path uses the running statistics
     frozen, _ = bn.forward(x, INFER)
+    assert frozen.dtype == dtype
     expected = (x - bn.running_mean) / np.sqrt(bn.running_var + bn.EPS)
-    np.testing.assert_allclose(frozen, expected, atol=1e-12)
+    np.testing.assert_allclose(frozen, expected, atol=atol)
+
+
+def test_batchnorm_train_normalizes_and_tracks_running_stats_in_float32():
+    test_batchnorm_train_normalizes_and_tracks_running_stats(np.float32)
 
 
 def test_batchnorm_train_backward_matches_finite_differences():
@@ -199,28 +254,32 @@ def parent_batchnorm_backward(bn, dy, cache, mode):
 MODES = st.sampled_from([TRAIN, INFER, FROZEN])
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=150)
-@given(n=st.integers(2, 64), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), mode=MODES,
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(dtype=st.sampled_from(DTYPES), n=st.integers(2, 64), d=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), mode=MODES,
        x_scale=st.sampled_from([1e-3, 1.0, 1e3]), dy_scale=st.sampled_from([1e-3, 1.0, 1e3]))
-def test_batchnorm_backward_matches_parent_formula(n, d, seed, mode, x_scale, dy_scale):
+def test_batchnorm_backward_matches_parent_formula(dtype, n, d, seed, mode, x_scale, dy_scale):
     rng = np.random.default_rng(seed)
     bn = BatchNorm(d)
+    cast_params(dtype, bn)
     bn.gamma[...] = rng.normal(size=d)
     bn.beta[...] = rng.normal(size=d)
     bn.running_mean[...] = rng.normal(size=d)
     bn.running_var[...] = rng.random(d) + 0.1
-    x = rng.normal(x_scale * rng.normal(size=d), x_scale, size=(n, d))
-    dy = dy_scale * rng.normal(size=(n, d))
-    _, cache = bn.forward(x, mode, update_running=False)
+    x = rng.normal(x_scale * rng.normal(size=d), x_scale, size=(n, d)).astype(dtype)
+    dy = (dy_scale * rng.normal(size=(n, d))).astype(dtype)
+    y, cache = bn.forward(x, mode, update_running=False)
     dx, grads = bn.backward(dy, cache, mode)
+    assert y.dtype == dx.dtype == dtype
     want_dx, want_grads = parent_batchnorm_backward(bn, dy, cache, mode)
     for name, want in want_grads.items():
+        assert grads[name].dtype == dtype
         assert np.array_equal(grads[name], want)
     # both forms sum n rows, whose rounding error grows with n, scaled by the
     # largest term of gamma * inv_std * (dy - mean(dy) - x_hat * mean(dy * x_hat))
     x_hat, inv_std = cache
     scale = np.abs(bn.gamma * inv_std).max() * np.abs(dy).max() * (1.0 + np.abs(x_hat).max() ** 2)
-    assert np.abs(dx - want_dx).max() <= 4 * n * EPS * scale
+    assert np.abs(dx - want_dx).max() <= 4 * n * np.finfo(dtype).eps * scale
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -259,17 +318,25 @@ def test_block_activation_derivative_matches_input_form(n, seed, mode, activatio
 
 
 @pytest.mark.parametrize("mode", [TRAIN, INFER, FROZEN])
-def test_stack_leaves_its_inputs_unchanged(mode):
+def test_stack_leaves_its_inputs_unchanged(mode, dtype=np.float64):
     rng = np.random.default_rng(8)
     for activation in ("selu", "leaky_relu"):
         stack = MLPStack(5, (16, 8), 3, activation, 0.2, rng)
-        x = rng.normal(size=(32, 5))
-        dy = rng.normal(size=(32, 3))
+        cast_params(dtype, *{owner for _, owner, _ in stack.named_params()})
+        x = rng.normal(size=(32, 5)).astype(dtype)
+        dy = rng.normal(size=(32, 3)).astype(dtype)
         x_before, dy_before = x.tobytes(), dy.tobytes()
-        _, caches = stack.forward(x, mode, rng)
-        stack.backward(dy, caches)
+        y, caches = stack.forward(x, mode, rng)
+        dx, grads = stack.backward(dy, caches)
         assert x.tobytes() == x_before
         assert dy.tobytes() == dy_before
+        assert y.dtype == dx.dtype == dtype
+        assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}, activation
+
+
+@pytest.mark.parametrize("mode", [TRAIN, INFER, FROZEN])
+def test_stack_leaves_its_inputs_unchanged_in_float32(mode):
+    test_stack_leaves_its_inputs_unchanged(mode, np.float32)
 
 
 def test_dense_block_and_stack_shapes():
@@ -341,3 +408,34 @@ def test_adam_rejects_non_finite_gradient():
     with pytest.raises(GradientError, match="'w'"):
         adam.step(params, NamedVector.pack({"a": np.array([0.5]), "w": np.array([0.0, np.inf])}))
     np.testing.assert_array_equal(params.vector, [1.0, 1.0, 2.0])
+
+
+def parent_adam_step(state, grad, lr=1e-3, b1=0.9, b2=0.999, eps=1e-8):
+    """Adam.step as it was before it updated its moments in place: it built
+    new moments, both bias-corrected moments and the update on every step."""
+    state["t"] += 1
+    state["m"] = b1 * state["m"] + (1.0 - b1) * grad
+    state["v"] = b2 * state["v"] + (1.0 - b2) * grad * grad
+    m_hat = state["m"] / (1.0 - b1 ** state["t"])
+    v_hat = state["v"] / (1.0 - b2 ** state["t"])
+    return lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_adam_updates_its_moments_in_place_in_the_parameter_dtype(dtype):
+    rng = np.random.default_rng(9)
+    params = NamedVector.pack({"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4)}, dtype)
+    want = params.vector.copy()
+    reference = {"t": 0, "m": 0.0, "v": 0.0}
+    adam = Adam()
+    for step in range(5):
+        grads = NamedVector.pack({"a": rng.normal(size=(3, 2)), "b": rng.normal(size=4)}, dtype)
+        adam.step(params, grads)
+        want -= parent_adam_step(reference, grads.vector)
+        if step == 0:
+            m, v = adam.m, adam.v
+        assert adam.m is m and adam.v is v  # allocated once
+        assert m.dtype == v.dtype == params.vector.dtype == dtype
+        # the same operations in the same order: the same bits
+        assert np.array_equal(m, reference["m"]) and np.array_equal(v, reference["v"])
+        assert np.array_equal(params.vector, want)

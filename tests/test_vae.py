@@ -7,9 +7,9 @@ import struct
 import numpy as np
 import pytest
 
-from fd_utils import make_case, max_relative_error
+from fd_utils import REL_FLOOR, make_case, max_relative_error
 from photonvae import vae
-from photonvae.nn import FROZEN, INFER, TRAIN, GradientError
+from photonvae.nn import FROZEN, INFER, TRAIN, Adam, GradientError
 from photonvae.vae import (
     CheckpointError,
     DataMismatchError,
@@ -144,6 +144,14 @@ def test_loss_recon_zero_at_perfect_reconstruction():
     assert loss_recon(x, x + 1.0) == pytest.approx(1.0)
 
 
+def test_losses_reduce_float32_terms_in_float64():
+    rng = np.random.default_rng(17)
+    x, x_hat, mu, logvar = (rng.normal(size=(512, 5)).astype(np.float32) for _ in range(4))
+    wide = [a.astype(np.float64) for a in (x, x_hat, mu, logvar)]
+    assert loss_recon(x, x_hat) == loss_recon(*wide[:2])
+    assert loss_kl(mu, logvar) == loss_kl(*wide[2:])
+
+
 def test_loss_kl_zero_at_standard_normal():
     assert loss_kl(np.zeros((4, 3)), np.zeros((4, 3))) == 0.0
 
@@ -164,16 +172,18 @@ def test_loss_kl_formula():
 
 
 @pytest.mark.parametrize("num_classes", [2, 4])
-def test_cross_entropy_clamps_the_true_class_probability(num_classes):
-    model = VAEClassifier(NetworkSpec(num_classes=num_classes), seed=0)
+def test_cross_entropy_clamps_the_true_class_probability(num_classes, dtype=np.float64):
+    model = VAEClassifier(NetworkSpec(num_classes=num_classes), seed=0, dtype=dtype)
     model.classifier.out.weight[:] = 0.0
     model.classifier.out.bias[:] = 0.0
     model.classifier.out.bias[-1] = -40.0  # the last class gets probability ~4e-18
     x = np.random.default_rng(5).random((3, 5))
     y = np.array([num_classes - 1, 0, -1])
     fwd = model.forward(x, mode=INFER)
+    assert fwd.probs.dtype == dtype
     assert fwd.probs[0, -1] < vae.PROB_CLIP
-    expected = -0.5 * (math.log(vae.PROB_CLIP) + math.log(fwd.probs[1, 0]))
+    # the clamp holds PROB_CLIP as the model's dtype represents it
+    expected = -0.5 * (math.log(dtype(vae.PROB_CLIP)) + math.log(fwd.probs[1, 0]))
     bce = model.losses(x, y, fwd).bce
     assert np.isfinite(bce)
     assert bce == pytest.approx(vae.CLASSIFICATION_WEIGHT * expected, rel=1e-12)
@@ -181,6 +191,11 @@ def test_cross_entropy_clamps_the_true_class_probability(num_classes):
     assert np.all(dlogits[0] == 0.0)  # clamped
     assert np.any(dlogits[1] != 0.0)
     assert np.all(dlogits[2] == 0.0)  # unlabeled
+
+
+@pytest.mark.parametrize("num_classes", [2, 4])
+def test_cross_entropy_clamps_the_true_class_probability_in_float32(num_classes):
+    test_cross_entropy_clamps_the_true_class_probability(num_classes, np.float32)
 
 
 def test_loss_total_is_component_sum():
@@ -216,6 +231,64 @@ def test_gradients_match_in_training_mode_batch_statistics():
     rng = np.random.default_rng(1)
     worst, at = max_relative_error(model, x, y, eps, mode=TRAIN, sample_per_tensor=6, rng=rng)
     assert worst < 1e-4, at
+
+
+def _arrays(tree):
+    """Every array in a nest of tuples and lists."""
+    if isinstance(tree, np.ndarray):
+        return [tree]
+    if isinstance(tree, (tuple, list)):
+        return [a for item in tree for a in _arrays(item)]
+    return []
+
+
+def test_a_float32_training_step_stays_in_float32():
+    model = binary_model(seed=0)
+    rng = np.random.default_rng(16)
+    x = rng.random((64, 5))  # float64 rows, cast by the model
+    y = rng.integers(0, 2, 64)
+    _, grads, fwd = model.loss_and_grads(x, y, mode=TRAIN)
+    arrays = [fwd.mu, fwd.logvar, fwd.z, fwd.x_hat, fwd.logits, fwd.probs, fwd.eps]
+    arrays += _arrays(fwd.caches)
+    assert len(arrays) > 50  # every block's input, norm, activation and mask caches
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+    assert grads.vector.dtype == np.float32
+    adam = Adam()
+    adam.step(model.trainable_refs(), grads)
+    assert adam.m.dtype == adam.v.dtype == model.trainable_refs().vector.dtype == np.float32
+
+
+# A gradient entry is a sum over the batch and over up to 64 units, and in
+# TRAIN mode BatchNorm's backward cancels two batch terms, so float32 leaves an
+# absolute error of some tens of units in the last place at unit gradient
+# scale.  Below REL_FLOOR the error is measured at that fixed scale (the biases
+# feeding a BatchNorm have gradients that are zero but for rounding), so the
+# tolerance is 64 float32 eps over REL_FLOOR.
+F32_GRAD_TOL = 64 * np.finfo(np.float32).eps / REL_FLOOR
+
+
+@pytest.mark.parametrize("mode", [FROZEN, TRAIN])
+@pytest.mark.parametrize("num_classes", [2, 4])
+def test_float32_gradients_match_the_float64_reference(mode, num_classes):
+    spec = NetworkSpec(num_classes=num_classes, dropout_rate=0.0)
+    reference, x, y, eps = make_case(spec, seed=5, batch=64)
+    model = VAEClassifier(spec, seed=5)
+    assert model.dtype == np.float32 and reference.dtype == np.float64
+    # the same float32 weights and inputs, so only the arithmetic differs
+    state = {name: value.astype(np.float32) for name, value in reference.get_state().items()}
+    reference.set_state(state)
+    model.set_state(state)
+    x, eps = x.astype(np.float32), eps.astype(np.float32)
+    kwargs = dict(mode=mode, eps=eps, update_running=False)
+    want_values, want, _ = reference.loss_and_grads(x, y, **kwargs)
+    values, got, _ = model.loss_and_grads(x, y, **kwargs)
+    assert got.vector.dtype == np.float32 and want.vector.dtype == np.float64
+    scale = np.maximum(np.maximum(np.abs(got.vector), np.abs(want.vector)), REL_FLOOR)
+    err = np.abs(got.vector - want.vector) / scale
+    worst = int(np.argmax(err))
+    assert err[worst] <= F32_GRAD_TOL, (worst, got.vector[worst], want.vector[worst])
+    # the losses are reduced in float64 from float32 terms
+    assert values.total == pytest.approx(want_values.total, rel=8 * np.finfo(np.float32).eps)
 
 
 @pytest.mark.parametrize("mode", [TRAIN, FROZEN])
@@ -373,8 +446,8 @@ def test_train_model_runs_one_validation_pass_per_epoch(monkeypatch):
 # arithmetic or the order of a training step changes it.  Recorded with numpy 2.4
 # and OpenBLAS; another BLAS may round the matmuls differently.
 PINNED_TRAINING_SHA256 = {
-    2: "3b7b0820f92a27fc255e6802d267f3c58bcbcd610cecf9cb459c8c22c759d85e",
-    4: "1789083aa62f1536b69c674d9bf36b7ddc9946ff82fe2e257a1f688bbccf75be",
+    2: "8ab029c23908446feaf41451d124f53bb86ac9846f8fe8cf3e32e373a0a1ad97",
+    4: "b605021773c0babaf65bc002c1fd24028dec427fdca5149bcb396f1db130766a",
 }
 
 
@@ -465,6 +538,34 @@ def test_checkpoint_round_trip(tmp_path):
     original = model.get_state()
     for name, value in loaded.get_state().items():
         np.testing.assert_array_equal(value, original[name])
+
+
+def test_float32_checkpoint_saves_loads_and_saves_the_same_bytes(tmp_path):
+    assert vae.CHECKPOINT_VERSION == 2
+    model = VAEClassifier(NetworkSpec(num_classes=4), seed=14)
+    rng = np.random.default_rng(14)
+    model.set_state({name: rng.normal(size=v.shape) for name, v in model.get_state().items()})
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    save_checkpoint(first, model, seed=14, epochs_trained=3, class_labels=list("abcd"))
+    loaded, _ = load_checkpoint(first)
+    assert loaded.dtype == np.float32
+    save_checkpoint(second, loaded, seed=14, epochs_trained=3, class_labels=list("abcd"))
+    assert first.read_bytes() == second.read_bytes()
+    assert struct.unpack("<I", first.read_bytes()[4:8]) == (2,)
+
+
+def test_float64_parameters_load_rounded_to_nearest(tmp_path):
+    wide = VAEClassifier(NetworkSpec(), seed=15, dtype=np.float64)
+    # just above and just below half a float32 unit above 1
+    wide.classifier.out.bias[:] = [1 + 2**-24 + 2**-40, 1 + 2**-24 - 2**-40]
+    path = tmp_path / "wide.ckpt"
+    save_checkpoint(path, wide, seed=15, epochs_trained=1, class_labels=["x", "y"])
+    loaded, _ = load_checkpoint(path)
+    assert loaded.dtype == np.float32
+    assert loaded.classifier.out.bias.tolist() == [1 + 2**-23, 1.0]
+    state = loaded.get_state()
+    for name, value in wide.get_state().items():
+        assert np.array_equal(state[name], value.astype(np.float32)), name
 
 
 def test_checkpoint_bytes_stable(tmp_path):
