@@ -2,12 +2,11 @@
 
 Each layer computes in the dtype of the arrays it receives and holds: the
 model trains and infers in float32, and the gradient checks build float64
-models as their reference.  No temporary may promote: a Python float is
-weakly typed and takes the array's dtype, but a boolean array times a Python
-float is float64, so such constants are first made scalars of the array's
-dtype.  Each layer's ``forward`` returns the output plus an opaque cache
-consumed by ``backward``; a forward/backward pair must use the same mode.
-Modes:
+models as their reference.  A Python float takes the array's dtype, but a
+boolean array times a Python float is float64, so such constants are first
+made scalars of the array's dtype.  Each layer's ``forward`` returns the
+output plus an opaque cache consumed by ``backward``; a forward/backward pair
+must use the same mode.  Modes:
 
 * ``"train"``  — batch-statistic normalization, dropout active, gradients flow
   through the batch statistics.
@@ -295,7 +294,7 @@ class Adam:
         m += (1.0 - b1) * grad
         v *= b2
         v += (1.0 - b2) * grad * grad
-        # lr * m_hat / (sqrt(v_hat) + eps), in the order of operations it is written in
+        # lr * m_hat / (sqrt(v_hat) + eps), with its operations in that order
         denom = v / bias2
         np.sqrt(denom, out=denom)
         denom += self.eps

@@ -150,10 +150,11 @@ class VAEClassifier:
     Every named parameter is a view into one vector of ``dtype``, trainable
     ones first, then the running statistics.  The network trains and infers
     in float32; float64 models serve as the gradient checks' reference.
-    Initial weights are drawn in float64 and rounded into the vector.  Training, the finiteness checks and
-    saved state all use that vector, so a layer attribute rebound to a new
-    array (rather than written in place) drops out of all three.  Copy a model
-    with get_state/set_state: copy.deepcopy would copy each view on its own.
+    Initial weights are drawn in float64 and rounded into the vector.
+    Training, the finiteness checks and saved state all use that vector, so a
+    layer attribute rebound to a new array (rather than written in place)
+    drops out of all three.  Copy a model with get_state/set_state:
+    copy.deepcopy would copy each view on its own.
     """
 
     def __init__(self, spec: NetworkSpec, seed: int = 0, *, dtype=np.float32):
@@ -302,9 +303,10 @@ class VAEClassifier:
 
     def loss_and_grads(self, x, y, *, mode: str, rng=None, eps=None,
                        update_running: bool = True):
+        x = self._rows(x, self.spec.input_dim, "input features")
         fwd = self.forward(x, mode=mode, rng=rng, eps=eps, update_running=update_running)
         values = self.losses(x, y, fwd)
-        grads = self._backward(self._rows(x, self.spec.input_dim, "input features"), y, fwd)
+        grads = self._backward(x, y, fwd)
         return values, grads, fwd
 
     def loss_value(self, x, y, *, mode: str, rng=None, eps=None,
