@@ -1,9 +1,15 @@
 """Training and evaluation workflows.
 
 The lossless study trains at a large bin size and transfers the weights to
-smaller bin sizes; the lossy study adds the observed mean click count as an
-input so one model covers a range of efficiencies; the mixture study extends
-the classifier to four classes over a grid of mix ratios.
+smaller bin sizes; the lossy study adds the observed mean click count
+``nbar_obs`` as an input so one model covers a range of efficiencies; the
+mixture study extends the classifier to four classes over a grid of mix
+ratios.
+
+With 4 detectors no bin sees 5 or 6 clicks, so ``nbar_obs`` equals
+P1 + 2 P2 + 3 P3 + 4 P4 and adds no information to the P0..P4 inputs; the
+lossy study keeps it because it is the paper's input, and with 6 detectors
+it carries the split between 5 and 6 clicks.
 """
 
 from __future__ import annotations
@@ -33,7 +39,6 @@ from .vae import (
 )
 
 LOSSLESS_DETECTOR = DetectorConfig(n_detectors=6, efficiency=1.0)
-LOSSY_N_DETECTORS = 4
 # the intensity inversions bisect [0, INTENSITY_BRACKET]
 INTENSITY_BRACKET = 80.0
 
@@ -290,13 +295,31 @@ def invert_shared_intensity(target_nbar_obs: float, detector: DetectorConfig) ->
 
 def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
     """Train one six-input model on the plan intensity at every ``train_etas``
-    efficiency, then sweep accuracy over further efficiencies and observed-mean
-    targets."""
+    efficiency of ``plan.n_detectors`` detectors, then sweep accuracy over
+    further efficiencies and observed-mean targets."""
     if not plan.train_etas:
         raise ValueError("lossy training needs at least one efficiency")
     sources = lossless_sources(plan.mean_param)
     class_labels = [label for label, _ in sources]
     bin_size = plan.stages[0].bin_size
+
+    def detector(eta):
+        return DetectorConfig(plan.n_detectors, eta)
+
+    # each observed-mean target is realized at the training efficiency whose
+    # own observed mean sits closest (low means go with low efficiencies),
+    # subject to the single-photon floor; chosen before any training, so a
+    # target below every floor is refused up front
+    anchor_means = {eta: observed_mean_for_sources(sources, detector(eta))
+                    for eta in plan.train_etas}
+    floors = {eta: observed_mean_for_sources(lossless_sources(0.0), detector(eta))
+              for eta in plan.train_etas}
+    target_etas = []
+    for target in plan.eval_nbar_obs:
+        candidates = [eta for eta in plan.train_etas if floors[eta] + 0.02 <= target]
+        if not candidates:
+            raise ValueError(f"observed-mean target {target} below every training floor")
+        target_etas.append((target, min(candidates, key=lambda e: abs(anchor_means[e] - target))))
 
     train_parts, val_parts = [], []
     per_eta_test: dict[float, Rows] = {}
@@ -304,7 +327,7 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
         key = (round(plan.mean_param * 1000), round(eta * 1000))
         meta = DatasetMeta(
             sources=sources,
-            detector=DetectorConfig(LOSSY_N_DETECTORS, eta),
+            detector=detector(eta),
             bin_size=bin_size,
             bins_per_class=plan.bins_per_class,
             seed=derived_seed(plan.seed, 20, *key),
@@ -344,7 +367,7 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
     def sweep_cell(intensity, eta, tag, key):
         meta = DatasetMeta(
             sources=lossless_sources(intensity),
-            detector=DetectorConfig(LOSSY_N_DETECTORS, eta),
+            detector=detector(eta),
             bin_size=bin_size,
             bins_per_class=plan.eval_bins_per_class,
             seed=derived_seed(plan.seed, 23, *key),
@@ -354,23 +377,9 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
     # accuracy vs efficiency at the plan intensity
     for eta in plan.eval_etas:
         sweep_cell(plan.mean_param, eta, "eta_sweep", (0, round(eta * 1000)))
-    # accuracy vs observed mean: each target is realized at the training
-    # efficiency whose own observed mean sits closest (low means go with low
-    # efficiencies), subject to the single-photon floor
-    anchor_means = {
-        eta: observed_mean_for_sources(sources, DetectorConfig(LOSSY_N_DETECTORS, eta))
-        for eta in plan.train_etas
-    }
-    floors = {
-        eta: observed_mean_for_sources(lossless_sources(0.0), DetectorConfig(LOSSY_N_DETECTORS, eta))
-        for eta in plan.train_etas
-    }
-    for target in plan.eval_nbar_obs:
-        candidates = [eta for eta in plan.train_etas if floors[eta] + 0.02 <= target]
-        if not candidates:
-            raise ValueError(f"observed-mean target {target} below every training floor")
-        eta = min(candidates, key=lambda e: abs(anchor_means[e] - target))
-        intensity = invert_shared_intensity(target, DetectorConfig(LOSSY_N_DETECTORS, eta))
+    # accuracy vs observed mean
+    for target, eta in target_etas:
+        intensity = invert_shared_intensity(target, detector(eta))
         sweep_cell(intensity, eta, "nbar_sweep", (1, round(eta * 1000), round(target * 1000)))
 
     return Algorithm2Result(model=model, report=report, history=history)

@@ -16,6 +16,7 @@ from photonvae.workflows import (
     invert_shared_intensity,
     lossless_sources,
     run_algorithm1,
+    run_algorithm2,
     run_mixed_grid,
     write_confusion_csv,
     write_latent_csv,
@@ -148,6 +149,50 @@ def test_run_mixed_grid_structure():
     assert confusion.shape == (4, 4)
     assert confusion.sum() == 4 * 20
     assert result.family_params["coherent"] > 0
+
+
+def lossy_plan(**overrides):
+    base = dict(
+        algorithm="lossy_nbar",
+        stages=(TrainStage(20, 3),),
+        mean_param=1.3,
+        n_detectors=4,
+        train_etas=(0.6, 0.9),
+        eval_etas=(0.75,),
+        eval_nbar_obs=(1.0,),
+        bins_per_class=60,
+        eval_bins_per_class=30,
+        seed=17,
+    )
+    base.update(overrides)
+    return TrainPlan(**base)
+
+
+def test_run_algorithm2_structure_and_determinism():
+    first = run_algorithm2(lossy_plan())
+    second = run_algorithm2(lossy_plan())
+    assert first.model.spec.input_dim == 6
+    report = first.report
+    cells = [(row["cell"], row["eta"]) for row in report.rows]
+    assert cells[:3] == [("held_out", 0.6), ("held_out", 0.9), ("eta_sweep", 0.75)]
+    assert [cell for cell, _ in cells[3:]] == ["nbar_sweep"]
+    assert cells[3][1] in (0.6, 0.9)  # a target is realized at a training efficiency
+    assert list(report.confusions) == ["train_eta0.6", "train_eta0.9", "eta_sweep_750", "nbar_sweep_1000"]
+    # 60 bins per class leave 6 test rows per class, each training efficiency
+    n_rows = [2 * 6, 2 * 6, 2 * 30, 2 * 30]
+    assert [int(m.sum()) for m in report.confusions.values()] == n_rows
+    assert report.rows == second.report.rows
+    for key, matrix in report.confusions.items():
+        np.testing.assert_array_equal(matrix, second.report.confusions[key])
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(train_etas=()), "at least one efficiency"),
+    (dict(eval_nbar_obs=(0.5,)), "observed-mean target 0.5 below every training floor"),
+])
+def test_run_algorithm2_refuses_plans_it_cannot_run(overrides, message):
+    with pytest.raises(ValueError, match=message):
+        run_algorithm2(lossy_plan(**overrides))
 
 
 def _cold_start_accuracy(seed: int, bin_size: int, labelled_share: float = 1.0) -> float:
