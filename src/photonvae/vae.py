@@ -386,10 +386,20 @@ def _labels(y, num_classes: int) -> np.ndarray:
     return y
 
 
-def _score(pred: np.ndarray, y, k: int) -> tuple[float, np.ndarray]:
+def _examples(model: VAEClassifier, x, y, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` as the model's input matrix and ``y`` as its labels, or
+    DataMismatchError when they do not fit the model or each other."""
+    x = model._rows(x, model.spec.input_dim, "input features")
+    y = _labels(y, model.spec.num_classes)
+    if len(x) != len(y):
+        raise DataMismatchError(f"{what} has {len(x)} rows of features but {len(y)} labels")
+    return x, y
+
+
+def _score(pred: np.ndarray, y: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     """Accuracy and k x k confusion matrix (rows true class, columns predicted)
-    over the labeled rows only; with none, the accuracy reads 0."""
-    y = _labels(y, k)
+    over the rows labeled in ``y``, as ``_labels`` returns it; with none, the
+    accuracy reads 0."""
     labeled = y >= 0
     confusion = np.bincount(k * y[labeled] + pred[labeled], minlength=k * k).reshape(k, k)
     return float(np.trace(confusion) / max(confusion.sum(), 1)), confusion
@@ -397,6 +407,7 @@ def _score(pred: np.ndarray, y, k: int) -> tuple[float, np.ndarray]:
 
 def evaluate_model(model: VAEClassifier, x, y) -> tuple[float, np.ndarray]:
     """Accuracy and confusion matrix of ``model`` on the labeled rows of (x, y)."""
+    x, y = _examples(model, x, y, "the evaluation set")
     return _score(model.predict_class(x), y, model.spec.num_classes)
 
 
@@ -419,13 +430,14 @@ def train_model(
     parameters giving the best validation loss are restored at the end.
     Training and the choice of that epoch use the one objective of
     ``VAEClassifier.losses``, from a cold start and when fine-tuning alike.
+    Features and labels that do not fit the model or each other are refused
+    with DataMismatchError before the first step.
     """
-    x_train = np.asarray(x_train, dtype=model.dtype)
-    y_train = _labels(y_train, model.spec.num_classes)
+    x_train, y_train = _examples(model, x_train, y_train, "the training set")
+    if (x_val is None) != (y_val is None):
+        raise DataMismatchError("a validation set needs both x_val and y_val")
     if x_val is not None:
-        x_val = np.asarray(x_val, dtype=model.dtype)
-    if y_val is not None:
-        y_val = _labels(y_val, model.spec.num_classes)
+        x_val, y_val = _examples(model, x_val, y_val, "the validation set")
     params = model.trainable_refs()
     optimizer = Adam(lr=learning_rate)
     history = TrainHistory()

@@ -510,6 +510,40 @@ def test_labels_outside_the_classes_are_refused(num_classes, bad):
         train_model(model, x, [0, 1, 0, 1], x, y, epochs=1)
 
 
+def _mismatch_cases():
+    rng = np.random.default_rng(2)
+    x, y = rng.random((100, 5)), rng.integers(0, 2, 100)
+    both = "a validation set needs both x_val and y_val"
+    return [
+        ("x_val_without_y_val", lambda m: train_model(m, x, y, x[:10], None, epochs=1), both),
+        ("y_val_without_x_val", lambda m: train_model(m, x, y, None, y[:10], epochs=1), both),
+        ("fewer_training_rows", lambda m: train_model(m, x[:90], y, epochs=1),
+         "the training set has 90 rows of features but 100 labels"),
+        ("fewer_training_labels", lambda m: train_model(m, x, y[:90], epochs=1),
+         "the training set has 100 rows of features but 90 labels"),
+        ("validation_rows", lambda m: train_model(m, x, y, x[:10], y[:8], epochs=1),
+         "the validation set has 10 rows of features but 8 labels"),
+        ("evaluation_rows", lambda m: evaluate_model(m, x[:10], y[:8]),
+         "the evaluation set has 10 rows of features but 8 labels"),
+    ]
+
+
+@pytest.mark.parametrize("call, message", [pytest.param(*case[1:], id=case[0])
+                                           for case in _mismatch_cases()])
+def test_mismatched_inputs_are_refused_before_any_step(monkeypatch, call, message):
+    passes = []
+    real_forward = VAEClassifier.forward
+
+    def counting_forward(self, x, **kwargs):
+        passes.append(kwargs.get("mode", INFER))
+        return real_forward(self, x, **kwargs)
+
+    monkeypatch.setattr(VAEClassifier, "forward", counting_forward)
+    with pytest.raises(DataMismatchError, match=message):
+        call(binary_model(seed=0))
+    assert passes == []
+
+
 def test_accuracy_invariant_under_row_permutation():
     model = binary_model(seed=8)
     rng = np.random.default_rng(15)
