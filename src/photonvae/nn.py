@@ -14,9 +14,10 @@ must use the same mode.  Modes:
 * ``"frozen"`` — like ``"infer"`` but intended for gradient checking: the
   normalization statistics are treated as constants in ``backward``.
 
-Layers list their parameter attributes by checkpoint leaf name in ``LEAVES``
-and write them only in place: a model may make them views into one vector
-(``NamedVector``), and an attribute rebound to a new array leaves that vector.
+Layers, and a stack for its output bias, list their parameter attributes by
+checkpoint leaf name in ``LEAVES`` and write them only in place: a model may
+make them views into one vector (``NamedVector``), and an attribute rebound to
+a new array leaves that vector.
 
 A block caches its activation's output, and the activation derivatives are
 computed from that output, so SELU's needs no exponential.  Functions finish
@@ -113,24 +114,20 @@ class NamedVector(dict):
 
 
 class Dense:
-    """Affine map with fan-in-scaled uniform weight init and zero biases."""
+    """Linear map with fan-in-scaled uniform weight init."""
 
-    LEAVES = {"W": "weight", "b": "bias"}
+    LEAVES = {"W": "weight"}
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         bound = 1.0 / np.sqrt(in_dim)
         self.weight = rng.uniform(-bound, bound, size=(in_dim, out_dim))
-        self.bias = np.zeros(out_dim)
 
     def forward(self, x: np.ndarray):
-        y = x @ self.weight
-        y += self.bias
-        return y, x
+        return x @ self.weight, x
 
     def backward(self, dy: np.ndarray, cache):
         x = cache
-        dx = dy @ self.weight.T
-        return dx, {"W": x.T @ dy, "b": dy.sum(axis=0)}
+        return dy @ self.weight.T, {"W": x.T @ dy}
 
 
 class BatchNorm:
@@ -201,7 +198,10 @@ def dropout_backward(dy: np.ndarray, mask):
 
 
 class DenseBlock:
-    """Hidden unit: affine -> batch normalization -> activation -> dropout."""
+    """Hidden unit: linear -> batch normalization -> activation -> dropout.
+
+    The linear map has no bias: batch normalization would subtract it again,
+    and its beta is the block's shift."""
 
     def __init__(self, in_dim, out_dim, activation: str, dropout_rate: float, rng):
         self.dense = Dense(in_dim, out_dim, rng)
@@ -227,7 +227,10 @@ class DenseBlock:
 
 
 class MLPStack:
-    """DenseBlocks followed by a final linear layer."""
+    """DenseBlocks followed by a final linear layer plus the stack's output
+    bias, whose checkpoint name is ``out.b``."""
+
+    LEAVES = {"b": "out_bias"}
 
     def __init__(self, in_dim, hidden, out_dim, activation, dropout_rate, rng):
         self.blocks = []
@@ -236,6 +239,7 @@ class MLPStack:
             self.blocks.append(DenseBlock(prev, width, activation, dropout_rate, rng))
             prev = width
         self.out = Dense(prev, out_dim, rng)
+        self.out_bias = np.zeros(out_dim)
 
     def forward(self, x, mode, rng, update_running: bool = True):
         caches = []
@@ -243,12 +247,14 @@ class MLPStack:
             x, cache = block.forward(x, mode, rng, update_running)
             caches.append(cache)
         y, out_cache = self.out.forward(x)
+        y += self.out_bias
         caches.append(out_cache)
         return y, caches
 
     def backward(self, dy, caches):
+        bias_grad = dy.sum(axis=0)
         dy, out_grads = self.out.backward(dy, caches[-1])
-        grads = {f"out.{leaf}": g for leaf, g in out_grads.items()}
+        grads = {"out.W": out_grads["W"], "out.b": bias_grad}
         for i in range(len(self.blocks) - 1, -1, -1):
             dy, block_grads = self.blocks[i].backward(dy, caches[i])
             for leaf, g in block_grads.items():
@@ -261,8 +267,9 @@ class MLPStack:
             for part, owner in (("dense", block.dense), ("norm", block.norm)):
                 for leaf in owner.LEAVES:
                     yield f"hidden{i}.{part}.{leaf}", owner, leaf
-        for leaf in self.out.LEAVES:
-            yield f"out.{leaf}", self.out, leaf
+        for owner in (self.out, self):
+            for leaf in owner.LEAVES:
+                yield f"out.{leaf}", owner, leaf
 
 
 class Adam:

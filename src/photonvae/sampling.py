@@ -20,7 +20,6 @@ from .distributions import (
     TAIL_BOUND,
     PhotonPMF,
     PhysicsError,
-    SourceKind,
     SourceSpec,
     pmf_mean,
     source_pmf,
@@ -301,32 +300,3 @@ def meta_to_dict(dataset: Dataset) -> dict:
 
 def write_dataset_meta(path, dataset: Dataset) -> None:
     Path(path).write_text(json.dumps(meta_to_dict(dataset), indent=2, sort_keys=True) + "\n")
-
-
-def meta_from_dict(payload: dict) -> DatasetMeta:
-    version = payload.get("format_version")
-    if version != META_FORMAT_VERSION:
-        raise ValueError(
-            f"dataset meta format_version {version!r} is not the supported version "
-            f"{META_FORMAT_VERSION}; its rows were drawn from other random streams"
-        )
-    sources = tuple(
-        (
-            entry["label"],
-            SourceSpec(
-                SourceKind(entry["kind"]),
-                float(entry["mean_param"]),
-                float(entry.get("mix_ratio", 1.0)),
-            ),
-        )
-        for entry in payload["classes"]
-    )
-    return DatasetMeta(
-        sources=sources,
-        detector=DetectorConfig(
-            payload["detector"]["n_detectors"], payload["detector"]["efficiency"]
-        ),
-        bin_size=int(payload["bin_size"]),
-        bins_per_class=int(payload["bins_per_class"]),
-        seed=int(payload["seed"]),
-    )

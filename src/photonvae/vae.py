@@ -10,7 +10,8 @@ the plain sum, reconstruction and KL fall faster than the classifier learns,
 and the latent code collapses to chance.  All gradients are analytic,
 including the path through the latent sampling (gradients flow through the
 mean and log-variance, never through the noise draw).  Checkpoints are
-written in format version 2, the first with that head at every class count.
+written in format version 3; version 2 also held the biases of the linear
+maps that feed a batch normalization, which cancels them.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ PROB_CLIP = 1e-7  # a true-class probability below this is clamped, and its row 
 CLASSIFICATION_WEIGHT = 20.0  # cross-entropy weight in every training objective
 
 CHECKPOINT_MAGIC = b"PVAE"
-CHECKPOINT_VERSION = 2  # 1 held a single-logit head for two classes
+# 2 also held the cancelled biases of the linear maps feeding a batch
+# normalization; 1 held a single-logit head for two classes
+CHECKPOINT_VERSION = 3
 
 
 class CheckpointError(RuntimeError):
@@ -265,16 +268,6 @@ class VAEClassifier:
         latent = self.spec.latent_dim
         return out[:, :latent], out[:, latent:]
 
-    def decode(self, z, *, mode: str = INFER, rng=None):
-        z = self._rows(z, self.spec.latent_dim, "latent components")
-        out, _ = self.decoder.forward(z, mode, rng if rng is not None else self.rng)
-        return out
-
-    def classify(self, z, *, mode: str = INFER, rng=None):
-        z = self._rows(z, self.spec.latent_dim, "latent components")
-        logits, _ = self.classifier.forward(z, mode, rng if rng is not None else self.rng)
-        return _softmax(logits)
-
     def predict_proba(self, x) -> np.ndarray:
         return self.forward(x, mode=INFER).probs
 
@@ -483,10 +476,12 @@ def train_model(
 
 # --- checkpoint format --------------------------------------------------------
 
-# layout (format version 2): magic, uint32 LE format version, uint64 LE
+# layout (format version 3): magic, uint32 LE format version, uint64 LE
 # header length, UTF-8 JSON header, then all parameters as little-endian
 # float64 in the order listed by the header's "param_order".  The classifier
-# head holds num_classes softmax logits for every class count.  A float32
+# head holds num_classes softmax logits for every class count.  Only each
+# stack's output layer has a bias; format 2 also held one for every linear
+# map feeding a batch normalization, which cancels it.  A float32
 # model's parameters widen to float64 exactly, so save -> load -> save gives
 # the same bytes; float64 values (from an older float64 model) load rounded
 # to the nearest float32.

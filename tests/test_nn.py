@@ -42,7 +42,6 @@ def test_dense_init_scaling():
     layer = Dense(64, 8, rng)
     bound = 1 / np.sqrt(64)
     assert np.all(np.abs(layer.weight) <= bound)
-    assert np.all(layer.bias == 0.0)
 
 
 def test_dense_forward_backward(dtype=np.float64):
@@ -51,13 +50,12 @@ def test_dense_forward_backward(dtype=np.float64):
     cast_params(dtype, layer)
     x = rng.random((5, 3)).astype(dtype)
     y, cache = layer.forward(x)
-    np.testing.assert_allclose(y, x @ layer.weight + layer.bias)
+    np.testing.assert_allclose(y, x @ layer.weight)
     dy = rng.random((5, 2)).astype(dtype)
     dx, grads = layer.backward(dy, cache)
-    assert y.dtype == dx.dtype == grads["W"].dtype == grads["b"].dtype == dtype
+    assert y.dtype == dx.dtype == grads["W"].dtype == dtype
     np.testing.assert_allclose(dx, dy @ layer.weight.T)
     np.testing.assert_allclose(grads["W"], x.T @ dy)
-    np.testing.assert_allclose(grads["b"], dy.sum(axis=0))
 
 
 def test_dense_forward_backward_in_float32():

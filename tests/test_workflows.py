@@ -98,8 +98,8 @@ def test_clone_model_copies_state_without_aliasing():
     state = model.get_state()
     for name, value in twin.get_state().items():
         np.testing.assert_array_equal(value, state[name])
-    twin.encoder.out.bias += 1.0
-    assert not np.array_equal(twin.encoder.out.bias, model.encoder.out.bias)
+    twin.encoder.out_bias += 1.0
+    assert not np.array_equal(twin.encoder.out_bias, model.encoder.out_bias)
 
 
 def test_export_latent_rows_and_shape():
