@@ -7,7 +7,7 @@ mixture study extends the classifier to four classes over a grid of mix
 ratios.
 
 With 4 detectors no bin sees 5 or 6 clicks, so ``nbar_obs`` equals
-P1 + 2 P2 + 3 P3 + 4 P4 and adds no information to the P0..P4 inputs; the
+P1 + 2·P2 + 3·P3 + 4·P4 and adds no information to the P0..P4 inputs; the
 lossy study keeps it because it is the paper's input, and with 6 detectors
 it carries the split between 5 and 6 clicks.
 """
@@ -38,7 +38,6 @@ from .vae import (
     train_model,
 )
 
-LOSSLESS_DETECTOR = DetectorConfig(n_detectors=6, efficiency=1.0)
 # the intensity inversions bisect [0, INTENSITY_BRACKET]
 INTENSITY_BRACKET = 80.0
 
