@@ -189,7 +189,7 @@ def test_run_algorithm2_structure_and_determinism():
 @pytest.mark.parametrize("overrides, message", [
     (dict(train_etas=()), "at least one efficiency"),
     (dict(eval_nbar_obs=(0.5,)), "observed-mean target 0.5 below every training floor"),
-])
+], ids=["no_train_etas", "target_below_every_floor"])
 def test_run_algorithm2_refuses_plans_it_cannot_run(overrides, message):
     with pytest.raises(ValueError, match=message):
         run_algorithm2(lossy_plan(**overrides))
