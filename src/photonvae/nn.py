@@ -5,14 +5,16 @@ model trains and infers in float32, and the gradient checks build float64
 models as their reference.  A Python float takes the array's dtype, but a
 boolean array times a Python float is float64, so such constants are first
 made scalars of the array's dtype.  Each layer's ``forward`` returns the
-output plus an opaque cache consumed by ``backward``; a forward/backward pair
-must use the same mode.  Modes:
+output plus an opaque cache consumed by ``backward``.  Modes:
 
-* ``"train"``  — batch-statistic normalization, dropout active, gradients flow
-  through the batch statistics.
-* ``"infer"``  — running-statistic normalization, dropout off.
-* ``"frozen"`` — like ``"infer"`` but intended for gradient checking: the
-  normalization statistics are treated as constants in ``backward``.
+* ``"train"`` — batch-statistic normalization that also moves the running
+  statistics, dropout active.
+* ``"infer"`` — running-statistic normalization, dropout off; nothing is drawn
+  and nothing is written.
+
+Only training backpropagates, so ``backward`` follows a ``"train"``
+``forward`` only: the gradients flow through the batch statistics, and a
+cache from an ``"infer"`` pass gives wrong ones.
 
 Layers, and a stack for its output bias, list their parameter attributes by
 checkpoint leaf name in ``LEAVES`` and write them only in place: a model may
@@ -36,7 +38,7 @@ SELU_SCALE = 1.0507009873554805
 LEAKY_SLOPE = 0.01
 _SELU_SATURATION = SELU_SCALE * SELU_ALPHA  # -selu(x) as x -> -inf
 
-TRAIN, INFER, FROZEN = "train", "infer", "frozen"
+TRAIN, INFER = "train", "infer"
 
 
 class GradientError(RuntimeError):
@@ -131,29 +133,29 @@ class Dense:
 
 
 class BatchNorm:
-    """Per-feature normalization with momentum-0.9 running statistics."""
+    """Per-feature normalization; a TRAIN pass moves the running statistics
+    with momentum ``MOMENTUM``."""
 
     EPS = 1e-5
+    MOMENTUM = 0.9
     LEAVES = {leaf: leaf for leaf in ("gamma", "beta", "running_mean", "running_var")}
 
-    def __init__(self, dim: int, momentum: float = 0.9):
+    def __init__(self, dim: int):
         self.gamma = np.ones(dim)
         self.beta = np.zeros(dim)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.momentum = momentum
 
-    def forward(self, x: np.ndarray, mode: str, update_running: bool = True):
+    def forward(self, x: np.ndarray, mode: str):
         if mode == TRAIN:
             # the operations of x.mean(0) and x.var(0), centring x only once
             n = x.shape[0]
             mean = x.sum(axis=0) / n
             centred = x - mean
             var = (centred * centred).sum(axis=0) / n
-            if update_running:
-                m = self.momentum
-                self.running_mean[...] = m * self.running_mean + (1.0 - m) * mean
-                self.running_var[...] = m * self.running_var + (1.0 - m) * var
+            m = self.MOMENTUM
+            self.running_mean[...] = m * self.running_mean + (1.0 - m) * mean
+            self.running_var[...] = m * self.running_var + (1.0 - m) * var
         else:
             centred = x - self.running_mean
             var = self.running_var
@@ -164,12 +166,10 @@ class BatchNorm:
         y += self.beta
         return y, (x_hat, inv_std)
 
-    def backward(self, dy: np.ndarray, cache, mode: str):
+    def backward(self, dy: np.ndarray, cache):
         x_hat, inv_std = cache
         proj = dy * x_hat
         grads = {"gamma": proj.sum(axis=0), "beta": dy.sum(axis=0)}
-        if mode != TRAIN:
-            return dy * (self.gamma * inv_std), grads
         # full gradient through the batch mean and variance:
         # gamma * inv_std * (dy - mean(dy) - x_hat * mean(dy * x_hat)), whose
         # two batch sums are the parameter gradients
@@ -209,18 +209,18 @@ class DenseBlock:
         self.act, self.act_grad = _ACTIVATIONS[activation]
         self.dropout_rate = dropout_rate
 
-    def forward(self, x, mode: str, rng, update_running: bool = True):
+    def forward(self, x, mode: str, rng):
         pre, dense_cache = self.dense.forward(x)
-        normed, norm_cache = self.norm.forward(pre, mode, update_running)
+        normed, norm_cache = self.norm.forward(pre, mode)
         activated = self.act(normed)
         out, mask = dropout_forward(activated, self.dropout_rate, mode, rng)
-        return out, (dense_cache, norm_cache, activated, mask, mode)
+        return out, (dense_cache, norm_cache, activated, mask)
 
     def backward(self, dy, cache):
-        dense_cache, norm_cache, activated, mask, mode = cache
+        dense_cache, norm_cache, activated, mask = cache
         grad = self.act_grad(activated)
         grad *= dropout_backward(dy, mask)
-        dy, norm_grads = self.norm.backward(grad, norm_cache, mode)
+        dy, norm_grads = self.norm.backward(grad, norm_cache)
         dx, dense_grads = self.dense.backward(dy, dense_cache)
         return dx, {**{f"dense.{leaf}": g for leaf, g in dense_grads.items()},
                     **{f"norm.{leaf}": g for leaf, g in norm_grads.items()}}
@@ -241,10 +241,10 @@ class MLPStack:
         self.out = Dense(prev, out_dim, rng)
         self.out_bias = np.zeros(out_dim)
 
-    def forward(self, x, mode, rng, update_running: bool = True):
+    def forward(self, x, mode, rng):
         caches = []
         for block in self.blocks:
-            x, cache = block.forward(x, mode, rng, update_running)
+            x, cache = block.forward(x, mode, rng)
             caches.append(cache)
         y, out_cache = self.out.forward(x)
         y += self.out_bias
@@ -277,11 +277,12 @@ class Adam:
     vector.  The moments are allocated at the first step, in the dtype of the
     parameter vector, and updated in place."""
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = self.v = None  # moment estimates
 
@@ -290,7 +291,7 @@ class Adam:
         grads.require_finite("gradient for parameter")
         grad = grads.vector
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         bias1 = 1.0 - b1**self.step_count
         bias2 = 1.0 - b2**self.step_count
         if self.m is None:
@@ -304,7 +305,7 @@ class Adam:
         # lr * m_hat / (sqrt(v_hat) + eps), with its operations in that order
         denom = v / bias2
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += self.EPS
         update = m / bias1
         update *= self.lr
         update /= denom

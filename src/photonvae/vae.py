@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .nn import (
-    FROZEN,
     INFER,
     TRAIN,
     Adam,
@@ -148,7 +147,9 @@ class VAEClassifier:
     """Encoder/decoder/classifier ensemble with shared bottleneck.
 
     A single seed controls weight initialization and the training-time noise
-    streams (dropout masks, latent draws, shuffling).
+    streams (dropout masks, latent draws, shuffling).  All of that noise comes
+    from ``self.rng``, and only a TRAIN pass draws from it; tests replace or
+    reseed it to fix the noise.
 
     Every named parameter is a view into one vector of ``dtype``, trainable
     ones first, then the running statistics.  The network trains and infers
@@ -227,28 +228,21 @@ class VAEClassifier:
 
     # --- forward passes ------------------------------------------------------
 
-    def forward(
-        self,
-        x: np.ndarray,
-        *,
-        mode: str = INFER,
-        rng: np.random.Generator | None = None,
-        eps: np.ndarray | None = None,
-        update_running: bool = True,
-    ) -> Forward:
+    def forward(self, x: np.ndarray, *, mode: str = INFER) -> Forward:
+        """TRAIN draws its dropout masks and latent noise from ``self.rng`` and
+        moves the running statistics; INFER reads z = mu and draws nothing."""
         x = self._rows(x, self.spec.input_dim, "input features")
-        if mode == TRAIN and rng is None:
-            rng = self.rng
-        enc_out, enc_caches = self.encoder.forward(x, mode, rng, update_running)
+        rng = self.rng
+        enc_out, enc_caches = self.encoder.forward(x, mode, rng)
         latent = self.spec.latent_dim
         mu, logvar = enc_out[:, :latent], enc_out[:, latent:]
-        if mode == TRAIN and eps is None:
+        if mode == TRAIN:
             eps = rng.standard_normal(mu.shape, dtype=self.dtype)
-        elif eps is not None:
-            eps = np.asarray(eps, dtype=self.dtype)
-        z = reparameterize(mu, logvar, eps) if eps is not None else mu
-        x_hat, dec_caches = self.decoder.forward(z, mode, rng, update_running)
-        logits, clf_caches = self.classifier.forward(z, mode, rng, update_running)
+            z = reparameterize(mu, logvar, eps)
+        else:
+            eps, z = None, mu
+        x_hat, dec_caches = self.decoder.forward(z, mode, rng)
+        logits, clf_caches = self.classifier.forward(z, mode, rng)
         return Forward(
             mu=mu, logvar=logvar, z=z, x_hat=x_hat, logits=logits, probs=_softmax(logits),
             eps=eps, caches=(enc_caches, dec_caches, clf_caches),
@@ -261,12 +255,6 @@ class VAEClassifier:
         if a.shape[1] != width:
             raise DataMismatchError(f"expected {width} {what}, got {a.shape[1]}")
         return a
-
-    def encode(self, x, *, mode: str = INFER, rng=None):
-        x = self._rows(x, self.spec.input_dim, "input features")
-        out, _ = self.encoder.forward(x, mode, rng if rng is not None else self.rng)
-        latent = self.spec.latent_dim
-        return out[:, :latent], out[:, latent:]
 
     def predict_proba(self, x) -> np.ndarray:
         return self.forward(x, mode=INFER).probs
@@ -294,18 +282,13 @@ class VAEClassifier:
         p_true = np.clip(fwd.probs[mask, y[mask]], PROB_CLIP, 1.0)
         return float(-np.mean(np.log(p_true, dtype=np.float64)))
 
-    def loss_and_grads(self, x, y, *, mode: str, rng=None, eps=None,
-                       update_running: bool = True):
+    def loss_and_grads(self, x, y):
+        """Losses and gradients of one TRAIN pass, the only pass that backpropagates."""
         x = self._rows(x, self.spec.input_dim, "input features")
-        fwd = self.forward(x, mode=mode, rng=rng, eps=eps, update_running=update_running)
+        fwd = self.forward(x, mode=TRAIN)
         values = self.losses(x, y, fwd)
         grads = self._backward(x, y, fwd)
         return values, grads, fwd
-
-    def loss_value(self, x, y, *, mode: str, rng=None, eps=None,
-                   update_running: bool = True) -> float:
-        fwd = self.forward(x, mode=mode, rng=rng, eps=eps, update_running=update_running)
-        return self.losses(x, y, fwd).total
 
     def _head_grad(self, y, fwd: Forward) -> np.ndarray:
         """d(weighted cross-entropy)/d(logits); a row whose true-class
@@ -333,10 +316,7 @@ class VAEClassifier:
         dz = dz_dec + dz_clf
 
         dmu = dz.copy()
-        if fwd.eps is not None:
-            dlogvar = dz * fwd.eps * 0.5 * np.exp(0.5 * fwd.logvar)
-        else:
-            dlogvar = np.zeros_like(fwd.logvar)
+        dlogvar = dz * fwd.eps * 0.5 * np.exp(0.5 * fwd.logvar)
         dmu += (1.0 / n) * fwd.mu
         dlogvar += (0.5 / n) * (np.exp(fwd.logvar) - 1.0)
 
@@ -423,10 +403,16 @@ def train_model(
     parameters giving the best validation loss are restored at the end.
     Training and the choice of that epoch use the one objective of
     ``VAEClassifier.losses``, from a cold start and when fine-tuning alike.
-    Features and labels that do not fit the model or each other are refused
-    with DataMismatchError before the first step.
+    Features and labels that do not fit the model or each other, and a
+    training set of fewer than two rows, are refused with DataMismatchError
+    before the first step.
     """
     x_train, y_train = _examples(model, x_train, y_train, "the training set")
+    if len(x_train) < 2:
+        # batch statistics need two rows, so one row (or none) would give no step
+        raise DataMismatchError(
+            f"training needs at least 2 rows, the training set has {len(x_train)}"
+        )
     if (x_val is None) != (y_val is None):
         raise DataMismatchError("a validation set needs both x_val and y_val")
     if x_val is not None:
@@ -447,12 +433,12 @@ def train_model(
         n_batches = 0
         for start in range(0, len(order), batch_size):
             idx = order[start : start + batch_size]
-            values, grads, _ = model.loss_and_grads(x_train[idx], y_train[idx], mode=TRAIN)
+            values, grads, _ = model.loss_and_grads(x_train[idx], y_train[idx])
             optimizer.step(params, grads)
             model.assert_finite()
             epoch_loss += values.total
             n_batches += 1
-        history.train_loss.append(epoch_loss / max(n_batches, 1))
+        history.train_loss.append(epoch_loss / n_batches)
         history.epochs_run = epoch + 1
         if x_val is not None and len(x_val):
             fwd = model.forward(x_val, mode=INFER)

@@ -194,8 +194,7 @@ def _score(model: VAEClassifier, rows, class_labels: list[str]):
 def export_latent(model: VAEClassifier, rows, class_labels: list[str]) -> np.ndarray:
     """Per-sample latent means with the class index as the last column."""
     x, y = _xy(rows, class_labels, model.spec.input_dim > 5)
-    mu, _ = model.encode(x)
-    return np.hstack([mu, y[:, None].astype(np.float64)])
+    return np.hstack([model.forward(x).mu, y[:, None].astype(np.float64)])
 
 
 # --- lossless study (transfer learning over bin sizes) ------------------------

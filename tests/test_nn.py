@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonvae.nn import (
-    FROZEN,
     INFER,
     TRAIN,
     Adam,
@@ -207,11 +206,11 @@ def test_batchnorm_train_backward_matches_finite_differences():
     target = rng.random((6, 4))
 
     def loss(inputs):
-        out, _ = bn.forward(inputs, TRAIN, update_running=False)
+        out, _ = bn.forward(inputs, TRAIN)
         return 0.5 * np.sum((out - target) ** 2)
 
-    out, cache = bn.forward(x, TRAIN, update_running=False)
-    dx, grads = bn.backward(out - target, cache, TRAIN)
+    out, cache = bn.forward(x, TRAIN)
+    dx, grads = bn.backward(out - target, cache)
     h = 1e-6
     for i in range(x.size):
         pert = x.copy().reshape(-1)
@@ -233,43 +232,33 @@ def test_batchnorm_train_backward_matches_finite_differences():
             assert grads[name][i] == pytest.approx(fd, abs=1e-5)
 
 
-def parent_batchnorm_backward(bn, dy, cache, mode):
+def parent_batchnorm_backward(bn, dy, cache):
     """BatchNorm.backward as it was before it reused its parameter gradients:
     it forms dy * gamma and sums it, and its product with x_hat, over the batch."""
     x_hat, inv_std = cache
     grads = {"gamma": (dy * x_hat).sum(axis=0), "beta": dy.sum(axis=0)}
     dx_hat = dy * bn.gamma
-    if mode == TRAIN:
-        n = x_hat.shape[0]
-        dx = inv_std / n * (
-            n * dx_hat - dx_hat.sum(axis=0) - x_hat * (dx_hat * x_hat).sum(axis=0)
-        )
-    else:
-        dx = dx_hat * inv_std
+    n = x_hat.shape[0]
+    dx = inv_std / n * (n * dx_hat - dx_hat.sum(axis=0) - x_hat * (dx_hat * x_hat).sum(axis=0))
     return dx, grads
-
-
-MODES = st.sampled_from([TRAIN, INFER, FROZEN])
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(dtype=st.sampled_from(DTYPES), n=st.integers(2, 64), d=st.integers(1, 8),
-       seed=st.integers(0, 2**32 - 1), mode=MODES,
+       seed=st.integers(0, 2**32 - 1),
        x_scale=st.sampled_from([1e-3, 1.0, 1e3]), dy_scale=st.sampled_from([1e-3, 1.0, 1e3]))
-def test_batchnorm_backward_matches_parent_formula(dtype, n, d, seed, mode, x_scale, dy_scale):
+def test_batchnorm_backward_matches_parent_formula(dtype, n, d, seed, x_scale, dy_scale):
     rng = np.random.default_rng(seed)
     bn = BatchNorm(d)
     cast_params(dtype, bn)
     bn.gamma[...] = rng.normal(size=d)
     bn.beta[...] = rng.normal(size=d)
-    bn.running_mean[...] = rng.normal(size=d)
-    bn.running_var[...] = rng.random(d) + 0.1
     x = rng.normal(x_scale * rng.normal(size=d), x_scale, size=(n, d)).astype(dtype)
     dy = (dy_scale * rng.normal(size=(n, d))).astype(dtype)
-    y, cache = bn.forward(x, mode, update_running=False)
-    dx, grads = bn.backward(dy, cache, mode)
+    y, cache = bn.forward(x, TRAIN)
+    dx, grads = bn.backward(dy, cache)
     assert y.dtype == dx.dtype == dtype
-    want_dx, want_grads = parent_batchnorm_backward(bn, dy, cache, mode)
+    want_dx, want_grads = parent_batchnorm_backward(bn, dy, cache)
     for name, want in want_grads.items():
         assert grads[name].dtype == dtype
         assert np.array_equal(grads[name], want)
@@ -281,9 +270,9 @@ def test_batchnorm_backward_matches_parent_formula(dtype, n, d, seed, mode, x_sc
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
-@given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1), mode=MODES,
+@given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1),
        activation=st.sampled_from(["selu", "leaky_relu"]))
-def test_block_activation_derivative_matches_input_form(n, seed, mode, activation):
+def test_block_activation_derivative_matches_input_form(n, seed, activation):
     """What a block passes back into its BatchNorm, from the cached output,
     against the reference derivative at the normalized input."""
     rng = np.random.default_rng(seed)
@@ -292,7 +281,7 @@ def test_block_activation_derivative_matches_input_form(n, seed, mode, activatio
     block.norm.beta[...] = rng.normal(size=12)
     x = 3.0 * rng.normal(size=(n, 5))
     dy = rng.normal(size=(n, 12))
-    _, cache = block.forward(x, mode, rng, update_running=False)
+    _, cache = block.forward(x, TRAIN, rng)
     seen = []
     norm_backward = block.norm.backward
 
@@ -315,8 +304,10 @@ def test_block_activation_derivative_matches_input_form(n, seed, mode, activatio
         assert np.all(np.abs(seen[0] - want) <= tol)
 
 
-@pytest.mark.parametrize("mode", [TRAIN, INFER, FROZEN])
+@pytest.mark.parametrize("mode", [TRAIN, INFER])
 def test_stack_leaves_its_inputs_unchanged(mode, dtype=np.float64):
+    """Forward in either mode, and backward after a TRAIN forward, the only
+    pass it follows."""
     rng = np.random.default_rng(8)
     for activation in ("selu", "leaky_relu"):
         stack = MLPStack(5, (16, 8), 3, activation, 0.2, rng)
@@ -325,14 +316,16 @@ def test_stack_leaves_its_inputs_unchanged(mode, dtype=np.float64):
         dy = rng.normal(size=(32, 3)).astype(dtype)
         x_before, dy_before = x.tobytes(), dy.tobytes()
         y, caches = stack.forward(x, mode, rng)
-        dx, grads = stack.backward(dy, caches)
         assert x.tobytes() == x_before
-        assert dy.tobytes() == dy_before
-        assert y.dtype == dx.dtype == dtype
-        assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}, activation
+        assert y.dtype == dtype
+        if mode == TRAIN:
+            dx, grads = stack.backward(dy, caches)
+            assert dy.tobytes() == dy_before
+            assert dx.dtype == dtype
+            assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}, activation
 
 
-@pytest.mark.parametrize("mode", [TRAIN, INFER, FROZEN])
+@pytest.mark.parametrize("mode", [TRAIN, INFER])
 def test_stack_leaves_its_inputs_unchanged_in_float32(mode):
     test_stack_leaves_its_inputs_unchanged(mode, np.float32)
 
@@ -341,7 +334,7 @@ def test_dense_block_and_stack_shapes():
     rng = np.random.default_rng(6)
     stack = MLPStack(5, (16, 8), 3, "selu", 0.2, rng)
     x = rng.random((10, 5))
-    y, caches = stack.forward(x, INFER, None)
+    y, caches = stack.forward(x, TRAIN, rng)
     assert y.shape == (10, 3)
     dy = rng.random((10, 3))
     dx, grads = stack.backward(dy, caches)
@@ -349,12 +342,12 @@ def test_dense_block_and_stack_shapes():
     assert {"out.W", "out.b", "hidden0.dense.W", "hidden1.norm.gamma"} <= set(grads)
 
 
-def test_block_frozen_mode_is_deterministic():
+def test_block_infer_mode_is_deterministic():
     rng = np.random.default_rng(7)
     block = DenseBlock(4, 6, "leaky_relu", 0.5, rng)
     x = rng.random((3, 4))
-    a, _ = block.forward(x, FROZEN, None)
-    b, _ = block.forward(x, FROZEN, None)
+    a, _ = block.forward(x, INFER, rng)
+    b, _ = block.forward(x, INFER, rng)
     np.testing.assert_array_equal(a, b)
 
 

@@ -7,9 +7,9 @@ import struct
 import numpy as np
 import pytest
 
-from fd_utils import REL_FLOOR, make_case, max_relative_error
+from fd_utils import REL_FLOOR, FixedNoise, make_case, max_relative_error
 from photonvae import vae
-from photonvae.nn import FROZEN, INFER, TRAIN, Adam, GradientError
+from photonvae.nn import INFER, TRAIN, Adam, GradientError
 from photonvae.vae import (
     CheckpointError,
     DataMismatchError,
@@ -75,9 +75,9 @@ def test_encode_zero_final_layer_gives_zero_latent():
     model = binary_model()
     model.encoder.out.weight[:] = 0.0
     model.encoder.out_bias[:] = 0.0
-    mu, logvar = model.encode(np.random.default_rng(0).random((4, 5)))
-    assert np.all(mu == 0.0)
-    assert np.all(logvar == 0.0)
+    fwd = model.forward(np.random.default_rng(0).random((4, 5)))
+    assert np.all(fwd.mu == 0.0)
+    assert np.all(fwd.logvar == 0.0)
 
 
 def test_inference_forward_deterministic():
@@ -95,6 +95,25 @@ def test_training_forward_is_stochastic():
     a = model.forward(x, mode=TRAIN)
     b = model.forward(x, mode=TRAIN)
     assert not np.array_equal(a.z, b.z)
+
+
+def test_inference_draws_nothing_and_writes_nothing():
+    """The validation pass between epochs relies on this: an INFER pass leaves
+    the noise stream and every parameter, running statistics included, as it
+    found them, while a TRAIN pass moves the running statistics."""
+    model = binary_model(seed=3)
+    x = np.random.default_rng(1).random((64, 5))
+    rng_state = model.rng.bit_generator.state
+    state = model.get_state()
+    model.forward(x, mode=INFER)
+    assert model.rng.bit_generator.state == rng_state
+    after = model.get_state()
+    assert all(np.array_equal(after[name], state[name]) for name in state)
+    model.forward(x, mode=TRAIN)
+    after = model.get_state()
+    running = [name for name in state if ".running_" in name]
+    assert len(running) == 2 * (5 + 4 + 2)  # mean and variance of every block
+    assert all(not np.array_equal(after[name], state[name]) for name in running)
 
 
 def test_reparameterize_values():
@@ -214,17 +233,17 @@ def test_unlabeled_rows_excluded_from_bce():
 
 
 def test_gradients_match_finite_differences_quick():
-    model, x, y, eps = make_case(NetworkSpec(input_dim=5, num_classes=2), seed=0)
+    model, x, y = make_case(NetworkSpec(input_dim=5, num_classes=2), seed=0)
     rng = np.random.default_rng(0)
-    worst, at = max_relative_error(model, x, y, eps, sample_per_tensor=8, rng=rng)
+    worst, at = max_relative_error(model, x, y, sample_per_tensor=8, rng=rng)
     assert worst < 1e-4, at
 
 
 def test_gradients_match_in_training_mode_batch_statistics():
     spec = NetworkSpec(input_dim=5, num_classes=2, dropout_rate=0.0)
-    model, x, y, eps = make_case(spec, seed=1)
+    model, x, y = make_case(spec, seed=1)
     rng = np.random.default_rng(1)
-    worst, at = max_relative_error(model, x, y, eps, mode=TRAIN, sample_per_tensor=6, rng=rng)
+    worst, at = max_relative_error(model, x, y, sample_per_tensor=6, rng=rng)
     assert worst < 1e-4, at
 
 
@@ -242,7 +261,7 @@ def test_a_float32_training_step_stays_in_float32():
     rng = np.random.default_rng(16)
     x = rng.random((64, 5))  # float64 rows, cast by the model
     y = rng.integers(0, 2, 64)
-    _, grads, fwd = model.loss_and_grads(x, y, mode=TRAIN)
+    _, grads, fwd = model.loss_and_grads(x, y)
     arrays = [fwd.mu, fwd.logvar, fwd.z, fwd.x_hat, fwd.logits, fwd.probs, fwd.eps]
     arrays += _arrays(fwd.caches)
     assert len(arrays) > 50  # every block's input, norm, activation and mask caches
@@ -262,21 +281,21 @@ def test_a_float32_training_step_stays_in_float32():
 F32_GRAD_TOL = 64 * np.finfo(np.float32).eps / REL_FLOOR
 
 
-@pytest.mark.parametrize("mode", [FROZEN, TRAIN])
 @pytest.mark.parametrize("num_classes", [2, 4])
-def test_float32_gradients_match_the_float64_reference(mode, num_classes):
+def test_float32_gradients_match_the_float64_reference(num_classes):
     spec = NetworkSpec(num_classes=num_classes, dropout_rate=0.0)
-    reference, x, y, eps = make_case(spec, seed=5, batch=64)
+    reference, x, y = make_case(spec, seed=5, batch=64)
     model = VAEClassifier(spec, seed=5)
     assert model.dtype == np.float32 and reference.dtype == np.float64
-    # the same float32 weights and inputs, so only the arithmetic differs
+    # the same float32 weights, inputs and noise, so only the arithmetic differs
     state = {name: value.astype(np.float32) for name, value in reference.get_state().items()}
     reference.set_state(state)
     model.set_state(state)
-    x, eps = x.astype(np.float32), eps.astype(np.float32)
-    kwargs = dict(mode=mode, eps=eps, update_running=False)
-    want_values, want, _ = reference.loss_and_grads(x, y, **kwargs)
-    values, got, _ = model.loss_and_grads(x, y, **kwargs)
+    x = x.astype(np.float32)
+    eps = np.random.default_rng(5).standard_normal((64, spec.latent_dim)).astype(np.float32)
+    reference.rng = model.rng = FixedNoise(eps)
+    want_values, want, _ = reference.loss_and_grads(x, y)
+    values, got, _ = model.loss_and_grads(x, y)
     assert got.vector.dtype == np.float32 and want.vector.dtype == np.float64
     scale = np.maximum(np.maximum(np.abs(got.vector), np.abs(want.vector)), REL_FLOOR)
     err = np.abs(got.vector - want.vector) / scale
@@ -286,13 +305,12 @@ def test_float32_gradients_match_the_float64_reference(mode, num_classes):
     assert values.total == pytest.approx(want_values.total, rel=8 * np.finfo(np.float32).eps)
 
 
-@pytest.mark.parametrize("mode", [TRAIN, FROZEN])
-def test_loss_and_grads_leaves_inputs_unchanged_and_returns_fresh_gradients(mode):
-    model, x, y, eps = make_case(NetworkSpec(), seed=3, batch=16)
+def test_loss_and_grads_leaves_inputs_unchanged_and_returns_fresh_gradients():
+    model, x, y = make_case(NetworkSpec(), seed=3, batch=16)
     x_before, y_before = x.tobytes(), y.tobytes()
-    _, first, _ = model.loss_and_grads(x, y, mode=mode, eps=eps, update_running=False)
+    _, first, _ = model.loss_and_grads(x, y)
     first_before = first.vector.tobytes()
-    _, second, _ = model.loss_and_grads(x, y, mode=mode, eps=eps, update_running=False)
+    _, second, _ = model.loss_and_grads(x, y)
     assert x.tobytes() == x_before and y.tobytes() == y_before
     assert not np.shares_memory(first.vector, second.vector)
     assert first.vector.tobytes() == first_before
@@ -305,8 +323,7 @@ def test_zero_input_zero_weights_give_zero_weight_gradients():
             owner.weight = np.zeros_like(owner.weight)
     x = np.zeros((4, 5))
     y = np.array([0, 0, 0, 1])  # unbalanced so the head bias gradient is nonzero
-    eps = np.zeros((4, 3))
-    _, grads, _ = model.loss_and_grads(x, y, mode=FROZEN, eps=eps, update_running=False)
+    _, grads, _ = model.loss_and_grads(x, y)
     for name, g in grads.items():
         if name.endswith(".W"):
             assert np.all(g == 0.0), name
@@ -317,10 +334,10 @@ def test_doubling_bce_weight_doubles_classifier_gradients(monkeypatch):
     model = binary_model(seed=2)
     x = np.random.default_rng(6).random((16, 5))
     y = np.random.default_rng(7).integers(0, 2, 16)
-    eps = np.random.default_rng(8).standard_normal((16, 3))
-    _, base, _ = model.loss_and_grads(x, y, mode=FROZEN, eps=eps, update_running=False)
+    _, base, _ = model.loss_and_grads(x, y)
     monkeypatch.setattr(vae, "CLASSIFICATION_WEIGHT", 2.0 * vae.CLASSIFICATION_WEIGHT)
-    _, doubled, _ = model.loss_and_grads(x, y, mode=FROZEN, eps=eps, update_running=False)
+    model.reseed(model.seed)  # the same masks and noise again
+    _, doubled, _ = model.loss_and_grads(x, y)
     for name in base:
         if name.startswith("classifier."):
             np.testing.assert_allclose(doubled[name], 2.0 * base[name], rtol=0, atol=0)
@@ -333,8 +350,6 @@ def test_non_finite_parameters_raise_gradient_error():
         model.loss_and_grads(
             np.random.default_rng(0).random((4, 5)),
             np.array([0, 1, 0, 1]),
-            mode=FROZEN,
-            eps=np.zeros((4, 3)),
         )
 
 
@@ -352,8 +367,6 @@ def test_non_finite_gradient_names_its_parameter(monkeypatch):
         model.loss_and_grads(
             np.random.default_rng(0).random((4, 5)),
             np.array([0, 1, 0, 1]),
-            mode=FROZEN,
-            eps=np.zeros((4, 3)),
         )
 
 
@@ -389,10 +402,10 @@ def test_fixed_batch_loss_mostly_nonincreasing():
     wins = 0
     for _ in range(50):
         state = copy.deepcopy(model.rng.bit_generator.state)
-        before, grads, _ = model.loss_and_grads(x, y, mode=TRAIN, update_running=False)
+        before, grads, _ = model.loss_and_grads(x, y)
         adam.step(params, grads)
         model.rng.bit_generator.state = state
-        after = model.loss_value(x, y, mode=TRAIN, update_running=False)
+        after = model.losses(x, y, model.forward(x, mode=TRAIN)).total
         if after <= before.total + 1e-9:
             wins += 1
     assert wins >= 45
@@ -520,6 +533,10 @@ def _mismatch_cases():
          "the validation set has 10 rows of features but 8 labels"),
         ("evaluation_rows", lambda m: evaluate_model(m, x[:10], y[:8]),
          "the evaluation set has 10 rows of features but 8 labels"),
+        ("one_training_row", lambda m: train_model(m, x[:1], y[:1], epochs=1),
+         "training needs at least 2 rows, the training set has 1"),
+        ("no_training_rows", lambda m: train_model(m, x[:0], y[:0], epochs=1),
+         "training needs at least 2 rows, the training set has 0"),
     ]
 
 
