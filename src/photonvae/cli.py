@@ -119,6 +119,14 @@ def _count(value) -> int:
     return int(number)
 
 
+def _batch_size(value) -> int:
+    """A ``_count`` of at least 2: batch statistics need two rows."""
+    size = _count(value)
+    if size < 2:
+        raise ValueError("expected a whole number >= 2, since batch statistics need two rows")
+    return size
+
+
 def _array(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
@@ -263,7 +271,7 @@ def cmd_train(args, config: dict, seed: int, out: Path, name: str, base=None) ->
         model = VAEClassifier(spec, seed=seed)
     options = {
         "epochs": _require(config, "epochs", _count, 200),
-        "batch_size": _require(config, "batch_size", _count, 512),
+        "batch_size": _require(config, "batch_size", _batch_size, 512),
         "learning_rate": _require(config, "learning_rate", float, 1e-3),
     }
 

@@ -405,8 +405,12 @@ def train_model(
     ``VAEClassifier.losses``, from a cold start and when fine-tuning alike.
     Features and labels that do not fit the model or each other, and a
     training set of fewer than two rows, are refused with DataMismatchError
-    before the first step.
+    before the first step; a ``batch_size`` below 2 with ValueError.
     """
+    if batch_size < 2:
+        # a one-row batch normalizes every hidden unit to its beta, so no
+        # gradient reaches a hidden weight, a gamma or the encoder
+        raise ValueError(f"batch_size must be at least 2, got {batch_size}")
     x_train, y_train = _examples(model, x_train, y_train, "the training set")
     if len(x_train) < 2:
         # batch statistics need two rows, so one row (or none) would give no step
@@ -516,6 +520,7 @@ def load_checkpoint(path) -> tuple[VAEClassifier, dict]:
     try:
         spec = NetworkSpec.from_dict(header["network"])
         listed = list(zip(header["param_order"], header["param_shapes"]))
+        labels = header["class_labels"]
     except KeyError as exc:
         raise CheckpointError(f"{path}: header field {exc} missing") from exc
     except (TypeError, ValueError) as exc:
@@ -542,5 +547,13 @@ def load_checkpoint(path) -> tuple[VAEClassifier, dict]:
     missing = [name for name in expected if name not in state]
     if missing:
         raise CheckpointError(f"{path}: parameter {missing[0]!r} missing")
+    # fewer labels than logits is allowed: a one-class dataset trains a 2-class head
+    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+        raise CheckpointError(f"{path}: header field 'class_labels' is not a list of strings")
+    if len(labels) > spec.num_classes:
+        raise CheckpointError(
+            f"{path}: header field 'class_labels' lists {len(labels)} labels, "
+            f"the network has {spec.num_classes} classes"
+        )
     model.set_state(state)
     return model, header

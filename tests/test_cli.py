@@ -41,6 +41,8 @@ EXIT_CASES = {
                           {"datasets": ["foreign.csv"], "epochs": 2.7}),
     "zero_batch_size": (1, "config error: config field 'batch_size'", ["train", "--config", "c.json"],
                         {"datasets": ["foreign.csv"], "epochs": 1, "batch_size": 0}),
+    "one_batch_size": (1, "config error: config field 'batch_size'", ["train", "--config", "c.json"],
+                       {"datasets": ["foreign.csv"], "epochs": 1, "batch_size": 1}),
     "classes_object": (1, "config error: config field 'classes'", ["train", "--config", "c.json"],
                        {"datasets": ["foreign.csv"], "epochs": 1, "classes": {"a": 1}}),
     "datasets_number": (1, "config error: config field 'datasets'", ["train", "--config", "c.json"],
@@ -54,6 +56,8 @@ EXIT_CASES = {
                              {"checkpoint": "bad.ckpt", "datasets": ["foreign.csv"]}),
     "misfit_checkpoint_header": (3, "checkpoint error:", ["eval", "--config", "c.json"],
                                  {"checkpoint": "misfit.ckpt", "datasets": ["foreign.csv"]}),
+    "checkpoint_without_class_labels": (3, "checkpoint error:", ["eval", "--config", "c.json"],
+                                        {"checkpoint": "unlabelled.ckpt", "datasets": ["foreign.csv"]}),
     "eval_foreign_labels": (4, "dataset/network mismatch:", ["eval", "--config", "c.json"],
                             {"checkpoint": "model.ckpt", "datasets": ["foreign.csv"]}),
     "finetune_foreign_labels": (4, "dataset/network mismatch:",
@@ -75,6 +79,9 @@ def test_exit_code_contract(case, run_cli, tmp_path):
                     seed=0, epochs_trained=0, class_labels=["spacs", "spats"])
     misfit = (tmp_path / "misfit.ckpt").read_bytes()
     (tmp_path / "misfit.ckpt").write_bytes(misfit.replace(b'"num_classes": 4', b'"num_classes": 2'))
+    # the same header length, without its class_labels field
+    labelled = (tmp_path / "model.ckpt").read_bytes()
+    (tmp_path / "unlabelled.ckpt").write_bytes(labelled.replace(b'"class_labels"', b'"class_labelx"'))
     (tmp_path / "bad.csv").write_text(f"{CSV_HEADER}\n0.33,0.67,0,0,0,0,0,0.67,spacs,20,1,6,1.3,spacs,1\n")
 
     got, stdout, stderr = run_cli(*argv, configs={"c.json": config} if config else None)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonvae import nn
 from photonvae.nn import (
     INFER,
     TRAIN,
@@ -16,6 +17,7 @@ from photonvae.nn import (
     NamedVector,
     SELU_ALPHA,
     SELU_SCALE,
+    column_sums,
     dropout_backward,
     dropout_forward,
     leaky_relu,
@@ -173,6 +175,49 @@ def test_dropout_inverted_scaling_and_inference_identity_in_float32():
     test_dropout_inverted_scaling_and_inference_identity(np.float32)
 
 
+# --- batch sums -----------------------------------------------------------------
+
+BATCH_ROWS = [2, 64, 512, 513]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", BATCH_ROWS)
+def test_column_sums_are_exact_on_whole_numbers(dtype, n):
+    # every partial sum of at most 513 entries of size <= 1000 is a whole
+    # number below 2**24, so any order of the additions is exact
+    rng = np.random.default_rng(n)
+    for width in range(1, 65):
+        a = rng.integers(-1000, 1001, size=(n, width)).astype(dtype)
+        sums = column_sums(a)
+        assert sums.dtype == dtype and sums.shape == (width,)
+        assert np.array_equal(sums, a.sum(axis=0))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", BATCH_ROWS)
+def test_column_sums_agree_with_numpy_within_the_summation_error(dtype, n):
+    # each order's error is at most (n - 1) * eps / 2 * sum|a| to first order,
+    # so the two orders differ by at most twice that
+    rng = np.random.default_rng(100 + n)
+    for width in range(1, 65):
+        a = rng.normal(rng.normal(size=width), 1.0, size=(n, width)).astype(dtype)
+        bound = (n - 1) * np.finfo(dtype).eps * np.abs(a).sum(axis=0)
+        assert np.all(np.abs(column_sums(a) - a.sum(axis=0)) <= bound)
+
+
+def test_column_sums_use_one_read_only_ones_vector_per_rows_and_dtype():
+    a = np.arange(12.0).reshape(4, 3)
+    narrow = column_sums(a.astype(np.float32))
+    wide = column_sums(a)
+    assert narrow.dtype == np.float32 and wide.dtype == np.float64
+    assert np.array_equal(narrow, [18, 22, 26]) and np.array_equal(wide, [18, 22, 26])
+    ones = nn._ones(4, np.dtype(np.float32))
+    assert ones is nn._ones(4, np.dtype(np.float32))
+    assert ones.dtype == np.float32 and not ones.flags.writeable
+    with pytest.raises(ValueError):
+        ones[0] = 2.0
+
+
 def test_batchnorm_train_normalizes_and_tracks_running_stats(dtype=np.float64):
     bn = BatchNorm(3)
     cast_params(dtype, bn)
@@ -234,9 +279,12 @@ def test_batchnorm_train_backward_matches_finite_differences():
 
 def parent_batchnorm_backward(bn, dy, cache):
     """BatchNorm.backward as it was before it reused its parameter gradients:
-    it forms dy * gamma and sums it, and its product with x_hat, over the batch."""
+    it forms dy * gamma and sums it, and its product with x_hat, over the batch.
+    The parameter gradients are summed as the layer sums them, by
+    ``column_sums``: this is a reference for the formula, not for the order of
+    a sum's additions."""
     x_hat, inv_std = cache
-    grads = {"gamma": (dy * x_hat).sum(axis=0), "beta": dy.sum(axis=0)}
+    grads = {"gamma": column_sums(dy * x_hat), "beta": column_sums(dy)}
     dx_hat = dy * bn.gamma
     n = x_hat.shape[0]
     dx = inv_std / n * (n * dx_hat - dx_hat.sum(axis=0) - x_hat * (dx_hat * x_hat).sum(axis=0))

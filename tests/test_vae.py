@@ -454,8 +454,8 @@ def test_train_model_runs_one_validation_pass_per_epoch(monkeypatch):
 # arithmetic or the order of a training step changes it.  Recorded with numpy 2.4
 # and OpenBLAS; another BLAS may round the matmuls differently.
 PINNED_TRAINING_SHA256 = {
-    2: "512546eb52be0da417202fb3f82e5797ece9902b3aae599b7ef6873dc583027e",
-    4: "4ac9921b21a63df5e4f5d27b4a568db713b150dc9727f02451a6ea3926a63585",
+    2: "d84acff3756d3bef048cac0b79581d4a0133ba83bee1e88ad69d4020b2a7673f",
+    4: "d630d483150dcdcfb61a0863687518d0e7f8227defbbd48b2253ef9116a9d8f2",
 }
 
 
@@ -554,6 +554,20 @@ def test_mismatched_inputs_are_refused_before_any_step(monkeypatch, call, messag
     with pytest.raises(DataMismatchError, match=message):
         call(binary_model(seed=0))
     assert passes == []
+
+
+def test_one_row_batches_are_refused_before_any_step():
+    """A one-row batch would normalize every hidden unit to its beta: the run
+    would report a falling loss while the hidden weights never move."""
+    model = binary_model(seed=0)
+    rng = np.random.default_rng(3)
+    x, y = rng.random((40, 5)), rng.integers(0, 2, 40)
+    before, noise = model.get_state(), model.rng.bit_generator.state
+    with pytest.raises(ValueError, match="batch_size must be at least 2, got 1"):
+        train_model(model, x, y, x[:10], y[:10], epochs=3, batch_size=1)
+    after = model.get_state()
+    assert all(np.array_equal(before[name], after[name]) for name in before)
+    assert model.rng.bit_generator.state == noise
 
 
 def test_accuracy_invariant_under_row_permutation():
@@ -658,13 +672,30 @@ def _no_network(header):
     del header["network"]
 
 
+def _no_class_labels(header):
+    del header["class_labels"]
+
+
+def _class_labels_not_strings(header):
+    header["class_labels"] = [0, 1, 2, 3]
+
+
+def _more_class_labels_than_classes(header):
+    header["class_labels"] = list("abcde")
+
+
 @pytest.mark.parametrize("edit, message", [
     (_four_class_weights_under_two_class_network,
      "parameter 'classifier.out.W' has shape [8, 4], the network needs [8, 2]"),
     (_renamed_parameter, "parameter 'classifier.head.W' is not in the network"),
     (_dropped_last_parameter, "parameter 'classifier.out.b' missing"),
     (_no_network, "header field 'network' missing"),
-], ids=["shape", "unknown_name", "missing_name", "no_network"])
+    (_no_class_labels, "header field 'class_labels' missing"),
+    (_class_labels_not_strings, "header field 'class_labels' is not a list of strings"),
+    (_more_class_labels_than_classes,
+     "header field 'class_labels' lists 5 labels, the network has 4 classes"),
+], ids=["shape", "unknown_name", "missing_name", "no_network", "no_class_labels",
+        "class_labels_not_strings", "more_class_labels_than_classes"])
 def test_checkpoint_refuses_a_header_that_does_not_fit_its_network(tmp_path, edit, message):
     path = tmp_path / "model.ckpt"
     model = VAEClassifier(NetworkSpec(num_classes=4), seed=13)
@@ -677,6 +708,14 @@ def test_checkpoint_refuses_a_header_that_does_not_fit_its_network(tmp_path, edi
     path.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + length : len(raw) - cut])
     with pytest.raises(CheckpointError, match=re.escape(message)):
         load_checkpoint(path)
+
+
+def test_checkpoint_with_fewer_labels_than_classes_loads(tmp_path):
+    """A one-class dataset trains a 2-class head, whose checkpoint lists one label."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, binary_model(seed=14), seed=14, epochs_trained=1, class_labels=["x"])
+    _, header = load_checkpoint(path)
+    assert header["class_labels"] == ["x"]
 
 
 def test_checkpoint_rejects_truncation(tmp_path):
