@@ -8,7 +8,9 @@ made scalars of the array's dtype.  Each layer's ``forward`` returns the
 output plus an opaque cache consumed by ``backward``.  Modes:
 
 * ``"train"`` — batch-statistic normalization that also moves the running
-  statistics, dropout active.
+  statistics, dropout active.  Dropout draws one 16-bit integer per unit from
+  the raw words of the generator it is handed, which is cheaper than a float
+  per unit; a rate then acts as ``round(rate * 2**16) / 2**16``.
 * ``"infer"`` — running-statistic normalization, dropout off; nothing is drawn
   and nothing is written.
 
@@ -203,13 +205,20 @@ class BatchNorm:
 
 
 def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None):
-    """Inverted dropout: scaled mask in training, identity otherwise."""
+    """Inverted dropout: scaled mask in training, identity otherwise.
+
+    Each unit's keep decision is a 16-bit draw, four to a raw 64-bit word of
+    ``rng``'s bit generator (``random_raw(ceil(x.size / 4))``, read as uint16
+    in memory order).  A unit is dropped when its draw is below
+    ``round(rate * 65536)``, so the drop probability is that threshold over
+    2**16: 0.19999695 at rate 0.2.  A rate below 2**-17 keeps every unit, and
+    one whose threshold rounds to 65536 drops every unit."""
     if mode != TRAIN or rate <= 0.0:
         return x, None
-    # the 0/1 keep mask is written over the uniform draws, which are drawn in
-    # x's dtype, and scaled in place
-    mask = rng.random(x.shape, dtype=x.dtype)
-    np.greater_equal(mask, rate, out=mask)
+    draws = rng.bit_generator.random_raw(-(-x.size // 4)).view(np.uint16)
+    # the 0/1 keep mask is written straight into x's dtype, then scaled in place
+    mask = np.empty_like(x)
+    np.greater_equal(draws[: x.size].reshape(x.shape), round(rate * 65536), out=mask)
     mask *= 1.0 / (1.0 - rate)
     return x * mask, mask
 

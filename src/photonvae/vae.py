@@ -525,7 +525,10 @@ def load_checkpoint(path) -> tuple[VAEClassifier, dict]:
         raise CheckpointError(f"{path}: header field {exc} missing") from exc
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: header does not describe a network ({exc})") from exc
-    model = VAEClassifier(spec, seed=header.get("seed", 0))
+    seed = header.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise CheckpointError(f"{path}: header field 'seed' is not a non-negative integer")
+    model = VAEClassifier(spec, seed=seed)
     expected = {name: view.shape for name, view in model._params.items()}
     offset = 16 + header_len
     state = {}

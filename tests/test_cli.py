@@ -58,6 +58,8 @@ EXIT_CASES = {
                                  {"checkpoint": "misfit.ckpt", "datasets": ["foreign.csv"]}),
     "checkpoint_without_class_labels": (3, "checkpoint error:", ["eval", "--config", "c.json"],
                                         {"checkpoint": "unlabelled.ckpt", "datasets": ["foreign.csv"]}),
+    "checkpoint_seed_not_an_integer": (3, "checkpoint error:", ["eval", "--config", "c.json"],
+                                       {"checkpoint": "text_seed.ckpt", "datasets": ["foreign.csv"]}),
     "eval_foreign_labels": (4, "dataset/network mismatch:", ["eval", "--config", "c.json"],
                             {"checkpoint": "model.ckpt", "datasets": ["foreign.csv"]}),
     "finetune_foreign_labels": (4, "dataset/network mismatch:",
@@ -82,6 +84,8 @@ def test_exit_code_contract(case, run_cli, tmp_path):
     # the same header length, without its class_labels field
     labelled = (tmp_path / "model.ckpt").read_bytes()
     (tmp_path / "unlabelled.ckpt").write_bytes(labelled.replace(b'"class_labels"', b'"class_labelx"'))
+    save_checkpoint(tmp_path / "text_seed.ckpt", model, seed="abc", epochs_trained=0,
+                    class_labels=["spacs", "spats"])
     (tmp_path / "bad.csv").write_text(f"{CSV_HEADER}\n0.33,0.67,0,0,0,0,0,0.67,spacs,20,1,6,1.3,spacs,1\n")
 
     got, stdout, stderr = run_cli(*argv, configs={"c.json": config} if config else None)
@@ -148,7 +152,7 @@ PIPELINE = (
 )
 # SHA-256 of every file the pipeline leaves and of its stdout; a new value
 # means some output byte changed
-PINNED_PIPELINE_SHA256 = "06312219bb8a653fbd466bd74d834e9574caeab8b058b0945b0a8662f333a497"
+PINNED_PIPELINE_SHA256 = "b30c4d9f301b8f22709b970c7fc0e00c1a9319cd7351d39ec5dc1752729b433e"
 
 
 def _pipeline_digest(run_cli, root: Path) -> str:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,39 @@ def test_dropout_inverted_scaling_and_inference_identity(dtype=np.float64):
 
 def test_dropout_inverted_scaling_and_inference_identity_in_float32():
     test_dropout_inverted_scaling_and_inference_identity(np.float32)
+
+
+DROPOUT_SHAPES = [pytest.param((3, 5), id="3x5"), pytest.param((512, 64), id="512x64")]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", DROPOUT_SHAPES)
+def test_dropout_mask_is_a_16_bit_draw_from_raw_generator_words(dtype, shape):
+    rng, twin = np.random.default_rng(7), np.random.default_rng(7)
+    _, mask = dropout_forward(np.ones(shape, dtype=dtype), 0.2, TRAIN, rng)
+    # oracle: each word's four 16-bit quarters, lowest first (memory order on a
+    # little-endian host), kept when at least round(0.2 * 2**16) = 13107
+    size = shape[0] * shape[1]
+    words = twin.bit_generator.random_raw(-(-size // 4))
+    quarters = (words[:, None] >> np.array([0, 16, 32, 48], dtype=np.uint64)) & 0xFFFF
+    keep = quarters.ravel()[:size].reshape(shape) >= 13107
+    assert mask.dtype == dtype
+    np.testing.assert_array_equal(mask, np.where(keep, dtype(1.0 / 0.8), dtype(0.0)))
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", DROPOUT_SHAPES)
+@pytest.mark.parametrize("rate, keeps", [(2.0**-18, True), (1.0 - 1e-6, False)],
+                         ids=["below_2**-17", "threshold_rounds_to_2**16"])
+def test_dropout_extreme_rates_keep_or_drop_every_unit(dtype, shape, rate, keeps):
+    x = np.ones(shape, dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, mask = dropout_forward(x, rate, TRAIN, np.random.default_rng(8))
+    expected = np.full(shape, dtype(1.0 / (1.0 - rate)) if keeps else 0.0, dtype=dtype)
+    np.testing.assert_array_equal(mask, expected)
+    np.testing.assert_array_equal(out, expected)
 
 
 # --- batch sums -----------------------------------------------------------------

@@ -454,8 +454,8 @@ def test_train_model_runs_one_validation_pass_per_epoch(monkeypatch):
 # arithmetic or the order of a training step changes it.  Recorded with numpy 2.4
 # and OpenBLAS; another BLAS may round the matmuls differently.
 PINNED_TRAINING_SHA256 = {
-    2: "d84acff3756d3bef048cac0b79581d4a0133ba83bee1e88ad69d4020b2a7673f",
-    4: "d630d483150dcdcfb61a0863687518d0e7f8227defbbd48b2253ef9116a9d8f2",
+    2: "6b8c27067332424ea0bd5a2ebe90d048b87a5880bee666a56cf5746ff44ad714",
+    4: "8c2289df6f2f61b65727f6c52c5d7de1adb5a0322e614c8294f0957db0eecfb3",
 }
 
 
@@ -684,6 +684,27 @@ def _more_class_labels_than_classes(header):
     header["class_labels"] = list("abcde")
 
 
+def _seed(value):
+    def edit(header):
+        header["seed"] = value
+    return edit
+
+
+def _no_seed(header):
+    del header["seed"]
+
+
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to the checkpoint's JSON header; ``edit`` may return a
+    number of bytes to cut from the end of the parameter block."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + length])
+    cut = edit(header) or 0
+    new = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + length : len(raw) - cut])
+
+
 @pytest.mark.parametrize("edit, message", [
     (_four_class_weights_under_two_class_network,
      "parameter 'classifier.out.W' has shape [8, 4], the network needs [8, 2]"),
@@ -694,20 +715,27 @@ def _more_class_labels_than_classes(header):
     (_class_labels_not_strings, "header field 'class_labels' is not a list of strings"),
     (_more_class_labels_than_classes,
      "header field 'class_labels' lists 5 labels, the network has 4 classes"),
+    (_seed("abc"), "header field 'seed' is not a non-negative integer"),
+    (_seed(1.5), "header field 'seed' is not a non-negative integer"),
+    (_seed(-1), "header field 'seed' is not a non-negative integer"),
 ], ids=["shape", "unknown_name", "missing_name", "no_network", "no_class_labels",
-        "class_labels_not_strings", "more_class_labels_than_classes"])
+        "class_labels_not_strings", "more_class_labels_than_classes", "seed_text",
+        "seed_fraction", "seed_negative"])
 def test_checkpoint_refuses_a_header_that_does_not_fit_its_network(tmp_path, edit, message):
     path = tmp_path / "model.ckpt"
     model = VAEClassifier(NetworkSpec(num_classes=4), seed=13)
     save_checkpoint(path, model, seed=13, epochs_trained=1, class_labels=list("abcd"))
-    raw = path.read_bytes()
-    (length,) = struct.unpack("<Q", raw[8:16])
-    header = json.loads(raw[16 : 16 + length])
-    cut = edit(header) or 0
-    new = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + length : len(raw) - cut])
+    _rewrite_header(path, edit)
     with pytest.raises(CheckpointError, match=re.escape(message)):
         load_checkpoint(path)
+
+
+def test_checkpoint_without_a_seed_loads_with_seed_0(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, binary_model(seed=12), seed=12, epochs_trained=1, class_labels=["x", "y"])
+    _rewrite_header(path, _no_seed)
+    loaded, header = load_checkpoint(path)
+    assert "seed" not in header and loaded.seed == 0
 
 
 def test_checkpoint_with_fewer_labels_than_classes_loads(tmp_path):
