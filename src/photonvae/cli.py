@@ -13,6 +13,11 @@ adds ``command``, ``name`` and ``seed``, echoes the config and prints the
 summary.  A command that resolves flags into settings (``sweep``'s grid)
 writes them into ``config``, so the echoed config is the effective one.
 
+``eval`` and ``sweep`` score their cells in ``_report`` through
+``workflows.EvalReport.score``, as the studies do; it, ``train`` and
+``export-latent`` turn dataset rows into network inputs with
+``workflows.model_inputs``.
+
 Exit codes: 0 success, 1 config/usage error, 2 physics validation error,
 3 checkpoint format/version error, 4 dataset/network mismatch.
 """
@@ -32,9 +37,8 @@ from .distributions import PhysicsError, SourceKind, SourceSpec
 from .sampling import (
     DatasetMeta,
     concat_rows,
-    feature_matrix,
+    feature_matrix,  # unused here, but perfbench/tracer.py wraps cli.feature_matrix
     generate_dataset,
-    label_vector,
     load_dataset_csv,
     split_rows,
     write_dataset_csv,
@@ -46,13 +50,16 @@ from .vae import (
     NetworkSpec,
     VAEClassifier,
     evaluate_model,
+    is_seed,
     load_checkpoint,
     save_checkpoint,
     train_model,
 )
 from .workflows import (
+    EvalReport,
     derived_seed,
     export_latent,
+    model_inputs,
     write_confusion_csv,
     write_latent_csv,
     write_report_csv,
@@ -134,15 +141,18 @@ def _array(value) -> list:
 
 
 def _resolve_seed(config: dict, args) -> int:
+    """``--seed``, else ``PHOTONVAE_SEED``, else the config's ``seed``, else 0.
+    Anything but a whole number >= 0 (a fraction or a boolean too) is a
+    ConfigError that names where the seed came from."""
     if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
-    return _require(config, "seed", int, 0)
+        where, seed = "--seed", args.seed
+    elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
+        where, seed = SEED_ENV_VAR, int(env) if env.strip().isdecimal() else env
+    else:
+        where, seed = "config field 'seed'", config.get("seed", 0)
+    if not is_seed(seed):
+        raise ConfigError(f"{where} must be a whole number >= 0, got {seed!r}")
+    return seed
 
 
 def _parse_sources(entries) -> tuple[tuple[str, SourceSpec], ...]:
@@ -204,31 +214,16 @@ def _features_flag(config: dict) -> str:
     return features
 
 
-def _model_features(model: VAEClassifier) -> str:
-    return "probs+nbar" if model.spec.input_dim == 6 else "probs"
-
-
-def _xy(rows, class_order: list[str], include_nbar: bool):
-    """Network inputs and class indices; a label outside ``class_order`` is a mismatch."""
-    try:
-        y = label_vector(rows, class_order)
-    except ValueError as exc:
-        raise DataMismatchError(str(exc)) from exc
-    return feature_matrix(rows, include_nbar), y
-
-
 def _report(out: Path, name: str, model: VAEClassifier, class_order: list[str], cells) -> dict:
     """Score each (confusion key, rows, report fields) cell, write ``{name}_report.csv``
     and ``{name}_confusion.csv``, and return the summary fields."""
-    include_nbar = _model_features(model) == "probs+nbar"
-    report_rows, confusions = [], {}
+    report = EvalReport(class_labels=class_order)
     for key, rows, fields in cells:
-        accuracy, confusions[key] = evaluate_model(model, *_xy(rows, class_order, include_nbar))
-        report_rows.append({**fields, "accuracy": accuracy})
+        report.score(key, model, rows, **fields)
     report_path = out / f"{name}_report.csv"
-    write_report_csv(report_path, report_rows)
-    write_confusion_csv(out / f"{name}_confusion.csv", confusions, class_order)
-    return {"report": str(report_path), "cells": report_rows}
+    write_report_csv(report_path, report.rows)
+    write_confusion_csv(out / f"{name}_confusion.csv", report.confusions, class_order)
+    return {"report": str(report_path), "cells": report.rows}
 
 
 # --- commands -------------------------------------------------------------
@@ -255,7 +250,7 @@ def cmd_train(args, config: dict, seed: int, out: Path, name: str, base=None) ->
     class_order = _class_order(config, rows)
     if base is not None:
         model, header = base
-        features = _model_features(model)
+        features = "probs+nbar" if model.spec.input_dim == 6 else "probs"
         if "features" in config and config["features"] != features:
             raise DataMismatchError(
                 f"checkpoint expects {features!r} inputs, config says {config['features']!r}"
@@ -275,9 +270,8 @@ def cmd_train(args, config: dict, seed: int, out: Path, name: str, base=None) ->
         "learning_rate": _require(config, "learning_rate", float, 1e-3),
     }
 
-    include_nbar = features == "probs+nbar"
     parts = split_rows(rows, seed=derived_seed(seed, 40))
-    train, val, test = (_xy(part, class_order, include_nbar) for part in parts)
+    train, val, test = (model_inputs(model, part, class_order) for part in parts)
     history = train_model(model, *train, *val, **options)
     accuracy, _ = evaluate_model(model, *test)
 
@@ -319,11 +313,7 @@ def cmd_eval(args, config: dict, seed: int, out: Path, name: str) -> dict:
 def cmd_export_latent(args, config: dict, seed: int, out: Path, name: str) -> dict:
     model, header = load_checkpoint(_require(config, "checkpoint", str))
     class_labels = list(header["class_labels"])
-    rows = _load_rows([_require(config, "dataset")])
-    try:
-        latents = export_latent(model, rows, class_labels)
-    except ValueError as exc:
-        raise DataMismatchError(str(exc)) from exc
+    latents = export_latent(model, _load_rows([_require(config, "dataset")]), class_labels)
     latent_path = out / f"{name}_latent.csv"
     write_latent_csv(latent_path, latents, class_labels)
     return {"latent": str(latent_path), "rows": int(latents.shape[0])}

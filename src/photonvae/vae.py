@@ -328,9 +328,8 @@ class VAEClassifier:
         ):
             for leaf, g in stack_grads.items():
                 grads[f"{stack_name}.{leaf}"] = g
-        flat = NamedVector.pack({name: grads[name] for name in self._trainable})
-        flat.require_finite("gradient for parameter")
-        return flat
+        # Adam.step refuses a non-finite entry before it writes a parameter
+        return NamedVector.pack({name: grads[name] for name in self._trainable})
 
 
 # --- training ---------------------------------------------------------------
@@ -477,8 +476,18 @@ def train_model(
 # to the nearest float32.
 
 
+def is_seed(value) -> bool:
+    """Whether ``value`` is a usable seed: an int >= 0 that is not a bool.  The
+    checkpoint writer and reader and the CLI refuse anything else."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def save_checkpoint(path, model: VAEClassifier, *, seed: int, epochs_trained: int,
                     class_labels: list[str], hyperparameters: dict | None = None) -> None:
+    """Write ``model`` in format 3; a ``seed`` that ``is_seed`` refuses is a
+    ValueError, raised before the file is opened."""
+    if not is_seed(seed):
+        raise ValueError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
     state = model.get_state()
     order = model.param_names()
     header = {
@@ -526,7 +535,7 @@ def load_checkpoint(path) -> tuple[VAEClassifier, dict]:
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: header does not describe a network ({exc})") from exc
     seed = header.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not is_seed(seed):
         raise CheckpointError(f"{path}: header field 'seed' is not a non-negative integer")
     model = VAEClassifier(spec, seed=seed)
     expected = {name: view.shape for name, view in model._params.items()}

@@ -10,6 +10,11 @@ With 4 detectors no bin sees 5 or 6 clicks, so ``nbar_obs`` equals
 P1 + 2·P2 + 3·P3 + 4·P4 and adds no information to the P0..P4 inputs; the
 lossy study keeps it because it is the paper's input, and with 6 detectors
 it carries the split between 5 and 6 clicks.
+
+``model_inputs`` is the one place that decides a model's input layout (a
+six-input model also reads ``nbar_obs``), and ``EvalReport.score`` the one
+path that scores an evaluation cell.  The three studies and the CLI's
+``eval`` and ``sweep`` all go through them.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .sampling import (
     split_rows,
 )
 from .vae import (
+    DataMismatchError,
     NetworkSpec,
     TrainHistory,
     VAEClassifier,
@@ -88,12 +94,21 @@ class EvalReport:
     class_labels: list[str] = field(default_factory=list)
     latents: np.ndarray | None = None
 
+    def score(self, key: str, model: VAEClassifier, rows: Rows, /, **fields) -> float:
+        """Score ``model`` on ``rows``: keep the confusion matrix under ``key``,
+        append ``{**fields, "accuracy": ...}`` to ``self.rows`` and return the
+        accuracy.  Positional-only, so a field may be called ``rows``."""
+        accuracy, self.confusions[key] = evaluate_model(
+            model, *model_inputs(model, rows, self.class_labels)
+        )
+        self.rows.append({**fields, "accuracy": accuracy})
+        return accuracy
+
 
 @dataclass
 class Algorithm1Result:
     base_model: VAEClassifier
     finetuned: dict[int, VAEClassifier]
-    accuracies: dict[int, float]
     report: EvalReport
     histories: dict[int, TrainHistory]
 
@@ -108,7 +123,6 @@ class Algorithm2Result:
 @dataclass
 class MixedGridResult:
     model: VAEClassifier
-    cells: dict[tuple[float, float], float]
     report: EvalReport
     history: TrainHistory
     family_params: dict[str, float]
@@ -182,18 +196,29 @@ def _splits(meta: DatasetMeta, split_seed: int):
     return split_rows(generate_dataset(meta).rows, seed=split_seed)
 
 
-def _xy(rows, class_labels, include_nbar):
-    return feature_matrix(rows, include_nbar), label_vector(rows, class_labels)
+def model_inputs(model: VAEClassifier, rows: Rows,
+                 class_labels: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Network inputs and class indices of ``rows``; a six-input model also
+    reads ``nbar_obs``.  A label outside ``class_labels`` is a DataMismatchError."""
+    try:
+        y = label_vector(rows, class_labels)
+    except ValueError as exc:
+        raise DataMismatchError(str(exc)) from exc
+    return feature_matrix(rows, model.spec.input_dim == 6), y
 
 
-def _score(model: VAEClassifier, rows, class_labels: list[str]):
-    """Accuracy and confusion matrix; six-input models also see ``nbar_obs``."""
-    return evaluate_model(model, *_xy(rows, class_labels, model.spec.input_dim > 5))
+def _fit(model: VAEClassifier, train_rows: Rows, val_rows: Rows, class_labels: list[str],
+         epochs: int) -> TrainHistory:
+    """Train ``model`` on ``train_rows``, keeping its best epoch on ``val_rows``."""
+    train = model_inputs(model, train_rows, class_labels)
+    val = model_inputs(model, val_rows, class_labels)
+    del train_rows, val_rows  # rows concatenated for this call need not live through training
+    return train_model(model, *train, *val, epochs=epochs)
 
 
 def export_latent(model: VAEClassifier, rows, class_labels: list[str]) -> np.ndarray:
     """Per-sample latent means with the class index as the last column."""
-    x, y = _xy(rows, class_labels, model.spec.input_dim > 5)
+    x, y = model_inputs(model, rows, class_labels)
     return np.hstack([model.forward(x).mu, y[:, None].astype(np.float64)])
 
 
@@ -223,8 +248,6 @@ def run_algorithm1(plan: TrainPlan, base_model: VAEClassifier | None = None) -> 
     base_stage = plan.stages[0]
     histories: dict[int, TrainHistory] = {}
     train_rows, val_rows, _ = data[base_stage.bin_size]
-    x_t, y_t = _xy(train_rows, class_labels, False)
-    x_v, y_v = _xy(val_rows, class_labels, False)
     if base_model is None:
         base_model = VAEClassifier(
             NetworkSpec(input_dim=5, num_classes=len(class_labels)),
@@ -232,34 +255,26 @@ def run_algorithm1(plan: TrainPlan, base_model: VAEClassifier | None = None) -> 
         )
     else:
         base_model = clone_model(base_model, derived_seed(plan.seed, 12))
-    histories[base_stage.bin_size] = train_model(base_model, x_t, y_t, x_v, y_v,
-                                                 epochs=base_stage.epochs)
+    histories[base_stage.bin_size] = _fit(base_model, train_rows, val_rows, class_labels,
+                                          base_stage.epochs)
 
     finetuned: dict[int, VAEClassifier] = {}
     for stage in plan.stages[1:]:
         model = clone_model(base_model, derived_seed(plan.seed, 13, stage.bin_size))
         train_rows, val_rows, _ = data[stage.bin_size]
-        x_t, y_t = _xy(train_rows, class_labels, False)
-        x_v, y_v = _xy(val_rows, class_labels, False)
-        histories[stage.bin_size] = train_model(model, x_t, y_t, x_v, y_v, epochs=stage.epochs)
+        histories[stage.bin_size] = _fit(model, train_rows, val_rows, class_labels, stage.epochs)
         finetuned[stage.bin_size] = model
 
     report = EvalReport(class_labels=class_labels)
-    accuracies: dict[int, float] = {}
-    eval_sizes = plan.eval_bin_sizes or tuple(sizes)
-    for size in eval_sizes:
+    for size in plan.eval_bin_sizes or tuple(sizes):
         test_rows = data[size][2]
-        acc, report.confusions[f"bin{size}"] = _score(
-            finetuned.get(size, base_model), test_rows, class_labels
-        )
-        accuracies[size] = acc
-        report.rows.append({"bin_size": size, "accuracy": acc, "n_test": len(test_rows)})
+        report.score(f"bin{size}", finetuned.get(size, base_model), test_rows,
+                     bin_size=size, n_test=len(test_rows))
 
     report.latents = export_latent(base_model, data[base_stage.bin_size][2], class_labels)
     return Algorithm1Result(
         base_model=base_model,
         finetuned=finetuned,
-        accuracies=accuracies,
         report=report,
         histories=histories,
     )
@@ -340,24 +355,14 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
         NetworkSpec(input_dim=6, num_classes=len(class_labels)),
         seed=derived_seed(plan.seed, 22),
     )
-    x_t, y_t = _xy(concat_rows(train_parts), class_labels, True)
-    x_v, y_v = _xy(concat_rows(val_parts), class_labels, True)
-    history = train_model(model, x_t, y_t, x_v, y_v, epochs=plan.stages[0].epochs)
+    history = _fit(model, concat_rows(train_parts), concat_rows(val_parts), class_labels,
+                   plan.stages[0].epochs)
 
     report = EvalReport(class_labels=class_labels)
 
     def score_cell(rows, eta, intensity, cell, confusion_key):
-        acc, report.confusions[confusion_key] = _score(model, rows, class_labels)
-        report.rows.append(
-            {
-                "eta": eta,
-                "bin_size": bin_size,
-                "nbar_the": intensity,
-                "nbar_obs": float(np.mean(rows.nbar_obs)),
-                "accuracy": acc,
-                "cell": cell,
-            }
-        )
+        report.score(confusion_key, model, rows, eta=eta, bin_size=bin_size,
+                     nbar_the=intensity, nbar_obs=float(np.mean(rows.nbar_obs)), cell=cell)
 
     for eta, rows in per_eta_test.items():
         score_cell(rows, eta, plan.mean_param, "held_out", f"train_eta{eta:g}")
@@ -436,12 +441,10 @@ def run_mixed_grid(plan: TrainPlan) -> MixedGridResult:
     model = VAEClassifier(
         NetworkSpec(input_dim=6, num_classes=4), seed=derived_seed(plan.seed, 32)
     )
-    x_t, y_t = _xy(concat_rows(train_parts), MIX_CLASS_LABELS, True)
-    x_v, y_v = _xy(concat_rows(val_parts), MIX_CLASS_LABELS, True)
-    history = train_model(model, x_t, y_t, x_v, y_v, epochs=plan.stages[0].epochs)
+    history = _fit(model, concat_rows(train_parts), concat_rows(val_parts), MIX_CLASS_LABELS,
+                   plan.stages[0].epochs)
 
     report = EvalReport(class_labels=list(MIX_CLASS_LABELS))
-    cells: dict[tuple[float, float], float] = {}
     for i, r_thermal in enumerate(plan.mix_r_values):
         for j, r_coherent in enumerate(plan.mix_r_values):
             meta = DatasetMeta(
@@ -451,17 +454,12 @@ def run_mixed_grid(plan: TrainPlan) -> MixedGridResult:
                 bins_per_class=plan.eval_bins_per_class,
                 seed=derived_seed(plan.seed, 35, i, j),
             )
-            acc, report.confusions[f"r1_{r_thermal:g}_r2_{r_coherent:g}"] = _score(
-                model, generate_dataset(meta).rows, MIX_CLASS_LABELS
-            )
-            cells[(r_thermal, r_coherent)] = acc
-            report.rows.append(
-                {"r1": r_thermal, "r2": r_coherent, "bin_size": bin_size, "accuracy": acc}
-            )
+            report.score(f"r1_{r_thermal:g}_r2_{r_coherent:g}", model,
+                         generate_dataset(meta).rows, r1=r_thermal, r2=r_coherent,
+                         bin_size=bin_size)
 
     return MixedGridResult(
         model=model,
-        cells=cells,
         report=report,
         history=history,
         family_params=family_params,

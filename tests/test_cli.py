@@ -2,6 +2,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from photonvae import cli
@@ -60,16 +61,29 @@ EXIT_CASES = {
                                         {"checkpoint": "unlabelled.ckpt", "datasets": ["foreign.csv"]}),
     "checkpoint_seed_not_an_integer": (3, "checkpoint error:", ["eval", "--config", "c.json"],
                                        {"checkpoint": "text_seed.ckpt", "datasets": ["foreign.csv"]}),
+    "seed_flag_negative": (1, "config error: --seed must be a whole number >= 0",
+                           ["gen", "--config", "c.json", "--seed", "-1"], GEN),
+    "seed_env_negative": (1, "config error: PHOTONVAE_SEED must be a whole number >= 0",
+                          ["gen", "--config", "c.json"], GEN),
+    "seed_config_fraction": (1, "config error: config field 'seed' must be a whole number >= 0",
+                             ["gen", "--config", "c.json"], {**GEN, "seed": 2.7}),
+    "seed_config_bool": (1, "config error: config field 'seed' must be a whole number >= 0",
+                         ["gen", "--config", "c.json"], {**GEN, "seed": True}),
     "eval_foreign_labels": (4, "dataset/network mismatch:", ["eval", "--config", "c.json"],
                             {"checkpoint": "model.ckpt", "datasets": ["foreign.csv"]}),
+    "export_latent_foreign_labels": (4, "dataset/network mismatch:",
+                                     ["export-latent", "--config", "c.json"],
+                                     {"checkpoint": "model.ckpt", "dataset": "foreign.csv"}),
     "finetune_foreign_labels": (4, "dataset/network mismatch:",
                                 ["finetune", "--config", "c.json", "--base-checkpoint", "model.ckpt"],
                                 {"datasets": ["foreign.csv"], "epochs": 1}),
 }
+# environment each case runs under, set after the shared setup
+EXIT_ENV = {"seed_env_negative": {cli.SEED_ENV_VAR: "-1"}}
 
 
 @pytest.mark.parametrize("case", sorted(EXIT_CASES))
-def test_exit_code_contract(case, run_cli, tmp_path):
+def test_exit_code_contract(case, run_cli, tmp_path, monkeypatch):
     code, prefix, argv, config = EXIT_CASES[case]
     assert run_cli("gen", "--config", "foreign.json", configs={"foreign.json": FOREIGN})[0] == 0
     model = VAEClassifier(NetworkSpec(input_dim=5, num_classes=2), seed=0)
@@ -84,9 +98,14 @@ def test_exit_code_contract(case, run_cli, tmp_path):
     # the same header length, without its class_labels field
     labelled = (tmp_path / "model.ckpt").read_bytes()
     (tmp_path / "unlabelled.ckpt").write_bytes(labelled.replace(b'"class_labels"', b'"class_labelx"'))
-    save_checkpoint(tmp_path / "text_seed.ckpt", model, seed="abc", epochs_trained=0,
+    # the writer refuses a text seed, so swap one into the header at the same length
+    save_checkpoint(tmp_path / "text_seed.ckpt", model, seed=10, epochs_trained=0,
                     class_labels=["spacs", "spats"])
+    seeded = (tmp_path / "text_seed.ckpt").read_bytes()
+    (tmp_path / "text_seed.ckpt").write_bytes(seeded.replace(b'"seed": 10', b'"seed":"x"'))
     (tmp_path / "bad.csv").write_text(f"{CSV_HEADER}\n0.33,0.67,0,0,0,0,0,0.67,spacs,20,1,6,1.3,spacs,1\n")
+    for variable, value in EXIT_ENV.get(case, {}).items():
+        monkeypatch.setenv(variable, value)
 
     got, stdout, stderr = run_cli(*argv, configs={"c.json": config} if config else None)
     assert got == code
@@ -121,6 +140,42 @@ def test_eval_scores_each_bin_size_of_a_mixed_dataset(run_cli, tmp_path):
     assert [line.split(",")[1:3] for line in report] == [["rows", "bin_size"], ["20", "20"], ["20", "50"]]
     confusion = (tmp_path / "eval_confusion.csv").read_text().splitlines()[1:]
     assert sorted({line.split(",")[0] for line in confusion}) == ["mixed_bin20", "mixed_bin50"]
+
+
+def _written_cells(directory, name):
+    """(accuracy field, confusion matrix) of each cell of ``{name}_report.csv``,
+    paired in order with the cells of ``{name}_confusion.csv``."""
+    report = [line.split(",") for line in (directory / f"{name}_report.csv").read_text().splitlines()]
+    column = report[0].index("accuracy")
+    matrices = {}
+    for line in (directory / f"{name}_confusion.csv").read_text().splitlines()[1:]:
+        cell, _, *counts = line.split(",")
+        matrices.setdefault(cell, []).append([int(count) for count in counts])
+    assert len(matrices) == len(report) - 1
+    return [(row[column], np.array(matrix)) for row, matrix in zip(report[1:], matrices.values())]
+
+
+def test_report_accuracies_match_their_confusions(run_cli, tmp_path):
+    configs = {
+        "b20.json": {**GEN, "name": "b20"},
+        "b50.json": {**GEN, "name": "b50", "seed": 2, "bin_size": 50},
+        "eval.json": {"name": "eval", "checkpoint": "model.ckpt", "datasets": ["b20.csv", "b50.csv"]},
+        "sweep.json": {**SWEEP, "name": "sweep", "bin_sizes": [10, 30], "etas": [0.5, 1.0]},
+    }
+    assert run_cli("gen", "--config", "b20.json", configs=configs)[0] == 0
+    assert run_cli("gen", "--config", "b50.json")[0] == 0
+    save_checkpoint(tmp_path / "model.ckpt", VAEClassifier(NetworkSpec(), seed=3), seed=3,
+                    epochs_trained=0, class_labels=["spacs", "spats"])
+    for command, n_cells in (("eval", 2), ("sweep", 4)):
+        code, stdout, stderr = run_cli(command, "--config", f"{command}.json")
+        assert code == 0, stderr
+        cells = json.loads(stdout)["cells"]
+        written = _written_cells(tmp_path, command)
+        assert len(cells) == len(written) == n_cells
+        for cell, (field, matrix) in zip(cells, written):
+            accuracy = np.trace(matrix) / matrix.sum()
+            assert cell["accuracy"] == accuracy
+            assert field == "{:.9g}".format(accuracy)
 
 
 # --- byte-stable outputs ----------------------------------------------------

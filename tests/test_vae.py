@@ -346,11 +346,13 @@ def test_doubling_bce_weight_doubles_classifier_gradients(monkeypatch):
 def test_non_finite_parameters_raise_gradient_error():
     model = binary_model(seed=0)
     model.encoder.out.weight[:] = np.inf
-    with np.errstate(invalid="ignore"), pytest.raises(GradientError):
-        model.loss_and_grads(
+    with np.errstate(invalid="ignore"):
+        _, grads, _ = model.loss_and_grads(
             np.random.default_rng(0).random((4, 5)),
             np.array([0, 1, 0, 1]),
         )
+    with pytest.raises(GradientError):
+        Adam().step(model.trainable_refs(), grads)
 
 
 def test_non_finite_gradient_names_its_parameter(monkeypatch):
@@ -363,11 +365,15 @@ def test_non_finite_gradient_names_its_parameter(monkeypatch):
         return dx, {**grads, "out.b": np.full_like(grads["out.b"], np.nan)}
 
     monkeypatch.setattr(stack, "backward", nan_bias_gradient)
+    x, y = np.random.default_rng(0).random((4, 5)), np.array([0, 1, 0, 1])
+    _, grads, _ = model.loss_and_grads(x, y)
     with pytest.raises(GradientError, match="gradient for parameter 'classifier.out.b'"):
-        model.loss_and_grads(
-            np.random.default_rng(0).random((4, 5)),
-            np.array([0, 1, 0, 1]),
-        )
+        Adam().step(model.trainable_refs(), grads)
+    # training refuses the first such gradient before any parameter moves
+    before = model.trainable_refs().vector.copy()
+    with pytest.raises(GradientError, match="gradient for parameter 'classifier.out.b'"):
+        train_model(model, x, y, epochs=1)
+    np.testing.assert_array_equal(model.trainable_refs().vector, before)
 
 
 @pytest.mark.parametrize(
@@ -718,9 +724,10 @@ def _rewrite_header(path, edit):
     (_seed("abc"), "header field 'seed' is not a non-negative integer"),
     (_seed(1.5), "header field 'seed' is not a non-negative integer"),
     (_seed(-1), "header field 'seed' is not a non-negative integer"),
+    (_seed(True), "header field 'seed' is not a non-negative integer"),
 ], ids=["shape", "unknown_name", "missing_name", "no_network", "no_class_labels",
         "class_labels_not_strings", "more_class_labels_than_classes", "seed_text",
-        "seed_fraction", "seed_negative"])
+        "seed_fraction", "seed_negative", "seed_bool"])
 def test_checkpoint_refuses_a_header_that_does_not_fit_its_network(tmp_path, edit, message):
     path = tmp_path / "model.ckpt"
     model = VAEClassifier(NetworkSpec(num_classes=4), seed=13)
@@ -728,6 +735,14 @@ def test_checkpoint_refuses_a_header_that_does_not_fit_its_network(tmp_path, edi
     _rewrite_header(path, edit)
     with pytest.raises(CheckpointError, match=re.escape(message)):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("seed", ["abc", -1, 1.5, True], ids=["text", "negative", "fraction", "bool"])
+def test_checkpoint_writer_refuses_a_seed_the_reader_refuses(tmp_path, seed):
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match="checkpoint seed must be a non-negative integer"):
+        save_checkpoint(path, binary_model(), seed=seed, epochs_trained=1, class_labels=["x", "y"])
+    assert not path.exists()
 
 
 def test_checkpoint_without_a_seed_loads_with_seed_0(tmp_path):

@@ -118,16 +118,26 @@ def test_export_latent_rows_and_shape():
     assert set(np.unique(latents[:, 3])) == {0.0, 1.0}
 
 
+def _assert_accuracies_match_confusions(report):
+    """Every row's accuracy is the trace over the total of the confusion
+    matrix scored with it; rows and matrices are stored in the same order."""
+    assert len(report.rows) == len(report.confusions)
+    for row, matrix in zip(report.rows, report.confusions.values()):
+        assert row["accuracy"] == np.trace(matrix) / matrix.sum()
+
+
 def test_run_algorithm1_structure_and_determinism():
     first = run_algorithm1(tiny_plan())
     second = run_algorithm1(tiny_plan())
-    assert set(first.accuracies) == {20, 40}
-    assert first.accuracies == second.accuracies
+    accuracies = {row["bin_size"]: row["accuracy"] for row in first.report.rows}
+    assert set(accuracies) == {20, 40}
+    assert accuracies == {row["bin_size"]: row["accuracy"] for row in second.report.rows}
     np.testing.assert_array_equal(first.report.latents, second.report.latents)
     assert sorted(first.finetuned) == [20]
     assert {row["bin_size"] for row in first.report.rows} == {20, 40}
-    for acc in first.accuracies.values():
+    for acc in accuracies.values():
         assert 0.0 <= acc <= 1.0
+    _assert_accuracies_match_confusions(first.report)
 
 
 def test_run_mixed_grid_structure():
@@ -144,7 +154,9 @@ def test_run_mixed_grid_structure():
         seed=13,
     )
     result = run_mixed_grid(plan)
-    assert set(result.cells) == {(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)}
+    cells = {(row["r1"], row["r2"]) for row in result.report.rows}
+    assert cells == {(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)}
+    _assert_accuracies_match_confusions(result.report)
     confusion = result.report.confusions["r1_0_r2_0"]
     assert confusion.shape == (4, 4)
     assert confusion.sum() == 4 * 20
@@ -184,6 +196,7 @@ def test_run_algorithm2_structure_and_determinism():
     assert report.rows == second.report.rows
     for key, matrix in report.confusions.items():
         np.testing.assert_array_equal(matrix, second.report.confusions[key])
+    _assert_accuracies_match_confusions(report)
 
 
 @pytest.mark.parametrize("overrides, message", [
@@ -233,7 +246,8 @@ def test_transfer_learning_beats_cold_start_on_most_seeds():
             bins_per_class=400,
             seed=seed,
         )
-        transfer = run_algorithm1(plan).accuracies[30]
+        (row,) = run_algorithm1(plan).report.rows
+        transfer = row["accuracy"]
         scratch = _cold_start_accuracy(seed, 30)
         wins += transfer >= scratch
         # a collapsed latent code leaves the cold start near chance (0.5)
