@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -140,8 +143,8 @@ def test_run_algorithm1_structure_and_determinism():
     _assert_accuracies_match_confusions(first.report)
 
 
-def test_run_mixed_grid_structure():
-    plan = TrainPlan(
+def mixed_plan():
+    return TrainPlan(
         algorithm="mixed_grid",
         stages=(TrainStage(25, 6),),
         n_detectors=4,
@@ -153,7 +156,10 @@ def test_run_mixed_grid_structure():
         eval_bins_per_class=20,
         seed=13,
     )
-    result = run_mixed_grid(plan)
+
+
+def test_run_mixed_grid_structure():
+    result = run_mixed_grid(mixed_plan())
     cells = {(row["r1"], row["r2"]) for row in result.report.rows}
     assert cells == {(a, b) for a in (0.0, 1.0) for b in (0.0, 1.0)}
     _assert_accuracies_match_confusions(result.report)
@@ -197,6 +203,36 @@ def test_run_algorithm2_structure_and_determinism():
     for key, matrix in report.confusions.items():
         np.testing.assert_array_equal(matrix, second.report.confusions[key])
     _assert_accuracies_match_confusions(report)
+
+
+# SHA-256 of each study's report rows (JSON, sorted keys), confusion matrices
+# and latents; a new value means some study output byte changed
+PINNED_STUDY_SHA256 = {
+    "lossless": "6c070c01bc900043611eef946bdcde2c8dce57f411343ef15944de8aa9a6a80c",
+    "lossy": "ff1583c790dc3c9a385393ac5038fb1b8b31e8b35073fc2ca27fdd7f0eb448ff",
+    "mixed_grid": "4adb73907959b21afef25d64e1d1ee01c5b44ca4e516ca26087b13da87739808",
+}
+
+
+def _report_digest(report) -> str:
+    digest = hashlib.sha256()
+    digest.update(json.dumps(report.rows, sort_keys=True).encode())
+    for cell, matrix in report.confusions.items():
+        digest.update(cell.encode())
+        digest.update(np.ascontiguousarray(matrix, dtype="<i8").tobytes())
+    if report.latents is not None:
+        digest.update(np.ascontiguousarray(report.latents, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("study", sorted(PINNED_STUDY_SHA256))
+def test_study_outputs_are_pinned(study):
+    run, plan = {
+        "lossless": (run_algorithm1, tiny_plan),
+        "lossy": (run_algorithm2, lossy_plan),
+        "mixed_grid": (run_mixed_grid, mixed_plan),
+    }[study]
+    assert _report_digest(run(plan()).report) == PINNED_STUDY_SHA256[study]
 
 
 @pytest.mark.parametrize("overrides, message", [
