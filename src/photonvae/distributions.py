@@ -174,15 +174,12 @@ def pmf_mean(pmf: PhotonPMF) -> float:
     return float(np.dot(np.arange(pmf.probs.size), pmf.probs))
 
 
-def source_pmf(source: SourceSpec, n_max: int | None = None) -> PhotonPMF:
+def source_pmf(source: SourceSpec) -> PhotonPMF:
     """Build the photon-number PMF for a source description.
 
-    With ``n_max=None`` the truncation bound is grown automatically until the
-    omitted tail fits under ``TAIL_BOUND``; an explicit bound that violates the
-    tail constraint raises ``PhysicsError``.
+    The truncation bound starts at ``DEFAULT_N_MAX`` and doubles, up to
+    ``_AUTO_N_MAX_CAP``, until the omitted tail fits under ``TAIL_BOUND``.
     """
-    if n_max is not None:
-        return _source_pmf_at(source, n_max)
     bound = DEFAULT_N_MAX
     while True:
         try:

@@ -3,8 +3,7 @@
 A dataset holds its bins as arrays: the occurrences of 0..6 clicks in each bin,
 its label and its bin size.  One class's bins are drawn in blocks of
 ``BLOCK_BINS``, one multinomial draw per block from a stream keyed by (dataset
-seed, class index, block index), so sharded or parallel generation
-reproduces the serial result bit for bit.
+seed, class index, block index).
 """
 
 from __future__ import annotations
@@ -124,25 +123,20 @@ def observed_click_pmf(source: PhotonPMF, detector: DetectorConfig) -> PhotonPMF
     return observed
 
 
-def _draw(
-    observed: PhotonPMF, bin_size: int, seed: int, class_index: int, start: int, stop: int
-) -> np.ndarray:
-    """Click histograms of one class's bins [start, stop), shape (stop - start, 7).
+def _draw(observed: PhotonPMF, bin_size: int, seed: int, class_index: int, n: int) -> np.ndarray:
+    """Click histograms of one class's first ``n`` bins, shape (n, 7).
 
-    Block b holds bins [b * BLOCK_BINS, (b + 1) * BLOCK_BINS) and is always drawn
-    whole from its own stream keyed (seed, class_index, b), so any cut of a bin
-    range reproduces the serial draw.  The multinomial gives its last category
-    what the others leave, so residual tail mass lands on n_max.
+    Block b holds bins [b * BLOCK_BINS, (b + 1) * BLOCK_BINS) and is drawn whole
+    from its own stream keyed (seed, class_index, b).  The multinomial gives its
+    last category what the others leave, so residual tail mass lands on n_max.
     """
-    first = start // BLOCK_BINS
     blocks = [
         np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(class_index, b)))
         .multinomial(bin_size, observed.probs, size=BLOCK_BINS)
-        for b in range(first, -(-stop // BLOCK_BINS))
+        for b in range(-(-n // BLOCK_BINS))
     ]
-    offset = first * BLOCK_BINS
-    counts = np.zeros((stop - start, MAX_RECORDED_CLICKS + 1), dtype=np.int64)
-    counts[:, : observed.n_max + 1] = np.concatenate(blocks)[start - offset : stop - offset]
+    counts = np.zeros((n, MAX_RECORDED_CLICKS + 1), dtype=np.int64)
+    counts[:, : observed.n_max + 1] = np.concatenate(blocks)[:n]
     return counts
 
 
@@ -152,21 +146,17 @@ def generate_dataset(meta: DatasetMeta) -> Dataset:
     nbar_the = {}
     n = meta.bins_per_class
     for class_index, (label, source) in enumerate(meta.sources):
-        pmf = source_pmf(source, n_max=None)
+        pmf = source_pmf(source)
         nbar_the[label] = pmf_mean(pmf)
         observed = observed_click_pmf(pmf, meta.detector)
-        counts = _draw(observed, meta.bin_size, meta.seed, class_index, 0, n)
+        counts = _draw(observed, meta.bin_size, meta.seed, class_index, n)
         parts.append(Rows(counts, np.full(n, label), np.full(n, meta.bin_size, dtype=np.int64)))
     return Dataset(rows=concat_rows(parts), meta=meta, nbar_the=nbar_the)
 
 
-def split_rows(
-    rows: Rows, seed: int, fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
-) -> tuple[Rows, Rows, Rows]:
-    """Stratified train/validation/test split with a seeded shuffle per class,
-    classes taken in order of first appearance."""
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("split fractions must sum to 1")
+def split_rows(rows: Rows, seed: int) -> tuple[Rows, Rows, Rows]:
+    """Stratified 80/10/10 train/validation/test split with a seeded shuffle per
+    class, classes taken in order of first appearance."""
     # spawn key disjoint from the block streams, which use two-component keys
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0x5B17,)))
     labels, first = np.unique(rows.labels, return_index=True)
@@ -174,8 +164,8 @@ def split_rows(
     for label in labels[np.argsort(first)]:
         members = np.flatnonzero(rows.labels == label)
         order = members[rng.permutation(len(members))]
-        n_train = int(len(members) * fractions[0])
-        n_val = int(len(members) * fractions[1])
+        n_train = int(len(members) * 0.8)
+        n_val = int(len(members) * 0.1)
         for part, index in zip(parts, np.split(order, [n_train, n_train + n_val])):
             part.append(index)
     return tuple(rows.take(np.concatenate(part)) for part in parts)

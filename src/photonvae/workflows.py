@@ -14,7 +14,8 @@ it carries the split between 5 and 6 clicks.
 ``model_inputs`` is the one place that decides a model's input layout (a
 six-input model also reads ``nbar_obs``), and ``EvalReport.score`` the one
 path that scores an evaluation cell.  The three studies and the CLI's
-``eval`` and ``sweep`` all go through them.
+``eval`` and ``sweep`` all go through them.  The lossy study and the mixture
+grid train their one model on pooled datasets through ``_train_pooled``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .detector import DetectorConfig, chain_mean
-from .distributions import SourceKind, SourceSpec, pmf_mean, source_pmf
+from .distributions import SourceKind, SourceSpec, source_pmf
 from .sampling import (
     DatasetMeta,
     Rows,
@@ -38,7 +39,6 @@ from .sampling import (
 from .vae import (
     DataMismatchError,
     NetworkSpec,
-    TrainHistory,
     VAEClassifier,
     evaluate_model,
     train_model,
@@ -110,22 +110,14 @@ class Algorithm1Result:
     base_model: VAEClassifier
     finetuned: dict[int, VAEClassifier]
     report: EvalReport
-    histories: dict[int, TrainHistory]
 
 
 @dataclass
-class Algorithm2Result:
+class StudyResult:
+    """The one model a pooled study trains, with its evaluation report."""
+
     model: VAEClassifier
     report: EvalReport
-    history: TrainHistory
-
-
-@dataclass
-class MixedGridResult:
-    model: VAEClassifier
-    report: EvalReport
-    history: TrainHistory
-    family_params: dict[str, float]
 
 
 def derived_seed(seed: int, *key: int) -> int:
@@ -148,12 +140,9 @@ def lossless_sources(mean_param: float) -> tuple[tuple[str, SourceSpec], ...]:
     )
 
 
-def invert_mean_param(
-    kind: SourceKind,
-    target_mean: float,
-    detector: DetectorConfig | None = None,
-) -> float:
-    """Bisect the source intensity whose (observed or ideal) mean hits the target.
+def invert_mean_param(kind: SourceKind, target_mean: float, detector: DetectorConfig) -> float:
+    """Bisect the source intensity whose mean click count behind ``detector``
+    hits the target.
 
     The chain mean is monotone in the intensity parameter for every family.
     """
@@ -161,8 +150,7 @@ def invert_mean_param(
         raise ValueError("target mean must be >= 0")
 
     def mean_at(param: float) -> float:
-        pmf = source_pmf(SourceSpec(kind, param), n_max=None)
-        return chain_mean(pmf, detector) if detector is not None else pmf_mean(pmf)
+        return chain_mean(source_pmf(SourceSpec(kind, param)), detector)
 
     return _bisect(mean_at, target_mean, "target mean")
 
@@ -208,12 +196,23 @@ def model_inputs(model: VAEClassifier, rows: Rows,
 
 
 def _fit(model: VAEClassifier, train_rows: Rows, val_rows: Rows, class_labels: list[str],
-         epochs: int) -> TrainHistory:
+         epochs: int) -> None:
     """Train ``model`` on ``train_rows``, keeping its best epoch on ``val_rows``."""
     train = model_inputs(model, train_rows, class_labels)
     val = model_inputs(model, val_rows, class_labels)
     del train_rows, val_rows  # rows concatenated for this call need not live through training
-    return train_model(model, *train, *val, epochs=epochs)
+    train_model(model, *train, *val, epochs=epochs)
+
+
+def _train_pooled(spec: NetworkSpec, seed: int, class_labels: list[str], epochs: int,
+                  datasets: list[tuple[DatasetMeta, int]]) -> tuple[VAEClassifier, tuple[Rows, ...]]:
+    """Generate and split each (meta, split seed) dataset, train one model
+    seeded ``seed`` on their pooled training and validation rows, and return it
+    with each dataset's test rows, in order."""
+    train_parts, val_parts, test_parts = zip(*(_splits(*dataset) for dataset in datasets))
+    model = VAEClassifier(spec, seed=seed)
+    _fit(model, concat_rows(train_parts), concat_rows(val_parts), class_labels, epochs)
+    return model, test_parts
 
 
 def export_latent(model: VAEClassifier, rows, class_labels: list[str]) -> np.ndarray:
@@ -225,7 +224,7 @@ def export_latent(model: VAEClassifier, rows, class_labels: list[str]) -> np.nda
 # --- lossless study (transfer learning over bin sizes) ------------------------
 
 
-def run_algorithm1(plan: TrainPlan, base_model: VAEClassifier | None = None) -> Algorithm1Result:
+def run_algorithm1(plan: TrainPlan) -> Algorithm1Result:
     """Train on probability inputs at the stage-0 bin size, fine-tune the same
     weights on each later stage's bin size, and report held-out accuracy per
     evaluated bin size."""
@@ -236,33 +235,23 @@ def run_algorithm1(plan: TrainPlan, base_model: VAEClassifier | None = None) -> 
     sizes = sorted({stage.bin_size for stage in plan.stages} | set(plan.eval_bin_sizes))
     data = {}
     for size in sizes:
-        meta = DatasetMeta(
-            sources=sources,
-            detector=detector,
-            bin_size=size,
-            bins_per_class=plan.bins_per_class,
-            seed=derived_seed(plan.seed, 10, size),
-        )
+        meta = DatasetMeta(sources, detector, size, plan.bins_per_class,
+                           derived_seed(plan.seed, 10, size))
         data[size] = _splits(meta, split_seed=derived_seed(plan.seed, 11, size))
 
     base_stage = plan.stages[0]
-    histories: dict[int, TrainHistory] = {}
     train_rows, val_rows, _ = data[base_stage.bin_size]
-    if base_model is None:
-        base_model = VAEClassifier(
-            NetworkSpec(input_dim=5, num_classes=len(class_labels)),
-            seed=derived_seed(plan.seed, 12),
-        )
-    else:
-        base_model = clone_model(base_model, derived_seed(plan.seed, 12))
-    histories[base_stage.bin_size] = _fit(base_model, train_rows, val_rows, class_labels,
-                                          base_stage.epochs)
+    base_model = VAEClassifier(
+        NetworkSpec(input_dim=5, num_classes=len(class_labels)),
+        seed=derived_seed(plan.seed, 12),
+    )
+    _fit(base_model, train_rows, val_rows, class_labels, base_stage.epochs)
 
     finetuned: dict[int, VAEClassifier] = {}
     for stage in plan.stages[1:]:
         model = clone_model(base_model, derived_seed(plan.seed, 13, stage.bin_size))
         train_rows, val_rows, _ = data[stage.bin_size]
-        histories[stage.bin_size] = _fit(model, train_rows, val_rows, class_labels, stage.epochs)
+        _fit(model, train_rows, val_rows, class_labels, stage.epochs)
         finetuned[stage.bin_size] = model
 
     report = EvalReport(class_labels=class_labels)
@@ -272,12 +261,7 @@ def run_algorithm1(plan: TrainPlan, base_model: VAEClassifier | None = None) -> 
                      bin_size=size, n_test=len(test_rows))
 
     report.latents = export_latent(base_model, data[base_stage.bin_size][2], class_labels)
-    return Algorithm1Result(
-        base_model=base_model,
-        finetuned=finetuned,
-        report=report,
-        histories=histories,
-    )
+    return Algorithm1Result(base_model=base_model, finetuned=finetuned, report=report)
 
 
 # --- lossy study (observed mean photon number as an input) ---------------------
@@ -285,9 +269,7 @@ def run_algorithm1(plan: TrainPlan, base_model: VAEClassifier | None = None) -> 
 
 def observed_mean_for_sources(sources, detector: DetectorConfig) -> float:
     """Mean click count of the detector chain averaged over the class set."""
-    return float(
-        np.mean([chain_mean(source_pmf(src, n_max=None), detector) for _, src in sources])
-    )
+    return float(np.mean([chain_mean(source_pmf(src), detector) for _, src in sources]))
 
 
 def invert_shared_intensity(target_nbar_obs: float, detector: DetectorConfig) -> float:
@@ -306,7 +288,7 @@ def invert_shared_intensity(target_nbar_obs: float, detector: DetectorConfig) ->
     return _bisect(mean_at, target_nbar_obs, what)
 
 
-def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
+def run_algorithm2(plan: TrainPlan) -> StudyResult:
     """Train one six-input model on the plan intensity at every ``train_etas``
     efficiency of ``plan.n_detectors`` detectors, then sweep accuracy over
     further efficiencies and observed-mean targets."""
@@ -334,29 +316,16 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
             raise ValueError(f"observed-mean target {target} below every training floor")
         target_etas.append((target, min(candidates, key=lambda e: abs(anchor_means[e] - target))))
 
-    train_parts, val_parts = [], []
-    per_eta_test: dict[float, Rows] = {}
+    datasets = []
     for eta in plan.train_etas:
         key = (round(plan.mean_param * 1000), round(eta * 1000))
-        meta = DatasetMeta(
-            sources=sources,
-            detector=detector(eta),
-            bin_size=bin_size,
-            bins_per_class=plan.bins_per_class,
-            seed=derived_seed(plan.seed, 20, *key),
-        )
-        train_rows, val_rows, per_eta_test[eta] = _splits(
-            meta, split_seed=derived_seed(plan.seed, 21, *key)
-        )
-        train_parts.append(train_rows)
-        val_parts.append(val_rows)
-
-    model = VAEClassifier(
-        NetworkSpec(input_dim=6, num_classes=len(class_labels)),
-        seed=derived_seed(plan.seed, 22),
+        meta = DatasetMeta(sources, detector(eta), bin_size, plan.bins_per_class,
+                           derived_seed(plan.seed, 20, *key))
+        datasets.append((meta, derived_seed(plan.seed, 21, *key)))
+    model, test_parts = _train_pooled(
+        NetworkSpec(input_dim=6, num_classes=len(class_labels)), derived_seed(plan.seed, 22),
+        class_labels, plan.stages[0].epochs, datasets,
     )
-    history = _fit(model, concat_rows(train_parts), concat_rows(val_parts), class_labels,
-                   plan.stages[0].epochs)
 
     report = EvalReport(class_labels=class_labels)
 
@@ -364,17 +333,13 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
         report.score(confusion_key, model, rows, eta=eta, bin_size=bin_size,
                      nbar_the=intensity, nbar_obs=float(np.mean(rows.nbar_obs)), cell=cell)
 
-    for eta, rows in per_eta_test.items():
+    # a repeated efficiency is scored once, on its last test rows
+    for eta, rows in dict(zip(plan.train_etas, test_parts)).items():
         score_cell(rows, eta, plan.mean_param, "held_out", f"train_eta{eta:g}")
 
     def sweep_cell(intensity, eta, tag, key):
-        meta = DatasetMeta(
-            sources=lossless_sources(intensity),
-            detector=detector(eta),
-            bin_size=bin_size,
-            bins_per_class=plan.eval_bins_per_class,
-            seed=derived_seed(plan.seed, 23, *key),
-        )
+        meta = DatasetMeta(lossless_sources(intensity), detector(eta), bin_size,
+                           plan.eval_bins_per_class, derived_seed(plan.seed, 23, *key))
         score_cell(generate_dataset(meta).rows, eta, intensity, tag, f"{tag}_{key[-1]}")
 
     # accuracy vs efficiency at the plan intensity
@@ -385,7 +350,7 @@ def run_algorithm2(plan: TrainPlan) -> Algorithm2Result:
         intensity = invert_shared_intensity(target, detector(eta))
         sweep_cell(intensity, eta, "nbar_sweep", (1, round(eta * 1000), round(target * 1000)))
 
-    return Algorithm2Result(model=model, report=report, history=history)
+    return StudyResult(model=model, report=report)
 
 
 # --- four-class mixture grid ----------------------------------------------------
@@ -403,7 +368,7 @@ def _mixed_sources(coherent_param, thermal_param, r_coherent, r_thermal):
     )
 
 
-def run_mixed_grid(plan: TrainPlan) -> MixedGridResult:
+def run_mixed_grid(plan: TrainPlan) -> StudyResult:
     """Four-way classification over a grid of mix ratios.
 
     Each family shares one intensity parameter, chosen so the pure coherent
@@ -417,7 +382,6 @@ def run_mixed_grid(plan: TrainPlan) -> MixedGridResult:
     bin_size = plan.stages[0].bin_size
     coherent_param = invert_mean_param(SourceKind.COHERENT, plan.target_nbar_obs, detector)
     thermal_param = invert_mean_param(SourceKind.THERMAL, plan.target_nbar_obs, detector)
-    family_params = {"coherent": coherent_param, "thermal": thermal_param}
 
     train_rs = [r for r in (plan.mix_train_r_values or plan.mix_r_values) if r < 1.0]
     if not train_rs:
@@ -431,39 +395,25 @@ def run_mixed_grid(plan: TrainPlan) -> MixedGridResult:
     cells += [((label, source), per_r_bins, 31, (MIX_CLASS_LABELS.index(label), round(r * 1000)))
               for r in train_rs
               for label, source in _mixed_sources(coherent_param, thermal_param, r, r)[2:]]
-    train_parts, val_parts = [], []
-    for labeled, bins, space, key in cells:
-        meta = DatasetMeta((labeled,), detector, bin_size, bins, derived_seed(plan.seed, space, *key))
-        t, v, _ = _splits(meta, split_seed=derived_seed(plan.seed, space + 3, *key))
-        train_parts.append(t)
-        val_parts.append(v)
-
-    model = VAEClassifier(
-        NetworkSpec(input_dim=6, num_classes=4), seed=derived_seed(plan.seed, 32)
-    )
-    history = _fit(model, concat_rows(train_parts), concat_rows(val_parts), MIX_CLASS_LABELS,
-                   plan.stages[0].epochs)
+    datasets = [
+        (DatasetMeta((labeled,), detector, bin_size, bins, derived_seed(plan.seed, space, *key)),
+         derived_seed(plan.seed, space + 3, *key))
+        for labeled, bins, space, key in cells
+    ]
+    model, _ = _train_pooled(NetworkSpec(input_dim=6, num_classes=4), derived_seed(plan.seed, 32),
+                             MIX_CLASS_LABELS, plan.stages[0].epochs, datasets)
 
     report = EvalReport(class_labels=list(MIX_CLASS_LABELS))
     for i, r_thermal in enumerate(plan.mix_r_values):
         for j, r_coherent in enumerate(plan.mix_r_values):
-            meta = DatasetMeta(
-                sources=_mixed_sources(coherent_param, thermal_param, r_coherent, r_thermal),
-                detector=detector,
-                bin_size=bin_size,
-                bins_per_class=plan.eval_bins_per_class,
-                seed=derived_seed(plan.seed, 35, i, j),
-            )
+            sources = _mixed_sources(coherent_param, thermal_param, r_coherent, r_thermal)
+            meta = DatasetMeta(sources, detector, bin_size, plan.eval_bins_per_class,
+                               derived_seed(plan.seed, 35, i, j))
             report.score(f"r1_{r_thermal:g}_r2_{r_coherent:g}", model,
                          generate_dataset(meta).rows, r1=r_thermal, r2=r_coherent,
                          bin_size=bin_size)
 
-    return MixedGridResult(
-        model=model,
-        report=report,
-        history=history,
-        family_params=family_params,
-    )
+    return StudyResult(model=model, report=report)
 
 
 # --- report serialization -------------------------------------------------------

@@ -59,21 +59,21 @@ def rows_of(counts, label="a"):
 
 
 def test_sample_counts_degenerate():
-    zeros = _draw(PhotonPMF(np.array([1.0, 0.0])), 100, seed=0, class_index=0, start=0, stop=50)
+    zeros = _draw(PhotonPMF(np.array([1.0, 0.0])), 100, seed=0, class_index=0, n=50)
     assert np.all(zeros[:, 0] == 100) and np.all(zeros[:, 1:] == 0)
-    ones = _draw(PhotonPMF(np.array([0.0, 1.0])), 100, seed=0, class_index=0, start=0, stop=50)
+    ones = _draw(PhotonPMF(np.array([0.0, 1.0])), 100, seed=0, class_index=0, n=50)
     assert np.all(ones[:, 1] == 100) and ones.sum() == 50 * 100
 
 
 def test_sample_counts_concentration():
-    counts = _draw(PhotonPMF(np.array([0.5, 0.5])), 1000, seed=11, class_index=0, start=0, stop=1000)
+    counts = _draw(PhotonPMF(np.array([0.5, 0.5])), 1000, seed=11, class_index=0, n=1000)
     # 10**6 windows; 4 sigma binomial bound
     assert abs(counts[:, 1].sum() / 10**6 - 0.5) < 0.002
 
 
 def test_sample_counts_residual_tail_goes_to_n_max():
     pmf = PhotonPMF(np.array([0.0, 0.0, 1.0 - 5e-7]))  # tail 5e-7 unassigned
-    counts = _draw(pmf, 8, seed=3, class_index=0, start=0, stop=300)
+    counts = _draw(pmf, 8, seed=3, class_index=0, n=300)
     assert counts.shape == (300, 7)
     assert np.all(counts[:, 2] == 8)
     assert counts.sum() == 300 * 8
@@ -82,7 +82,7 @@ def test_sample_counts_residual_tail_goes_to_n_max():
 def test_empirical_matches_chain_probabilities():
     observed = observed_chain(source_pmf(SourceSpec(SourceKind.SPATS, 0.45)), DetectorConfig(4, 0.9))
     n = 5000 * 200
-    pooled = _draw(observed, 200, seed=3, class_index=0, start=0, stop=5000).sum(axis=0)
+    pooled = _draw(observed, 200, seed=3, class_index=0, n=5000).sum(axis=0)
     empirical = pooled / n
     for k, p in enumerate(observed.probs):
         sigma = np.sqrt(max(p * (1 - p), 1e-12) / n)
@@ -125,8 +125,7 @@ def test_bin_statistics_constant_counts():
 def test_bin_statistics_drops_trailing_remainder():
     # a range ending inside a block keeps only its own bins of that block
     observed = observed_click_pmf(source_pmf(SourceSpec(SourceKind.SPATS, 1.3)), LOSSLESS)
-    assert _draw(observed, 20, seed=1, class_index=0, start=0, stop=5).shape == (5, 7)
-    assert _draw(observed, 20, seed=1, class_index=0, start=250, stop=260).shape == (10, 7)
+    assert _draw(observed, 20, seed=1, class_index=0, n=5).shape == (5, 7)
 
 
 def test_bin_statistics_rejects_out_of_range(tmp_path):
@@ -150,7 +149,7 @@ def test_bin_mean_matches_chain_mean_within_three_sigma():
     detector = DetectorConfig(4, 0.9)
     observed = observed_chain(source_pmf(source), detector)
     counts = _draw(
-        observed_click_pmf(source_pmf(source), detector), 200, seed=99, class_index=0, start=0, stop=2000
+        observed_click_pmf(source_pmf(source), detector), 200, seed=99, class_index=0, n=2000
     )
     grand_mean = float(np.mean(rows_of(counts).nbar_obs))
     mean = pmf_mean(observed)
@@ -213,17 +212,12 @@ def test_saturated_source_generates_all_six_click_bins():
     assert np.all(counts[:, 6] == 30) and counts[:, :6].sum() == 0
 
 
-def test_sharded_generation_matches_serial():
+def test_shorter_draw_is_a_prefix_of_a_longer_one():
     observed = observed_click_pmf(source_pmf(SourceSpec(SourceKind.SPATS, 1.3)), LOSSLESS)
-
-    def draw(start, stop):
-        return _draw(observed, 25, seed=42, class_index=1, start=start, stop=stop)
-
-    assert BLOCK_BINS == 256  # the cuts below fall off block boundaries
-    np.testing.assert_array_equal(draw(0, 300), np.vstack([draw(0, 100), draw(100, 300)]))
-    np.testing.assert_array_equal(
-        draw(0, 600), np.vstack([draw(0, 5), draw(5, 513), draw(513, 600)])
-    )
+    longest = _draw(observed, 25, seed=42, class_index=1, n=600)
+    assert BLOCK_BINS == 256  # the lengths below fall off block boundaries
+    for n in (5, 100, 513):
+        np.testing.assert_array_equal(_draw(observed, 25, seed=42, class_index=1, n=n), longest[:n])
 
 
 def test_bin_streams_are_independent_of_order():
@@ -240,13 +234,13 @@ def test_bin_streams_are_independent_of_order():
     spats = observed_click_pmf(source_pmf(SourceSpec(SourceKind.SPATS, 1.3)), LOSSLESS)
     np.testing.assert_array_equal(
         with_spats.counts[with_spats.labels == "spats"],
-        _draw(spats, 10, seed=7, class_index=1, start=0, stop=40),
+        _draw(spats, 10, seed=7, class_index=1, n=40),
     )
     # the class index and the seed both key the stream
     for seed, class_index in ((7, 0), (8, 1)):
         assert not np.array_equal(
-            _draw(spats, 10, seed=seed, class_index=class_index, start=0, stop=40),
-            _draw(spats, 10, seed=7, class_index=1, start=0, stop=40),
+            _draw(spats, 10, seed=seed, class_index=class_index, n=40),
+            _draw(spats, 10, seed=7, class_index=1, n=40),
         )
 
 
