@@ -18,7 +18,8 @@ writes them into ``config``, so the echoed config is the effective one.
 ``export-latent`` turn dataset rows into network inputs with
 ``workflows.model_inputs``.
 
-Exit codes: 0 success, 1 config/usage error, 2 physics validation error,
+Exit codes: 0 success, 1 config/usage error (a training run that diverges
+counts as one: its ``learning_rate`` is too large), 2 physics validation error,
 3 checkpoint format/version error, 4 dataset/network mismatch.
 """
 
@@ -34,6 +35,7 @@ import numpy as np
 
 from .detector import DetectorConfig
 from .distributions import PhysicsError, SourceKind, SourceSpec
+from .nn import GradientError
 from .sampling import (
     DatasetMeta,
     concat_rows,
@@ -119,9 +121,9 @@ def _list_of(kind):
 
 
 def _count(value) -> int:
-    """A whole number >= 1; a fractional value such as 2.7 is refused, not truncated."""
+    """A whole number >= 1; a fraction such as 2.7 or a boolean is refused, not converted."""
     number = float(value)
-    if not (number >= 1 and number.is_integer()):
+    if isinstance(value, bool) or not (number >= 1 and number.is_integer()):
         raise ValueError("expected a whole number >= 1")
     return int(number)
 
@@ -132,6 +134,14 @@ def _batch_size(value) -> int:
     if size < 2:
         raise ValueError("expected a whole number >= 2, since batch statistics need two rows")
     return size
+
+
+def _learning_rate(value) -> float:
+    """A finite number > 0."""
+    rate = float(value)
+    if not 0.0 < rate < np.inf:
+        raise ValueError("expected a finite number > 0")
+    return rate
 
 
 def _array(value) -> list:
@@ -267,12 +277,19 @@ def cmd_train(args, config: dict, seed: int, out: Path, name: str, base=None) ->
     options = {
         "epochs": _require(config, "epochs", _count, 200),
         "batch_size": _require(config, "batch_size", _batch_size, 512),
-        "learning_rate": _require(config, "learning_rate", float, 1e-3),
+        "learning_rate": _require(config, "learning_rate", _learning_rate, 1e-3),
     }
 
     parts = split_rows(rows, seed=derived_seed(seed, 40))
     train, val, test = (model_inputs(model, part, class_order) for part in parts)
-    history = train_model(model, *train, *val, **options)
+    try:
+        # a diverged run is reported by its GradientError, not numpy's overflow warnings
+        with np.errstate(all="ignore"):
+            history = train_model(model, *train, *val, **options)
+    except GradientError as exc:
+        raise ConfigError(
+            f"training diverged at learning_rate {options['learning_rate']!r}: {exc}"
+        ) from exc
     accuracy, _ = evaluate_model(model, *test)
 
     ckpt_path = out / f"{name}.ckpt"

@@ -404,12 +404,15 @@ def train_model(
     ``VAEClassifier.losses``, from a cold start and when fine-tuning alike.
     Features and labels that do not fit the model or each other, and a
     training set of fewer than two rows, are refused with DataMismatchError
-    before the first step; a ``batch_size`` below 2 with ValueError.
+    before the first step; a ``batch_size`` below 2, or a ``learning_rate``
+    that is not a finite number > 0, with ValueError.
     """
     if batch_size < 2:
         # a one-row batch normalizes every hidden unit to its beta, so no
         # gradient reaches a hidden weight, a gamma or the encoder
         raise ValueError(f"batch_size must be at least 2, got {batch_size}")
+    if not 0.0 < learning_rate < math.inf:
+        raise ValueError(f"learning_rate must be a finite number > 0, got {learning_rate}")
     x_train, y_train = _examples(model, x_train, y_train, "the training set")
     if len(x_train) < 2:
         # batch statistics need two rows, so one row (or none) would give no step

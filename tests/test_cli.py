@@ -44,6 +44,20 @@ EXIT_CASES = {
                         {"datasets": ["foreign.csv"], "epochs": 1, "batch_size": 0}),
     "one_batch_size": (1, "config error: config field 'batch_size'", ["train", "--config", "c.json"],
                        {"datasets": ["foreign.csv"], "epochs": 1, "batch_size": 1}),
+    "negative_learning_rate": (1, "config error: config field 'learning_rate'",
+                               ["train", "--config", "c.json"],
+                               {"datasets": ["foreign.csv"], "epochs": 1, "learning_rate": -0.001}),
+    "zero_learning_rate": (1, "config error: config field 'learning_rate'",
+                           ["train", "--config", "c.json"],
+                           {"datasets": ["foreign.csv"], "epochs": 1, "learning_rate": 0}),
+    "nan_learning_rate": (1, "config error: config field 'learning_rate'",
+                          ["train", "--config", "c.json"],
+                          {"datasets": ["foreign.csv"], "epochs": 1, "learning_rate": float("nan")}),
+    "diverging_learning_rate": (1, "config error: training diverged at learning_rate 1e+308:",
+                                ["train", "--config", "c.json"],
+                                {"datasets": ["foreign.csv"], "epochs": 1, "learning_rate": 1e308}),
+    "boolean_epochs": (1, "config error: config field 'epochs'", ["train", "--config", "c.json"],
+                       {"datasets": ["foreign.csv"], "epochs": True}),
     "classes_object": (1, "config error: config field 'classes'", ["train", "--config", "c.json"],
                        {"datasets": ["foreign.csv"], "epochs": 1, "classes": {"a": 1}}),
     "datasets_number": (1, "config error: config field 'datasets'", ["train", "--config", "c.json"],

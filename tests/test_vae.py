@@ -576,6 +576,18 @@ def test_one_row_batches_are_refused_before_any_step():
     assert model.rng.bit_generator.state == noise
 
 
+@pytest.mark.parametrize("learning_rate", [-1e-3, 0.0, math.nan, math.inf])
+def test_learning_rates_that_are_not_finite_and_positive_are_refused(learning_rate):
+    model = binary_model(seed=0)
+    rng = np.random.default_rng(3)
+    x, y = rng.random((40, 5)), rng.integers(0, 2, 40)
+    before = model.get_state()
+    with pytest.raises(ValueError, match="learning_rate must be a finite number > 0"):
+        train_model(model, x, y, epochs=3, learning_rate=learning_rate)
+    after = model.get_state()
+    assert all(np.array_equal(before[name], after[name]) for name in before)
+
+
 def test_accuracy_invariant_under_row_permutation():
     model = binary_model(seed=8)
     rng = np.random.default_rng(15)
