@@ -487,6 +487,32 @@ def test_training_bytes_are_pinned(num_classes):
     assert digest.hexdigest() == PINNED_TRAINING_SHA256[num_classes]
 
 
+# SHA-256 of the gradient vector and of the running statistics after one TRAIN
+# pass of a fresh float32 model: any change to the arithmetic, order or layout
+# of a step's gradients or of the running-statistics update changes it.
+# Recorded with numpy 2.4 and OpenBLAS, as above.
+PINNED_GRADIENT_SHA256 = {
+    2: "2c9b207598863cb2597332e77757e87d3cb93dbf41af151ec9698e4604562fb7",
+    4: "890a69d64397e959d32a6252fd863c5b4d62d0c48b73d348b870559f7b497f71",
+}
+
+
+@pytest.mark.parametrize("num_classes", [2, 4])
+def test_gradient_bytes_are_pinned(num_classes):
+    rng = np.random.default_rng(60 + num_classes)
+    x = rng.random((64, 5))
+    y = rng.integers(-1, num_classes, 64)  # some rows unlabeled
+    model = VAEClassifier(NetworkSpec(num_classes=num_classes), seed=10 + num_classes)
+    _, grads, _ = model.loss_and_grads(x, y)
+    assert grads.vector.dtype == np.float32
+    digest = hashlib.sha256(grads.vector.astype("<f4").tobytes())
+    state = model.get_state()
+    for name in model.param_names():
+        if ".running_" in name:
+            digest.update(state[name].astype("<f4").tobytes())
+    assert digest.hexdigest() == PINNED_GRADIENT_SHA256[num_classes]
+
+
 def test_evaluate_model_confusion_shape():
     model = binary_model(seed=7)
     x = np.random.default_rng(13).random((20, 5))
