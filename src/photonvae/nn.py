@@ -7,10 +7,12 @@ boolean array times a Python float is float64, so such constants are first
 made scalars of the array's dtype.  Each layer's ``forward`` returns the
 output plus an opaque cache consumed by ``backward``.  Modes:
 
-* ``"train"`` — batch-statistic normalization that also moves the running
-  statistics, dropout active.  Dropout draws one 16-bit integer per unit from
-  the raw words of the generator it is handed, which is cheaper than a float
-  per unit; a rate then acts as ``round(rate * 2**16) / 2**16``.
+* ``"train"`` — batch-statistic normalization, dropout active.  A BatchNorm
+  writes its batch mean and variance to arrays it holds and leaves its running
+  statistics alone: the model moves all of them at once after the pass.
+  Dropout draws one 16-bit integer per unit from the raw words of the
+  generator it is handed, which is cheaper than a float per unit; a rate then
+  acts as ``round(rate * 2**16) / 2**16``.
 * ``"infer"`` — running-statistic normalization, dropout off; nothing is drawn
   and nothing is written.
 
@@ -21,7 +23,13 @@ cache from an ``"infer"`` pass gives wrong ones.
 Layers, and a stack for its output bias, list their parameter attributes by
 checkpoint leaf name in ``LEAVES`` and write them only in place: a model may
 make them views into one vector (``NamedVector``), and an attribute rebound to
-a new array leaves that vector.
+a new array leaves that vector.  ``RESULTS`` lists, by the same leaf names,
+the arrays a TRAIN pass writes in place: a trainable parameter's gradient,
+written by ``backward``, and a running statistic's batch value, written by
+``forward``.  A layer allocates them once; a model binds them to views into
+one vector laid out like its parameters, so a step's gradients are already
+the vector its optimizer reads.  ``backward`` returns only the gradient with
+respect to its input.
 
 Every batch sum (the BatchNorm statistics and parameter gradients, a stack's
 output-bias gradient) is ``column_sums``: a BLAS matrix-vector product with a
@@ -31,8 +39,9 @@ layer neither allocates nor receives.
 
 A block caches its activation's output, and the activation derivatives are
 computed from that output, so SELU's needs no exponential.  Functions finish
-their arithmetic in place, but only on temporaries they allocated themselves:
-no argument, and no array held in a cache, is ever written.
+their arithmetic in place, but only on temporaries they allocated themselves
+and on a layer's ``RESULTS`` arrays: no argument, and no array held in a
+cache, is ever written.
 """
 
 from __future__ import annotations
@@ -101,9 +110,10 @@ def _ones(rows: int, dtype: np.dtype) -> np.ndarray:
     return ones
 
 
-def column_sums(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=0)`` of a 2-D array, as one BLAS product in ``a``'s dtype."""
-    return _ones(a.shape[0], a.dtype) @ a
+def column_sums(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a.sum(axis=0)`` of a 2-D array, as one BLAS product in ``a``'s dtype,
+    written to ``out`` when given."""
+    return np.matmul(_ones(a.shape[0], a.dtype), a, out=out)
 
 
 class NamedVector(dict):
@@ -140,45 +150,51 @@ class Dense:
     """Linear map with fan-in-scaled uniform weight init."""
 
     LEAVES = {"W": "weight"}
+    RESULTS = {"W": "weight_grad"}
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         bound = 1.0 / np.sqrt(in_dim)
         self.weight = rng.uniform(-bound, bound, size=(in_dim, out_dim))
+        self.weight_grad = np.zeros_like(self.weight)
 
     def forward(self, x: np.ndarray):
         return x @ self.weight, x
 
     def backward(self, dy: np.ndarray, cache):
         x = cache
-        return dy @ self.weight.T, {"W": x.T @ dy}
+        np.matmul(x.T, dy, out=self.weight_grad)
+        return dy @ self.weight.T
 
 
 class BatchNorm:
-    """Per-feature normalization; a TRAIN pass moves the running statistics
-    with momentum ``MOMENTUM``."""
+    """Per-feature normalization.  A TRAIN pass writes its batch mean and
+    variance to ``batch_mean`` and ``batch_var``; the owner of the layer then
+    moves each running statistic to ``MOMENTUM`` * running + (1 - ``MOMENTUM``)
+    * batch value."""
 
     EPS = 1e-5
     MOMENTUM = 0.9
     LEAVES = {leaf: leaf for leaf in ("gamma", "beta", "running_mean", "running_var")}
+    RESULTS = {"gamma": "gamma_grad", "beta": "beta_grad",
+               "running_mean": "batch_mean", "running_var": "batch_var"}
 
     def __init__(self, dim: int):
         self.gamma = np.ones(dim)
         self.beta = np.zeros(dim)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
+        for attr in self.RESULTS.values():
+            setattr(self, attr, np.zeros(dim))
 
     def forward(self, x: np.ndarray, mode: str):
         if mode == TRAIN:
             # x.mean(0) and x.var(0) from batch sums, centring x only once
             n = x.shape[0]
-            mean = column_sums(x) / n
+            mean = column_sums(x, out=self.batch_mean)
+            mean /= n
             centred = x - mean
-            var = column_sums(centred * centred) / n
-            m = self.MOMENTUM
-            self.running_mean *= m
-            self.running_mean += (1.0 - m) * mean
-            self.running_var *= m
-            self.running_var += (1.0 - m) * var
+            var = column_sums(centred * centred, out=self.batch_var)
+            var /= n
         else:
             centred = x - self.running_mean
             var = self.running_var
@@ -192,16 +208,17 @@ class BatchNorm:
     def backward(self, dy: np.ndarray, cache):
         x_hat, inv_std = cache
         proj = dy * x_hat
-        grads = {"gamma": column_sums(proj), "beta": column_sums(dy)}
+        gamma_grad = column_sums(proj, out=self.gamma_grad)
+        beta_grad = column_sums(dy, out=self.beta_grad)
         # full gradient through the batch mean and variance:
         # gamma * inv_std * (dy - mean(dy) - x_hat * mean(dy * x_hat)), whose
         # two batch sums are the parameter gradients
         n = x_hat.shape[0]
-        np.multiply(x_hat, grads["gamma"] / n, out=proj)
-        dx = dy - grads["beta"] / n
+        np.multiply(x_hat, gamma_grad / n, out=proj)
+        dx = dy - beta_grad / n
         dx -= proj
         dx *= self.gamma * inv_std
-        return dx, grads
+        return dx
 
 
 def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None):
@@ -250,10 +267,7 @@ class DenseBlock:
         dense_cache, norm_cache, activated, mask = cache
         grad = self.act_grad(activated)
         grad *= dropout_backward(dy, mask)
-        dy, norm_grads = self.norm.backward(grad, norm_cache)
-        dx, dense_grads = self.dense.backward(dy, dense_cache)
-        return dx, {**{f"dense.{leaf}": g for leaf, g in dense_grads.items()},
-                    **{f"norm.{leaf}": g for leaf, g in norm_grads.items()}}
+        return self.dense.backward(self.norm.backward(grad, norm_cache), dense_cache)
 
 
 class MLPStack:
@@ -261,6 +275,7 @@ class MLPStack:
     bias, whose checkpoint name is ``out.b``."""
 
     LEAVES = {"b": "out_bias"}
+    RESULTS = {"b": "out_bias_grad"}
 
     def __init__(self, in_dim, hidden, out_dim, activation, dropout_rate, rng):
         self.blocks = []
@@ -270,6 +285,7 @@ class MLPStack:
             prev = width
         self.out = Dense(prev, out_dim, rng)
         self.out_bias = np.zeros(out_dim)
+        self.out_bias_grad = np.zeros(out_dim)
 
     def forward(self, x, mode, rng):
         caches = []
@@ -282,14 +298,11 @@ class MLPStack:
         return y, caches
 
     def backward(self, dy, caches):
-        bias_grad = column_sums(dy)
-        dy, out_grads = self.out.backward(dy, caches[-1])
-        grads = {"out.W": out_grads["W"], "out.b": bias_grad}
+        column_sums(dy, out=self.out_bias_grad)
+        dy = self.out.backward(dy, caches[-1])
         for i in range(len(self.blocks) - 1, -1, -1):
-            dy, block_grads = self.blocks[i].backward(dy, caches[i])
-            for leaf, g in block_grads.items():
-                grads[f"hidden{i}.{leaf}"] = g
-        return dy, grads
+            dy = self.blocks[i].backward(dy, caches[i])
+        return dy
 
     def named_params(self):
         """Deterministic (name, owner, leaf) walk; checkpoint order derives from it."""

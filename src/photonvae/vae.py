@@ -28,6 +28,7 @@ from .nn import (
     INFER,
     TRAIN,
     Adam,
+    BatchNorm,
     MLPStack,
     NamedVector,
 )
@@ -159,6 +160,12 @@ class VAEClassifier:
     layer attribute rebound to a new array (rather than written in place)
     drops out of all three.  Copy a model with get_state/set_state:
     copy.deepcopy would copy each view on its own.
+
+    What a TRAIN pass produces per parameter lives in a second vector, laid
+    out like the first and allocated once: the gradient of each trainable
+    parameter, then the batch statistic behind each running one.  Each
+    layer's ``RESULTS`` arrays are views into it.  ``loss_and_grads`` returns
+    its gradient section, which the next ``loss_and_grads`` overwrites.
     """
 
     def __init__(self, spec: NetworkSpec, seed: int = 0, *, dtype=np.float32):
@@ -183,12 +190,19 @@ class VAEClassifier:
         self._params = NamedVector.pack(
             {n: getattr(o, o.LEAVES[leaf]) for n, o, leaf in layout}, self.dtype
         )
+        results = NamedVector(np.zeros_like(self._params.vector),
+                              {name: view.shape for name, view in self._params.items()})
         trainable = {}
         for name, owner, leaf in layout:
             setattr(owner, owner.LEAVES[leaf], self._params[name])
+            setattr(owner, owner.RESULTS[leaf], results[name])
             if not leaf.startswith("running_"):
                 trainable[name] = self._params[name].shape
         self._trainable = NamedVector(self._params.vector, trainable)
+        self._grads = NamedVector(results.vector, trainable)
+        n_trainable = self._trainable.vector.size
+        self._running = self._params.vector[n_trainable:]
+        self._batch_stats = results.vector[n_trainable:]
 
     def reseed(self, seed: int) -> None:
         """Restart the training noise stream (used when resuming from a checkpoint)."""
@@ -230,7 +244,9 @@ class VAEClassifier:
 
     def forward(self, x: np.ndarray, *, mode: str = INFER) -> Forward:
         """TRAIN draws its dropout masks and latent noise from ``self.rng`` and
-        moves the running statistics; INFER reads z = mu and draws nothing."""
+        moves the running statistics once, after every BatchNorm has written
+        its batch statistics (no layer reads a running statistic in TRAIN);
+        INFER reads z = mu and draws nothing."""
         x = self._rows(x, self.spec.input_dim, "input features")
         rng = self.rng
         enc_out, enc_caches = self.encoder.forward(x, mode, rng)
@@ -243,6 +259,10 @@ class VAEClassifier:
             eps, z = None, mu
         x_hat, dec_caches = self.decoder.forward(z, mode, rng)
         logits, clf_caches = self.classifier.forward(z, mode, rng)
+        if mode == TRAIN:
+            momentum = BatchNorm.MOMENTUM
+            self._running *= momentum
+            self._running += (1.0 - momentum) * self._batch_stats
         return Forward(
             mu=mu, logvar=logvar, z=z, x_hat=x_hat, logits=logits, probs=_softmax(logits),
             eps=eps, caches=(enc_caches, dec_caches, clf_caches),
@@ -283,7 +303,10 @@ class VAEClassifier:
         return float(-np.mean(np.log(p_true, dtype=np.float64)))
 
     def loss_and_grads(self, x, y):
-        """Losses and gradients of one TRAIN pass, the only pass that backpropagates."""
+        """Losses, gradients and forward values of one TRAIN pass, the only
+        pass that backpropagates.  The gradients are the model's own gradient
+        vector, a ``NamedVector`` in the layout of ``trainable_refs``: the
+        next ``loss_and_grads`` overwrites them, so copy what must outlive it."""
         x = self._rows(x, self.spec.input_dim, "input features")
         fwd = self.forward(x, mode=TRAIN)
         values = self.losses(x, y, fwd)
@@ -307,29 +330,22 @@ class VAEClassifier:
         return dlogits
 
     def _backward(self, x, y, fwd: Forward) -> NamedVector:
+        """Write every layer's gradients into the gradient vector and return it."""
         n, d = x.shape
         enc_caches, dec_caches, clf_caches = fwd.caches
 
         dx_hat = (2.0 / (n * d)) * (fwd.x_hat - x)
-        dz_dec, dec_grads = self.decoder.backward(dx_hat, dec_caches)
-        dz_clf, clf_grads = self.classifier.backward(self._head_grad(y, fwd), clf_caches)
-        dz = dz_dec + dz_clf
+        dz = self.decoder.backward(dx_hat, dec_caches)
+        dz += self.classifier.backward(self._head_grad(y, fwd), clf_caches)
 
         dmu = dz.copy()
         dlogvar = dz * fwd.eps * 0.5 * np.exp(0.5 * fwd.logvar)
         dmu += (1.0 / n) * fwd.mu
         dlogvar += (0.5 / n) * (np.exp(fwd.logvar) - 1.0)
 
-        _, enc_grads = self.encoder.backward(np.hstack([dmu, dlogvar]), enc_caches)
-
-        grads = {}
-        for stack_name, stack_grads in (
-            ("encoder", enc_grads), ("decoder", dec_grads), ("classifier", clf_grads),
-        ):
-            for leaf, g in stack_grads.items():
-                grads[f"{stack_name}.{leaf}"] = g
+        self.encoder.backward(np.hstack([dmu, dlogvar]), enc_caches)
         # Adam.step refuses a non-finite entry before it writes a parameter
-        return NamedVector.pack({name: grads[name] for name in self._trainable})
+        return self._grads
 
 
 # --- training ---------------------------------------------------------------

@@ -33,10 +33,11 @@ DTYPES = [np.float32, np.float64]
 
 
 def cast_params(dtype, *owners):
-    """Rebind each layer's parameters as copies in ``dtype``; a model holds them
-    as views into one vector of its dtype, which layers built alone do not."""
+    """Rebind each layer's parameters, and the arrays a TRAIN pass writes, as
+    copies in ``dtype``; a model holds them as views into vectors of its dtype,
+    which layers built alone do not."""
     for owner in owners:
-        for attr in owner.LEAVES.values():
+        for attr in (*owner.LEAVES.values(), *owner.RESULTS.values()):
             setattr(owner, attr, getattr(owner, attr).astype(dtype))
 
 
@@ -55,10 +56,10 @@ def test_dense_forward_backward(dtype=np.float64):
     y, cache = layer.forward(x)
     np.testing.assert_allclose(y, x @ layer.weight)
     dy = rng.random((5, 2)).astype(dtype)
-    dx, grads = layer.backward(dy, cache)
-    assert y.dtype == dx.dtype == grads["W"].dtype == dtype
+    dx = layer.backward(dy, cache)
+    assert y.dtype == dx.dtype == layer.weight_grad.dtype == dtype
     np.testing.assert_allclose(dx, dy @ layer.weight.T)
-    np.testing.assert_allclose(grads["W"], x.T @ dy)
+    np.testing.assert_allclose(layer.weight_grad, x.T @ dy)
 
 
 def test_dense_forward_backward_in_float32():
@@ -253,7 +254,9 @@ def test_column_sums_use_one_read_only_ones_vector_per_rows_and_dtype():
         ones[0] = 2.0
 
 
-def test_batchnorm_train_normalizes_and_tracks_running_stats(dtype=np.float64):
+def test_batchnorm_train_normalizes_and_writes_its_batch_stats(dtype=np.float64):
+    """A TRAIN pass writes the batch statistics and leaves the running ones to
+    the layer's owner (tested on the model in test_vae.py)."""
     bn = BatchNorm(3)
     cast_params(dtype, bn)
     rng = np.random.default_rng(4)
@@ -264,7 +267,12 @@ def test_batchnorm_train_normalizes_and_tracks_running_stats(dtype=np.float64):
     assert out.dtype == dtype
     assert np.allclose(out.mean(axis=0), 0.0, atol=atol)
     assert np.allclose(out.std(axis=0), 1.0, atol=1e-3)
-    np.testing.assert_allclose(bn.running_mean, 0.1 * x.mean(axis=0), atol=atol)
+    # two orders of a 512-term sum: each within (n - 1) * eps / 2 of the exact one
+    rtol = 512 * np.finfo(dtype).eps
+    np.testing.assert_allclose(bn.batch_mean, x.mean(axis=0), rtol=rtol)
+    np.testing.assert_allclose(bn.batch_var, x.var(axis=0), rtol=rtol)
+    assert np.array_equal(bn.running_mean, np.zeros(3))
+    assert np.array_equal(bn.running_var, np.ones(3))
     assert bn.running_mean.dtype == bn.running_var.dtype == dtype
     # inference path uses the running statistics
     frozen, _ = bn.forward(x, INFER)
@@ -273,8 +281,8 @@ def test_batchnorm_train_normalizes_and_tracks_running_stats(dtype=np.float64):
     np.testing.assert_allclose(frozen, expected, atol=atol)
 
 
-def test_batchnorm_train_normalizes_and_tracks_running_stats_in_float32():
-    test_batchnorm_train_normalizes_and_tracks_running_stats(np.float32)
+def test_batchnorm_train_normalizes_and_writes_its_batch_stats_in_float32():
+    test_batchnorm_train_normalizes_and_writes_its_batch_stats(np.float32)
 
 
 def test_batchnorm_train_backward_matches_finite_differences():
@@ -290,7 +298,8 @@ def test_batchnorm_train_backward_matches_finite_differences():
         return 0.5 * np.sum((out - target) ** 2)
 
     out, cache = bn.forward(x, TRAIN)
-    dx, grads = bn.backward(out - target, cache)
+    dx = bn.backward(out - target, cache)
+    grads = {"gamma": bn.gamma_grad, "beta": bn.beta_grad}
     h = 1e-6
     for i in range(x.size):
         pert = x.copy().reshape(-1)
@@ -339,7 +348,8 @@ def test_batchnorm_backward_matches_parent_formula(dtype, n, d, seed, x_scale, d
     x = rng.normal(x_scale * rng.normal(size=d), x_scale, size=(n, d)).astype(dtype)
     dy = (dy_scale * rng.normal(size=(n, d))).astype(dtype)
     y, cache = bn.forward(x, TRAIN)
-    dx, grads = bn.backward(dy, cache)
+    dx = bn.backward(dy, cache)
+    grads = {"gamma": bn.gamma_grad, "beta": bn.beta_grad}
     assert y.dtype == dx.dtype == dtype
     want_dx, want_grads = parent_batchnorm_backward(bn, dy, cache)
     for name, want in want_grads.items():
@@ -402,10 +412,11 @@ def test_stack_leaves_its_inputs_unchanged(mode, dtype=np.float64):
         assert x.tobytes() == x_before
         assert y.dtype == dtype
         if mode == TRAIN:
-            dx, grads = stack.backward(dy, caches)
+            dx = stack.backward(dy, caches)
             assert dy.tobytes() == dy_before
             assert dx.dtype == dtype
-            assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}, activation
+            grads = [getattr(owner, owner.RESULTS[leaf]) for _, owner, leaf in stack.named_params()]
+            assert {g.dtype for g in grads} == {np.dtype(dtype)}, activation
 
 
 @pytest.mark.parametrize("mode", [TRAIN, INFER])
@@ -420,9 +431,14 @@ def test_dense_block_and_stack_shapes():
     y, caches = stack.forward(x, TRAIN, rng)
     assert y.shape == (10, 3)
     dy = rng.random((10, 3))
-    dx, grads = stack.backward(dy, caches)
+    dx = stack.backward(dy, caches)
     assert dx.shape == x.shape
+    grads = {name: getattr(owner, owner.RESULTS[leaf]) for name, owner, leaf in stack.named_params()
+             if not leaf.startswith("running_")}
     assert {"out.W", "out.b", "hidden0.dense.W", "hidden1.norm.gamma"} <= set(grads)
+    for name, owner, leaf in stack.named_params():
+        result = getattr(owner, owner.RESULTS[leaf])
+        assert result.shape == getattr(owner, owner.LEAVES[leaf]).shape, name
 
 
 def test_block_infer_mode_is_deterministic():

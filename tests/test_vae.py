@@ -9,7 +9,7 @@ import pytest
 
 from fd_utils import REL_FLOOR, FixedNoise, make_case, max_relative_error
 from photonvae import vae
-from photonvae.nn import INFER, TRAIN, Adam, GradientError
+from photonvae.nn import INFER, TRAIN, Adam, BatchNorm, GradientError
 from photonvae.vae import (
     CheckpointError,
     DataMismatchError,
@@ -114,6 +114,35 @@ def test_inference_draws_nothing_and_writes_nothing():
     running = [name for name in state if ".running_" in name]
     assert len(running) == 2 * (5 + 4 + 2)  # mean and variance of every block
     assert all(not np.array_equal(after[name], state[name]) for name in running)
+
+
+def test_a_train_pass_moves_every_running_statistic_toward_its_batch_statistic(monkeypatch):
+    """After one TRAIN pass, each running statistic is 0.9 * its old value plus
+    0.1 * the mean, or the biased variance, of what its BatchNorm saw."""
+    model = VAEClassifier(NetworkSpec(num_classes=4), seed=21, dtype=np.float64)
+    rng = np.random.default_rng(21)
+    running = [(name, owner, leaf) for name, owner, leaf in model.named_params()
+               if leaf.startswith("running_")]
+    old = model.get_state()
+    for name, _, _ in running:
+        old[name] = rng.uniform(0.5, 2.0, size=old[name].shape)
+    model.set_state(old)
+    seen = {}
+    real_forward = BatchNorm.forward
+
+    def recording_forward(self, x, mode):
+        seen[id(self)] = x.copy()
+        return real_forward(self, x, mode)
+
+    monkeypatch.setattr(BatchNorm, "forward", recording_forward)
+    model.forward(rng.random((64, 5)), mode=TRAIN)
+    new = model.get_state()
+    assert len(running) == 2 * len(seen) == 2 * (5 + 4 + 2)
+    for name, owner, leaf in running:
+        x = seen[id(owner)]
+        batch = x.mean(axis=0) if leaf == "running_mean" else x.var(axis=0)
+        np.testing.assert_allclose(new[name], 0.9 * old[name] + 0.1 * batch,
+                                   rtol=1e-12, atol=1e-12, err_msg=name)
 
 
 def test_reparameterize_values():
@@ -305,15 +334,23 @@ def test_float32_gradients_match_the_float64_reference(num_classes):
     assert values.total == pytest.approx(want_values.total, rel=8 * np.finfo(np.float32).eps)
 
 
-def test_loss_and_grads_leaves_inputs_unchanged_and_returns_fresh_gradients():
+def test_loss_and_grads_leaves_inputs_unchanged_and_reuses_its_gradient_vector():
+    """The gradients are the model's own vector, which the next call
+    overwrites; the inputs, and every array the first pass returned or
+    cached, stay as they were."""
     model, x, y = make_case(NetworkSpec(), seed=3, batch=16)
     x_before, y_before = x.tobytes(), y.tobytes()
-    _, first, _ = model.loss_and_grads(x, y)
-    first_before = first.vector.tobytes()
+    _, first, fwd = model.loss_and_grads(x, y)
+    first_copy = first.vector.copy()
+    held = [fwd.mu, fwd.logvar, fwd.z, fwd.x_hat, fwd.logits, fwd.probs, fwd.eps]
+    held += _arrays(fwd.caches)
+    held_before = [a.tobytes() for a in held]
+    model.reseed(model.seed)  # the same masks and noise again
     _, second, _ = model.loss_and_grads(x, y)
     assert x.tobytes() == x_before and y.tobytes() == y_before
-    assert not np.shares_memory(first.vector, second.vector)
-    assert first.vector.tobytes() == first_before
+    assert [a.tobytes() for a in held] == held_before
+    assert second is first and second.vector is first.vector
+    assert np.array_equal(second.vector, first_copy)
 
 
 def test_zero_input_zero_weights_give_zero_weight_gradients():
@@ -334,7 +371,8 @@ def test_doubling_bce_weight_doubles_classifier_gradients(monkeypatch):
     model = binary_model(seed=2)
     x = np.random.default_rng(6).random((16, 5))
     y = np.random.default_rng(7).integers(0, 2, 16)
-    _, base, _ = model.loss_and_grads(x, y)
+    _, grads, _ = model.loss_and_grads(x, y)
+    base = {name: g.copy() for name, g in grads.items()}  # the next call overwrites grads
     monkeypatch.setattr(vae, "CLASSIFICATION_WEIGHT", 2.0 * vae.CLASSIFICATION_WEIGHT)
     model.reseed(model.seed)  # the same masks and noise again
     _, doubled, _ = model.loss_and_grads(x, y)
@@ -361,8 +399,9 @@ def test_non_finite_gradient_names_its_parameter(monkeypatch):
     real_backward = stack.backward
 
     def nan_bias_gradient(dy, caches):
-        dx, grads = real_backward(dy, caches)
-        return dx, {**grads, "out.b": np.full_like(grads["out.b"], np.nan)}
+        dx = real_backward(dy, caches)
+        stack.out_bias_grad[...] = np.nan
+        return dx
 
     monkeypatch.setattr(stack, "backward", nan_bias_gradient)
     x, y = np.random.default_rng(0).random((4, 5)), np.array([0, 1, 0, 1])
