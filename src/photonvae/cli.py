@@ -144,6 +144,15 @@ def _learning_rate(value) -> float:
     return rate
 
 
+def _distinct(values: list, field: str) -> list:
+    """``values``, or a ConfigError naming ``field`` for a value that repeats:
+    it would be scored twice as one cell."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{field} repeats the value {value!r}")
+    return values
+
+
 def _array(value) -> list:
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {type(value).__name__}")
@@ -229,7 +238,12 @@ def _report(out: Path, name: str, model: VAEClassifier, class_order: list[str], 
     and ``{name}_confusion.csv``, and return the summary fields."""
     report = EvalReport(class_labels=class_order)
     for key, rows, fields in cells:
-        report.score(key, model, rows, **fields)
+        try:
+            report.score(key, model, rows, **fields)
+        except DataMismatchError:
+            raise
+        except ValueError as exc:  # a cell key already scored: a dataset listed twice
+            raise ConfigError(str(exc)) from exc
     report_path = out / f"{name}_report.csv"
     write_report_csv(report_path, report.rows)
     write_confusion_csv(out / f"{name}_confusion.csv", report.confusions, class_order)
@@ -342,13 +356,13 @@ def cmd_sweep(args, config: dict, seed: int, out: Path, name: str) -> dict:
     detector = _require(config, "detector")
     n_detectors = _require(detector, "n_detectors", int)
     bins_per_class = _require(config, "bins_per_class", _count, 400)
-    config["bin_sizes"] = bin_sizes = (
+    config["bin_sizes"] = bin_sizes = _distinct(
         args.bin_sizes or _require(config, "bin_sizes", _list_of(_count), None)
-        or [_require(config, "bin_size", _count)]
+        or [_require(config, "bin_size", _count)], "bin_sizes"
     )
-    config["etas"] = etas = (
+    config["etas"] = etas = _distinct(
         args.etas or _require(config, "etas", _list_of(float), None)
-        or [_require(detector, "efficiency", float)]
+        or [_require(detector, "efficiency", float)], "etas"
     )
 
     def cells():  # one dataset generated at a time

@@ -60,7 +60,10 @@ class TrainPlan:
 
     ``stages[0]`` is the from-scratch training stage; later stages fine-tune
     the stage-0 weights on their own bin size.  The eval grid fields select
-    what gets measured afterwards.
+    what gets measured afterwards.  A value repeated in a grid field, or a
+    bin size repeated among the fine-tune stages, is refused: each value is
+    one cell (or one fine-tuned model), so a repeat would report two rows for
+    one confusion matrix.
     """
 
     algorithm: str  # "lossless" | "lossy_nbar" | "mixed_grid"
@@ -83,6 +86,15 @@ class TrainPlan:
     def __post_init__(self):
         if not self.stages:
             raise ValueError("a TrainPlan needs at least one training stage")
+        grids = {name: getattr(self, name) for name in (
+            "train_etas", "eval_etas", "eval_nbar_obs", "eval_bin_sizes",
+            "mix_r_values", "mix_train_r_values",
+        )}
+        grids["the fine-tune stages' bin_size"] = [stage.bin_size for stage in self.stages[1:]]
+        for what, values in grids.items():
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{what} repeats the value {value!r}")
 
 
 @dataclass
@@ -97,7 +109,11 @@ class EvalReport:
     def score(self, key: str, model: VAEClassifier, rows: Rows, /, **fields) -> float:
         """Score ``model`` on ``rows``: keep the confusion matrix under ``key``,
         append ``{**fields, "accuracy": ...}`` to ``self.rows`` and return the
-        accuracy.  Positional-only, so a field may be called ``rows``."""
+        accuracy.  Positional-only, so a field may be called ``rows``.  A
+        ``key`` already scored is a ValueError, raised before any scoring, as
+        a second row would have no confusion matrix of its own."""
+        if key in self.confusions:
+            raise ValueError(f"evaluation cell {key!r} is already scored")
         accuracy, self.confusions[key] = evaluate_model(
             model, *model_inputs(model, rows, self.class_labels)
         )
@@ -333,8 +349,7 @@ def run_algorithm2(plan: TrainPlan) -> StudyResult:
         report.score(confusion_key, model, rows, eta=eta, bin_size=bin_size,
                      nbar_the=intensity, nbar_obs=float(np.mean(rows.nbar_obs)), cell=cell)
 
-    # a repeated efficiency is scored once, on its last test rows
-    for eta, rows in dict(zip(plan.train_etas, test_parts)).items():
+    for eta, rows in zip(plan.train_etas, test_parts):
         score_cell(rows, eta, plan.mean_param, "held_out", f"train_eta{eta:g}")
 
     def sweep_cell(intensity, eta, tag, key):
