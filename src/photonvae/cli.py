@@ -146,7 +146,8 @@ def _learning_rate(value) -> float:
 
 def _distinct(values: list, field: str) -> list:
     """``values``, or a ConfigError naming ``field`` for a value that repeats:
-    it would be scored twice as one cell."""
+    a repeated grid value would be scored twice as one cell, and a repeated
+    dataset would put copies of its training rows among the test rows."""
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ConfigError(f"{field} repeats the value {value!r}")
@@ -215,7 +216,7 @@ def _dataset_paths(config: dict) -> list[str]:
     if "datasets" in config:
         if isinstance(config["datasets"], str):
             return [config["datasets"]]
-        return _require(config, "datasets", _list_of(str))
+        return _distinct(_require(config, "datasets", _list_of(str)), "datasets")
     return [_require(config, "dataset", str)]
 
 
@@ -242,7 +243,7 @@ def _report(out: Path, name: str, model: VAEClassifier, class_order: list[str], 
             report.score(key, model, rows, **fields)
         except DataMismatchError:
             raise
-        except ValueError as exc:  # a cell key already scored: a dataset listed twice
+        except ValueError as exc:  # a cell key already scored: two datasets of one file name
             raise ConfigError(str(exc)) from exc
     report_path = out / f"{name}_report.csv"
     write_report_csv(report_path, report.rows)

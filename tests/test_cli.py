@@ -65,9 +65,16 @@ EXIT_CASES = {
     "dataset_row_not_whole_counts": (1, "config error: bad dataset bad.csv: line 2:",
                                      ["eval", "--config", "c.json"],
                                      {"checkpoint": "model.ckpt", "datasets": ["bad.csv"]}),
-    "eval_dataset_listed_twice": (1, "config error: evaluation cell 'pair' is already scored",
+    "eval_dataset_listed_twice": (1, "config error: datasets repeats the value 'pair.csv'",
                                   ["eval", "--config", "c.json"],
                                   {"checkpoint": "model.ckpt", "datasets": ["pair.csv", "pair.csv"]}),
+    "eval_two_datasets_one_file_name": (1, "config error: evaluation cell 'pair' is already scored",
+                                        ["eval", "--config", "c.json"],
+                                        {"checkpoint": "model.ckpt",
+                                         "datasets": ["pair.csv", "copy/pair.csv"]}),
+    "train_dataset_listed_twice": (1, "config error: datasets repeats the value 'foreign.csv'",
+                                   ["train", "--config", "c.json"],
+                                   {"datasets": ["foreign.csv", "foreign.csv"], "epochs": 1}),
     "sweep_repeated_bin_size": (1, "config error: bin_sizes repeats the value 20",
                                 ["sweep", "--config", "c.json"], {**SWEEP, "bin_sizes": [20, 30, 20]}),
     "sweep_repeated_eta_flag": (1, "config error: etas repeats the value 0.8",
@@ -125,8 +132,11 @@ def test_exit_code_contract(case, run_cli, tmp_path, monkeypatch):
     seeded = (tmp_path / "text_seed.ckpt").read_bytes()
     (tmp_path / "text_seed.ckpt").write_bytes(seeded.replace(b'"seed": 10', b'"seed":"x"'))
     (tmp_path / "bad.csv").write_text(f"{CSV_HEADER}\n0.33,0.67,0,0,0,0,0,0.67,spacs,20,1,6,1.3,spacs,1\n")
-    (tmp_path / "pair.csv").write_text(f"{CSV_HEADER}\n0.35,0.65,0,0,0,0,0,0.65,spacs,20,1,6,1.3,spacs,1\n"
-                                       "0.3,0.7,0,0,0,0,0,0.7,spats,20,1,6,1.3,spats,1\n")
+    pair = (f"{CSV_HEADER}\n0.35,0.65,0,0,0,0,0,0.65,spacs,20,1,6,1.3,spacs,1\n"
+            "0.3,0.7,0,0,0,0,0,0.7,spats,20,1,6,1.3,spats,1\n")
+    (tmp_path / "pair.csv").write_text(pair)
+    (tmp_path / "copy").mkdir()
+    (tmp_path / "copy" / "pair.csv").write_text(pair)
     for variable, value in EXIT_ENV.get(case, {}).items():
         monkeypatch.setenv(variable, value)
 
