@@ -1,8 +1,10 @@
+import ctypes
 import hashlib
 import json
 import math
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -476,6 +478,43 @@ def test_train_model_runs_and_early_stops():
     assert history.epochs_run < 400
     assert history.best_epoch >= 0
     model.assert_finite()
+
+
+class _MallocInfo(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks", "uordblks",
+        "fordblks", "keepcost")]
+
+
+def _glibc_mallinfo2():
+    """glibc's ``mallinfo2``, or None on another C library (or glibc < 2.33)."""
+    if sys.platform != "linux":
+        return None
+    mallinfo2 = getattr(ctypes.CDLL(None), "mallinfo2", None)
+    if mallinfo2 is not None:
+        mallinfo2.restype = _MallocInfo
+    return mallinfo2
+
+
+@pytest.mark.skipif(_glibc_mallinfo2() is None, reason="needs glibc's mallinfo2")
+def test_training_steps_do_not_return_the_heap_between_steps(monkeypatch):
+    """Each step frees a few MB of temporaries; a heap that shrank after a step
+    would fault those pages in again at the next one."""
+    mallinfo2 = _glibc_mallinfo2()
+    heap_sizes = []
+    real_step = Adam.step
+
+    def recording_step(self, params, grads):
+        heap_sizes.append(mallinfo2().arena)
+        return real_step(self, params, grads)
+
+    monkeypatch.setattr(Adam, "step", recording_step)
+    rng = np.random.default_rng(18)
+    x, y = rng.random((3072, 5)), rng.integers(0, 2, 3072)
+    train_model(binary_model(seed=18), x, y, epochs=2, batch_size=512)
+    after_first = heap_sizes[1:]
+    assert len(after_first) == 11
+    assert all(later >= earlier for earlier, later in zip(after_first, after_first[1:])), heap_sizes
 
 
 def test_train_model_runs_one_validation_pass_per_epoch(monkeypatch):
