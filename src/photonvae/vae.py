@@ -363,11 +363,10 @@ def _keep_freed_heap() -> None:
 
     A training step allocates and frees a few MB of temporaries.  Under
     glibc's own threshold, a few hundred KB once numpy has freed its first
-    large array, the heap shrank and grew again at nearly every step, and
-    every page it grew by faulted in anew: about 40,000 page faults in the
-    lossless study.  The setting holds for the whole process, as the
-    environment variable MALLOC_TRIM_THRESHOLD_ would; other C libraries keep
-    their own policy."""
+    large array, the heap shrinks and grows again at nearly every step, and
+    every page it grows by faults in anew.  The setting holds for the whole
+    process, as the environment variable MALLOC_TRIM_THRESHOLD_ would; other
+    C libraries keep their own policy."""
     if sys.platform == "linux":
         mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
         if mallopt is not None:
@@ -444,7 +443,9 @@ def train_model(
     Features and labels that do not fit the model or each other, and a
     training set of fewer than two rows, are refused with DataMismatchError
     before the first step; a ``batch_size`` below 2, or a ``learning_rate``
-    that is not a finite number > 0, with ValueError.
+    that is not a finite number > 0, with ValueError.  On Linux, training
+    first raises glibc's heap trim threshold for the process
+    (``_keep_freed_heap``).
     """
     if batch_size < 2:
         # a one-row batch normalizes every hidden unit to its beta, so no
