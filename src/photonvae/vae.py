@@ -17,6 +17,7 @@ maps that feed a batch normalization, which cancels them.
 from __future__ import annotations
 
 import ctypes
+import functools
 import json
 import math
 import struct
@@ -104,7 +105,9 @@ def reparameterize(mu: np.ndarray, logvar: np.ndarray, eps: np.ndarray) -> np.nd
 
 def loss_recon(x: np.ndarray, x_hat: np.ndarray) -> float:
     """Mean squared reconstruction error over samples and components."""
-    return float(np.mean(np.subtract(x, x_hat, dtype=np.float64) ** 2))
+    diff = np.subtract(x, x_hat, dtype=np.float64)
+    diff *= diff
+    return float(np.add.reduce(diff, axis=None) / diff.size)
 
 
 def loss_kl(mu: np.ndarray, logvar: np.ndarray) -> float:
@@ -112,7 +115,7 @@ def loss_kl(mu: np.ndarray, logvar: np.ndarray) -> float:
     summed over latent components and averaged over samples."""
     mu, logvar = np.asarray(mu, dtype=np.float64), np.asarray(logvar, dtype=np.float64)
     n = mu.shape[0]
-    return float(-0.5 / n * np.sum(1.0 + logvar - mu**2 - np.exp(logvar)))
+    return float(-0.5 / n * np.add.reduce(1.0 + logvar - mu**2 - np.exp(logvar), axis=None))
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,9 @@ class LossValues:
 
 @dataclass
 class Forward:
+    """What one pass computed; ``eps`` and ``std`` (exp(logvar/2), kept for the
+    backward pass) are None in INFER."""
+
     mu: np.ndarray
     logvar: np.ndarray
     z: np.ndarray
@@ -137,13 +143,60 @@ class Forward:
     logits: np.ndarray
     probs: np.ndarray
     eps: np.ndarray | None
+    std: np.ndarray | None
     caches: tuple
 
 
+# np.add.reduce is what np.sum, np.mean and ndarray.sum call, without their
+# Python wrappers: the same bits, fewer microseconds.
+
+
 def _softmax(t: np.ndarray) -> np.ndarray:
-    shifted = t - t.max(axis=1, keepdims=True)
+    # a maximum is exact in any order, so the row maxima are folded over the
+    # few columns, several times faster than a reduction along each short row
+    shifted = t - functools.reduce(np.maximum, t.T)[:, None]
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / np.add.reduce(e, axis=1, keepdims=True)
+
+
+def _labelled(y, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one pass over a batch's labels that the cross-entropy and its
+    gradient share: the labelled rows of ``y`` (-1 marks an unlabeled row),
+    their classes, and their true-class probabilities in ``probs``."""
+    y = np.asarray(y, dtype=np.int64).reshape(-1)
+    rows = np.flatnonzero(y >= 0)
+    classes = y[rows]
+    return rows, classes, probs[rows, classes]
+
+
+def _cross_entropy(labelled) -> float:
+    """Mean cross-entropy over the labelled rows, 0 with none.  The true-class
+    probability is clamped below at PROB_CLIP in the model's dtype, as
+    ``_dlogits`` compares (a softmax output never exceeds 1), then the log and
+    the mean are taken in float64."""
+    p_true = labelled[2]
+    if p_true.size == 0:
+        return 0.0
+    logs = np.log(np.maximum(p_true, PROB_CLIP), dtype=np.float64)
+    return float(-(np.add.reduce(logs) / logs.size))
+
+
+def _dlogits(labelled, probs: np.ndarray) -> np.ndarray:
+    """d(weighted cross-entropy)/d(logits): (probs - one-hot) * weight / labelled
+    rows; a row unlabelled, or whose true-class probability is clamped, gets none."""
+    rows, classes, p_true = labelled
+    if rows.size == 0:
+        return np.zeros_like(probs)
+    live = p_true > PROB_CLIP
+    kept = rows[live]
+    dlogits = probs.copy()
+    dlogits[kept, classes[live]] -= 1.0
+    dlogits *= CLASSIFICATION_WEIGHT / rows.size
+    if kept.size < len(probs):
+        dead = np.ones(len(probs), dtype=bool)
+        dead[kept] = False
+        dlogits[dead] = 0.0
+    return dlogits
 
 
 class VAEClassifier:
@@ -249,16 +302,21 @@ class VAEClassifier:
         moves the running statistics once, after every BatchNorm has written
         its batch statistics (no layer reads a running statistic in TRAIN);
         INFER reads z = mu and draws nothing."""
-        x = self._rows(x, self.spec.input_dim, "input features")
+        return self._forward(self._rows(x, self.spec.input_dim, "input features"), mode)
+
+    def _forward(self, x: np.ndarray, mode: str) -> Forward:
+        """``forward`` of an ``x`` that ``_rows`` has already converted."""
         rng = self.rng
         enc_out, enc_caches = self.encoder.forward(x, mode, rng)
         latent = self.spec.latent_dim
         mu, logvar = enc_out[:, :latent], enc_out[:, latent:]
         if mode == TRAIN:
             eps = rng.standard_normal(mu.shape, dtype=self.dtype)
-            z = reparameterize(mu, logvar, eps)
+            std = np.exp(0.5 * logvar)
+            z = mu + std * eps  # reparameterize, keeping std for the backward pass
         else:
-            eps, z = None, mu
+            eps = std = None
+            z = mu
         x_hat, dec_caches = self.decoder.forward(z, mode, rng)
         logits, clf_caches = self.classifier.forward(z, mode, rng)
         if mode == TRAIN:
@@ -267,7 +325,7 @@ class VAEClassifier:
             self._running += (1.0 - momentum) * self._batch_stats
         return Forward(
             mu=mu, logvar=logvar, z=z, x_hat=x_hat, logits=logits, probs=_softmax(logits),
-            eps=eps, caches=(enc_caches, dec_caches, clf_caches),
+            eps=eps, std=std, caches=(enc_caches, dec_caches, clf_caches),
         )
 
     def _rows(self, a, width: int, what: str) -> np.ndarray:
@@ -288,64 +346,58 @@ class VAEClassifier:
 
     def losses(self, x, y, fwd: Forward) -> LossValues:
         x = self._rows(x, self.spec.input_dim, "input features")
+        return self._losses(x, _labelled(y, fwd.probs), fwd)
+
+    def _losses(self, x: np.ndarray, labelled, fwd: Forward) -> LossValues:
         return LossValues(
             recon=loss_recon(x, fwd.x_hat),
             kl=loss_kl(fwd.mu, fwd.logvar),
-            bce=CLASSIFICATION_WEIGHT * self._classification_loss(y, fwd),
+            bce=CLASSIFICATION_WEIGHT * _cross_entropy(labelled),
         )
-
-    def _classification_loss(self, y, fwd: Forward) -> float:
-        y = np.asarray(y, dtype=np.int64).reshape(-1)
-        mask = y >= 0
-        n_labeled = int(mask.sum())
-        if n_labeled == 0:
-            return 0.0
-        # clamped in the model's dtype, as _head_grad compares, then reduced in float64
-        p_true = np.clip(fwd.probs[mask, y[mask]], PROB_CLIP, 1.0)
-        return float(-np.mean(np.log(p_true, dtype=np.float64)))
 
     def loss_and_grads(self, x, y):
         """Losses, gradients and forward values of one TRAIN pass, the only
         pass that backpropagates.  The gradients are the model's own gradient
         vector, a ``NamedVector`` in the layout of ``trainable_refs``: the
-        next ``loss_and_grads`` overwrites them, so copy what must outlive it."""
+        next ``loss_and_grads`` overwrites them, so copy what must outlive it.
+        ``x`` and ``y`` are converted once, and the labels read once, for the
+        forward pass, the losses and the backward pass together."""
         x = self._rows(x, self.spec.input_dim, "input features")
-        fwd = self.forward(x, mode=TRAIN)
-        values = self.losses(x, y, fwd)
-        grads = self._backward(x, y, fwd)
+        fwd = self._forward(x, TRAIN)
+        labelled = _labelled(y, fwd.probs)
+        values = self._losses(x, labelled, fwd)
+        grads = self._backward(x, labelled, fwd)
         return values, grads, fwd
 
     def _head_grad(self, y, fwd: Forward) -> np.ndarray:
-        """d(weighted cross-entropy)/d(logits); a row whose true-class
-        probability is clamped gets none."""
-        y = np.asarray(y, dtype=np.int64).reshape(-1)
-        mask = y >= 0
-        n_labeled = int(mask.sum())
-        dlogits = np.zeros_like(fwd.logits)
-        if n_labeled == 0:
-            return dlogits
-        rows = np.flatnonzero(mask)
-        live = rows[fwd.probs[rows, y[rows]] > PROB_CLIP]
-        delta = fwd.probs[live].copy()
-        delta[np.arange(live.size), y[live]] -= 1.0
-        dlogits[live] = delta * (CLASSIFICATION_WEIGHT / n_labeled)
-        return dlogits
+        """d(weighted cross-entropy)/d(logits) of ``fwd`` for the labels ``y``."""
+        return _dlogits(_labelled(y, fwd.probs), fwd.probs)
 
-    def _backward(self, x, y, fwd: Forward) -> NamedVector:
+    def _backward(self, x: np.ndarray, labelled, fwd: Forward) -> NamedVector:
         """Write every layer's gradients into the gradient vector and return it."""
         n, d = x.shape
+        latent = self.spec.latent_dim
         enc_caches, dec_caches, clf_caches = fwd.caches
 
         dx_hat = (2.0 / (n * d)) * (fwd.x_hat - x)
         dz = self.decoder.backward(dx_hat, dec_caches)
-        dz += self.classifier.backward(self._head_grad(y, fwd), clf_caches)
+        dz += self.classifier.backward(_dlogits(labelled, fwd.probs), clf_caches)
 
-        dmu = dz.copy()
-        dlogvar = dz * fwd.eps * 0.5 * np.exp(0.5 * fwd.logvar)
-        dmu += (1.0 / n) * fwd.mu
-        dlogvar += (0.5 / n) * (np.exp(fwd.logvar) - 1.0)
+        # the encoder's output gradient, d/dmu beside d/dlogvar: through
+        # z = mu + std * eps, plus the KL term's own
+        dcode = np.empty((n, 2 * latent), dtype=dz.dtype)
+        dmu, dlogvar = dcode[:, :latent], dcode[:, latent:]
+        np.multiply(fwd.mu, 1.0 / n, out=dmu)
+        dmu += dz
+        np.multiply(dz, fwd.eps, out=dlogvar)
+        dlogvar *= 0.5
+        dlogvar *= fwd.std
+        kl = np.exp(fwd.logvar)
+        kl -= 1.0
+        kl *= 0.5 / n
+        dlogvar += kl
 
-        self.encoder.backward(np.hstack([dmu, dlogvar]), enc_caches)
+        self.encoder.backward(dcode, enc_caches)
         # Adam.step refuses a non-finite entry before it writes a parameter
         return self._grads
 
@@ -415,6 +467,14 @@ def _score(pred: np.ndarray, y: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     return float(np.trace(confusion) / max(confusion.sum(), 1)), confusion
 
 
+def _validate(model: VAEClassifier, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Total loss and accuracy of one INFER pass over a validation set that
+    ``_examples`` has converted; its Forward ends with the call."""
+    fwd = model.forward(x, mode=INFER)
+    acc, _ = _score(np.argmax(fwd.probs, axis=1), y, model.spec.num_classes)
+    return model.losses(x, y, fwd).total, acc
+
+
 def evaluate_model(model: VAEClassifier, x, y) -> tuple[float, np.ndarray]:
     """Accuracy and confusion matrix of ``model`` on the labeled rows of (x, y)."""
     x, y = _examples(model, x, y, "the evaluation set")
@@ -445,7 +505,9 @@ def train_model(
     before the first step; a ``batch_size`` below 2, or a ``learning_rate``
     that is not a finite number > 0, with ValueError.  On Linux, training
     first raises glibc's heap trim threshold for the process
-    (``_keep_freed_heap``).
+    (``_keep_freed_heap``).  No Forward outlives its step: a step's Forward,
+    with every block's cached activations, is dropped before the optimizer
+    runs, and a validation pass's before the next epoch trains.
     """
     if batch_size < 2:
         # a one-row batch normalizes every hidden unit to its beta, so no
@@ -480,7 +542,8 @@ def train_model(
         n_batches = 0
         for start in range(0, len(order), batch_size):
             idx = order[start : start + batch_size]
-            values, grads, _ = model.loss_and_grads(x_train[idx], y_train[idx])
+            # the step's Forward is dropped here, before the optimizer runs
+            values, grads = model.loss_and_grads(x_train[idx], y_train[idx])[:2]
             optimizer.step(params, grads)
             model.assert_finite()
             epoch_loss += values.total
@@ -488,13 +551,11 @@ def train_model(
         history.train_loss.append(epoch_loss / n_batches)
         history.epochs_run = epoch + 1
         if x_val is not None and len(x_val):
-            fwd = model.forward(x_val, mode=INFER)
-            values = model.losses(x_val, y_val, fwd)
-            acc, _ = _score(np.argmax(fwd.probs, axis=1), y_val, model.spec.num_classes)
-            history.val_loss.append(values.total)
+            val_loss, acc = _validate(model, x_val, y_val)
+            history.val_loss.append(val_loss)
             history.val_accuracy.append(acc)
-            if values.total < best_val - 1e-12:
-                best_val = values.total
+            if val_loss < best_val - 1e-12:
+                best_val = val_loss
                 best_state = model.get_state()
                 history.best_epoch = epoch
                 stale = 0

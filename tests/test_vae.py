@@ -5,6 +5,7 @@ import math
 import re
 import struct
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -532,6 +533,29 @@ def test_train_model_runs_one_validation_pass_per_epoch(monkeypatch):
     history = train_model(binary_model(seed=6), x, y, x[:50], y[:50], epochs=3, batch_size=64)
     assert len(history.val_accuracy) == 3
     assert sum(mode != TRAIN for mode in modes) == 3
+
+
+def test_train_model_frees_each_steps_forward_before_the_next_step(monkeypatch):
+    """No Forward outlives its step: when a step starts, the reconstruction
+    the step before returned is already freed."""
+    real_loss_and_grads = VAEClassifier.loss_and_grads
+    last_x_hat = []
+    held_at_start = []
+
+    def watched(self, x, y):
+        held_at_start.append(bool(last_x_hat) and last_x_hat[-1]() is not None)
+        result = real_loss_and_grads(self, x, y)
+        last_x_hat.append(weakref.ref(result[2].x_hat))
+        return result
+
+    monkeypatch.setattr(VAEClassifier, "loss_and_grads", watched)
+    rng = np.random.default_rng(17)
+    x = rng.random((200, 5))
+    y = rng.integers(0, 2, 200)
+    train_model(binary_model(seed=3), x, y, x[:40], y[:40], epochs=2, batch_size=64)
+    assert len(held_at_start) == 8
+    assert not any(held_at_start)
+    assert last_x_hat[-1]() is None
 
 
 # SHA-256 of a short run's final parameters and loss history: any change to the
