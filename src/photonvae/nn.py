@@ -38,7 +38,9 @@ cached, read-only ones vector, much faster on a (batch, width) array than
 layer neither allocates nor receives.
 
 A block caches its activation's output, and the activation derivatives are
-computed from that output, so SELU's needs no exponential.  Functions finish
+computed from that output, so SELU's needs no exponential.  A BatchNorm
+caches its centred input and 1/std, not the normalized input, which it never
+forms: the output is ``centred * (inv_std * gamma) + beta``.  Functions finish
 their arithmetic in place, but only on temporaries they allocated themselves
 and on a layer's ``RESULTS`` arrays: no argument, and no array held in a
 cache, is ever written.
@@ -170,7 +172,12 @@ class BatchNorm:
     """Per-feature normalization.  A TRAIN pass writes its batch mean and
     variance to ``batch_mean`` and ``batch_var``; the owner of the layer then
     moves each running statistic to ``MOMENTUM`` * running + (1 - ``MOMENTUM``)
-    * batch value."""
+    * batch value.
+
+    ``forward``'s cache is ``(centred, inv_std)``: the input minus the mean
+    and 1 / sqrt(var + EPS).  The normalized input x_hat = centred * inv_std
+    is never formed, so each column is scaled once, by inv_std * gamma, and
+    ``backward`` takes gamma's gradient as inv_std * sum(dy * centred)."""
 
     EPS = 1e-5
     MOMENTUM = 0.9
@@ -199,22 +206,24 @@ class BatchNorm:
             centred = x - self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        x_hat = centred
-        x_hat *= inv_std
-        y = x_hat * self.gamma
+        # gamma * x_hat + beta with x_hat = centred * inv_std, scaling each
+        # column once: x_hat itself is never formed
+        y = centred * (inv_std * self.gamma)
         y += self.beta
-        return y, (x_hat, inv_std)
+        return y, (centred, inv_std)
 
     def backward(self, dy: np.ndarray, cache):
-        x_hat, inv_std = cache
-        proj = dy * x_hat
+        centred, inv_std = cache
+        proj = dy * centred
+        # sum(dy * x_hat) = inv_std * sum(dy * centred)
         gamma_grad = column_sums(proj, out=self.gamma_grad)
+        gamma_grad *= inv_std
         beta_grad = column_sums(dy, out=self.beta_grad)
-        # full gradient through the batch mean and variance:
-        # gamma * inv_std * (dy - mean(dy) - x_hat * mean(dy * x_hat)), whose
-        # two batch sums are the parameter gradients
-        n = x_hat.shape[0]
-        np.multiply(x_hat, gamma_grad / n, out=proj)
+        # full gradient through the batch mean and variance (Ioffe & Szegedy,
+        # 2015): gamma * inv_std * (dy - mean(dy) - x_hat * mean(dy * x_hat)),
+        # whose two batch sums are the parameter gradients
+        n = centred.shape[0]
+        np.multiply(centred, inv_std * gamma_grad / n, out=proj)
         dx = dy - beta_grad / n
         dx -= proj
         dx *= self.gamma * inv_std

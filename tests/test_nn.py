@@ -325,10 +325,11 @@ def parent_batchnorm_backward(bn, dy, cache):
     """BatchNorm.backward as it was before it reused its parameter gradients:
     it forms dy * gamma and sums it, and its product with x_hat, over the batch.
     The parameter gradients are summed as the layer sums them, by
-    ``column_sums``: this is a reference for the formula, not for the order of
-    a sum's additions."""
-    x_hat, inv_std = cache
-    grads = {"gamma": column_sums(dy * x_hat), "beta": column_sums(dy)}
+    ``column_sums``, gamma's over dy * centred and then scaled by inv_std: this
+    is a reference for the formula, not for the order of a sum's additions."""
+    centred, inv_std = cache
+    x_hat = centred * inv_std
+    grads = {"gamma": column_sums(dy * centred) * inv_std, "beta": column_sums(dy)}
     dx_hat = dy * bn.gamma
     n = x_hat.shape[0]
     dx = inv_std / n * (n * dx_hat - dx_hat.sum(axis=0) - x_hat * (dx_hat * x_hat).sum(axis=0))
@@ -357,7 +358,8 @@ def test_batchnorm_backward_matches_parent_formula(dtype, n, d, seed, x_scale, d
         assert np.array_equal(grads[name], want)
     # both forms sum n rows, whose rounding error grows with n, scaled by the
     # largest term of gamma * inv_std * (dy - mean(dy) - x_hat * mean(dy * x_hat))
-    x_hat, inv_std = cache
+    centred, inv_std = cache
+    x_hat = centred * inv_std
     scale = np.abs(bn.gamma * inv_std).max() * np.abs(dy).max() * (1.0 + np.abs(x_hat).max() ** 2)
     assert np.abs(dx - want_dx).max() <= 4 * n * np.finfo(dtype).eps * scale
 
@@ -385,8 +387,8 @@ def test_block_activation_derivative_matches_input_form(n, seed, activation):
     block.norm.backward = recording_backward
     block.backward(dy, cache)
 
-    x_hat, _ = cache[1]
-    normed = x_hat * block.norm.gamma + block.norm.beta
+    centred, inv_std = cache[1]
+    normed = centred * (inv_std * block.norm.gamma) + block.norm.beta
     upstream = dropout_backward(dy, cache[3])
     if activation == "leaky_relu":
         assert np.array_equal(seen[0], upstream * where_leaky_relu_grad(normed))

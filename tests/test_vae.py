@@ -562,8 +562,8 @@ def test_train_model_frees_each_steps_forward_before_the_next_step(monkeypatch):
 # arithmetic or the order of a training step changes it.  Recorded with numpy 2.4
 # and OpenBLAS; another BLAS may round the matmuls differently.
 PINNED_TRAINING_SHA256 = {
-    2: "6b8c27067332424ea0bd5a2ebe90d048b87a5880bee666a56cf5746ff44ad714",
-    4: "8c2289df6f2f61b65727f6c52c5d7de1adb5a0322e614c8294f0957db0eecfb3",
+    2: "c8f9d8504b151b836d6253284d72bb71a7259ff125b8dab8d9891d5f1b656a79",
+    4: "373f9238dceb753255ae0c686f94336ae7fc25f866f8a2b9a8220dd1399c95bc",
 }
 
 
@@ -594,8 +594,8 @@ def test_training_bytes_are_pinned(num_classes):
 # of a step's gradients or of the running-statistics update changes it.
 # Recorded with numpy 2.4 and OpenBLAS, as above.
 PINNED_GRADIENT_SHA256 = {
-    2: "2c9b207598863cb2597332e77757e87d3cb93dbf41af151ec9698e4604562fb7",
-    4: "890a69d64397e959d32a6252fd863c5b4d62d0c48b73d348b870559f7b497f71",
+    2: "93f98eecdd1c27353e95b1546ec031a270d66564cdadfcb9cd324884e31844e1",
+    4: "f902de4c6ead2fd93dbc502408360f47425a604068688e7ae6dd3fc19580f775",
 }
 
 

@@ -233,7 +233,7 @@ def test_run_algorithm2_structure_and_determinism():
 # SHA-256 of each study's report rows (JSON, sorted keys), confusion matrices
 # and latents; a new value means some study output byte changed
 PINNED_STUDY_SHA256 = {
-    "lossless": "6c070c01bc900043611eef946bdcde2c8dce57f411343ef15944de8aa9a6a80c",
+    "lossless": "47f778a0b25305d24004f903dc9d916b476f34300e3bf18d3e72b559654f9c70",
     "lossy": "ff1583c790dc3c9a385393ac5038fb1b8b31e8b35073fc2ca27fdd7f0eb448ff",
     "mixed_grid": "4adb73907959b21afef25d64e1d1ee01c5b44ca4e516ca26087b13da87739808",
 }
