@@ -8,6 +8,7 @@ absolute probabilities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,6 +39,8 @@ class SourceKind(str, Enum):
 
 
 MIXED_KINDS = frozenset({SourceKind.MIXED_COHERENT_SPACS, SourceKind.MIXED_THERMAL_SPATS})
+# kinds whose classical part is thermal; the others' is coherent
+_THERMAL_KINDS = frozenset({SourceKind.THERMAL, SourceKind.SPATS, SourceKind.MIXED_THERMAL_SPATS})
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +180,15 @@ def pmf_mean(pmf: PhotonPMF) -> float:
 def source_pmf(source: SourceSpec) -> PhotonPMF:
     """Build the photon-number PMF for a source description.
 
-    The truncation bound starts at ``DEFAULT_N_MAX`` and doubles, up to
-    ``_AUTO_N_MAX_CAP``, until the omitted tail fits under ``TAIL_BOUND``.
+    The truncation bound runs through ``DEFAULT_N_MAX`` doubled, up to
+    ``_AUTO_N_MAX_CAP``, and the PMF is built at the first bound whose
+    omitted tail fits under ``TAIL_BOUND``.  Bounds that ``_classical_tail``
+    shows too small are skipped without building anything, so the result is
+    the same as trying every bound from ``DEFAULT_N_MAX`` up.
     """
     bound = DEFAULT_N_MAX
+    while bound < _AUTO_N_MAX_CAP and _classical_tail(source, bound) > 2.0 * TAIL_BOUND:
+        bound = min(2 * bound, _AUTO_N_MAX_CAP)
     while True:
         try:
             return _source_pmf_at(source, bound)
@@ -191,6 +199,23 @@ def source_pmf(source: SourceSpec) -> PhotonPMF:
                     f"{source.kind.value} source at mean_param {source.mean_param}: {err}"
                 ) from err
             bound = min(2 * bound, _AUTO_N_MAX_CAP)
+
+
+def _classical_tail(source: SourceSpec, n_max: int) -> float:
+    """A lower bound on the probability that ``source`` holds more than
+    ``n_max`` photons, from its mean parameter alone: the geometric tail of
+    the thermal kinds; for the coherent ones, the Poisson probability of one
+    photon number above n_max, the mode where that is higher.  Adding a photon
+    only moves probability up, so the bound holds for the photon-added and
+    mixed kinds too.  Where it exceeds twice ``TAIL_BOUND``, float rounding
+    cannot make the truncated PMF pass."""
+    m = source.mean_param
+    if not 0.0 < m < math.inf:
+        return 0.0
+    if source.kind in _THERMAL_KINDS:
+        return (m / (1.0 + m)) ** (n_max + 1)
+    k = max(n_max + 1, int(m))
+    return math.exp(k * math.log(m) - m - math.lgamma(k + 1))
 
 
 def _source_pmf_at(source: SourceSpec, n_max: int) -> PhotonPMF:

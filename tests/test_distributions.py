@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from photonvae import distributions
 from photonvae.distributions import (
     PhotonPMF,
     PhysicsError,
@@ -260,6 +261,72 @@ def test_auto_growth_failure_gives_no_n_max_advice():
         source_pmf(SourceSpec(SourceKind.THERMAL, 300.0))
     assert "raise n_max" not in str(err.value)
     assert "4096" in str(err.value)
+
+
+def _pmf_at(source: SourceSpec, n_max: int) -> PhotonPMF:
+    m, r = source.mean_param, source.mix_ratio
+    return {
+        SourceKind.COHERENT: lambda: coherent_pmf(m, n_max),
+        SourceKind.THERMAL: lambda: thermal_pmf(m, n_max),
+        SourceKind.SPACS: lambda: spacs_pmf(m, n_max),
+        SourceKind.SPATS: lambda: spats_pmf(m, n_max),
+        SourceKind.MIXED_COHERENT_SPACS:
+            lambda: mixed_pmf(coherent_pmf(m, n_max), spacs_pmf(m, n_max), r),
+        SourceKind.MIXED_THERMAL_SPATS:
+            lambda: mixed_pmf(thermal_pmf(m, n_max), spats_pmf(m, n_max), r),
+    }[source.kind]()
+
+
+def doubling_source_pmf(source: SourceSpec) -> tuple[PhotonPMF | None, int]:
+    """The oracle: build at n_max 20, 40, 80, ... up to 4096 and keep the first
+    PMF that passes (None if none does), with the number of bounds tried."""
+    bound, tried = 20, 0
+    while True:
+        tried += 1
+        try:
+            return _pmf_at(source, bound), tried
+        except PhysicsError:
+            if bound >= 4096:
+                return None, tried
+            bound = min(2 * bound, 4096)
+
+
+AUTO_GROWTH_GRID = [
+    SourceSpec(kind, mean, ratio)
+    for kind in SourceKind
+    for mean in [0.0, *np.geomspace(1e-3, 1e3, 121)]
+    for ratio in ((0.0, 0.3, 1.0) if kind in distributions.MIXED_KINDS else (1.0,))
+]
+
+
+def test_auto_growth_matches_the_doubling_loop_byte_for_byte(monkeypatch):
+    """source_pmf starts past the bounds its classical tail rules out, and
+    returns the very PMF (or refusal) of trying every bound from 20 up, in
+    at most two builds."""
+    real_build = distributions._source_pmf_at
+    built = []
+
+    def counting_build(source, n_max):
+        built.append(n_max)
+        return real_build(source, n_max)
+
+    oracle_tries = 0
+    for source in AUTO_GROWTH_GRID:
+        want, tried = doubling_source_pmf(source)
+        oracle_tries += tried
+        built.clear()
+        monkeypatch.setattr(distributions, "_source_pmf_at", counting_build)
+        try:
+            got = source_pmf(source)
+        except PhysicsError:
+            got = None
+        finally:
+            monkeypatch.setattr(distributions, "_source_pmf_at", real_build)
+        assert (got is None) == (want is None), source
+        if want is not None:
+            assert got.probs.tobytes() == want.probs.tobytes(), source
+        assert len(built) <= min(tried, 2), (source, built)
+    assert oracle_tries > len(AUTO_GROWTH_GRID) * 2
 
 
 @pytest.mark.parametrize("kind", [SourceKind.COHERENT, SourceKind.SPACS])
