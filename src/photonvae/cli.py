@@ -224,7 +224,8 @@ def _class_order(config: dict, rows) -> list[str]:
     classes = _require(config, "classes", _array, None)
     if classes and isinstance(classes[0], str):
         return [str(label) for label in classes]
-    return np.unique(rows.labels).tolist()
+    # np.unique's order without np.unique, whose first call imports numpy.ma
+    return sorted(set(rows.labels.tolist()))
 
 
 def _features_flag(config: dict) -> str:
@@ -329,15 +330,21 @@ def cmd_finetune(args, config: dict, seed: int, out: Path, name: str) -> dict:
 
 def cmd_eval(args, config: dict, seed: int, out: Path, name: str) -> dict:
     model, header = load_checkpoint(_require(config, "checkpoint", str))
+    paths = _dataset_paths(config)
+    stems = [Path(path).stem for path in paths]
+    # a dataset's cells are named after its file stem, or after its path as
+    # given, less the suffix, where another dataset has the same file name
+    prefixes = [path.removesuffix(Path(path).suffix) if stems.count(stem) > 1 else stem
+                for path, stem in zip(paths, stems)]
 
     def cells():  # one dataset loaded at a time; one cell per bin size it holds
-        for path in _dataset_paths(config):
+        for path, prefix in zip(paths, prefixes):
             rows = _load_rows([path])
-            stem, sizes = Path(path).stem, np.unique(rows.bin_size).tolist()
+            sizes = sorted(set(rows.bin_size.tolist()))
             for size in sizes:
                 part = rows.take(rows.bin_size == size)
                 fields = {"dataset": str(path), "rows": len(part), "bin_size": size}
-                yield stem if len(sizes) == 1 else f"{stem}_bin{size}", part, fields
+                yield prefix if len(sizes) == 1 else f"{prefix}_bin{size}", part, fields
 
     return _report(out, name, model, list(header["class_labels"]), cells())
 

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,8 +71,7 @@ EXIT_CASES = {
     "eval_dataset_listed_twice": (1, "config error: datasets repeats the value 'pair.csv'",
                                   ["eval", "--config", "c.json"],
                                   {"checkpoint": "model.ckpt", "datasets": ["pair.csv", "pair.csv"]}),
-    "eval_two_datasets_one_file_name": (1, "config error: evaluation cell 'pair' is already scored",
-                                        ["eval", "--config", "c.json"],
+    "eval_two_datasets_one_file_name": (0, "", ["eval", "--config", "c.json"],
                                         {"checkpoint": "model.ckpt",
                                          "datasets": ["pair.csv", "copy/pair.csv"]}),
     "train_dataset_listed_twice": (1, "config error: datasets repeats the value 'foreign.csv'",
@@ -173,6 +175,57 @@ def test_eval_scores_each_bin_size_of_a_mixed_dataset(run_cli, tmp_path):
     assert [line.split(",")[1:3] for line in report] == [["rows", "bin_size"], ["20", "20"], ["20", "50"]]
     confusion = (tmp_path / "eval_confusion.csv").read_text().splitlines()[1:]
     assert sorted({line.split(",")[0] for line in confusion}) == ["mixed_bin20", "mixed_bin50"]
+
+
+def test_eval_names_datasets_of_one_file_name_by_their_paths(run_cli, tmp_path):
+    configs = {
+        "a.json": {**GEN, "name": "pair"},
+        "b.json": {**GEN, "name": "pair", "seed": 2, "bins_per_class": 15},
+        "eval.json": {"name": "eval", "checkpoint": "model.ckpt",
+                      "datasets": ["pair.csv", "copy/pair.csv", "b20.csv"]},
+        "b20.json": {**GEN, "name": "b20", "seed": 3},
+    }
+    assert run_cli("gen", "--config", "a.json", configs=configs)[0] == 0
+    assert run_cli("gen", "--config", "b.json", "--out", "copy")[0] == 0
+    assert run_cli("gen", "--config", "b20.json")[0] == 0
+    save_checkpoint(tmp_path / "model.ckpt", VAEClassifier(NetworkSpec(), seed=3), seed=3,
+                    epochs_trained=0, class_labels=["spacs", "spats"])
+
+    code, stdout, stderr = run_cli("eval", "--config", "eval.json")
+    assert code == 0, stderr
+    cells = json.loads(stdout)["cells"]
+    assert [(cell["dataset"], cell["rows"]) for cell in cells] == [
+        ("pair.csv", 20), ("copy/pair.csv", 30), ("b20.csv", 20)]
+    written = _written_cells(tmp_path, "eval")
+    assert [int(matrix.sum()) for _, matrix in written] == [20, 30, 20]
+    confusion = (tmp_path / "eval_confusion.csv").read_text().splitlines()[1:]
+    assert list(dict.fromkeys(line.split(",")[0] for line in confusion)) == [
+        "pair", "copy/pair", "b20"]
+
+
+def test_gen_train_eval_leave_numpy_ma_unimported(tmp_path):
+    """np.unique without its return_* flags imports numpy.ma on its first
+    call, about 30 ms; the CLI's own commands never need it."""
+    configs = {
+        "gen.json": GEN,
+        "train.json": {"name": "model", "datasets": ["data.csv"], "epochs": 1, "batch_size": 8},
+        "eval.json": {"name": "eval", "checkpoint": "model.ckpt", "datasets": ["data.csv"]},
+    }
+    for filename, payload in configs.items():
+        (tmp_path / filename).write_text(json.dumps(payload))
+    script = (
+        "import sys\n"
+        "from photonvae import cli\n"
+        "for command in ('gen', 'train', 'eval'):\n"
+        "    assert cli.main([command, '--config', command + '.json']) == 0, command\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def _written_cells(directory, name):
