@@ -206,8 +206,6 @@ class BatchNorm:
             centred = x - self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        # gamma * x_hat + beta with x_hat = centred * inv_std, scaling each
-        # column once: x_hat itself is never formed
         y = centred * (inv_std * self.gamma)
         y += self.beta
         return y, (centred, inv_std)

@@ -100,7 +100,8 @@ def reparameterize(mu: np.ndarray, logvar: np.ndarray, eps: np.ndarray) -> np.nd
 
 
 # The losses are reduced in float64 whatever the network's dtype, so that the
-# choice of the best epoch keeps its resolution.
+# choice of the best epoch keeps its resolution.  np.add.reduce is what np.sum,
+# np.mean and ndarray.sum call, without their Python wrappers: the same bits.
 
 
 def loss_recon(x: np.ndarray, x_hat: np.ndarray) -> float:
@@ -146,9 +147,6 @@ class Forward:
     std: np.ndarray | None
     caches: tuple
 
-
-# np.add.reduce is what np.sum, np.mean and ndarray.sum call, without their
-# Python wrappers: the same bits, fewer microseconds.
 
 
 def _softmax(t: np.ndarray) -> np.ndarray:
