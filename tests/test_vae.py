@@ -746,6 +746,23 @@ def test_checkpoint_round_trip(tmp_path):
         np.testing.assert_array_equal(value, original[name])
 
 
+@pytest.mark.parametrize("input_dim, num_classes", [(5, 2), (6, 4)])
+def test_checkpoint_header_records_the_whole_network(tmp_path, input_dim, num_classes):
+    path = tmp_path / "model.ckpt"
+    model = VAEClassifier(NetworkSpec(input_dim=input_dim, num_classes=num_classes), seed=0)
+    save_checkpoint(path, model, seed=0, epochs_trained=1, class_labels=["x", "y"])
+    _, header = load_checkpoint(path)
+    assert header["network"] == {
+        "input_dim": input_dim,
+        "latent_dim": 3,
+        "encoder_widths": [16, 32, 64, 32, 16],
+        "decoder_widths": [8, 16, 32, 16],
+        "classifier_widths": [16, 8],
+        "dropout_rate": 0.2,
+        "num_classes": num_classes,
+    }
+
+
 def test_float32_checkpoint_saves_loads_and_saves_the_same_bytes(tmp_path):
     assert vae.CHECKPOINT_VERSION == 3
     model = VAEClassifier(NetworkSpec(num_classes=4), seed=14)
