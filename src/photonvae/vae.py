@@ -1,17 +1,20 @@
 """Variational autoencoder with a classifier attached to the bottleneck.
 
 Encoder and decoder are SELU dense stacks, the classifier a LeakyReLU stack
-reading the latent code.  Its head is one softmax over ``num_classes`` logits,
-for two classes as for more.  Training minimizes the sum of mean-squared
-reconstruction error, KL divergence against a standard normal, and
-CLASSIFICATION_WEIGHT times the cross-entropy on the labeled samples (rows
-labeled -1 are unlabeled).  The weight holds for every epoch of every run: on
-the plain sum, reconstruction and KL fall faster than the classifier learns,
-and the latent code collapses to chance.  All gradients are analytic,
-including the path through the latent sampling (gradients flow through the
-mean and log-variance, never through the noise draw).  Checkpoints are
-written in format version 3; version 2 also held the biases of the linear
-maps that feed a batch normalization, which cancels them.
+reading the latent code.  Their widths, the latent size and the dropout rate
+are the one constant ``SHAPE``; ``NetworkSpec`` holds only what the data
+decide, the input width and the number of classes.  The classifier's head is
+one softmax over ``num_classes`` logits, for two classes as for more.
+Training minimizes the sum of mean-squared reconstruction error, KL
+divergence against a standard normal, and CLASSIFICATION_WEIGHT times the
+cross-entropy on the labeled samples (rows labeled -1 are unlabeled).  The
+weight holds for every epoch of every run: on the plain sum, reconstruction
+and KL fall faster than the classifier learns, and the latent code collapses
+to chance.  All gradients are analytic, including the path through the
+latent sampling (gradients flow through the mean and log-variance, never
+through the noise draw).  Checkpoints are written in format version 3, whose
+header records ``SHAPE`` with the spec; version 2 also held the biases of the
+linear maps that feed a batch normalization, which cancels them.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import json
 import math
 import struct
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -54,49 +57,48 @@ class DataMismatchError(ValueError):
     """Dataset features or labels do not fit the network specification."""
 
 
+# The network's shape and dropout rate, under the keys of a checkpoint
+# header's "network" field and with its lists, so that a parsed header compares
+# equal.  Widths list hidden layers only: the encoder's output is the mean and
+# log-variance (2 * latent_dim), the decoder's the input width, and the
+# classifier's one softmax logit per class.
+SHAPE = {
+    "latent_dim": 3,
+    "encoder_widths": [16, 32, 64, 32, 16],
+    "decoder_widths": [8, 16, 32, 16],
+    "classifier_widths": [16, 8],
+    "dropout_rate": 0.2,
+}
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Architecture hyperparameters. Widths list hidden layers only; the
-    encoder output is 2*latent_dim, the decoder output is input_dim and the
-    classifier output is num_classes softmax logits."""
+    """What the data decide about the network: ``input_dim`` (5 click
+    fractions, or 6 with ``nbar_obs``) and ``num_classes``.  The rest of the
+    network, its widths, latent size and dropout rate, is ``SHAPE``."""
 
     input_dim: int = 5
-    latent_dim: int = 3
-    encoder_widths: tuple[int, ...] = (16, 32, 64, 32, 16)
-    decoder_widths: tuple[int, ...] = (8, 16, 32, 16)
-    classifier_widths: tuple[int, ...] = (16, 8)
-    dropout_rate: float = 0.2
     num_classes: int = 2
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.latent_dim < 1:
-            raise ValueError("input_dim and latent_dim must be >= 1")
-        if not (0.0 <= self.dropout_rate < 1.0):
-            raise ValueError("dropout_rate must lie in [0, 1)")
+        if self.input_dim < 1:
+            raise ValueError("input_dim must be >= 1")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
-        for name in ("encoder_widths", "decoder_widths", "classifier_widths"):
-            object.__setattr__(self, name, tuple(int(w) for w in getattr(self, name)))
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """A checkpoint header's "network" field: both fields and ``SHAPE``."""
+        return {"input_dim": self.input_dim, "num_classes": self.num_classes, **SHAPE}
 
     @staticmethod
     def from_dict(payload: dict) -> "NetworkSpec":
-        return NetworkSpec(
-            input_dim=int(payload["input_dim"]),
-            latent_dim=int(payload["latent_dim"]),
-            encoder_widths=tuple(payload["encoder_widths"]),
-            decoder_widths=tuple(payload["decoder_widths"]),
-            classifier_widths=tuple(payload["classifier_widths"]),
-            dropout_rate=float(payload["dropout_rate"]),
-            num_classes=int(payload["num_classes"]),
-        )
-
-
-def reparameterize(mu: np.ndarray, logvar: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Latent sample mu + exp(logvar/2) * eps."""
-    return mu + np.exp(0.5 * logvar) * eps
+        """The spec of a "network" field; a field that records another shape
+        or dropout rate than ``SHAPE`` is a ValueError."""
+        for key, value in SHAPE.items():
+            if payload[key] != value:
+                raise ValueError(f"it records {key} {payload[key]!r}, this network has {value!r}")
+        return NetworkSpec(input_dim=int(payload["input_dim"]),
+                           num_classes=int(payload["num_classes"]))
 
 
 # The losses are reduced in float64 whatever the network's dtype, so that the
@@ -226,17 +228,15 @@ class VAEClassifier:
         self.seed = seed
         self.dtype = np.dtype(dtype)
         init_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        latent, dropout = SHAPE["latent_dim"], SHAPE["dropout_rate"]
         self.encoder = MLPStack(
-            spec.input_dim, spec.encoder_widths, 2 * spec.latent_dim,
-            "selu", spec.dropout_rate, init_rng,
+            spec.input_dim, SHAPE["encoder_widths"], 2 * latent, "selu", dropout, init_rng,
         )
         self.decoder = MLPStack(
-            spec.latent_dim, spec.decoder_widths, spec.input_dim,
-            "selu", spec.dropout_rate, init_rng,
+            latent, SHAPE["decoder_widths"], spec.input_dim, "selu", dropout, init_rng,
         )
         self.classifier = MLPStack(
-            spec.latent_dim, spec.classifier_widths, spec.num_classes,
-            "leaky_relu", spec.dropout_rate, init_rng,
+            latent, SHAPE["classifier_widths"], spec.num_classes, "leaky_relu", dropout, init_rng,
         )
         self.rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
         layout = sorted(self.named_params(), key=lambda p: p[2].startswith("running_"))
@@ -300,13 +300,13 @@ class VAEClassifier:
         moves the running statistics once, after every BatchNorm has written
         its batch statistics (no layer reads a running statistic in TRAIN);
         INFER reads z = mu and draws nothing."""
-        return self._forward(self._rows(x, self.spec.input_dim, "input features"), mode)
+        return self._forward(self._rows(x), mode)
 
     def _forward(self, x: np.ndarray, mode: str) -> Forward:
         """``forward`` of an ``x`` that ``_rows`` has already converted."""
         rng = self.rng
         enc_out, enc_caches = self.encoder.forward(x, mode, rng)
-        latent = self.spec.latent_dim
+        latent = SHAPE["latent_dim"]
         mu, logvar = enc_out[:, :latent], enc_out[:, latent:]
         if mode == TRAIN:
             eps = rng.standard_normal(mu.shape, dtype=self.dtype)
@@ -326,12 +326,13 @@ class VAEClassifier:
             eps=eps, std=std, caches=(enc_caches, dec_caches, clf_caches),
         )
 
-    def _rows(self, a, width: int, what: str) -> np.ndarray:
-        """``a`` as a matrix of the model's dtype with ``width`` columns, or
-        DataMismatchError."""
+    def _rows(self, a) -> np.ndarray:
+        """``a`` as a matrix of the model's dtype with one column per input
+        feature, or DataMismatchError."""
         a = np.atleast_2d(np.asarray(a, dtype=self.dtype))
+        width = self.spec.input_dim
         if a.shape[1] != width:
-            raise DataMismatchError(f"expected {width} {what}, got {a.shape[1]}")
+            raise DataMismatchError(f"expected {width} input features, got {a.shape[1]}")
         return a
 
     def predict_proba(self, x) -> np.ndarray:
@@ -343,7 +344,7 @@ class VAEClassifier:
     # --- losses and gradients -------------------------------------------------
 
     def losses(self, x, y, fwd: Forward) -> LossValues:
-        x = self._rows(x, self.spec.input_dim, "input features")
+        x = self._rows(x)
         return self._losses(x, _labelled(y, fwd.probs), fwd)
 
     def _losses(self, x: np.ndarray, labelled, fwd: Forward) -> LossValues:
@@ -360,21 +361,17 @@ class VAEClassifier:
         next ``loss_and_grads`` overwrites them, so copy what must outlive it.
         ``x`` and ``y`` are converted once, and the labels read once, for the
         forward pass, the losses and the backward pass together."""
-        x = self._rows(x, self.spec.input_dim, "input features")
+        x = self._rows(x)
         fwd = self._forward(x, TRAIN)
         labelled = _labelled(y, fwd.probs)
         values = self._losses(x, labelled, fwd)
         grads = self._backward(x, labelled, fwd)
         return values, grads, fwd
 
-    def _head_grad(self, y, fwd: Forward) -> np.ndarray:
-        """d(weighted cross-entropy)/d(logits) of ``fwd`` for the labels ``y``."""
-        return _dlogits(_labelled(y, fwd.probs), fwd.probs)
-
     def _backward(self, x: np.ndarray, labelled, fwd: Forward) -> NamedVector:
         """Write every layer's gradients into the gradient vector and return it."""
         n, d = x.shape
-        latent = self.spec.latent_dim
+        latent = SHAPE["latent_dim"]
         enc_caches, dec_caches, clf_caches = fwd.caches
 
         dx_hat = (2.0 / (n * d)) * (fwd.x_hat - x)
@@ -449,7 +446,7 @@ def _labels(y, num_classes: int) -> np.ndarray:
 def _examples(model: VAEClassifier, x, y, what: str) -> tuple[np.ndarray, np.ndarray]:
     """``x`` as the model's input matrix and ``y`` as its labels, or
     DataMismatchError when they do not fit the model or each other."""
-    x = model._rows(x, model.spec.input_dim, "input features")
+    x = model._rows(x)
     y = _labels(y, model.spec.num_classes)
     if len(x) != len(y):
         raise DataMismatchError(f"{what} has {len(x)} rows of features but {len(y)} labels")

@@ -27,8 +27,9 @@ REL_FLOOR = 1e-3
 class FixedNoise:
     """Stands in for ``model.rng`` to give models of different dtypes the same
     latent noise, which one seed does not: ``standard_normal`` returns ``eps``
-    in the dtype asked for.  It draws nothing else, so it serves only networks
-    whose dropout rate is 0."""
+    in the dtype asked for.  It draws nothing else, so it serves only models
+    whose dropout ``without_dropout`` has turned off (the network's own rate
+    is ``vae.SHAPE["dropout_rate"]``)."""
 
     def __init__(self, eps: np.ndarray):
         self.eps = eps
@@ -36,6 +37,16 @@ class FixedNoise:
     def standard_normal(self, shape, dtype):
         assert shape == self.eps.shape
         return self.eps.astype(dtype)
+
+
+def without_dropout(model: VAEClassifier) -> VAEClassifier:
+    """``model``, with every DenseBlock's dropout rate set to 0 so that a TRAIN
+    pass draws only its latent noise.  The weights are those of the model as
+    built: dropout draws nothing at initialization."""
+    for stack in (model.encoder, model.decoder, model.classifier):
+        for block in stack.blocks:
+            block.dropout_rate = 0.0
+    return model
 
 
 def make_case(spec: NetworkSpec, seed: int, batch: int = 8):

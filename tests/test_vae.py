@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fd_utils import REL_FLOOR, FixedNoise, make_case, max_relative_error
+from fd_utils import REL_FLOOR, FixedNoise, make_case, max_relative_error, without_dropout
 from photonvae import vae
 from photonvae.nn import INFER, TRAIN, Adam, BatchNorm, GradientError
 from photonvae.vae import (
@@ -22,7 +22,6 @@ from photonvae.vae import (
     load_checkpoint,
     loss_kl,
     loss_recon,
-    reparameterize,
     save_checkpoint,
     train_model,
 )
@@ -58,8 +57,6 @@ def test_network_widths_follow_spec():
 
 
 def test_network_spec_validation():
-    with pytest.raises(ValueError):
-        NetworkSpec(dropout_rate=1.0)
     with pytest.raises(ValueError):
         NetworkSpec(num_classes=1)
     with pytest.raises(ValueError):
@@ -148,19 +145,10 @@ def test_a_train_pass_moves_every_running_statistic_toward_its_batch_statistic(m
                                    rtol=1e-12, atol=1e-12, err_msg=name)
 
 
-def test_reparameterize_values():
-    mu = np.array([[1.5, -2.0]])
-    logvar = np.zeros((1, 2))
-    np.testing.assert_array_equal(reparameterize(mu, logvar, np.zeros((1, 2))), mu)
-    assert reparameterize(np.zeros((1, 1)), np.zeros((1, 1)), np.ones((1, 1)))[0, 0] == 1.0
-
-
-def test_reparameterize_moments():
-    rng = np.random.default_rng(5)
-    eps = rng.standard_normal((10**5, 1))
-    z = reparameterize(np.zeros((10**5, 1)), np.zeros((10**5, 1)), eps)
-    assert abs(z.mean()) < 0.02
-    assert abs(z.var() - 1.0) < 0.03
+def test_a_train_pass_samples_z_as_mu_plus_std_times_eps():
+    fwd = binary_model(seed=6).forward(np.random.default_rng(6).random((32, 5)), mode=TRAIN)
+    assert np.array_equal(fwd.std, np.exp(0.5 * fwd.logvar))
+    assert np.array_equal(fwd.z, fwd.mu + fwd.std * fwd.eps)
 
 
 def test_classify_zero_head_is_uninformative():
@@ -233,7 +221,7 @@ def test_cross_entropy_clamps_the_true_class_probability(num_classes, dtype=np.f
     bce = model.losses(x, y, fwd).bce
     assert np.isfinite(bce)
     assert bce == pytest.approx(vae.CLASSIFICATION_WEIGHT * expected, rel=1e-12)
-    dlogits = model._head_grad(y, fwd)
+    dlogits = vae._dlogits(vae._labelled(y, fwd.probs), fwd.probs)
     assert np.all(dlogits[0] == 0.0)  # clamped
     assert np.any(dlogits[1] != 0.0)
     assert np.all(dlogits[2] == 0.0)  # unlabeled
@@ -272,8 +260,8 @@ def test_gradients_match_finite_differences_quick():
 
 
 def test_gradients_match_in_training_mode_batch_statistics():
-    spec = NetworkSpec(input_dim=5, num_classes=2, dropout_rate=0.0)
-    model, x, y = make_case(spec, seed=1)
+    model, x, y = make_case(NetworkSpec(input_dim=5, num_classes=2), seed=1)
+    without_dropout(model)
     rng = np.random.default_rng(1)
     worst, at = max_relative_error(model, x, y, sample_per_tensor=6, rng=rng)
     assert worst < 1e-4, at
@@ -315,16 +303,17 @@ F32_GRAD_TOL = 64 * np.finfo(np.float32).eps / REL_FLOOR
 
 @pytest.mark.parametrize("num_classes", [2, 4])
 def test_float32_gradients_match_the_float64_reference(num_classes):
-    spec = NetworkSpec(num_classes=num_classes, dropout_rate=0.0)
+    spec = NetworkSpec(num_classes=num_classes)
     reference, x, y = make_case(spec, seed=5, batch=64)
-    model = VAEClassifier(spec, seed=5)
+    without_dropout(reference)
+    model = without_dropout(VAEClassifier(spec, seed=5))
     assert model.dtype == np.float32 and reference.dtype == np.float64
     # the same float32 weights, inputs and noise, so only the arithmetic differs
     state = {name: value.astype(np.float32) for name, value in reference.get_state().items()}
     reference.set_state(state)
     model.set_state(state)
     x = x.astype(np.float32)
-    eps = np.random.default_rng(5).standard_normal((64, spec.latent_dim)).astype(np.float32)
+    eps = np.random.default_rng(5).standard_normal((64, vae.SHAPE["latent_dim"])).astype(np.float32)
     reference.rng = model.rng = FixedNoise(eps)
     want_values, want, _ = reference.loss_and_grads(x, y)
     values, got, _ = model.loss_and_grads(x, y)
@@ -831,6 +820,12 @@ def _dropped_last_parameter(header):
     return 8 * math.prod(header["param_shapes"].pop())  # bytes to cut from the block
 
 
+def _network(field, value):
+    def edit(header):
+        header["network"][field] = value
+    return edit
+
+
 def _no_network(header):
     del header["network"]
 
@@ -873,6 +868,8 @@ def _rewrite_header(path, edit):
      "parameter 'classifier.out.W' has shape [8, 4], the network needs [8, 2]"),
     (_renamed_parameter, "parameter 'classifier.head.W' is not in the network"),
     (_dropped_last_parameter, "parameter 'classifier.out.b' missing"),
+    (_network("dropout_rate", 0.5), "header does not describe a network (it records dropout_rate 0.5"),
+    (_network("latent_dim", 4), "header does not describe a network (it records latent_dim 4"),
     (_no_network, "header field 'network' missing"),
     (_no_class_labels, "header field 'class_labels' missing"),
     (_class_labels_not_strings, "header field 'class_labels' is not a list of strings"),
@@ -882,7 +879,7 @@ def _rewrite_header(path, edit):
     (_seed(1.5), "header field 'seed' is not a non-negative integer"),
     (_seed(-1), "header field 'seed' is not a non-negative integer"),
     (_seed(True), "header field 'seed' is not a non-negative integer"),
-], ids=["shape", "unknown_name", "missing_name", "no_network", "no_class_labels",
+], ids=["shape", "unknown_name", "missing_name", "dropout_rate", "latent_dim", "no_network", "no_class_labels",
         "class_labels_not_strings", "more_class_labels_than_classes", "seed_text",
         "seed_fraction", "seed_negative", "seed_bool"])
 def test_checkpoint_refuses_a_header_that_does_not_fit_its_network(tmp_path, edit, message):
