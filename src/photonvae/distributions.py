@@ -18,6 +18,9 @@ import numpy as np
 TAIL_BOUND = 1e-6
 # Float-rounding slack above exact normalization.
 _SUM_EXCESS = 1e-12
+# How far a tail bound must exceed TAIL_BOUND before source_pmf skips a build:
+# rounding moves a built PMF's omitted mass by under 1e-13.
+_SKIP_SLACK = 1e-10
 
 # Paper-scale default truncation; weak sources fit comfortably below it.
 DEFAULT_N_MAX = 20
@@ -182,12 +185,12 @@ def source_pmf(source: SourceSpec) -> PhotonPMF:
 
     The truncation bound runs through ``DEFAULT_N_MAX`` doubled, up to
     ``_AUTO_N_MAX_CAP``, and the PMF is built at the first bound whose
-    omitted tail fits under ``TAIL_BOUND``.  Bounds that ``_classical_tail``
+    omitted tail fits under ``TAIL_BOUND``.  Bounds that ``_tail_floor``
     shows too small are skipped without building anything, so the result is
     the same as trying every bound from ``DEFAULT_N_MAX`` up.
     """
     bound = DEFAULT_N_MAX
-    while bound < _AUTO_N_MAX_CAP and _classical_tail(source, bound) > 2.0 * TAIL_BOUND:
+    while bound < _AUTO_N_MAX_CAP and _tail_floor(source, bound) > TAIL_BOUND + _SKIP_SLACK:
         bound = min(2 * bound, _AUTO_N_MAX_CAP)
     while True:
         try:
@@ -201,21 +204,25 @@ def source_pmf(source: SourceSpec) -> PhotonPMF:
             bound = min(2 * bound, _AUTO_N_MAX_CAP)
 
 
-def _classical_tail(source: SourceSpec, n_max: int) -> float:
-    """A lower bound on the probability that ``source`` holds more than
-    ``n_max`` photons, from its mean parameter alone: the geometric tail of
-    the thermal kinds; for the coherent ones, the Poisson probability of one
-    photon number above n_max, the mode where that is higher.  Adding a photon
-    only moves probability up, so the bound holds for the photon-added and
-    mixed kinds too.  Where it exceeds twice ``TAIL_BOUND``, float rounding
-    cannot make the truncated PMF pass."""
+def _tail_floor(source: SourceSpec, n_max: int) -> float:
+    """A lower bound, from the mean parameter m alone, on the probability
+    above ``n_max`` of the PMF whose check decides a build at ``n_max``: the
+    source's own for the classical kinds, the photon-added part's for the
+    others (a mixture checks that part on its own, and adding a photon only
+    moves probability up).  The thermal tail q^(n_max+1) and the SPATS tail
+    q^n_max (n_max + 1 - n_max q), with q = m / (1 + m), are exact.  The
+    coherent kinds' is the one term at k = max(n_max + 1, mode): Pois(k), or
+    k Pois(k - 1) / (1 + m) for SPACS."""
     m = source.mean_param
     if not 0.0 < m < math.inf:
         return 0.0
+    added = source.kind not in (SourceKind.COHERENT, SourceKind.THERMAL)
     if source.kind in _THERMAL_KINDS:
-        return (m / (1.0 + m)) ** (n_max + 1)
+        q = m / (1.0 + m)
+        return q**n_max * (n_max + 1 - n_max * q) if added else q ** (n_max + 1)
     k = max(n_max + 1, int(m))
-    return math.exp(k * math.log(m) - m - math.lgamma(k + 1))
+    log_pois = (k - 1) * math.log(m) - m - math.lgamma(k)  # log Pois(k - 1)
+    return math.exp(log_pois) * k / (1.0 + m) if added else math.exp(log_pois) * m / k
 
 
 def _source_pmf_at(source: SourceSpec, n_max: int) -> PhotonPMF:

@@ -329,6 +329,25 @@ def test_auto_growth_matches_the_doubling_loop_byte_for_byte(monkeypatch):
     assert oracle_tries > len(AUTO_GROWTH_GRID) * 2
 
 
+@pytest.mark.parametrize("kind", list(SourceKind))
+def test_auto_growth_builds_once_on_nearly_every_call(kind, monkeypatch):
+    """The first bound source_pmf builds at passes on all but a few of 160
+    intensities from 0.05 to 8: for the thermal kinds the floor is the exact
+    tail, for the coherent kinds one term of it."""
+    real_build = distributions._source_pmf_at
+    built = []
+
+    def counting_build(source, n_max):
+        built.append(n_max)
+        return real_build(source, n_max)
+
+    monkeypatch.setattr(distributions, "_source_pmf_at", counting_build)
+    means = np.linspace(0.05, 8.0, 160)
+    for mean in means:
+        source_pmf(SourceSpec(kind, mean, 0.3))
+    assert len(built) / len(means) <= 1.02
+
+
 @pytest.mark.parametrize("kind", [SourceKind.COHERENT, SourceKind.SPACS])
 def test_bright_poisson_sources_normalize(kind):
     # exp(-800) underflows to zero; the terms themselves do not
