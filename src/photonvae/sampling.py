@@ -88,6 +88,10 @@ class DatasetMeta:
         labels = [label for label, _ in self.sources]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate class labels: {labels}")
+        for label in labels:
+            if any(sep in str(label) for sep in ",\n\r"):
+                # the dataset CSV would split the label into fields or lines
+                raise ValueError(f"class label {label!r} holds a comma or a line break")
         if self.bin_size < 1:
             raise ValueError("bin_size must be >= 1")
         if self.bins_per_class < 1:

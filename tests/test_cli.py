@@ -37,6 +37,9 @@ EXIT_CASES = {
     "zero_bin_size": (1, "config error:", ["gen", "--config", "c.json"], {**GEN, "bin_size": 0}),
     "string_class_entry": (1, "config error:", ["gen", "--config", "c.json"],
                            {**GEN, "classes": ["spacs"]}),
+    "gen_label_with_comma": (1, "config error: class label 'spacs,a' holds a comma",
+                             ["gen", "--config", "c.json"],
+                             {**GEN, "classes": [{**CLASSES[0], "label": "spacs,a"}, CLASSES[1]]}),
     "non_numeric_epochs": (1, "config error:", ["train", "--config", "c.json"],
                            {"datasets": ["foreign.csv"], "epochs": "many"}),
     "zero_epochs": (1, "config error: config field 'epochs'", ["train", "--config", "c.json"],
@@ -151,6 +154,7 @@ def test_exit_code_contract(case, run_cli, tmp_path, monkeypatch):
     else:
         assert stdout == ""
         assert "\n" not in stderr.rstrip("\n")
+        assert not (tmp_path / f"{GEN['name']}.csv").exists()
 
 
 def test_eval_scores_each_bin_size_of_a_mixed_dataset(run_cli, tmp_path):
