@@ -59,7 +59,9 @@ class TrainPlan:
     """Declarative description of a training-plus-evaluation run.
 
     ``stages[0]`` is the from-scratch training stage; later stages fine-tune
-    the stage-0 weights on their own bin size.  The eval grid fields select
+    the stage-0 weights on their own bin size.  The pooled studies (lossy and
+    mixed grid) run one stage and read no ``eval_bin_sizes``, and refuse a
+    plan that sets either.  The eval grid fields select
     what gets measured afterwards.  A value repeated in a grid field, or a
     bin size repeated among the fine-tune stages, is refused: each value is
     one cell (or one fine-tuned model), so a repeat would report two rows for
@@ -220,6 +222,18 @@ def _fit(model: VAEClassifier, train_rows: Rows, val_rows: Rows, class_labels: l
     train_model(model, *train, *val, epochs=epochs)
 
 
+def _pooled_stage(plan: TrainPlan) -> TrainStage:
+    """The one training stage of a study that trains one model on pooled
+    datasets.  A second stage, or ``eval_bin_sizes``, would go unread, so
+    either is a ValueError."""
+    if len(plan.stages) > 1:
+        raise ValueError(f"a pooled study runs one training stage, stages lists {len(plan.stages)}")
+    if plan.eval_bin_sizes:
+        raise ValueError("a pooled study evaluates at its stage's bin size, "
+                         "eval_bin_sizes must be empty")
+    return plan.stages[0]
+
+
 def _train_pooled(spec: NetworkSpec, seed: int, class_labels: list[str], epochs: int,
                   datasets: list[tuple[DatasetMeta, int]]) -> tuple[VAEClassifier, tuple[Rows, ...]]:
     """Generate and split each (meta, split seed) dataset, train one model
@@ -308,11 +322,12 @@ def run_algorithm2(plan: TrainPlan) -> StudyResult:
     """Train one six-input model on the plan intensity at every ``train_etas``
     efficiency of ``plan.n_detectors`` detectors, then sweep accuracy over
     further efficiencies and observed-mean targets."""
+    stage = _pooled_stage(plan)
     if not plan.train_etas:
         raise ValueError("lossy training needs at least one efficiency")
     sources = lossless_sources(plan.mean_param)
     class_labels = [label for label, _ in sources]
-    bin_size = plan.stages[0].bin_size
+    bin_size = stage.bin_size
 
     def detector(eta):
         return DetectorConfig(plan.n_detectors, eta)
@@ -340,7 +355,7 @@ def run_algorithm2(plan: TrainPlan) -> StudyResult:
         datasets.append((meta, derived_seed(plan.seed, 21, *key)))
     model, test_parts = _train_pooled(
         NetworkSpec(input_dim=6, num_classes=len(class_labels)), derived_seed(plan.seed, 22),
-        class_labels, plan.stages[0].epochs, datasets,
+        class_labels, stage.epochs, datasets,
     )
 
     report = EvalReport(class_labels=class_labels)
@@ -391,10 +406,11 @@ def run_mixed_grid(plan: TrainPlan) -> StudyResult:
     a unit ratio coincide with the pure classes, so they are evaluated but
     never trained on.
     """
+    stage = _pooled_stage(plan)
     if not plan.mix_r_values:
         raise ValueError("mixed grid needs at least one ratio value")
     detector = DetectorConfig(plan.n_detectors, plan.efficiency)
-    bin_size = plan.stages[0].bin_size
+    bin_size = stage.bin_size
     coherent_param = invert_mean_param(SourceKind.COHERENT, plan.target_nbar_obs, detector)
     thermal_param = invert_mean_param(SourceKind.THERMAL, plan.target_nbar_obs, detector)
 
@@ -416,7 +432,7 @@ def run_mixed_grid(plan: TrainPlan) -> StudyResult:
         for labeled, bins, space, key in cells
     ]
     model, _ = _train_pooled(NetworkSpec(input_dim=6, num_classes=4), derived_seed(plan.seed, 32),
-                             MIX_CLASS_LABELS, plan.stages[0].epochs, datasets)
+                             MIX_CLASS_LABELS, stage.epochs, datasets)
 
     report = EvalReport(class_labels=list(MIX_CLASS_LABELS))
     for i, r_thermal in enumerate(plan.mix_r_values):

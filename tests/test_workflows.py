@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import re
@@ -267,6 +268,23 @@ def test_study_outputs_are_pinned(study):
 def test_run_algorithm2_refuses_plans_it_cannot_run(overrides, message):
     with pytest.raises(ValueError, match=message):
         run_algorithm2(lossy_plan(**overrides))
+
+
+@pytest.mark.parametrize("run, plan", [(run_algorithm2, lossy_plan), (run_mixed_grid, mixed_plan)],
+                         ids=["lossy", "mixed_grid"])
+@pytest.mark.parametrize("overrides, message", [
+    (lambda stage: dict(stages=(stage, TrainStage(10, 2))), "stages lists 2"),
+    (lambda stage: dict(eval_bin_sizes=(stage.bin_size,)), "eval_bin_sizes must be empty"),
+], ids=["two_stages", "eval_bin_sizes"])
+def test_pooled_studies_refuse_plan_fields_they_would_not_read(run, plan, overrides, message,
+                                                               monkeypatch):
+    def generate_nothing(meta):
+        raise AssertionError("a dataset was generated before the plan was refused")
+
+    monkeypatch.setattr(workflows, "generate_dataset", generate_nothing)
+    base = plan()
+    with pytest.raises(ValueError, match=message):
+        run(dataclasses.replace(base, **overrides(base.stages[0])))
 
 
 def _cold_start_accuracy(seed: int, bin_size: int, labelled_share: float = 1.0) -> float:
