@@ -319,3 +319,52 @@ def test_cli_outputs_are_byte_stable(run_cli, tmp_path):
     first = _pipeline_digest(run_cli, tmp_path / "a")
     assert _pipeline_digest(run_cli, tmp_path / "b") == first
     assert first == PINNED_PIPELINE_SHA256
+
+
+# eval, export-latent and sweep on 1,400 rows per dataset and cell, and eval
+# on 2,600 more: more rows than one 512-row block, so inference runs in blocks
+LARGE_CONFIGS = {
+    "big.json": {"name": "big", "seed": 3, "bin_size": 20, "bins_per_class": 700,
+                 "classes": CLASSES, "detector": PIPELINE_DETECTOR},
+    "bigger.json": {"name": "bigger", "seed": 4, "bin_size": 10, "bins_per_class": 1300,
+                    "classes": CLASSES, "detector": PIPELINE_DETECTOR},
+    "train.json": {"name": "model", "datasets": ["data/big.csv"], "epochs": 2, "batch_size": 64,
+                   "features": "probs+nbar"},
+    "eval.json": {"name": "eval", "checkpoint": "runs/model.ckpt",
+                  "datasets": ["data/big.csv", "data/bigger.csv"]},
+    "latent.json": {"name": "latent", "checkpoint": "runs/model.ckpt", "dataset": "data/big.csv"},
+    "sweep.json": {"name": "sweep", "checkpoint": "runs/model.ckpt", "classes": CLASSES,
+                   "detector": PIPELINE_DETECTOR, "bin_sizes": [10, 20], "etas": [0.8],
+                   "bins_per_class": 700},
+}
+LARGE_SETUP = (
+    ("gen", "--config", "big.json", "--out", "data"),
+    ("gen", "--config", "bigger.json", "--out", "data"),
+    ("train", "--config", "train.json", "--out", "runs"),
+)
+LARGE_INFERENCE = (
+    ("eval", "--config", "eval.json", "--out", "reports"),
+    ("export-latent", "--config", "latent.json", "--out", "reports"),
+    ("sweep", "--config", "sweep.json", "--out", "reports"),
+)
+# SHA-256 of every file the three inference commands write and of their stdout
+PINNED_LARGE_SHA256 = "f06991bc7d414e6de4d813a516c78f67742c66c49194653ea13737b92dd26b3e"
+
+
+def test_inference_outputs_on_large_datasets_are_pinned(run_cli, tmp_path):
+    for k, argv in enumerate(LARGE_SETUP):
+        code, _, err = run_cli(*argv, configs=LARGE_CONFIGS if k == 0 else None)
+        assert code == 0, err
+    digest = hashlib.sha256()
+    stdout = []
+    for argv in LARGE_INFERENCE:
+        code, out, err = run_cli(*argv)
+        assert code == 0, err
+        digest.update(out.encode())
+        stdout.append(json.loads(out))
+    for path in sorted((tmp_path / "reports").iterdir()):
+        digest.update(path.name.encode())
+        digest.update(path.read_bytes())
+    assert [cell["rows"] for cell in stdout[0]["cells"]] == [1400, 2600]
+    assert stdout[1]["rows"] == 1400
+    assert digest.hexdigest() == PINNED_LARGE_SHA256
