@@ -38,6 +38,7 @@ from .distributions import PhysicsError, SourceKind, SourceSpec
 from .nn import GradientError
 from .sampling import (
     DatasetMeta,
+    class_label_fault,
     concat_rows,
     feature_matrix,  # unused here, but perfbench/tracer.py wraps cli.feature_matrix
     generate_dataset,
@@ -221,9 +222,15 @@ def _dataset_paths(config: dict) -> list[str]:
 
 
 def _class_order(config: dict, rows) -> list[str]:
+    """The config's ``classes`` labels, else the sorted labels of ``rows``.  A
+    label that ``class_label_fault`` refuses is a ConfigError."""
     classes = _require(config, "classes", _array, None)
     if classes and isinstance(classes[0], str):
-        return [str(label) for label in classes]
+        labels = [str(label) for label in classes]
+        fault = class_label_fault(labels)
+        if fault:
+            raise ConfigError(f"config field 'classes': {fault}")
+        return labels
     # np.unique's order without np.unique, whose first call imports numpy.ma
     return sorted(set(rows.labels.tolist()))
 

@@ -72,6 +72,19 @@ def concat_rows(parts: list[Rows]) -> Rows:
     )
 
 
+def class_label_fault(labels: list) -> str | None:
+    """What is wrong with a list of class labels, or None: a label that
+    repeats would name two classes or two confusion rows alike, and one that
+    holds a comma or a line break would split a CSV row into more fields or
+    lines than its header."""
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            return f"class label {label!r} repeats"
+        if any(sep in str(label) for sep in ",\n\r"):
+            return f"class label {label!r} holds a comma or a line break"
+    return None
+
+
 @dataclass(frozen=True)
 class DatasetMeta:
     """Everything needed to regenerate a dataset deterministically."""
@@ -85,13 +98,9 @@ class DatasetMeta:
     def __post_init__(self):
         if not self.sources:
             raise ValueError("at least one labeled source is required")
-        labels = [label for label, _ in self.sources]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate class labels: {labels}")
-        for label in labels:
-            if any(sep in str(label) for sep in ",\n\r"):
-                # the dataset CSV would split the label into fields or lines
-                raise ValueError(f"class label {label!r} holds a comma or a line break")
+        fault = class_label_fault([label for label, _ in self.sources])
+        if fault:
+            raise ValueError(fault)
         if self.bin_size < 1:
             raise ValueError("bin_size must be >= 1")
         if self.bins_per_class < 1:

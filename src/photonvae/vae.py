@@ -38,6 +38,7 @@ from .nn import (
     MLPStack,
     NamedVector,
 )
+from .sampling import class_label_fault
 
 PROB_CLIP = 1e-7  # a true-class probability below this is clamped, and its row gets no gradient
 
@@ -584,10 +585,14 @@ def is_seed(value) -> bool:
 
 def save_checkpoint(path, model: VAEClassifier, *, seed: int, epochs_trained: int,
                     class_labels: list[str], hyperparameters: dict | None = None) -> None:
-    """Write ``model`` in format 3; a ``seed`` that ``is_seed`` refuses is a
-    ValueError, raised before the file is opened."""
+    """Write ``model`` in format 3; a ``seed`` that ``is_seed`` refuses, or
+    class labels that ``class_label_fault`` refuses, is a ValueError, raised
+    before the file is opened."""
     if not is_seed(seed):
         raise ValueError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
+    fault = class_label_fault(list(class_labels))
+    if fault:
+        raise ValueError(fault)
     state = model.get_state()
     order = model.param_names()
     header = {
@@ -662,6 +667,9 @@ def load_checkpoint(path) -> tuple[VAEClassifier, dict]:
     # fewer labels than logits is allowed: a one-class dataset trains a 2-class head
     if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
         raise CheckpointError(f"{path}: header field 'class_labels' is not a list of strings")
+    fault = class_label_fault(labels)
+    if fault:
+        raise CheckpointError(f"{path}: header field 'class_labels': {fault}")
     if len(labels) > spec.num_classes:
         raise CheckpointError(
             f"{path}: header field 'class_labels' lists {len(labels)} labels, "

@@ -84,6 +84,14 @@ EXIT_CASES = {
                                 ["sweep", "--config", "c.json"], {**SWEEP, "bin_sizes": [20, 30, 20]}),
     "sweep_repeated_eta_flag": (1, "config error: etas repeats the value 0.8",
                                 ["sweep", "--config", "c.json", "--eta", "0.8,0.8"], SWEEP),
+    "train_label_with_comma": (1, "config error: config field 'classes': class label 'x,y' holds a comma",
+                               ["train", "--config", "c.json"],
+                               {"datasets": ["foreign.csv"], "epochs": 1,
+                                "classes": ["coherent", "thermal", "x,y"]}),
+    "train_repeated_label": (1, "config error: config field 'classes': class label 'thermal' repeats",
+                             ["train", "--config", "c.json"],
+                             {"datasets": ["foreign.csv"], "epochs": 1,
+                              "classes": ["coherent", "thermal", "thermal"]}),
     "efficiency_above_one": (2, "physics validation error:", ["gen", "--config", "c.json"],
                              {**GEN, "detector": {"n_detectors": 6, "efficiency": 1.5}}),
     "bad_checkpoint_magic": (3, "checkpoint error:", ["eval", "--config", "c.json"],
@@ -94,6 +102,15 @@ EXIT_CASES = {
                                         {"checkpoint": "unlabelled.ckpt", "datasets": ["foreign.csv"]}),
     "checkpoint_seed_not_an_integer": (3, "checkpoint error:", ["eval", "--config", "c.json"],
                                        {"checkpoint": "text_seed.ckpt", "datasets": ["foreign.csv"]}),
+    "checkpoint_label_with_comma": (3, "checkpoint error: comma_label.ckpt: header field "
+                                    "'class_labels': class label 'sp,ts' holds a comma",
+                                    ["eval", "--config", "c.json"],
+                                    {"checkpoint": "comma_label.ckpt", "datasets": ["foreign.csv"]}),
+    "finetune_checkpoint_repeated_label": (3, "checkpoint error: repeated_label.ckpt: header field "
+                                           "'class_labels': class label 'spacs' repeats",
+                                           ["finetune", "--config", "c.json",
+                                            "--base-checkpoint", "repeated_label.ckpt"],
+                                           {"datasets": ["foreign.csv"], "epochs": 1}),
     "seed_flag_negative": (1, "config error: --seed must be a whole number >= 0",
                            ["gen", "--config", "c.json", "--seed", "-1"], GEN),
     "seed_env_negative": (1, "config error: PHOTONVAE_SEED must be a whole number >= 0",
@@ -136,6 +153,9 @@ def test_exit_code_contract(case, run_cli, tmp_path, monkeypatch):
                     class_labels=["spacs", "spats"])
     seeded = (tmp_path / "text_seed.ckpt").read_bytes()
     (tmp_path / "text_seed.ckpt").write_bytes(seeded.replace(b'"seed": 10', b'"seed":"x"'))
+    # the writer refuses these labels, so swap them into the header at the same length
+    for bad, labels in (("comma_label", b'["spacs", "sp,ts"]'), ("repeated_label", b'["spacs", "spacs"]')):
+        (tmp_path / f"{bad}.ckpt").write_bytes(labelled.replace(b'["spacs", "spats"]', labels))
     (tmp_path / "bad.csv").write_text(f"{CSV_HEADER}\n0.33,0.67,0,0,0,0,0,0.67,spacs,20,1,6,1.3,spacs,1\n")
     pair = (f"{CSV_HEADER}\n0.35,0.65,0,0,0,0,0,0.65,spacs,20,1,6,1.3,spacs,1\n"
             "0.3,0.7,0,0,0,0,0,0.7,spats,20,1,6,1.3,spats,1\n")
@@ -155,6 +175,7 @@ def test_exit_code_contract(case, run_cli, tmp_path, monkeypatch):
         assert stdout == ""
         assert "\n" not in stderr.rstrip("\n")
         assert not (tmp_path / f"{GEN['name']}.csv").exists()
+        assert not (tmp_path / "c.ckpt").exists()
 
 
 def test_eval_scores_each_bin_size_of_a_mixed_dataset(run_cli, tmp_path):

@@ -899,6 +899,18 @@ def test_checkpoint_writer_refuses_a_seed_the_reader_refuses(tmp_path, seed):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("labels, message", [
+    (["x", "x"], "class label 'x' repeats"),
+    (["x", "a,b"], "class label 'a,b' holds a comma or a line break"),
+    (["x\n", "y"], "class label 'x\\n' holds a comma or a line break"),
+], ids=["repeat", "comma", "newline"])
+def test_checkpoint_writer_refuses_labels_the_reader_refuses(tmp_path, labels, message):
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        save_checkpoint(path, binary_model(), seed=0, epochs_trained=1, class_labels=labels)
+    assert not path.exists()
+
+
 def test_checkpoint_without_a_seed_loads_with_seed_0(tmp_path):
     path = tmp_path / "model.ckpt"
     save_checkpoint(path, binary_model(seed=12), seed=12, epochs_trained=1, class_labels=["x", "y"])
