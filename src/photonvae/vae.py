@@ -15,6 +15,15 @@ latent sampling (gradients flow through the mean and log-variance, never
 through the noise draw).  Checkpoints are written in format version 3, whose
 header records ``SHAPE`` with the spec; version 2 also held the biases of the
 linear maps that feed a batch normalization, which cancels them.
+
+Predictions (``predict_proba``, ``predict_class``, ``latent_means`` and so
+``evaluate_model``) run the encoder, and the classifier where probabilities
+are read, over blocks of ``INFER_BLOCK`` rows; the last block takes the
+remainder, so it holds up to 2 * ``INFER_BLOCK`` - 1 rows.  They build no
+``Forward`` and never run the decoder, so their memory is one block's
+activations whatever the row count.  Folding the remainder into the last
+block is what keeps their bytes those of one ``forward`` pass over all rows:
+a short tail block can change a row's last bits (see ``INFER_BLOCK``).
 """
 
 from __future__ import annotations
@@ -150,6 +159,22 @@ class Forward:
     std: np.ndarray | None
     caches: tuple
 
+
+# Rows per block of a prediction.  The last block takes the remainder, so it
+# holds INFER_BLOCK to 2 * INFER_BLOCK - 1 rows (fewer only when the whole
+# input does).  With OpenBLAS a row's bits can depend on how many rows share
+# its sgemm call: a row computed alone, or in a short tail block, can differ in
+# its last bits from the same row in one pass over every row.  Blocks of
+# INFER_BLOCK rows with the remainder folded into the last one gave the bits
+# of one pass at every row count tried, from 0 to 5,003 rows.
+INFER_BLOCK = 512
+
+
+def _blocks(n: int):
+    """Slices that cover rows 0..n-1 in blocks of INFER_BLOCK rows, the last
+    one holding the remainder too; one (empty) slice when n is 0."""
+    stops = [*range(INFER_BLOCK, n - INFER_BLOCK + 1, INFER_BLOCK), n]
+    return [slice(start, stop) for start, stop in zip([0, *stops[:-1]], stops)]
 
 
 def _softmax(t: np.ndarray) -> np.ndarray:
@@ -336,11 +361,31 @@ class VAEClassifier:
             raise DataMismatchError(f"expected {width} input features, got {a.shape[1]}")
         return a
 
+    def latent_means(self, x) -> np.ndarray:
+        """The encoder's mean of each row of ``x``: ``forward(x).mu``, byte for
+        byte, computed in blocks (see ``_predict``)."""
+        return self._predict(x, SHAPE["latent_dim"], lambda mu: mu)
+
     def predict_proba(self, x) -> np.ndarray:
-        return self.forward(x, mode=INFER).probs
+        """Class probabilities of each row of ``x``: ``forward(x).probs``, byte
+        for byte, computed in blocks (see ``_predict``)."""
+        return self._predict(x, self.spec.num_classes,
+                             lambda mu: _softmax(self.classifier.forward(mu, INFER, None)[0]))
 
     def predict_class(self, x) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=1)
+
+    def _predict(self, x, width: int, head) -> np.ndarray:
+        """``head`` of the latent means of ``x``, one ``width``-column row per
+        row of ``x``, computed over the blocks of ``_blocks`` so that no block's
+        activations outlive it.  Only the encoder and ``head`` run: no Forward
+        is built and the decoder never runs."""
+        x = self._rows(x)
+        out = np.empty((len(x), width), dtype=self.dtype)
+        latent = SHAPE["latent_dim"]
+        for rows in _blocks(len(x)):
+            out[rows] = head(self.encoder.forward(x[rows], INFER, None)[0][:, :latent])
+        return out
 
     # --- losses and gradients -------------------------------------------------
 
@@ -465,7 +510,10 @@ def _score(pred: np.ndarray, y: np.ndarray, k: int) -> tuple[float, np.ndarray]:
 
 def _validate(model: VAEClassifier, x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Total loss and accuracy of one INFER pass over a validation set that
-    ``_examples`` has converted; its Forward ends with the call."""
+    ``_examples`` has converted; its Forward ends with the call.  It stays one
+    pass, not blocks: the loss needs the decoder's reconstruction, and summing
+    float64 losses block by block would change the bits of ``val_loss``, by
+    which the best epoch is chosen."""
     fwd = model.forward(x, mode=INFER)
     acc, _ = _score(np.argmax(fwd.probs, axis=1), y, model.spec.num_classes)
     return model.losses(x, y, fwd).total, acc

@@ -248,7 +248,7 @@ def _train_pooled(spec: NetworkSpec, seed: int, class_labels: list[str], epochs:
 def export_latent(model: VAEClassifier, rows, class_labels: list[str]) -> np.ndarray:
     """Per-sample latent means with the class index as the last column."""
     x, y = model_inputs(model, rows, class_labels)
-    return np.hstack([model.forward(x).mu, y[:, None].astype(np.float64)])
+    return np.hstack([model.latent_means(x), y[:, None].astype(np.float64)])
 
 
 # --- lossless study (transfer learning over bin sizes) ------------------------

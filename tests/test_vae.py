@@ -459,6 +459,70 @@ def test_classifier_prediction_ignores_decoder_at_inference():
     np.testing.assert_array_equal(before, after)
 
 
+def _moved_model(input_dim, num_classes, seed):
+    """A float32 model whose weights and running statistics a few training
+    steps moved off their initial draw."""
+    model = VAEClassifier(NetworkSpec(input_dim=input_dim, num_classes=num_classes), seed=seed)
+    rng = np.random.default_rng(seed)
+    train_model(model, rng.random((256, input_dim)), rng.integers(0, num_classes, 256),
+                epochs=2, batch_size=64, learning_rate=1e-2)
+    return model
+
+
+def _assert_same_bytes(got, want, what):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape), what
+    assert got.tobytes() == want.tobytes(), what
+
+
+@pytest.mark.parametrize("input_dim, num_classes", [(5, 2), (6, 2), (5, 4), (6, 4)])
+def test_blocked_predictions_have_the_bytes_of_one_pass(input_dim, num_classes):
+    model = _moved_model(input_dim, num_classes, seed=10 * input_dim + num_classes)
+    rng = np.random.default_rng(num_classes)
+    for n in (0, 1, 511, 512, 513, 1023, 1024, 1025, 1537, 3001):
+        x = rng.random((n, input_dim)).astype(np.float32)
+        fwd = model.forward(x, mode=INFER)
+        _assert_same_bytes(model.predict_proba(x), fwd.probs, f"probs of {n} rows")
+        _assert_same_bytes(model.latent_means(x), fwd.mu, f"latent means of {n} rows")
+
+
+@pytest.mark.parametrize("n", [0, 1, 511, 512, 1023, 1024, 1025, 1535, 1536, 3001])
+def test_prediction_blocks_fold_the_remainder_into_the_last(n):
+    block = vae.INFER_BLOCK
+    blocks = vae._blocks(n)
+    assert [b.start for b in blocks] == [k * block for k in range(len(blocks))]
+    assert blocks[-1].stop == n
+    sizes = [b.stop - b.start for b in blocks]
+    assert sizes[:-1] == [block] * (len(sizes) - 1)
+    if n < 2 * block:
+        assert sizes == [n]
+    else:
+        assert block <= sizes[-1] < 2 * block
+
+
+def test_prediction_memory_does_not_grow_with_the_row_count():
+    """tracemalloc sees numpy's array buffers.  The input is already float32,
+    so the only array that scales with the rows is the output; the blocks'
+    activations are freed block by block.  The largest block is 976 rows at
+    2,000 rows and 544 at 20,000, so the larger input peaks no higher."""
+    import tracemalloc
+
+    model = VAEClassifier(NetworkSpec(input_dim=6, num_classes=4), seed=0)
+    model.predict_proba(np.zeros((8, 6), dtype=np.float32))  # first-call allocations
+    excess = {}
+    for n in (2000, 20000):
+        x = np.random.default_rng(n).random((n, 6)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            probs = model.predict_proba(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        excess[n] = peak - probs.nbytes
+    assert excess[20000] <= excess[2000]
+    # one pass over 2,000 rows holds about 4 MB of activations
+    assert excess[2000] < 2 << 20
+
+
 def test_train_model_runs_and_early_stops():
     rng = np.random.default_rng(12)
     x = rng.random((300, 5))

@@ -10,7 +10,7 @@ from photonvae.detector import DetectorConfig, chain_mean
 from photonvae.distributions import SourceKind, SourceSpec, source_pmf
 from photonvae.sampling import DatasetMeta, feature_matrix, generate_dataset, label_vector, split_rows
 from photonvae.vae import NetworkSpec, VAEClassifier, evaluate_model, train_model
-from photonvae import workflows
+from photonvae import vae, workflows
 from photonvae.workflows import (
     TrainPlan,
     TrainStage,
@@ -146,6 +146,25 @@ def test_export_latent_rows_and_shape():
     assert latents.shape == (len(rows), 4)
     assert np.all(np.isfinite(latents))
     assert set(np.unique(latents[:, 3])) == {0.0, 1.0}
+
+
+def test_predictions_never_run_the_decoder_or_build_a_forward(monkeypatch):
+    model = VAEClassifier(NetworkSpec(), seed=3)
+    meta = DatasetMeta(lossless_sources(1.3), DetectorConfig(6, 1.0), 5, 600, seed=9)
+    rows = generate_dataset(meta).rows  # 1,200 rows: two blocks
+    x, y = workflows.model_inputs(model, rows, ["spacs", "spats"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran")
+
+    model.decoder.forward = refuse
+    monkeypatch.setattr(vae, "Forward", refuse)
+    with pytest.raises(AssertionError, match="ran"):
+        model.forward(x)
+    assert model.predict_proba(x).shape == (1200, 2)
+    assert model.predict_class(x).shape == (1200,)
+    assert evaluate_model(model, x, y)[1].sum() == 1200
+    assert export_latent(model, rows, ["spacs", "spats"]).shape == (1200, 4)
 
 
 def _assert_accuracies_match_confusions(report):
