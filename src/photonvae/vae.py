@@ -544,6 +544,8 @@ def train_model(
     parameters giving the best validation loss are restored at the end.
     Training and the choice of that epoch use the one objective of
     ``VAEClassifier.losses``, from a cold start and when fine-tuning alike.
+    The best epoch is kept as one copy of the model's parameter vector,
+    running statistics included, and restored with one write.
     Features and labels that do not fit the model or each other, and a
     training set of fewer than two rows, are refused with DataMismatchError
     before the first step; a ``batch_size`` below 2, or a ``learning_rate``
@@ -574,7 +576,7 @@ def train_model(
     optimizer = Adam(lr=learning_rate)
     history = TrainHistory()
     best_val = np.inf
-    best_state = None
+    best_params = None  # the parameter vector at the best epoch
     stale = 0
     n = x_train.shape[0]
     for epoch in range(epochs):
@@ -600,15 +602,15 @@ def train_model(
             history.val_accuracy.append(acc)
             if val_loss < best_val - 1e-12:
                 best_val = val_loss
-                best_state = model.get_state()
+                best_params = model._params.vector.copy()
                 history.best_epoch = epoch
                 stale = 0
             else:
                 stale += 1
                 if stale > patience:
                     break
-    if best_state is not None:
-        model.set_state(best_state)
+    if best_params is not None:
+        model._params.vector[...] = best_params
     return history
 
 

@@ -588,6 +588,20 @@ def test_train_model_runs_one_validation_pass_per_epoch(monkeypatch):
     assert sum(mode != TRAIN for mode in modes) == 3
 
 
+def test_train_model_keeps_the_best_epoch_without_get_state(monkeypatch):
+    """The best epoch is one copy of the parameter vector, not a dict of arrays."""
+    rng = np.random.default_rng(12)
+    x = rng.random((300, 5))
+    y = (x[:, 0] > 0.5).astype(int)
+
+    def refuse(self):
+        raise AssertionError("get_state called")
+
+    monkeypatch.setattr(VAEClassifier, "get_state", refuse)
+    history = train_model(binary_model(seed=6), x, y, x[:50], y[:50], epochs=4, batch_size=64)
+    assert history.best_epoch >= 0
+
+
 def test_train_model_frees_each_steps_forward_before_the_next_step(monkeypatch):
     """No Forward outlives its step: when a step starts, the reconstruction
     the step before returned is already freed."""
