@@ -160,13 +160,11 @@ class Forward:
     caches: tuple
 
 
-# Rows per block of a prediction.  The last block takes the remainder, so it
-# holds INFER_BLOCK to 2 * INFER_BLOCK - 1 rows (fewer only when the whole
-# input does).  With OpenBLAS a row's bits can depend on how many rows share
-# its sgemm call: a row computed alone, or in a short tail block, can differ in
-# its last bits from the same row in one pass over every row.  Blocks of
-# INFER_BLOCK rows with the remainder folded into the last one gave the bits
-# of one pass at every row count tried, from 0 to 5,003 rows.
+# Rows per block of a prediction.  With OpenBLAS a row's bits can depend on
+# how many rows share its sgemm call: a row computed alone, or in a short tail
+# block, can differ in its last bits from the same row in one pass over every
+# row.  Blocks of INFER_BLOCK rows with the remainder folded into the last one
+# gave the bits of one pass at every row count tried, from 0 to 5,003 rows.
 INFER_BLOCK = 512
 
 
@@ -376,10 +374,8 @@ class VAEClassifier:
         return np.argmax(self.predict_proba(x), axis=1)
 
     def _predict(self, x, width: int, head) -> np.ndarray:
-        """``head`` of the latent means of ``x``, one ``width``-column row per
-        row of ``x``, computed over the blocks of ``_blocks`` so that no block's
-        activations outlive it.  Only the encoder and ``head`` run: no Forward
-        is built and the decoder never runs."""
+        """``head`` of the latent means of ``x``, ``width`` columns per row,
+        over the blocks of ``_blocks``; no block's activations outlive it."""
         x = self._rows(x)
         out = np.empty((len(x), width), dtype=self.dtype)
         latent = SHAPE["latent_dim"]
@@ -576,7 +572,7 @@ def train_model(
     optimizer = Adam(lr=learning_rate)
     history = TrainHistory()
     best_val = np.inf
-    best_params = None  # the parameter vector at the best epoch
+    best_params = None
     stale = 0
     n = x_train.shape[0]
     for epoch in range(epochs):

@@ -5,6 +5,7 @@ import math
 import re
 import struct
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -504,8 +505,6 @@ def test_prediction_memory_does_not_grow_with_the_row_count():
     so the only array that scales with the rows is the output; the blocks'
     activations are freed block by block.  The largest block is 976 rows at
     2,000 rows and 544 at 20,000, so the larger input peaks no higher."""
-    import tracemalloc
-
     model = VAEClassifier(NetworkSpec(input_dim=6, num_classes=4), seed=0)
     model.predict_proba(np.zeros((8, 6), dtype=np.float32))  # first-call allocations
     excess = {}
