@@ -254,6 +254,7 @@ def test_run_algorithm2_structure_and_determinism():
 # and latents; a new value means some study output byte changed
 PINNED_STUDY_SHA256 = {
     "lossless": "47f778a0b25305d24004f903dc9d916b476f34300e3bf18d3e72b559654f9c70",
+    "lossless_two_fine_tunes": "4ee7f5882cd34df117b4eb0f08956a44c7459b78674f86af957b89a6177f4182",
     "lossy": "ff1583c790dc3c9a385393ac5038fb1b8b31e8b35073fc2ca27fdd7f0eb448ff",
     "mixed_grid": "4adb73907959b21afef25d64e1d1ee01c5b44ca4e516ca26087b13da87739808",
 }
@@ -274,6 +275,9 @@ def _report_digest(report) -> str:
 def test_study_outputs_are_pinned(study):
     run, plan = {
         "lossless": (run_algorithm1, tiny_plan),
+        "lossless_two_fine_tunes": (run_algorithm1, lambda: tiny_plan(
+            stages=(TrainStage(40, 6), TrainStage(20, 3), TrainStage(10, 3)),
+            eval_bin_sizes=(10, 20, 40))),
         "lossy": (run_algorithm2, lossy_plan),
         "mixed_grid": (run_mixed_grid, mixed_plan),
     }[study]
