@@ -4,22 +4,21 @@ The lossless study trains at a large bin size and transfers the weights to
 smaller bin sizes; the lossy study adds the observed mean click count
 ``nbar_obs`` as an input so one model covers a range of efficiencies; the
 mixture study extends the classifier to four classes over a grid of mix
-ratios.
+ratios.  With 4 detectors no bin sees 5 or 6 clicks, so ``nbar_obs`` equals
+P1 + 2·P2 + 3·P3 + 4·P4 and adds nothing to the P0..P4 inputs; the lossy
+study keeps it because it is the paper's input, and with 6 detectors it
+carries the split between 5 and 6 clicks.
 
-With 4 detectors no bin sees 5 or 6 clicks, so ``nbar_obs`` equals
-P1 + 2·P2 + 3·P3 + 4·P4 and adds no information to the P0..P4 inputs; the
-lossy study keeps it because it is the paper's input, and with 6 detectors
-it carries the split between 5 and 6 clicks.
-
-``model_inputs`` is the one place that decides a model's input layout (a
-six-input model also reads ``nbar_obs``), and ``EvalReport.score`` the one
-path that scores an evaluation cell.  The three studies and the CLI's
-``eval`` and ``sweep`` all go through them.  The lossy study and the mixture
-grid train their one model on pooled datasets through ``_train_pooled``.
+Each study only turns a ``TrainPlan`` into cells, refusing a plan it cannot
+run before any dataset is generated, and ``run_study`` generates, splits,
+trains on and scores them.  ``model_inputs`` is the one place that decides a
+model's input layout, and ``EvalReport.score`` the one path that scores a
+cell, for the studies and the CLI's ``eval`` and ``sweep`` alike.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,14 +57,17 @@ class TrainStage:
 class TrainPlan:
     """Declarative description of a training-plus-evaluation run.
 
-    ``stages[0]`` is the from-scratch training stage; later stages fine-tune
-    the stage-0 weights on their own bin size.  The pooled studies (lossy and
-    mixed grid) run one stage and read no ``eval_bin_sizes``, and refuse a
-    plan that sets either.  The eval grid fields select
-    what gets measured afterwards.  A value repeated in a grid field, or a
-    bin size repeated among the fine-tune stages, is refused: each value is
-    one cell (or one fine-tuned model), so a repeat would report two rows for
-    one confusion matrix.
+    ``algorithm`` names the one study that reads the plan.  Besides ``stages``,
+    ``seed``, ``bins_per_class`` and ``n_detectors``, "lossless" reads
+    ``mean_param``, ``efficiency`` and ``eval_bin_sizes``; "lossy_nbar" reads
+    ``mean_param``, ``train_etas``, ``eval_etas``, ``eval_nbar_obs`` and
+    ``eval_bins_per_class``; "mixed_grid" reads ``efficiency``,
+    ``target_nbar_obs``, the two ``mix_*`` grids and ``eval_bins_per_class``.
+    ``stages[0]`` trains from scratch; a later stage (lossless only)
+    fine-tunes the stage-0 weights on its own bin size.  A value repeated in
+    a grid field, or a bin size repeated among the fine-tune stages, is
+    refused: each value is one cell (or one fine-tuned model), so a repeat
+    would report two rows for one confusion matrix.
     """
 
     algorithm: str  # "lossless" | "lossy_nbar" | "mixed_grid"
@@ -138,17 +140,39 @@ class StudyResult:
     report: EvalReport
 
 
+@dataclass(frozen=True)
+class TrainCell:
+    """A dataset, generated from ``meta`` and split 80/10/10 by ``split_seed``."""
+
+    meta: DatasetMeta
+    split_seed: int
+
+
+@dataclass(frozen=True)
+class StudyStage:
+    """One model trained on the pooled rows of ``cells``: the first stage's from
+    scratch, a later stage's from a copy of the first stage's; each seeded ``seed``."""
+
+    cells: tuple[TrainCell, ...]
+    seed: int
+    epochs: int
+
+
+@dataclass(frozen=True)
+class EvalCell:
+    """Stage ``model``'s model scored on a ``TrainCell``'s test rows or on a fresh
+    dataset; a callable value in ``fields`` is applied to those rows."""
+
+    key: str
+    rows: TrainCell | DatasetMeta
+    fields: dict
+    model: int = 0
+
+
 def derived_seed(seed: int, *key: int) -> int:
     """Stable 64-bit sub-seed for a namespaced purpose."""
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def clone_model(model: VAEClassifier, seed: int) -> VAEClassifier:
-    """Copy of the model with a fresh training noise stream."""
-    twin = VAEClassifier(model.spec, seed=seed)
-    twin.set_state(model.get_state())
-    return twin
 
 
 def lossless_sources(mean_param: float) -> tuple[tuple[str, SourceSpec], ...]:
@@ -197,11 +221,6 @@ def _bisect(mean_at, target: float, what: str) -> float:
             hi = mid
 
 
-def _splits(meta: DatasetMeta, split_seed: int):
-    """Train, validation and test rows of a freshly generated dataset."""
-    return split_rows(generate_dataset(meta).rows, seed=split_seed)
-
-
 def model_inputs(model: VAEClassifier, rows: Rows,
                  class_labels: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Network inputs and class indices of ``rows``; a six-input model also
@@ -213,19 +232,16 @@ def model_inputs(model: VAEClassifier, rows: Rows,
     return feature_matrix(rows, model.spec.input_dim == 6), y
 
 
-def _fit(model: VAEClassifier, train_rows: Rows, val_rows: Rows, class_labels: list[str],
-         epochs: int) -> None:
-    """Train ``model`` on ``train_rows``, keeping its best epoch on ``val_rows``."""
-    train = model_inputs(model, train_rows, class_labels)
-    val = model_inputs(model, val_rows, class_labels)
-    del train_rows, val_rows  # rows concatenated for this call need not live through training
-    train_model(model, *train, *val, epochs=epochs)
+def _check_algorithm(plan: TrainPlan, algorithm: str) -> None:
+    if plan.algorithm != algorithm:
+        raise ValueError(f"TrainPlan.algorithm is {plan.algorithm!r}, this study is {algorithm!r}")
 
 
-def _pooled_stage(plan: TrainPlan) -> TrainStage:
+def _pooled_stage(plan: TrainPlan, algorithm: str) -> TrainStage:
     """The one training stage of a study that trains one model on pooled
     datasets.  A second stage, or ``eval_bin_sizes``, would go unread, so
     either is a ValueError."""
+    _check_algorithm(plan, algorithm)
     if len(plan.stages) > 1:
         raise ValueError(f"a pooled study runs one training stage, stages lists {len(plan.stages)}")
     if plan.eval_bin_sizes:
@@ -234,21 +250,47 @@ def _pooled_stage(plan: TrainPlan) -> TrainStage:
     return plan.stages[0]
 
 
-def _train_pooled(spec: NetworkSpec, seed: int, class_labels: list[str], epochs: int,
-                  datasets: list[tuple[DatasetMeta, int]]) -> tuple[VAEClassifier, tuple[Rows, ...]]:
-    """Generate and split each (meta, split seed) dataset, train one model
-    seeded ``seed`` on their pooled training and validation rows, and return it
-    with each dataset's test rows, in order."""
-    train_parts, val_parts, test_parts = zip(*(_splits(*dataset) for dataset in datasets))
-    model = VAEClassifier(spec, seed=seed)
-    _fit(model, concat_rows(train_parts), concat_rows(val_parts), class_labels, epochs)
-    return model, test_parts
-
-
 def export_latent(model: VAEClassifier, rows, class_labels: list[str]) -> np.ndarray:
     """Per-sample latent means with the class index as the last column."""
     x, y = model_inputs(model, rows, class_labels)
     return np.hstack([model.latent_means(x), y[:, None].astype(np.float64)])
+
+
+def run_study(input_dim: int, class_labels: list[str], stages: list[StudyStage],
+              evals: list[EvalCell], latents: TrainCell | None = None):
+    """Train ``stages`` and score ``evals``, in order, and with ``latents``
+    export stage 0's latent means of that cell's test rows; return the models
+    and the report.  Each training cell is generated and split once, when
+    first needed, and a fresh dataset only when its cell is scored."""
+
+    @functools.cache
+    def split(cell: TrainCell) -> tuple[Rows, Rows, Rows]:
+        return split_rows(generate_dataset(cell.meta).rows, seed=cell.split_seed)
+
+    spec = NetworkSpec(input_dim, len(class_labels))
+    models: list[VAEClassifier] = []
+    for stage in stages:
+        model = VAEClassifier(spec, seed=stage.seed)
+        if models:  # a fine-tune stage trains a copy of stage 0's model
+            model.set_state(models[0].get_state())
+        train_parts, val_parts, _ = zip(*map(split, stage.cells))
+        train = model_inputs(model, concat_rows(train_parts), class_labels)
+        val = model_inputs(model, concat_rows(val_parts), class_labels)
+        train_model(model, *train, *val, epochs=stage.epochs)
+        models.append(model)
+
+    report = EvalReport(class_labels=class_labels)
+    for cell in evals:
+        if isinstance(cell.rows, TrainCell):
+            rows = split(cell.rows)[2]
+        else:
+            rows = generate_dataset(cell.rows).rows
+        fields = {name: value(rows) if callable(value) else value
+                  for name, value in cell.fields.items()}
+        report.score(cell.key, models[cell.model], rows, **fields)
+    if latents is not None:
+        report.latents = export_latent(models[0], split(latents)[2], class_labels)
+    return models, report
 
 
 # --- lossless study (transfer learning over bin sizes) ------------------------
@@ -258,40 +300,27 @@ def run_algorithm1(plan: TrainPlan) -> Algorithm1Result:
     """Train on probability inputs at the stage-0 bin size, fine-tune the same
     weights on each later stage's bin size, and report held-out accuracy per
     evaluated bin size."""
+    _check_algorithm(plan, "lossless")
     detector = DetectorConfig(plan.n_detectors, plan.efficiency)
     sources = lossless_sources(plan.mean_param)
-    class_labels = [label for label, _ in sources]
 
-    sizes = sorted({stage.bin_size for stage in plan.stages} | set(plan.eval_bin_sizes))
-    data = {}
-    for size in sizes:
+    def cell(size: int) -> TrainCell:
         meta = DatasetMeta(sources, detector, size, plan.bins_per_class,
                            derived_seed(plan.seed, 10, size))
-        data[size] = _splits(meta, split_seed=derived_seed(plan.seed, 11, size))
+        return TrainCell(meta, derived_seed(plan.seed, 11, size))
 
-    base_stage = plan.stages[0]
-    train_rows, val_rows, _ = data[base_stage.bin_size]
-    base_model = VAEClassifier(
-        NetworkSpec(input_dim=5, num_classes=len(class_labels)),
-        seed=derived_seed(plan.seed, 12),
-    )
-    _fit(base_model, train_rows, val_rows, class_labels, base_stage.epochs)
-
-    finetuned: dict[int, VAEClassifier] = {}
-    for stage in plan.stages[1:]:
-        model = clone_model(base_model, derived_seed(plan.seed, 13, stage.bin_size))
-        train_rows, val_rows, _ = data[stage.bin_size]
-        _fit(model, train_rows, val_rows, class_labels, stage.epochs)
-        finetuned[stage.bin_size] = model
-
-    report = EvalReport(class_labels=class_labels)
-    for size in plan.eval_bin_sizes or tuple(sizes):
-        test_rows = data[size][2]
-        report.score(f"bin{size}", finetuned.get(size, base_model), test_rows,
-                     bin_size=size, n_test=len(test_rows))
-
-    report.latents = export_latent(base_model, data[base_stage.bin_size][2], class_labels)
-    return Algorithm1Result(base_model=base_model, finetuned=finetuned, report=report)
+    base, *later = plan.stages
+    stages = [StudyStage((cell(base.bin_size),), derived_seed(plan.seed, 12), base.epochs)]
+    stages += [StudyStage((cell(stage.bin_size),), derived_seed(plan.seed, 13, stage.bin_size),
+                          stage.epochs) for stage in later]
+    # a bin size is scored by the model fine-tuned on it, else by the base model
+    tuned = {stage.bin_size: k for k, stage in enumerate(plan.stages) if k}
+    evals = [EvalCell(f"bin{size}", cell(size), {"bin_size": size, "n_test": len}, tuned.get(size, 0))
+             for size in plan.eval_bin_sizes or sorted({stage.bin_size for stage in plan.stages})]
+    models, report = run_study(5, [label for label, _ in sources], stages, evals,
+                               latents=stages[0].cells[0])
+    finetuned = {size: models[k] for size, k in tuned.items()}
+    return Algorithm1Result(base_model=models[0], finetuned=finetuned, report=report)
 
 
 # --- lossy study (observed mean photon number as an input) ---------------------
@@ -322,64 +351,54 @@ def run_algorithm2(plan: TrainPlan) -> StudyResult:
     """Train one six-input model on the plan intensity at every ``train_etas``
     efficiency of ``plan.n_detectors`` detectors, then sweep accuracy over
     further efficiencies and observed-mean targets."""
-    stage = _pooled_stage(plan)
+    stage = _pooled_stage(plan, "lossy_nbar")
     if not plan.train_etas:
         raise ValueError("lossy training needs at least one efficiency")
     sources = lossless_sources(plan.mean_param)
-    class_labels = [label for label, _ in sources]
     bin_size = stage.bin_size
 
     def detector(eta):
         return DetectorConfig(plan.n_detectors, eta)
 
-    # each observed-mean target is realized at the training efficiency whose
-    # own observed mean sits closest (low means go with low efficiencies),
-    # subject to the single-photon floor; chosen before any training, so a
-    # target below every floor is refused up front
-    anchor_means = {eta: observed_mean_for_sources(sources, detector(eta))
-                    for eta in plan.train_etas}
-    floors = {eta: observed_mean_for_sources(lossless_sources(0.0), detector(eta))
-              for eta in plan.train_etas}
-    target_etas = []
-    for target in plan.eval_nbar_obs:
-        candidates = [eta for eta in plan.train_etas if floors[eta] + 0.02 <= target]
-        if not candidates:
-            raise ValueError(f"observed-mean target {target} below every training floor")
-        target_etas.append((target, min(candidates, key=lambda e: abs(anchor_means[e] - target))))
-
-    datasets = []
-    for eta in plan.train_etas:
-        key = (round(plan.mean_param * 1000), round(eta * 1000))
-        meta = DatasetMeta(sources, detector(eta), bin_size, plan.bins_per_class,
-                           derived_seed(plan.seed, 20, *key))
-        datasets.append((meta, derived_seed(plan.seed, 21, *key)))
-    model, test_parts = _train_pooled(
-        NetworkSpec(input_dim=6, num_classes=len(class_labels)), derived_seed(plan.seed, 22),
-        class_labels, stage.epochs, datasets,
-    )
-
-    report = EvalReport(class_labels=class_labels)
-
-    def score_cell(rows, eta, intensity, cell, confusion_key):
-        report.score(confusion_key, model, rows, eta=eta, bin_size=bin_size,
-                     nbar_the=intensity, nbar_obs=float(np.mean(rows.nbar_obs)), cell=cell)
-
-    for eta, rows in zip(plan.train_etas, test_parts):
-        score_cell(rows, eta, plan.mean_param, "held_out", f"train_eta{eta:g}")
+    def scored(key, rows, eta, intensity, tag):
+        return EvalCell(key, rows, {"eta": eta, "bin_size": bin_size, "nbar_the": intensity,
+                                    "nbar_obs": lambda rows: float(np.mean(rows.nbar_obs)),
+                                    "cell": tag})
 
     def sweep_cell(intensity, eta, tag, key):
         meta = DatasetMeta(lossless_sources(intensity), detector(eta), bin_size,
                            plan.eval_bins_per_class, derived_seed(plan.seed, 23, *key))
-        score_cell(generate_dataset(meta).rows, eta, intensity, tag, f"{tag}_{key[-1]}")
+        return scored(f"{tag}_{key[-1]}", meta, eta, intensity, tag)
 
+    cells, evals = [], []
+    for eta in plan.train_etas:
+        key = (round(plan.mean_param * 1000), round(eta * 1000))
+        meta = DatasetMeta(sources, detector(eta), bin_size, plan.bins_per_class,
+                           derived_seed(plan.seed, 20, *key))
+        cells.append(TrainCell(meta, derived_seed(plan.seed, 21, *key)))
+        evals.append(scored(f"train_eta{eta:g}", cells[-1], eta, plan.mean_param, "held_out"))
     # accuracy vs efficiency at the plan intensity
-    for eta in plan.eval_etas:
-        sweep_cell(plan.mean_param, eta, "eta_sweep", (0, round(eta * 1000)))
-    # accuracy vs observed mean
-    for target, eta in target_etas:
-        intensity = invert_shared_intensity(target, detector(eta))
-        sweep_cell(intensity, eta, "nbar_sweep", (1, round(eta * 1000), round(target * 1000)))
+    evals += [sweep_cell(plan.mean_param, eta, "eta_sweep", (0, round(eta * 1000)))
+              for eta in plan.eval_etas]
 
+    # accuracy vs observed mean: each target is realized at the training
+    # efficiency whose own observed mean sits closest (low means go with low
+    # efficiencies), subject to the single-photon floor, before any training
+    anchor_means = {eta: observed_mean_for_sources(sources, detector(eta))
+                    for eta in plan.train_etas}
+    floors = {eta: observed_mean_for_sources(lossless_sources(0.0), detector(eta))
+              for eta in plan.train_etas}
+    for target in plan.eval_nbar_obs:
+        candidates = [eta for eta in plan.train_etas if floors[eta] + 0.02 <= target]
+        if not candidates:
+            raise ValueError(f"observed-mean target {target} below every training floor")
+        eta = min(candidates, key=lambda e: abs(anchor_means[e] - target))
+        intensity = invert_shared_intensity(target, detector(eta))
+        key = (1, round(eta * 1000), round(target * 1000))
+        evals.append(sweep_cell(intensity, eta, "nbar_sweep", key))
+
+    stages = [StudyStage(tuple(cells), derived_seed(plan.seed, 22), stage.epochs)]
+    (model,), report = run_study(6, [label for label, _ in sources], stages, evals)
     return StudyResult(model=model, report=report)
 
 
@@ -406,7 +425,7 @@ def run_mixed_grid(plan: TrainPlan) -> StudyResult:
     a unit ratio coincide with the pure classes, so they are evaluated but
     never trained on.
     """
-    stage = _pooled_stage(plan)
+    stage = _pooled_stage(plan, "mixed_grid")
     if not plan.mix_r_values:
         raise ValueError("mixed grid needs at least one ratio value")
     detector = DetectorConfig(plan.n_detectors, plan.efficiency)
@@ -420,30 +439,27 @@ def run_mixed_grid(plan: TrainPlan) -> StudyResult:
     per_r_bins = max(plan.bins_per_class // len(train_rs), 1)
     pure_bins = per_r_bins * len(train_rs)
 
-    # (labeled source, bins, seed namespace, key): pure classes, then each training ratio
-    cells = [(labeled, pure_bins, 30, (k,)) for k, labeled in
+    def cell(labeled, bins, space, *key):
+        meta = DatasetMeta((labeled,), detector, bin_size, bins,
+                           derived_seed(plan.seed, space, *key))
+        return TrainCell(meta, derived_seed(plan.seed, space + 3, *key))
+
+    # the pure classes, then the mixed classes at each training ratio
+    cells = [cell(labeled, pure_bins, 30, k) for k, labeled in
              enumerate(_mixed_sources(coherent_param, thermal_param, 1.0, 1.0)[:2])]
-    cells += [((label, source), per_r_bins, 31, (MIX_CLASS_LABELS.index(label), round(r * 1000)))
+    cells += [cell((label, source), per_r_bins, 31, MIX_CLASS_LABELS.index(label), round(r * 1000))
               for r in train_rs
               for label, source in _mixed_sources(coherent_param, thermal_param, r, r)[2:]]
-    datasets = [
-        (DatasetMeta((labeled,), detector, bin_size, bins, derived_seed(plan.seed, space, *key)),
-         derived_seed(plan.seed, space + 3, *key))
-        for labeled, bins, space, key in cells
-    ]
-    model, _ = _train_pooled(NetworkSpec(input_dim=6, num_classes=4), derived_seed(plan.seed, 32),
-                             MIX_CLASS_LABELS, stage.epochs, datasets)
-
-    report = EvalReport(class_labels=list(MIX_CLASS_LABELS))
+    evals = []
     for i, r_thermal in enumerate(plan.mix_r_values):
         for j, r_coherent in enumerate(plan.mix_r_values):
             sources = _mixed_sources(coherent_param, thermal_param, r_coherent, r_thermal)
             meta = DatasetMeta(sources, detector, bin_size, plan.eval_bins_per_class,
                                derived_seed(plan.seed, 35, i, j))
-            report.score(f"r1_{r_thermal:g}_r2_{r_coherent:g}", model,
-                         generate_dataset(meta).rows, r1=r_thermal, r2=r_coherent,
-                         bin_size=bin_size)
-
+            evals.append(EvalCell(f"r1_{r_thermal:g}_r2_{r_coherent:g}", meta,
+                                  {"r1": r_thermal, "r2": r_coherent, "bin_size": bin_size}))
+    stages = [StudyStage(tuple(cells), derived_seed(plan.seed, 32), stage.epochs)]
+    (model,), report = run_study(6, list(MIX_CLASS_LABELS), stages, evals)
     return StudyResult(model=model, report=report)
 
 

@@ -14,7 +14,6 @@ from photonvae import vae, workflows
 from photonvae.workflows import (
     TrainPlan,
     TrainStage,
-    clone_model,
     derived_seed,
     export_latent,
     invert_mean_param,
@@ -122,14 +121,22 @@ def test_invert_shared_intensity_floor():
     assert mean == pytest.approx(1.5, abs=1e-6)
 
 
-def test_clone_model_copies_state_without_aliasing():
-    model = VAEClassifier(NetworkSpec(), seed=1)
-    twin = clone_model(model, seed=2)
-    state = model.get_state()
-    for name, value in twin.get_state().items():
-        np.testing.assert_array_equal(value, state[name])
-    twin.encoder.out_bias += 1.0
-    assert not np.array_equal(twin.encoder.out_bias, model.encoder.out_bias)
+def test_a_fine_tune_stage_trains_a_copy_of_the_base_model(monkeypatch):
+    starts = []
+
+    def recording(model, *args, **kwargs):
+        starts.append((model, model.get_state()))
+        return train_model(model, *args, **kwargs)
+
+    monkeypatch.setattr(workflows, "train_model", recording)
+    result = run_algorithm1(tiny_plan())
+    (base, _), (tuned, tuned_start) = starts
+    assert base is result.base_model and tuned is result.finetuned[20]
+    base_state, tuned_state = base.get_state(), tuned.get_state()
+    for name, value in base_state.items():
+        # the copy starts from the trained base model, and its training leaves that model alone
+        np.testing.assert_array_equal(tuned_start[name], value)
+    assert any(not np.array_equal(tuned_state[name], value) for name, value in base_state.items())
 
 
 def test_export_latent_rows_and_shape():
@@ -308,6 +315,33 @@ def test_pooled_studies_refuse_plan_fields_they_would_not_read(run, plan, overri
     base = plan()
     with pytest.raises(ValueError, match=message):
         run(dataclasses.replace(base, **overrides(base.stages[0])))
+
+
+@pytest.mark.parametrize("run, plan, algorithm", [
+    (run_algorithm1, tiny_plan, "lossless"),
+    (run_algorithm2, lossy_plan, "lossy_nbar"),
+    (run_mixed_grid, mixed_plan, "mixed_grid"),
+], ids=["lossless", "lossy", "mixed_grid"])
+def test_studies_refuse_a_plan_made_for_another_study(run, plan, algorithm, monkeypatch):
+    def generate_nothing(meta):
+        raise AssertionError("a dataset was generated before the plan was refused")
+
+    monkeypatch.setattr(workflows, "generate_dataset", generate_nothing)
+    assert plan().algorithm == algorithm
+    for other in ("lossless", "lossy_nbar", "mixed_grid", "lossy"):
+        if other != algorithm:
+            with pytest.raises(ValueError, match=f"TrainPlan.algorithm is '{other}'"):
+                run(dataclasses.replace(plan(), algorithm=other))
+
+
+def test_unreachable_observed_mean_target_is_refused_before_training(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the plan was refused")
+
+    monkeypatch.setattr(workflows, "train_model", refuse)
+    monkeypatch.setattr(workflows, "generate_dataset", refuse)
+    with pytest.raises(ValueError, match="observed-mean target .* 5.0 unreachable below intensity 80.0"):
+        run_algorithm2(lossy_plan(eval_nbar_obs=(5.0,)))
 
 
 def _cold_start_accuracy(seed: int, bin_size: int, labelled_share: float = 1.0) -> float:
