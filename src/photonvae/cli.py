@@ -137,9 +137,16 @@ def _batch_size(value) -> int:
     return size
 
 
+def _real(value) -> float:
+    """A number; a boolean is refused, not read as 0 or 1."""
+    if isinstance(value, bool):
+        raise ValueError("expected a number, got a boolean")
+    return float(value)
+
+
 def _learning_rate(value) -> float:
     """A finite number > 0."""
-    rate = float(value)
+    rate = _real(value)
     if not 0.0 < rate < np.inf:
         raise ValueError("expected a finite number > 0")
     return rate
@@ -180,15 +187,15 @@ def _parse_sources(entries) -> tuple[tuple[str, SourceSpec], ...]:
     sources = []
     for entry in entries:
         kind = _require(entry, "kind", SourceKind)
-        spec = SourceSpec(kind, _require(entry, "mean_param", float),
-                          _require(entry, "mix_ratio", float, 1.0))
+        spec = SourceSpec(kind, _require(entry, "mean_param", _real),
+                          _require(entry, "mix_ratio", _real, 1.0))
         sources.append((_require(entry, "label", str, kind.value), spec))
     return tuple(sources)
 
 
 def _parse_detector(payload) -> DetectorConfig:
     return DetectorConfig(
-        _require(payload, "n_detectors", int), _require(payload, "efficiency", float)
+        _require(payload, "n_detectors", _count), _require(payload, "efficiency", _real)
     )
 
 
@@ -291,10 +298,12 @@ def cmd_train(args, config: dict, seed: int, out: Path, name: str, base=None) ->
         class_order = list(header["class_labels"])
         model.reseed(seed)
     else:
+        if len(class_order) < 2:
+            raise ConfigError(f"training needs at least two classes, the class order is {class_order}")
         features = _features_flag(config)
         spec = NetworkSpec(
             input_dim=6 if features == "probs+nbar" else 5,
-            num_classes=max(len(class_order), 2),
+            num_classes=len(class_order),
         )
         model = VAEClassifier(spec, seed=seed)
     options = {
@@ -369,15 +378,15 @@ def cmd_sweep(args, config: dict, seed: int, out: Path, name: str) -> dict:
     model, header = load_checkpoint(_require(config, "checkpoint", str))
     sources = _parse_sources(_require(config, "classes", _array))
     detector = _require(config, "detector")
-    n_detectors = _require(detector, "n_detectors", int)
+    n_detectors = _require(detector, "n_detectors", _count)
     bins_per_class = _require(config, "bins_per_class", _count, 400)
     config["bin_sizes"] = bin_sizes = _distinct(
         args.bin_sizes or _require(config, "bin_sizes", _list_of(_count), None)
         or [_require(config, "bin_size", _count)], "bin_sizes"
     )
     config["etas"] = etas = _distinct(
-        args.etas or _require(config, "etas", _list_of(float), None)
-        or [_require(detector, "efficiency", float)], "etas"
+        args.etas or _require(config, "etas", _list_of(_real), None)
+        or [_require(detector, "efficiency", _real)], "etas"
     )
 
     def cells():  # one dataset generated at a time

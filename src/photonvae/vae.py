@@ -632,13 +632,16 @@ def is_seed(value) -> bool:
 def save_checkpoint(path, model: VAEClassifier, *, seed: int, epochs_trained: int,
                     class_labels: list[str], hyperparameters: dict | None = None) -> None:
     """Write ``model`` in format 3; a ``seed`` that ``is_seed`` refuses, or
-    class labels that ``class_label_fault`` refuses, is a ValueError, raised
-    before the file is opened."""
+    class labels that ``class_label_fault`` refuses or that do not name one
+    class each, is a ValueError, raised before the file is opened."""
     if not is_seed(seed):
         raise ValueError(f"checkpoint seed must be a non-negative integer, got {seed!r}")
     fault = class_label_fault(list(class_labels))
     if fault:
         raise ValueError(fault)
+    if len(class_labels) != model.spec.num_classes:  # a confusion CSV names every logit's column
+        raise ValueError(f"class_labels lists {len(class_labels)} labels, "
+                         f"the network has {model.spec.num_classes} classes")
     state = model.get_state()
     order = model.param_names()
     header = {
@@ -710,13 +713,12 @@ def load_checkpoint(path) -> tuple[VAEClassifier, dict]:
     missing = [name for name in expected if name not in state]
     if missing:
         raise CheckpointError(f"{path}: parameter {missing[0]!r} missing")
-    # fewer labels than logits is allowed: a one-class dataset trains a 2-class head
     if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
         raise CheckpointError(f"{path}: header field 'class_labels' is not a list of strings")
     fault = class_label_fault(labels)
     if fault:
         raise CheckpointError(f"{path}: header field 'class_labels': {fault}")
-    if len(labels) > spec.num_classes:
+    if len(labels) != spec.num_classes:
         raise CheckpointError(
             f"{path}: header field 'class_labels' lists {len(labels)} labels, "
             f"the network has {spec.num_classes} classes"

@@ -62,6 +62,9 @@ EXIT_CASES = {
     "diverging_learning_rate": (1, "config error: training diverged at learning_rate 1e+308:",
                                 ["train", "--config", "c.json"],
                                 {"datasets": ["foreign.csv"], "epochs": 1, "learning_rate": 1e308}),
+    "boolean_learning_rate": (1, "config error: config field 'learning_rate'",
+                              ["train", "--config", "c.json"],
+                              {"datasets": ["foreign.csv"], "epochs": 1, "learning_rate": True}),
     "boolean_epochs": (1, "config error: config field 'epochs'", ["train", "--config", "c.json"],
                        {"datasets": ["foreign.csv"], "epochs": True}),
     "classes_object": (1, "config error: config field 'classes'", ["train", "--config", "c.json"],
@@ -92,6 +95,22 @@ EXIT_CASES = {
                              ["train", "--config", "c.json"],
                              {"datasets": ["foreign.csv"], "epochs": 1,
                               "classes": ["coherent", "thermal", "thermal"]}),
+    "train_one_class": (1, "config error: training needs at least two classes, the class order is ['spacs']",
+                        ["train", "--config", "c.json"], {"datasets": ["one.csv"], "epochs": 1}),
+    "gen_fractional_n_detectors": (1, "config error: config field 'n_detectors'",
+                                   ["gen", "--config", "c.json"],
+                                   {**GEN, "detector": {"n_detectors": 4.7, "efficiency": 1.0}}),
+    "gen_boolean_n_detectors": (1, "config error: config field 'n_detectors'", ["gen", "--config", "c.json"],
+                                {**GEN, "detector": {"n_detectors": True, "efficiency": 1.0}}),
+    "sweep_fractional_n_detectors": (1, "config error: config field 'n_detectors'",
+                                     ["sweep", "--config", "c.json"],
+                                     {**SWEEP, "detector": {"n_detectors": 4.7, "efficiency": 1.0}}),
+    "gen_boolean_efficiency": (1, "config error: config field 'efficiency'", ["gen", "--config", "c.json"],
+                               {**GEN, "detector": {"n_detectors": 6, "efficiency": True}}),
+    "gen_boolean_mean_param": (1, "config error: config field 'mean_param'", ["gen", "--config", "c.json"],
+                               {**GEN, "classes": [{"kind": "spacs", "mean_param": True}, CLASSES[1]]}),
+    "gen_boolean_mix_ratio": (1, "config error: config field 'mix_ratio'", ["gen", "--config", "c.json"],
+                              {**GEN, "classes": [{**CLASSES[0], "mix_ratio": True}, CLASSES[1]]}),
     "efficiency_above_one": (2, "physics validation error:", ["gen", "--config", "c.json"],
                              {**GEN, "detector": {"n_detectors": 6, "efficiency": 1.5}}),
     "bad_checkpoint_magic": (3, "checkpoint error:", ["eval", "--config", "c.json"],
@@ -106,6 +125,10 @@ EXIT_CASES = {
                                     "'class_labels': class label 'sp,ts' holds a comma",
                                     ["eval", "--config", "c.json"],
                                     {"checkpoint": "comma_label.ckpt", "datasets": ["foreign.csv"]}),
+    "eval_checkpoint_fewer_labels": (3, "checkpoint error: one_label.ckpt: header field 'class_labels' "
+                                     "lists 1 labels, the network has 2 classes",
+                                     ["eval", "--config", "c.json"],
+                                     {"checkpoint": "one_label.ckpt", "datasets": ["one.csv"]}),
     "finetune_checkpoint_repeated_label": (3, "checkpoint error: repeated_label.ckpt: header field "
                                            "'class_labels': class label 'spacs' repeats",
                                            ["finetune", "--config", "c.json",
@@ -142,7 +165,7 @@ def test_exit_code_contract(case, run_cli, tmp_path, monkeypatch):
     (tmp_path / "bad.ckpt").write_bytes(b"NOPE" + bytes(60))
     # four-class parameters under a header that announces two classes
     save_checkpoint(tmp_path / "misfit.ckpt", VAEClassifier(NetworkSpec(num_classes=4), seed=0),
-                    seed=0, epochs_trained=0, class_labels=["spacs", "spats"])
+                    seed=0, epochs_trained=0, class_labels=["spacs", "spats", "c", "d"])
     misfit = (tmp_path / "misfit.ckpt").read_bytes()
     (tmp_path / "misfit.ckpt").write_bytes(misfit.replace(b'"num_classes": 4', b'"num_classes": 2'))
     # the same header length, without its class_labels field
@@ -154,12 +177,14 @@ def test_exit_code_contract(case, run_cli, tmp_path, monkeypatch):
     seeded = (tmp_path / "text_seed.ckpt").read_bytes()
     (tmp_path / "text_seed.ckpt").write_bytes(seeded.replace(b'"seed": 10', b'"seed":"x"'))
     # the writer refuses these labels, so swap them into the header at the same length
-    for bad, labels in (("comma_label", b'["spacs", "sp,ts"]'), ("repeated_label", b'["spacs", "spacs"]')):
+    for bad, labels in (("comma_label", b'["spacs", "sp,ts"]'), ("repeated_label", b'["spacs", "spacs"]'),
+                        ("one_label", b'["spacs"]         ')):
         (tmp_path / f"{bad}.ckpt").write_bytes(labelled.replace(b'["spacs", "spats"]', labels))
     (tmp_path / "bad.csv").write_text(f"{CSV_HEADER}\n0.33,0.67,0,0,0,0,0,0.67,spacs,20,1,6,1.3,spacs,1\n")
     pair = (f"{CSV_HEADER}\n0.35,0.65,0,0,0,0,0,0.65,spacs,20,1,6,1.3,spacs,1\n"
             "0.3,0.7,0,0,0,0,0,0.7,spats,20,1,6,1.3,spats,1\n")
     (tmp_path / "pair.csv").write_text(pair)
+    (tmp_path / "one.csv").write_text(pair.splitlines(keepends=True)[0] + pair.splitlines(keepends=True)[1] * 20)
     (tmp_path / "copy").mkdir()
     (tmp_path / "copy" / "pair.csv").write_text(pair)
     for variable, value in EXIT_ENV.get(case, {}).items():

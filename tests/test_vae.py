@@ -816,7 +816,7 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_header_records_the_whole_network(tmp_path, input_dim, num_classes):
     path = tmp_path / "model.ckpt"
     model = VAEClassifier(NetworkSpec(input_dim=input_dim, num_classes=num_classes), seed=0)
-    save_checkpoint(path, model, seed=0, epochs_trained=1, class_labels=["x", "y"])
+    save_checkpoint(path, model, seed=0, epochs_trained=1, class_labels=list("wxyz"[:num_classes]))
     _, header = load_checkpoint(path)
     assert header["network"] == {
         "input_dim": input_dim,
@@ -996,12 +996,17 @@ def test_checkpoint_without_a_seed_loads_with_seed_0(tmp_path):
     assert "seed" not in header and loaded.seed == 0
 
 
-def test_checkpoint_with_fewer_labels_than_classes_loads(tmp_path):
-    """A one-class dataset trains a 2-class head, whose checkpoint lists one label."""
+def test_checkpoint_with_fewer_labels_than_classes_is_refused(tmp_path):
+    """A confusion CSV names one column per logit, so each class needs a label."""
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, binary_model(seed=14), seed=14, epochs_trained=1, class_labels=["x"])
-    _, header = load_checkpoint(path)
-    assert header["class_labels"] == ["x"]
+    with pytest.raises(ValueError, match="class_labels lists 1 labels, the network has 2 classes"):
+        save_checkpoint(path, binary_model(seed=14), seed=14, epochs_trained=1, class_labels=["x"])
+    assert not path.exists()
+    save_checkpoint(path, binary_model(seed=14), seed=14, epochs_trained=1, class_labels=["x", "y"])
+    _rewrite_header(path, lambda header: header.update(class_labels=["x"]))
+    with pytest.raises(CheckpointError, match="header field 'class_labels' lists 1 labels, "
+                                              "the network has 2 classes"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_truncation(tmp_path):
