@@ -270,10 +270,10 @@ def run_study(input_dim: int, class_labels: list[str], stages: list[StudyStage],
     spec = NetworkSpec(input_dim, len(class_labels))
     models: list[VAEClassifier] = []
     for stage in stages:
+        train_parts, val_parts, _ = zip(*map(split, stage.cells))
         model = VAEClassifier(spec, seed=stage.seed)
         if models:  # a fine-tune stage trains a copy of stage 0's model
             model.set_state(models[0].get_state())
-        train_parts, val_parts, _ = zip(*map(split, stage.cells))
         train = model_inputs(model, concat_rows(train_parts), class_labels)
         val = model_inputs(model, concat_rows(val_parts), class_labels)
         train_model(model, *train, *val, epochs=stage.epochs)
@@ -288,6 +288,7 @@ def run_study(input_dim: int, class_labels: list[str], stages: list[StudyStage],
         fields = {name: value(rows) if callable(value) else value
                   for name, value in cell.fields.items()}
         report.score(cell.key, models[cell.model], rows, **fields)
+        del rows  # a fresh dataset's rows go before the next cell's are generated
     if latents is not None:
         report.latents = export_latent(models[0], split(latents)[2], class_labels)
     return models, report
