@@ -257,7 +257,8 @@ def export_latent(model: VAEClassifier, rows, class_labels: list[str]) -> np.nda
 
 
 def run_study(input_dim: int, class_labels: list[str], stages: list[StudyStage],
-              evals: list[EvalCell], latents: TrainCell | None = None):
+              evals: list[EvalCell], latents: TrainCell | None = None,
+              ) -> tuple[list[VAEClassifier], EvalReport]:
     """Train ``stages`` and score ``evals``, in order, and with ``latents``
     export stage 0's latent means of that cell's test rows; return the models
     and the report.  Each training cell is generated and split once, when
