@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -140,16 +141,14 @@ class StudyResult:
     report: EvalReport
 
 
-@dataclass(frozen=True)
-class TrainCell:
+class TrainCell(NamedTuple):
     """A dataset, generated from ``meta`` and split 80/10/10 by ``split_seed``."""
 
     meta: DatasetMeta
     split_seed: int
 
 
-@dataclass(frozen=True)
-class StudyStage:
+class StudyStage(NamedTuple):
     """One model trained on the pooled rows of ``cells``: the first stage's from
     scratch, a later stage's from a copy of the first stage's; each seeded ``seed``."""
 
@@ -158,8 +157,7 @@ class StudyStage:
     epochs: int
 
 
-@dataclass(frozen=True)
-class EvalCell:
+class EvalCell(NamedTuple):
     """Stage ``model``'s model scored on a ``TrainCell``'s test rows or on a fresh
     dataset; a callable value in ``fields`` is applied to those rows."""
 
@@ -257,12 +255,13 @@ def export_latent(model: VAEClassifier, rows, class_labels: list[str]) -> np.nda
 
 
 def run_study(input_dim: int, class_labels: list[str], stages: list[StudyStage],
-              evals: list[EvalCell], latents: TrainCell | None = None,
+              evals: Iterable[EvalCell], latents: TrainCell | None = None,
               ) -> tuple[list[VAEClassifier], EvalReport]:
     """Train ``stages`` and score ``evals``, in order, and with ``latents``
     export stage 0's latent means of that cell's test rows; return the models
     and the report.  Each training cell is generated and split once, when
-    first needed, and a fresh dataset only when its cell is scored."""
+    first needed, and a fresh dataset only when its cell is scored.  ``evals``
+    is read after training, so a builder may pass a generator."""
 
     @functools.cache
     def split(cell: TrainCell) -> tuple[Rows, Rows, Rows]:
@@ -317,7 +316,8 @@ def run_algorithm1(plan: TrainPlan) -> Algorithm1Result:
                           stage.epochs) for stage in later]
     # a bin size is scored by the model fine-tuned on it, else by the base model
     tuned = {stage.bin_size: k for k, stage in enumerate(plan.stages) if k}
-    evals = [EvalCell(f"bin{size}", cell(size), {"bin_size": size, "n_test": len}, tuned.get(size, 0))
+    evals = [EvalCell(f"bin{size}", cell(size), {"bin_size": size, "n_test": len},
+                      tuned.get(size, 0))
              for size in plan.eval_bin_sizes or sorted({stage.bin_size for stage in plan.stages})]
     models, report = run_study(5, [label for label, _ in sources], stages, evals,
                                latents=stages[0].cells[0])
@@ -432,8 +432,8 @@ def run_mixed_grid(plan: TrainPlan) -> StudyResult:
         raise ValueError("mixed grid needs at least one ratio value")
     detector = DetectorConfig(plan.n_detectors, plan.efficiency)
     bin_size = stage.bin_size
-    coherent_param = invert_mean_param(SourceKind.COHERENT, plan.target_nbar_obs, detector)
-    thermal_param = invert_mean_param(SourceKind.THERMAL, plan.target_nbar_obs, detector)
+    params = (invert_mean_param(SourceKind.COHERENT, plan.target_nbar_obs, detector),
+              invert_mean_param(SourceKind.THERMAL, plan.target_nbar_obs, detector))
 
     train_rs = [r for r in (plan.mix_train_r_values or plan.mix_r_values) if r < 1.0]
     if not train_rs:
@@ -448,18 +448,17 @@ def run_mixed_grid(plan: TrainPlan) -> StudyResult:
 
     # the pure classes, then the mixed classes at each training ratio
     cells = [cell(labeled, pure_bins, 30, k) for k, labeled in
-             enumerate(_mixed_sources(coherent_param, thermal_param, 1.0, 1.0)[:2])]
+             enumerate(_mixed_sources(*params, 1.0, 1.0)[:2])]
     cells += [cell((label, source), per_r_bins, 31, MIX_CLASS_LABELS.index(label), round(r * 1000))
               for r in train_rs
-              for label, source in _mixed_sources(coherent_param, thermal_param, r, r)[2:]]
-    evals = []
-    for i, r_thermal in enumerate(plan.mix_r_values):
-        for j, r_coherent in enumerate(plan.mix_r_values):
-            sources = _mixed_sources(coherent_param, thermal_param, r_coherent, r_thermal)
-            meta = DatasetMeta(sources, detector, bin_size, plan.eval_bins_per_class,
-                               derived_seed(plan.seed, 35, i, j))
-            evals.append(EvalCell(f"r1_{r_thermal:g}_r2_{r_coherent:g}", meta,
-                                  {"r1": r_thermal, "r2": r_coherent, "bin_size": bin_size}))
+              for label, source in _mixed_sources(*params, r, r)[2:]]
+    # a generator: no grid cell is held through training
+    evals = (EvalCell(f"r1_{r_thermal:g}_r2_{r_coherent:g}",
+                      DatasetMeta(_mixed_sources(*params, r_coherent, r_thermal), detector, bin_size,
+                                  plan.eval_bins_per_class, derived_seed(plan.seed, 35, i, j)),
+                      {"r1": r_thermal, "r2": r_coherent, "bin_size": bin_size})
+             for i, r_thermal in enumerate(plan.mix_r_values)
+             for j, r_coherent in enumerate(plan.mix_r_values))
     stages = [StudyStage(tuple(cells), derived_seed(plan.seed, 32), stage.epochs)]
     (model,), report = run_study(6, list(MIX_CLASS_LABELS), stages, evals)
     return StudyResult(model=model, report=report)
