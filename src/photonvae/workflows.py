@@ -4,16 +4,19 @@ The lossless study trains at a large bin size and transfers the weights to
 smaller bin sizes; the lossy study adds the observed mean click count
 ``nbar_obs`` as an input so one model covers a range of efficiencies; the
 mixture study extends the classifier to four classes over a grid of mix
-ratios.  With 4 detectors no bin sees 5 or 6 clicks, so ``nbar_obs`` equals
-P1 + 2·P2 + 3·P3 + 4·P4 and adds nothing to the P0..P4 inputs; the lossy
-study keeps it because it is the paper's input, and with 6 detectors it
-carries the split between 5 and 6 clicks.
+ratios.
+
+With 4 detectors no bin sees 5 or 6 clicks, so ``nbar_obs`` equals
+P1 + 2·P2 + 3·P3 + 4·P4 and adds no information to the P0..P4 inputs; the
+lossy study keeps it because it is the paper's input, and with 6 detectors
+it carries the split between 5 and 6 clicks.
 
 Each study only turns a ``TrainPlan`` into cells, refusing a plan it cannot
 run before any dataset is generated, and ``run_study`` generates, splits,
 trains on and scores them.  ``model_inputs`` is the one place that decides a
-model's input layout, and ``EvalReport.score`` the one path that scores a
-cell, for the studies and the CLI's ``eval`` and ``sweep`` alike.
+model's input layout (a six-input model also reads ``nbar_obs``), and
+``EvalReport.score`` the one path that scores an evaluation cell.  The
+studies and the CLI's ``eval`` and ``sweep`` all go through them.
 """
 
 from __future__ import annotations
@@ -58,17 +61,18 @@ class TrainStage:
 class TrainPlan:
     """Declarative description of a training-plus-evaluation run.
 
-    ``algorithm`` names the one study that reads the plan.  Besides ``stages``,
-    ``seed``, ``bins_per_class`` and ``n_detectors``, "lossless" reads
-    ``mean_param``, ``efficiency`` and ``eval_bin_sizes``; "lossy_nbar" reads
-    ``mean_param``, ``train_etas``, ``eval_etas``, ``eval_nbar_obs`` and
-    ``eval_bins_per_class``; "mixed_grid" reads ``efficiency``,
-    ``target_nbar_obs``, the two ``mix_*`` grids and ``eval_bins_per_class``.
-    ``stages[0]`` trains from scratch; a later stage (lossless only)
-    fine-tunes the stage-0 weights on its own bin size.  A value repeated in
-    a grid field, or a bin size repeated among the fine-tune stages, is
-    refused: each value is one cell (or one fine-tuned model), so a repeat
-    would report two rows for one confusion matrix.
+    ``algorithm`` names the one study that reads the plan, and the others
+    refuse it.  Besides ``stages``, ``seed``, ``bins_per_class`` and
+    ``n_detectors``, "lossless" reads ``mean_param``, ``efficiency`` and
+    ``eval_bin_sizes``; "lossy_nbar" reads ``mean_param``, ``train_etas``,
+    ``eval_etas``, ``eval_nbar_obs`` and ``eval_bins_per_class``; "mixed_grid"
+    reads ``efficiency``, ``target_nbar_obs``, the two ``mix_*`` grids and
+    ``eval_bins_per_class``.  ``stages[0]`` trains from scratch, and each later
+    stage fine-tunes a copy of it on its own bin size; the two pooled studies
+    refuse a second stage or ``eval_bin_sizes``.  A value repeated in a grid
+    field, or a bin size repeated among the fine-tune stages, is refused: each
+    value is one cell (or one fine-tuned model), so a repeat would report two
+    rows for one confusion matrix.
     """
 
     algorithm: str  # "lossless" | "lossy_nbar" | "mixed_grid"
