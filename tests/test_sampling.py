@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -341,6 +343,24 @@ def test_csv_lines_match_per_row_formatting(tmp_path):
     assert path.read_text() == "\n".join(want) + "\n"
 
 
+# SHA-256 of the file ``write_dataset_csv`` writes for 1,103 rows of a
+# generated dataset; 1,103 is prime, so no block of 2 to 1,102 rows divides it
+PINNED_CSV_SHA256 = "0cf7eee0da5b34088dc8e5c99ab800f9ab34cf5f03f9ef70d0e5d3c41efb5535"
+
+
+def test_csv_file_is_pinned_and_reads_back_whole(tmp_path):
+    dataset = generate_dataset(small_meta(bin_size=30, bins_per_class=560, detector=DetectorConfig(4, 0.9)))
+    dataset = dataclasses.replace(dataset, rows=dataset.rows.take(slice(None, 1103)))
+    path = tmp_path / "data.csv"
+    write_dataset_csv(path, dataset)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256
+    rows = load_dataset_csv(path)
+    for name in ("counts", "labels", "bin_size"):
+        want, got = getattr(dataset.rows, name), getattr(rows, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def test_csv_write_is_byte_stable(tmp_path):
     dataset = generate_dataset(small_meta())
     first = tmp_path / "a.csv"
@@ -376,6 +396,13 @@ def test_load_rejects_foreign_header(tmp_path):
 
 
 GOOD_ROW = "0.5,0.25,0.25,0,0,0,0,0.75,a,20,1,6,1.3,spacs,1"
+# a good row, then one per fault in the order a whole-file read checks them
+FAULTY_ROWS = {
+    "fields": "0.5,0.25,0.25,0,0,0,0.75,a,20,1,6,1.3,spacs,1",
+    "fraction": "0.5,0.25,x,0,0,0,0,0.75,a,20,1,6,1.3,spacs,1",
+    "bin_size": "0.5,0.25,0.25,0,0,0,0,0.75,a,0,1,6,1.3,spacs,1",
+    "sum": "0.5,0.25,0.2,0,0,0,0,0.65,a,20,1,6,1.3,spacs,1",
+}
 
 
 @pytest.mark.parametrize("bad, problem", [
@@ -385,11 +412,56 @@ GOOD_ROW = "0.5,0.25,0.25,0,0,0,0,0.75,a,20,1,6,1.3,spacs,1"
     ("0.5,0.25,0.25,0,0,0,0,0.75,a,20.5,1,6,1.3,spacs,1", "bad bin_size"),
     ("0.5,0.25,x,0,0,0,0,0.75,a,20,1,6,1.3,spacs,1", "bad fraction"),
     ("0.5,0.25,0.25,0,0,0,0.75,a,20,1,6,1.3,spacs,1", "a row needs 15 fields"),
+    # the last line of ``bad`` is the faulty row, past line 1,000
+    pytest.param("\n".join([GOOD_ROW] * 1200 + [FAULTY_ROWS["fraction"]]), "bad fraction",
+                 id="bad_fraction_on_line_1204"),
+    pytest.param("\n".join([GOOD_ROW] * 1200 + [FAULTY_ROWS["sum"]]), "counts do not sum",
+                 id="bad_sum_on_line_1204"),
 ])
 def test_load_refuses_rows_that_are_not_whole_bins(tmp_path, bad, problem):
     path = tmp_path / "bad.csv"
     path.write_text(f"{CSV_HEADER}\n{GOOD_ROW}\n{GOOD_ROW}\n{bad}\n")
-    with pytest.raises(ValueError, match=f"line 4: {problem}"):
+    with pytest.raises(ValueError, match=f"line {4 + bad.count(chr(10))}: {problem}"):
         load_dataset_csv(path)
     path.write_text(f"{CSV_HEADER}\n{GOOD_ROW}\n")
     assert len(load_dataset_csv(path)) == 1
+
+
+@pytest.mark.parametrize("text, want", [
+    (f"{CSV_HEADER}\n", 0),
+    (f"{CSV_HEADER}", 0),
+    (f"{CSV_HEADER}\n{GOOD_ROW}\n \n\t\n\n", 1),
+    # trailing blank lines longer than a block of rows
+    (f"{CSV_HEADER}\n" + f"{GOOD_ROW}\n" * 300 + "\n" * 700 + "  \n", 300),
+    # a file is read from its first line that is not blank, its header
+    (f"\n \n  {CSV_HEADER}\n{GOOD_ROW}\n", 1),
+    (f"{CSV_HEADER}\n\n{GOOD_ROW}\n", "line 2: a row needs 15 fields"),
+    (f"{CSV_HEADER}\n" + f"{GOOD_ROW}\n" * 250 + " \n" * 20 + f"{GOOD_ROW}\n", "line 252: a row needs 15 fields"),
+    # lines are counted from the header, so the bad row on the fifth line is line 4
+    (f" \n{CSV_HEADER}\n{GOOD_ROW}\n{GOOD_ROW}\n{FAULTY_ROWS['fields']}\n", "line 4: a row needs 15 fields"),
+    ("", "unexpected dataset header ''"),
+    (" \n\n", "unexpected dataset header ''"),
+], ids=["header_only", "header_without_newline", "trailing_blank_lines", "long_blank_tail",
+        "blank_lines_before_header", "blank_line_between_rows", "blank_run_between_rows",
+        "lines_counted_from_header", "empty", "blank"])
+def test_load_reads_blank_lines_only_around_the_table(tmp_path, text, want):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=re.escape(want)):
+            load_dataset_csv(path)
+    else:
+        rows = load_dataset_csv(path)
+        assert rows.counts.shape == (want, 7) and len(rows.bin_size) == want
+        np.testing.assert_array_equal(rows.counts, np.tile([10, 5, 5, 0, 0, 0, 0], (want, 1)))
+
+
+@pytest.mark.parametrize("first, last", [("bin_size", "fields"), ("sum", "fraction")])
+def test_load_names_the_first_check_a_file_fails(tmp_path, first, last):
+    """Of two faulty rows far apart, the one that fails the earlier check is
+    named, as when every check ran over the whole file before the next."""
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join([CSV_HEADER, FAULTY_ROWS[first]] + [GOOD_ROW] * 1200
+                              + [FAULTY_ROWS[last]]) + "\n")
+    with pytest.raises(ValueError, match="line 1203: " + {"fields": "a row needs", "fraction": "bad fraction"}[last]):
+        load_dataset_csv(path)
