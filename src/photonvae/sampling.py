@@ -4,13 +4,21 @@ A dataset holds its bins as arrays: the occurrences of 0..6 clicks in each bin,
 its label and its bin size.  One class's bins are drawn in blocks of
 ``BLOCK_BINS``, one multinomial draw per block from a stream keyed by (dataset
 seed, class index, block index).
+
+The dataset CSV is written and read in blocks of ``CSV_BLOCK_ROWS`` rows, as
+is the latent CSV of ``workflows``.  A row of text is 15 Python strings, over
+ten times the bytes of its parsed row, so a whole-file table would cost more
+memory than the rows it holds; a block of a few hundred rows keeps numpy's
+per-call cost small and the text of one block in memory at a time.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -35,6 +43,8 @@ _CLICKS = np.arange(MAX_RECORDED_CLICKS + 1)
 # version 2: histograms come from one multinomial stream per block of bins
 META_FORMAT_VERSION = 2
 BLOCK_BINS = 256
+
+CSV_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,39 +223,91 @@ def _fmt(value: float) -> str:
 
 def write_dataset_csv(path, dataset: Dataset) -> None:
     meta, rows = dataset.meta, dataset.rows
-    # a bin's fractions and mean take few distinct values: format each once
-    values = np.hstack([rows.p_obs, rows.nbar_obs[:, None]])
-    distinct, inverse = np.unique(values, return_inverse=True)
-    cells = np.array([_fmt(v) for v in distinct.tolist()])[inverse.reshape(values.shape)]
     tail = {
         label: f"{_fmt(meta.detector.efficiency)},{meta.detector.n_detectors},"
         f"{_fmt(dataset.nbar_the[label])},{src.kind.value},{_fmt(src.mix_ratio)}"
         for label, src in meta.sources
     }
-    lines = [CSV_HEADER] + [
-        f"{','.join(fields)},{label},{size},{tail[label]}"
-        for fields, label, size in zip(cells.tolist(), rows.labels.tolist(), rows.bin_size.tolist())
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as file:
+        file.write(CSV_HEADER + "\n")
+        for start in range(0, len(rows), CSV_BLOCK_ROWS):
+            block = rows.take(slice(start, start + CSV_BLOCK_ROWS))
+            # a bin's fractions and mean take few distinct values: format each once
+            values = np.hstack([block.p_obs, block.nbar_obs[:, None]])
+            distinct, inverse = np.unique(values, return_inverse=True)
+            cells = np.array([_fmt(v) for v in distinct.tolist()])[inverse.reshape(values.shape)]
+            file.write("".join(
+                f"{','.join(fields)},{label},{size},{tail[label]}\n"
+                for fields, label, size in zip(cells.tolist(), block.labels.tolist(), block.bin_size.tolist())
+            ))
 
 
-def _refuse(bad: np.ndarray, problem: str) -> None:
-    """Raise for the first row flagged in ``bad``, naming its line in the file."""
+class _RowFault(ValueError):
+    """A row refused by the ``check``-th of the checks every row goes through."""
+
+    def __init__(self, check: int, line: int, problem: str):
+        super().__init__(f"line {line}: {problem}")
+        self.check = check
+
+
+def _refuse(bad: np.ndarray, first: int, check: int, problem: str) -> None:
+    """Raise for the first row flagged in ``bad``, naming its line in the file,
+    where the block's first row is line ``first``."""
     if bad.any():
-        raise ValueError(f"line {int(np.argmax(bad)) + 2}: {problem}")
+        raise _RowFault(check, first + int(np.argmax(bad)), problem)
 
 
-def _parse(table: np.ndarray, kind, what: str) -> np.ndarray:
+def _parse(table: np.ndarray, kind, first: int, check: int, what: str) -> np.ndarray:
     """``table`` converted to ``kind``; a cell that does not convert names its line."""
     try:
         return table.astype(kind)
     except (ValueError, OverflowError):
-        for line, cells in enumerate(table, start=2):
+        for line, cells in enumerate(table, start=first):
             try:
                 np.asarray(cells).astype(kind)
             except (ValueError, OverflowError) as exc:
-                raise ValueError(f"line {line}: bad {what}: {exc}") from exc
+                raise _RowFault(check, line, f"bad {what}: {exc}") from exc
         raise
+
+
+def _parse_rows(lines: list[str], first: int) -> Rows:
+    """The rows of data lines of which the first is line ``first`` of the file,
+    or a _RowFault for the first row of the first check they fail."""
+    width = CSV_HEADER.count(",") + 1
+    fields = [line.split(",") for line in lines]
+    _refuse(np.array([len(cells) for cells in fields]) != width, first, 0, f"a row needs {width} fields")
+    table = np.array(fields, dtype=object).reshape(len(fields), width)
+    p = _parse(table[:, : MAX_RECORDED_CLICKS + 1], np.float64, first, 1, "fraction")
+    bin_size = _parse(table[:, 9], np.int64, first, 2, "bin_size")
+    _refuse(bin_size < 1, first, 3, "bin_size must be >= 1")
+    _refuse(~((p >= 0.0) & (p <= 1.0)).all(axis=1), first, 4, "fractions must lie in [0, 1]")
+    counts = np.rint(p * bin_size[:, None]).astype(np.int64)
+    _refuse(
+        (np.abs(p - counts / bin_size[:, None]) > 1e-6).any(axis=1),
+        first, 5, "fractions are not whole counts of bin_size",
+    )
+    _refuse(counts.sum(axis=1) != bin_size, first, 6, "counts do not sum to bin_size")
+    return Rows(counts, table[:, 8].astype(str), bin_size)
+
+
+def _line_blocks(lines: Iterator[str]) -> Iterator[tuple[int, list[str]]]:
+    """The data lines in blocks of up to ``CSV_BLOCK_ROWS``, each with the
+    number of its first line; the header is line 1.  Blank lines that end the
+    file are dropped.  A run of blank lines that a row follows yields only its
+    first line, on its own: that line is the run's first refusal."""
+    number, blank = 2, None
+    while block := list(islice(lines, CSV_BLOCK_ROWS)):
+        kept = len(block)
+        while kept and not block[kept - 1].strip():
+            kept -= 1
+        if kept:
+            if blank:
+                yield blank
+                blank = None
+            yield number, block[:kept]
+        if kept < len(block) and not blank:
+            blank = number + kept, block[kept:kept + 1]
+        number += len(block)
 
 
 def load_dataset_csv(path) -> Rows:
@@ -253,27 +315,26 @@ def load_dataset_csv(path) -> Rows:
 
     Counts are recovered as rint(p * bin_size).  A row is refused, with its line
     named, unless it has every field, a bin size >= 1, and fractions in [0, 1]
-    that lie within 1e-6 of whole counts summing to the bin size.
+    that lie within 1e-6 of whole counts summing to the bin size.  Lines are
+    counted from the header, the first line that is not blank.  Of several
+    refused rows, the file is refused for the first row of the first check
+    that any row fails, in the order listed.
     """
-    lines = Path(path).read_text().strip().split("\n")
-    header = lines[0].strip()
-    if header != CSV_HEADER:
-        raise ValueError(f"unexpected dataset header {header!r}")
-    width = CSV_HEADER.count(",") + 1
-    fields = [line.split(",") for line in lines[1:]]
-    _refuse(np.array([len(cells) for cells in fields]) != width, f"a row needs {width} fields")
-    table = np.array(fields, dtype=object).reshape(len(fields), width)
-    p = _parse(table[:, : MAX_RECORDED_CLICKS + 1], np.float64, "fraction")
-    bin_size = _parse(table[:, 9], np.int64, "bin_size")
-    _refuse(bin_size < 1, "bin_size must be >= 1")
-    _refuse(~((p >= 0.0) & (p <= 1.0)).all(axis=1), "fractions must lie in [0, 1]")
-    counts = np.rint(p * bin_size[:, None]).astype(np.int64)
-    _refuse(
-        (np.abs(p - counts / bin_size[:, None]) > 1e-6).any(axis=1),
-        "fractions are not whole counts of bin_size",
-    )
-    _refuse(counts.sum(axis=1) != bin_size, "counts do not sum to bin_size")
-    return Rows(counts, table[:, 8].astype(str), bin_size)
+    parts, fault = [], None
+    with open(path) as file:
+        lines = (line.removesuffix("\n") for line in file)
+        header = next((line.strip() for line in lines if line.strip()), "")
+        if header != CSV_HEADER:
+            raise ValueError(f"unexpected dataset header {header!r}")
+        for first, block in _line_blocks(lines):
+            try:
+                parts.append(_parse_rows(block, first))
+            except _RowFault as exc:
+                if fault is None or exc.check < fault.check:
+                    fault = exc
+    if fault is not None:
+        raise fault
+    return concat_rows(parts) if parts else _parse_rows([], 2)
 
 
 def meta_to_dict(dataset: Dataset) -> dict:

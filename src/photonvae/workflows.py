@@ -31,6 +31,7 @@ import numpy as np
 from .detector import DetectorConfig, chain_mean
 from .distributions import SourceKind, SourceSpec, source_pmf
 from .sampling import (
+    CSV_BLOCK_ROWS,
     DatasetMeta,
     Rows,
     concat_rows,
@@ -492,11 +493,13 @@ def write_confusion_csv(path, confusions: dict[str, np.ndarray], class_labels: l
 
 def write_latent_csv(path, latents: np.ndarray, class_labels: list[str]) -> None:
     dim = latents.shape[1] - 1
-    lines = [",".join(f"z{k + 1}" for k in range(dim)) + ",label"]
-    for row in latents:
-        coords = ",".join("{:.9g}".format(v) for v in row[:-1])
-        lines.append(f"{coords},{class_labels[int(row[-1])]}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as file:
+        file.write(",".join(f"z{k + 1}" for k in range(dim)) + ",label\n")
+        for start in range(0, len(latents), CSV_BLOCK_ROWS):
+            file.write("".join(
+                ",".join("{:.9g}".format(v) for v in row[:-1]) + f",{class_labels[int(row[-1])]}\n"
+                for row in latents[start:start + CSV_BLOCK_ROWS]
+            ))
 
 
 def _csv_field(value) -> str:

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,6 +369,26 @@ def test_csv_write_is_byte_stable(tmp_path):
     write_dataset_csv(first, dataset)
     write_dataset_csv(second, dataset)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_csv_memory_does_not_hold_the_file(tmp_path):
+    """tracemalloc sees numpy's buffers and the Python strings of the cells.
+    Writing holds one block of rows as text at a time, and reading one block
+    of cells besides the parsed blocks and the returned rows."""
+    dataset = generate_dataset(small_meta(bin_size=10, bins_per_class=10000))
+    path = tmp_path / "data.csv"
+    tracemalloc.start()
+    try:
+        write_dataset_csv(path, dataset)
+        written = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rows = load_dataset_csv(path)
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 20000
+    assert written < 1 << 20
+    assert read < 3 * (rows.counts.nbytes + rows.labels.nbytes + rows.bin_size.nbytes)
 
 
 def test_meta_sidecar_round_trip(tmp_path):
