@@ -122,9 +122,9 @@ def _list_of(kind):
 
 
 def _count(value) -> int:
-    """A whole number >= 1; a fraction such as 2.7 or a boolean is refused, not converted."""
-    number = float(value)
-    if isinstance(value, bool) or not (number >= 1 and number.is_integer()):
+    """A whole number >= 1; a fraction such as 2.7, a boolean or a string is refused, not converted."""
+    number = _real(value)
+    if not (number >= 1 and number.is_integer()):
         raise ValueError("expected a whole number >= 1")
     return int(number)
 
@@ -138,9 +138,9 @@ def _batch_size(value) -> int:
 
 
 def _real(value) -> float:
-    """A number; a boolean is refused, not read as 0 or 1."""
-    if isinstance(value, bool):
-        raise ValueError("expected a number, got a boolean")
+    """A number; a boolean or a string is refused, not read as 0 or 1 or parsed."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"expected a number, got a {'boolean' if isinstance(value, bool) else 'string'}")
     return float(value)
 
 

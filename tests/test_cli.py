@@ -105,6 +105,12 @@ EXIT_CASES = {
     "sweep_fractional_n_detectors": (1, "config error: config field 'n_detectors'",
                                      ["sweep", "--config", "c.json"],
                                      {**SWEEP, "detector": {"n_detectors": 4.7, "efficiency": 1.0}}),
+    "gen_string_n_detectors": (1, "config error: config field 'n_detectors' has a bad value '4': "
+                               "expected a number, got a string", ["gen", "--config", "c.json"],
+                               {**GEN, "detector": {"n_detectors": "4", "efficiency": 1.0}}),
+    "gen_string_efficiency": (1, "config error: config field 'efficiency' has a bad value '0.9': "
+                              "expected a number, got a string", ["gen", "--config", "c.json"],
+                              {**GEN, "detector": {"n_detectors": 6, "efficiency": "0.9"}}),
     "gen_boolean_efficiency": (1, "config error: config field 'efficiency'", ["gen", "--config", "c.json"],
                                {**GEN, "detector": {"n_detectors": 6, "efficiency": True}}),
     "gen_boolean_mean_param": (1, "config error: config field 'mean_param'", ["gen", "--config", "c.json"],
