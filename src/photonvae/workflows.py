@@ -22,7 +22,7 @@ studies and the CLI's ``eval`` and ``sweep`` all go through them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -64,13 +64,11 @@ class TrainPlan:
 
     ``algorithm`` names the one study that reads the plan, and the others
     refuse it.  Besides ``stages``, ``seed``, ``bins_per_class`` and
-    ``n_detectors``, "lossless" reads ``mean_param``, ``efficiency`` and
-    ``eval_bin_sizes``; "lossy_nbar" reads ``mean_param``, ``train_etas``,
-    ``eval_etas``, ``eval_nbar_obs`` and ``eval_bins_per_class``; "mixed_grid"
-    reads ``efficiency``, ``target_nbar_obs``, the two ``mix_*`` grids and
-    ``eval_bins_per_class``.  ``stages[0]`` trains from scratch, and each later
-    stage fine-tunes a copy of it on its own bin size; the two pooled studies
-    refuse a second stage or ``eval_bin_sizes``.  A value repeated in a grid
+    ``n_detectors``, each study reads the fields ``STUDY_FIELDS`` lists for it,
+    and refuses a plan that sets any other field away from its default.
+    ``stages[0]`` trains from scratch, and each later stage fine-tunes a copy
+    of it on its own bin size; the two pooled studies refuse a second stage.
+    A value repeated in a grid
     field, or a bin size repeated among the fine-tune stages, is refused: each
     value is one cell (or one fine-tuned model), so a repeat would report two
     rows for one confusion matrix.
@@ -105,6 +103,17 @@ class TrainPlan:
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ValueError(f"{what} repeats the value {value!r}")
+
+
+# the TrainPlan fields each study reads besides algorithm, stages, seed,
+# bins_per_class and n_detectors
+STUDY_FIELDS = {
+    "lossless": ("mean_param", "efficiency", "eval_bin_sizes"),
+    "lossy_nbar": ("mean_param", "train_etas", "eval_etas", "eval_nbar_obs", "eval_bins_per_class"),
+    "mixed_grid": ("efficiency", "target_nbar_obs", "mix_r_values", "mix_train_r_values",
+                   "eval_bins_per_class"),
+}
+_SHARED_FIELDS = ("algorithm", "stages", "seed", "bins_per_class", "n_detectors")
 
 
 @dataclass
@@ -235,21 +244,27 @@ def model_inputs(model: VAEClassifier, rows: Rows,
     return feature_matrix(rows, model.spec.input_dim == 6), y
 
 
-def _check_algorithm(plan: TrainPlan, algorithm: str) -> None:
+def _check_plan(plan: TrainPlan, algorithm: str) -> None:
+    """Refuse a plan made for another study, or one that sets a field this
+    study would not read, naming the first such field, away from its default."""
     if plan.algorithm != algorithm:
         raise ValueError(f"TrainPlan.algorithm is {plan.algorithm!r}, this study is {algorithm!r}")
+    for unread in fields(plan):
+        if unread.name in _SHARED_FIELDS + STUDY_FIELDS[algorithm]:
+            continue
+        if getattr(plan, unread.name) != unread.default:
+            default = "empty" if unread.default == () else repr(unread.default)
+            raise ValueError(f"{unread.name} must be {default} in a {algorithm!r} plan, "
+                             f"which does not read it; got {getattr(plan, unread.name)!r}")
 
 
 def _pooled_stage(plan: TrainPlan, algorithm: str) -> TrainStage:
     """The one training stage of a study that trains one model on pooled
-    datasets.  A second stage, or ``eval_bin_sizes``, would go unread, so
-    either is a ValueError."""
-    _check_algorithm(plan, algorithm)
+    datasets, after ``_check_plan``.  A second stage would go unread, so it
+    is a ValueError."""
+    _check_plan(plan, algorithm)
     if len(plan.stages) > 1:
         raise ValueError(f"a pooled study runs one training stage, stages lists {len(plan.stages)}")
-    if plan.eval_bin_sizes:
-        raise ValueError("a pooled study evaluates at its stage's bin size, "
-                         "eval_bin_sizes must be empty")
     return plan.stages[0]
 
 
@@ -306,7 +321,7 @@ def run_algorithm1(plan: TrainPlan) -> Algorithm1Result:
     """Train on probability inputs at the stage-0 bin size, fine-tune the same
     weights on each later stage's bin size, and report held-out accuracy per
     evaluated bin size."""
-    _check_algorithm(plan, "lossless")
+    _check_plan(plan, "lossless")
     detector = DetectorConfig(plan.n_detectors, plan.efficiency)
     sources = lossless_sources(plan.mean_param)
 

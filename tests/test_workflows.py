@@ -317,6 +317,32 @@ def test_pooled_studies_refuse_plan_fields_they_would_not_read(run, plan, overri
         run(dataclasses.replace(base, **overrides(base.stages[0])))
 
 
+@pytest.mark.parametrize("run, plan, overrides, unread", [
+    (run_algorithm1, tiny_plan, dict(train_etas=(0.5,), eval_etas=(0.6,), eval_nbar_obs=(1.2,),
+                                     mix_r_values=(0.5,)), "train_etas"),
+    (run_algorithm1, tiny_plan, dict(eval_bins_per_class=100, target_nbar_obs=2.0), "eval_bins_per_class"),
+    (run_algorithm2, lossy_plan, dict(efficiency=0.3, target_nbar_obs=9.0, mix_r_values=(0.5,)),
+     "efficiency"),
+    (run_algorithm2, lossy_plan, dict(mix_train_r_values=(0.5,)), "mix_train_r_values"),
+    (run_mixed_grid, mixed_plan, dict(mean_param=2.0, train_etas=(0.5,)), "mean_param"),
+    (run_mixed_grid, mixed_plan, dict(eval_bin_sizes=(25,), eval_nbar_obs=(1.2,)), "eval_bin_sizes"),
+], ids=["lossless_grids", "lossless_scalars", "lossy_scalars", "lossy_grid", "mixed_grid_scalar",
+        "mixed_grid_grids"])
+def test_studies_refuse_plan_fields_they_would_not_read(run, plan, overrides, unread, monkeypatch):
+    """The refusal names the first field, in TrainPlan's order, that the
+    study does not read and that differs from its default."""
+    def generate_nothing(meta):
+        raise AssertionError("a dataset was generated before the plan was refused")
+
+    monkeypatch.setattr(workflows, "generate_dataset", generate_nothing)
+    with pytest.raises(ValueError, match=f"^{unread} must be "):
+        run(dataclasses.replace(plan(), **overrides))
+    # an unread field left at its default is no refusal: the study goes on to generate
+    at_default = {f.name: f.default for f in dataclasses.fields(TrainPlan) if f.name in overrides}
+    with pytest.raises(AssertionError, match="a dataset was generated"):
+        run(dataclasses.replace(plan(), **at_default))
+
+
 @pytest.mark.parametrize("run, plan, algorithm", [
     (run_algorithm1, tiny_plan, "lossless"),
     (run_algorithm2, lossy_plan, "lossy_nbar"),
