@@ -68,10 +68,9 @@ class TrainPlan:
     and refuses a plan that sets any other field away from its default.
     ``stages[0]`` trains from scratch, and each later stage fine-tunes a copy
     of it on its own bin size; the two pooled studies refuse a second stage.
-    A value repeated in a grid
-    field, or a bin size repeated among the fine-tune stages, is refused: each
-    value is one cell (or one fine-tuned model), so a repeat would report two
-    rows for one confusion matrix.
+    A value repeated in a grid field, or a bin size repeated among the
+    fine-tune stages, is refused: each value is one cell (or one fine-tuned
+    model), so a repeat would report two rows for one confusion matrix.
     """
 
     algorithm: str  # "lossless" | "lossy_nbar" | "mixed_grid"
@@ -250,12 +249,11 @@ def _check_plan(plan: TrainPlan, algorithm: str) -> None:
     if plan.algorithm != algorithm:
         raise ValueError(f"TrainPlan.algorithm is {plan.algorithm!r}, this study is {algorithm!r}")
     for unread in fields(plan):
-        if unread.name in _SHARED_FIELDS + STUDY_FIELDS[algorithm]:
-            continue
-        if getattr(plan, unread.name) != unread.default:
+        value = getattr(plan, unread.name)
+        if unread.name not in _SHARED_FIELDS + STUDY_FIELDS[algorithm] and value != unread.default:
             default = "empty" if unread.default == () else repr(unread.default)
             raise ValueError(f"{unread.name} must be {default} in a {algorithm!r} plan, "
-                             f"which does not read it; got {getattr(plan, unread.name)!r}")
+                             f"which does not read it; got {value!r}")
 
 
 def _pooled_stage(plan: TrainPlan, algorithm: str) -> TrainStage:
