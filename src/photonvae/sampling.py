@@ -316,17 +316,18 @@ def load_dataset_csv(path) -> Rows:
     Counts are recovered as rint(p * bin_size).  A row is refused, with its line
     named, unless it has every field, a bin size >= 1, and fractions in [0, 1]
     that lie within 1e-6 of whole counts summing to the bin size.  Lines are
-    counted from the header, the first line that is not blank.  Of several
-    refused rows, the file is refused for the first row of the first check
-    that any row fails, in the order listed.
+    counted from the header, the first line that is not blank.  A file with
+    several refused rows is refused for the first row of the earliest check
+    in ``_parse_rows`` that any row fails, as if each check ran over the
+    whole file before the next.
     """
     parts, fault = [], None
     with open(path) as file:
-        lines = (line.removesuffix("\n") for line in file)
-        header = next((line.strip() for line in lines if line.strip()), "")
+        header = next((line.strip() for line in file if line.strip()), "")
         if header != CSV_HEADER:
             raise ValueError(f"unexpected dataset header {header!r}")
-        for first, block in _line_blocks(lines):
+        # a line keeps its newline, which only its last field, the unread mix_ratio, holds
+        for first, block in _line_blocks(file):
             try:
                 parts.append(_parse_rows(block, first))
             except _RowFault as exc:
