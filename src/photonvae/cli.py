@@ -117,6 +117,13 @@ def _require(config, key: str, kind=None, default=_REQUIRED):
         raise ConfigError(f"config field {key!r} has a bad value {config[key]!r}: {exc}") from exc
 
 
+def _text(value) -> str:
+    """A string; any other JSON value is refused, not turned into text."""
+    if not isinstance(value, str):
+        raise TypeError("expected a string")
+    return value
+
+
 def _list_of(kind):
     return lambda values: [kind(value) for value in values]
 
@@ -189,7 +196,7 @@ def _parse_sources(entries) -> tuple[tuple[str, SourceSpec], ...]:
         kind = _require(entry, "kind", SourceKind)
         spec = SourceSpec(kind, _require(entry, "mean_param", _real),
                           _require(entry, "mix_ratio", _real, 1.0))
-        sources.append((_require(entry, "label", str, kind.value), spec))
+        sources.append((_require(entry, "label", _text, kind.value), spec))
     return tuple(sources)
 
 
@@ -224,8 +231,8 @@ def _dataset_paths(config: dict) -> list[str]:
     if "datasets" in config:
         if isinstance(config["datasets"], str):
             return [config["datasets"]]
-        return _distinct(_require(config, "datasets", _list_of(str)), "datasets")
-    return [_require(config, "dataset", str)]
+        return _distinct(_require(config, "datasets", _list_of(_text)), "datasets")
+    return [_require(config, "dataset", _text)]
 
 
 def _class_order(config: dict, rows) -> list[str]:
@@ -233,7 +240,7 @@ def _class_order(config: dict, rows) -> list[str]:
     label that ``class_label_fault`` refuses is a ConfigError."""
     classes = _require(config, "classes", _array, None)
     if classes and isinstance(classes[0], str):
-        labels = [str(label) for label in classes]
+        labels = _require(config, "classes", _list_of(_text))
         fault = class_label_fault(labels)
         if fault:
             raise ConfigError(f"config field 'classes': {fault}")
@@ -243,7 +250,7 @@ def _class_order(config: dict, rows) -> list[str]:
 
 
 def _features_flag(config: dict) -> str:
-    features = _require(config, "features", str, "probs")
+    features = _require(config, "features", _text, "probs")
     if features not in ("probs", "probs+nbar"):
         raise ConfigError(f"features must be 'probs' or 'probs+nbar', got {features!r}")
     return features
@@ -345,7 +352,7 @@ def cmd_finetune(args, config: dict, seed: int, out: Path, name: str) -> dict:
 
 
 def cmd_eval(args, config: dict, seed: int, out: Path, name: str) -> dict:
-    model, header = load_checkpoint(_require(config, "checkpoint", str))
+    model, header = load_checkpoint(_require(config, "checkpoint", _text))
     paths = _dataset_paths(config)
     stems = [Path(path).stem for path in paths]
     # a dataset's cells are named after its file stem, or after its path as
@@ -366,16 +373,16 @@ def cmd_eval(args, config: dict, seed: int, out: Path, name: str) -> dict:
 
 
 def cmd_export_latent(args, config: dict, seed: int, out: Path, name: str) -> dict:
-    model, header = load_checkpoint(_require(config, "checkpoint", str))
+    model, header = load_checkpoint(_require(config, "checkpoint", _text))
     class_labels = list(header["class_labels"])
-    latents = export_latent(model, _load_rows([_require(config, "dataset")]), class_labels)
+    latents = export_latent(model, _load_rows([_require(config, "dataset", _text)]), class_labels)
     latent_path = out / f"{name}_latent.csv"
     write_latent_csv(latent_path, latents, class_labels)
     return {"latent": str(latent_path), "rows": int(latents.shape[0])}
 
 
 def cmd_sweep(args, config: dict, seed: int, out: Path, name: str) -> dict:
-    model, header = load_checkpoint(_require(config, "checkpoint", str))
+    model, header = load_checkpoint(_require(config, "checkpoint", _text))
     sources = _parse_sources(_require(config, "classes", _array))
     detector = _require(config, "detector")
     n_detectors = _require(detector, "n_detectors", _count)
@@ -456,7 +463,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         config = _load_config(args.config)
         seed = _resolve_seed(config, args)
-        name = _require(config, "name", str, Path(args.config).stem)
+        name = _require(config, "name", _text, Path(args.config).stem)
         out = Path(args.out or ".")
         out.mkdir(parents=True, exist_ok=True)
         fields = args.handler(args, config, seed, out, name)

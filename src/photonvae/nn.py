@@ -37,13 +37,19 @@ cached, read-only ones vector, much faster on a (batch, width) array than
 ``sum(axis=0)``, which walks it row by row.  That vector is the one array a
 layer neither allocates nor receives.
 
-A block caches its activation's output, and the activation derivatives are
-computed from that output, so SELU's needs no exponential.  A BatchNorm
-caches its centred input and 1/std, not the normalized input, which it never
-forms: the output is ``centred * (inv_std * gamma) + beta``.  Functions finish
-their arithmetic in place, but only on temporaries they allocated themselves
-and on a layer's ``RESULTS`` arrays: no argument, and no array held in a
-cache, is ever written.
+A TRAIN pass caches only what its backward pass reads.  A BatchNorm caches
+its centred input and 1/std, not the normalized input, which it never forms:
+the output is ``centred * (inv_std * gamma) + beta``.  A Dense caches its
+input, which is the previous block's output.  A block adds its own output and
+a boolean keep mask: its activation, scaled by inverted dropout's
+1 / (1 - rate), is written into the BatchNorm's output array, and the
+activation's derivative is read from the block's output, so SELU's needs no
+exponential.  ``MLPStack.backward`` pops each layer's cache as it consumes
+it, so a pass's arrays are freed layer by layer, not when the pass ends.
+Functions finish their arithmetic in place, but only on temporaries they
+allocated themselves, on a layer's ``RESULTS`` arrays and on an activation's
+``out`` (a block passes its BatchNorm's fresh output): no other array
+argument, and no array held in a cache, is ever written.
 """
 
 from __future__ import annotations
@@ -65,40 +71,47 @@ class GradientError(RuntimeError):
     """Raised when a gradient turns non-finite during training."""
 
 
-# Branches are selected by arithmetic, which is cheaper than np.where; selu
-# clamps the exponent's argument at 0 so the discarded branch cannot overflow.
+# An activation returns scale * act(x), new or written to ``out`` (which may be
+# x), and its derivative reads that output.  Branches are selected by
+# arithmetic, which is cheaper than np.where; selu clamps the exponent's
+# argument at 0 so the discarded branch cannot overflow.
 
 
-def selu(x: np.ndarray) -> np.ndarray:
-    out = np.minimum(x, 0.0)
+def selu(x: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+    positive = np.maximum(x, 0.0)
+    out = np.minimum(x, 0.0, out=out)
     np.expm1(out, out=out)
     out *= SELU_ALPHA
-    out += np.maximum(x, 0.0)
-    out *= SELU_SCALE
+    out += positive
+    out *= scale * SELU_SCALE
     return out
 
 
-def selu_grad(y: np.ndarray) -> np.ndarray:
-    """Derivative of ``selu`` given its output ``y = selu(x)``: SELU_SCALE where
-    y > 0, else SCALE * ALPHA * exp(x) = y + SCALE * ALPHA, so no exponential
-    is evaluated."""
-    saturation, scale = y.dtype.type(_SELU_SATURATION), y.dtype.type(SELU_SCALE)
+def selu_grad(y: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Derivative of ``scale * selu`` given its output ``y = scale * selu(x)``:
+    scale * SCALE where y > 0, else scale * SCALE * ALPHA * exp(x) = y + scale
+    * SCALE * ALPHA, so no exponential is evaluated."""
+    saturation = y.dtype.type(scale * _SELU_SATURATION)
+    slope = y.dtype.type(scale * SELU_SCALE)
     grad = np.minimum(y, 0.0)
     grad += saturation
-    # saturation - scale is exact in any dtype (the two are within a factor of
-    # 2), so subtracting it from saturation leaves exactly scale where y > 0
-    grad -= (y > 0) * (saturation - scale)
+    # saturation - slope is exact in any dtype (the two are within a factor of
+    # 2), so subtracting it from saturation leaves exactly slope where y > 0
+    grad -= (y > 0) * (saturation - slope)
     return grad
 
 
-def leaky_relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, LEAKY_SLOPE * x)
+def leaky_relu(x: np.ndarray, scale: float = 1.0, out: np.ndarray | None = None) -> np.ndarray:
+    out = np.maximum(x, LEAKY_SLOPE * x, out=out)
+    out *= scale
+    return out
 
 
-def leaky_relu_grad(y: np.ndarray) -> np.ndarray:
-    """Derivative of ``leaky_relu`` given its output, which has the input's sign."""
-    grad = (y > 0) * y.dtype.type(1.0 - LEAKY_SLOPE)
-    grad += LEAKY_SLOPE
+def leaky_relu_grad(y: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Derivative of ``scale * leaky_relu`` given its output, which has the
+    input's sign: scale where y > 0, else scale * LEAKY_SLOPE."""
+    grad = (y > 0) * y.dtype.type(scale * (1.0 - LEAKY_SLOPE))
+    grad += scale * LEAKY_SLOPE
     return grad
 
 
@@ -229,7 +242,9 @@ class BatchNorm:
 
 
 def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None):
-    """Inverted dropout: scaled mask in training, identity otherwise.
+    """Dropout's zeroing: ``x`` times a boolean keep mask in training, and the
+    mask; ``x`` and None otherwise.  The 1 / (1 - rate) of inverted dropout is
+    left to the caller (a block's activation applies it).
 
     Each unit's keep decision is a 16-bit draw, four to a raw 64-bit word of
     ``rng``'s bit generator (``random_raw(ceil(x.size / 4))``, read as uint16
@@ -240,22 +255,23 @@ def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: np.random.Genera
     if mode != TRAIN or rate <= 0.0:
         return x, None
     draws = rng.bit_generator.random_raw(-(-x.size // 4)).view(np.uint16)
-    # the 0/1 keep mask is written straight into x's dtype, then scaled in place
-    mask = np.empty_like(x)
-    np.greater_equal(draws[: x.size].reshape(x.shape), round(rate * 65536), out=mask)
-    mask *= 1.0 / (1.0 - rate)
-    return x * mask, mask
+    keep = draws[: x.size].reshape(x.shape) >= round(rate * 65536)
+    return x * keep, keep
 
 
-def dropout_backward(dy: np.ndarray, mask):
-    return dy if mask is None else dy * mask
+def dropout_backward(dy: np.ndarray, keep):
+    return dy if keep is None else dy * keep
 
 
 class DenseBlock:
     """Hidden unit: linear -> batch normalization -> activation -> dropout.
 
     The linear map has no bias: batch normalization would subtract it again,
-    and its beta is the block's shift."""
+    and its beta is the block's shift.  The cache is ``(input, (centred,
+    inv_std), output, keep)``: the output is the next layer's input, and the
+    keep mask is None when nothing is dropped.  On a dropped unit the
+    derivative is read from the zeroed output, not the activation, but the
+    mask zeroes that unit's gradient."""
 
     def __init__(self, in_dim, out_dim, activation: str, dropout_rate: float, rng):
         self.dense = Dense(in_dim, out_dim, rng)
@@ -266,14 +282,15 @@ class DenseBlock:
     def forward(self, x, mode: str, rng):
         pre, dense_cache = self.dense.forward(x)
         normed, norm_cache = self.norm.forward(pre, mode)
-        activated = self.act(normed)
-        out, mask = dropout_forward(activated, self.dropout_rate, mode, rng)
-        return out, (dense_cache, norm_cache, activated, mask)
+        scale = 1.0 / (1.0 - self.dropout_rate) if mode == TRAIN else 1.0
+        activated = self.act(normed, scale, out=normed)
+        out, keep = dropout_forward(activated, self.dropout_rate, mode, rng)
+        return out, (dense_cache, norm_cache, out, keep)
 
     def backward(self, dy, cache):
-        dense_cache, norm_cache, activated, mask = cache
-        grad = self.act_grad(activated)
-        grad *= dropout_backward(dy, mask)
+        dense_cache, norm_cache, out, keep = cache
+        grad = self.act_grad(out, 1.0 / (1.0 - self.dropout_rate))
+        grad *= dropout_backward(dy, keep)
         return self.dense.backward(self.norm.backward(grad, norm_cache), dense_cache)
 
 
@@ -304,11 +321,13 @@ class MLPStack:
         caches.append(out_cache)
         return y, caches
 
-    def backward(self, dy, caches):
+    def backward(self, dy, caches: list):
+        """Backpropagate a TRAIN ``forward`` whose ``caches`` list is popped,
+        last layer first, so each layer's arrays are freed once it is done."""
         column_sums(dy, out=self.out_bias_grad)
-        dy = self.out.backward(dy, caches[-1])
-        for i in range(len(self.blocks) - 1, -1, -1):
-            dy = self.blocks[i].backward(dy, caches[i])
+        dy = self.out.backward(dy, caches.pop())
+        for block in reversed(self.blocks):
+            dy = block.backward(dy, caches.pop())
         return dy
 
     def named_params(self):

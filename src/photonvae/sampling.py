@@ -14,6 +14,7 @@ per-call cost small and the text of one block in memory at a time.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from itertools import islice
@@ -223,19 +224,20 @@ def _fmt(value: float) -> str:
 
 def write_dataset_csv(path, dataset: Dataset) -> None:
     meta, rows = dataset.meta, dataset.rows
+    # a bin's fractions and mean take few distinct values: format each once per file
+    fmt = functools.cache(_fmt)
     tail = {
-        label: f"{_fmt(meta.detector.efficiency)},{meta.detector.n_detectors},"
-        f"{_fmt(dataset.nbar_the[label])},{src.kind.value},{_fmt(src.mix_ratio)}"
+        label: f"{fmt(meta.detector.efficiency)},{meta.detector.n_detectors},"
+        f"{fmt(dataset.nbar_the[label])},{src.kind.value},{fmt(src.mix_ratio)}"
         for label, src in meta.sources
     }
     with open(path, "w") as file:
         file.write(CSV_HEADER + "\n")
         for start in range(0, len(rows), CSV_BLOCK_ROWS):
             block = rows.take(slice(start, start + CSV_BLOCK_ROWS))
-            # a bin's fractions and mean take few distinct values: format each once
             values = np.hstack([block.p_obs, block.nbar_obs[:, None]])
             distinct, inverse = np.unique(values, return_inverse=True)
-            cells = np.array([_fmt(v) for v in distinct.tolist()])[inverse.reshape(values.shape)]
+            cells = np.array([fmt(v) for v in distinct.tolist()])[inverse.reshape(values.shape)]
             file.write("".join(
                 f"{','.join(fields)},{label},{size},{tail[label]}\n"
                 for fields, label, size in zip(cells.tolist(), block.labels.tolist(), block.bin_size.tolist())

@@ -147,7 +147,8 @@ class LossValues:
 @dataclass
 class Forward:
     """What one pass computed; ``eps`` and ``std`` (exp(logvar/2), kept for the
-    backward pass) are None in INFER."""
+    backward pass) are None in INFER.  ``caches`` holds the three stacks'
+    cache lists, which ``loss_and_grads``'s backward pass empties."""
 
     mu: np.ndarray
     logvar: np.ndarray
@@ -548,8 +549,8 @@ def train_model(
     that is not a finite number > 0, with ValueError.  On Linux, training
     first raises glibc's heap trim threshold for the process
     (``_keep_freed_heap``).  No Forward outlives its step: a step's Forward,
-    with every block's cached activations, is dropped before the optimizer
-    runs, and a validation pass's before the next epoch trains.
+    whose layer caches were freed by the backward pass, is dropped before the
+    optimizer runs, and a validation pass's before the next epoch trains.
     """
     if batch_size < 2:
         # a one-row batch normalizes every hidden unit to its beta, so no

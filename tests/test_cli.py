@@ -117,6 +117,27 @@ EXIT_CASES = {
                                {**GEN, "classes": [{"kind": "spacs", "mean_param": True}, CLASSES[1]]}),
     "gen_boolean_mix_ratio": (1, "config error: config field 'mix_ratio'", ["gen", "--config", "c.json"],
                               {**GEN, "classes": [{**CLASSES[0], "mix_ratio": True}, CLASSES[1]]}),
+    "gen_list_name": (1, "config error: config field 'name' has a bad value ['a']: expected a string",
+                      ["gen", "--config", "c.json"], {**GEN, "name": ["a"]}),
+    "gen_boolean_name": (1, "config error: config field 'name'", ["gen", "--config", "c.json"],
+                         {**GEN, "name": True}),
+    "gen_list_label": (1, "config error: config field 'label' has a bad value ['x']: expected a string",
+                       ["gen", "--config", "c.json"],
+                       {**GEN, "classes": [{**CLASSES[0], "label": ["x"]}, CLASSES[1]]}),
+    "train_number_dataset": (1, "config error: config field 'dataset'", ["train", "--config", "c.json"],
+                             {"dataset": 7, "epochs": 1}),
+    "train_number_in_datasets": (1, "config error: config field 'datasets'",
+                                 ["train", "--config", "c.json"],
+                                 {"datasets": ["foreign.csv", 7], "epochs": 1}),
+    "train_number_in_classes": (1, "config error: config field 'classes'", ["train", "--config", "c.json"],
+                                {"datasets": ["foreign.csv"], "epochs": 1, "classes": ["coherent", 7]}),
+    "train_list_features": (1, "config error: config field 'features'", ["train", "--config", "c.json"],
+                            {"datasets": ["foreign.csv"], "epochs": 1, "features": ["probs"]}),
+    "eval_list_checkpoint": (1, "config error: config field 'checkpoint'", ["eval", "--config", "c.json"],
+                             {"checkpoint": ["model.ckpt"], "datasets": ["foreign.csv"]}),
+    "export_latent_number_dataset": (1, "config error: config field 'dataset'",
+                                     ["export-latent", "--config", "c.json"],
+                                     {"checkpoint": "model.ckpt", "dataset": 7}),
     "efficiency_above_one": (2, "physics validation error:", ["gen", "--config", "c.json"],
                              {**GEN, "detector": {"n_detectors": 6, "efficiency": 1.5}}),
     "bad_checkpoint_magic": (3, "checkpoint error:", ["eval", "--config", "c.json"],
@@ -195,8 +216,11 @@ def test_exit_code_contract(case, run_cli, tmp_path, monkeypatch):
     (tmp_path / "copy" / "pair.csv").write_text(pair)
     for variable, value in EXIT_ENV.get(case, {}).items():
         monkeypatch.setenv(variable, value)
+    if config:
+        (tmp_path / "c.json").write_text(json.dumps(config))
+    files = set(tmp_path.rglob("*"))
 
-    got, stdout, stderr = run_cli(*argv, configs={"c.json": config} if config else None)
+    got, stdout, stderr = run_cli(*argv)
     assert got == code
     assert stderr.startswith(prefix)
     if code == 0:
@@ -205,8 +229,7 @@ def test_exit_code_contract(case, run_cli, tmp_path, monkeypatch):
     else:
         assert stdout == ""
         assert "\n" not in stderr.rstrip("\n")
-        assert not (tmp_path / f"{GEN['name']}.csv").exists()
-        assert not (tmp_path / "c.ckpt").exists()
+        assert set(tmp_path.rglob("*")) == files  # nothing written
 
 
 def test_eval_scores_each_bin_size_of_a_mixed_dataset(run_cli, tmp_path):
@@ -349,7 +372,7 @@ PIPELINE = (
 )
 # SHA-256 of every file the pipeline leaves and of its stdout; a new value
 # means some output byte changed
-PINNED_PIPELINE_SHA256 = "73fda6ddde5f255ffe79942091a76c669905809af492bec7cd3baad47e3d6e51"
+PINNED_PIPELINE_SHA256 = "83a755a662aba2cea6ea5d30a5b3e8722ab37ff6646834c34c1caaf52ed55bdb"
 
 
 def _pipeline_digest(run_cli, root: Path) -> str:
@@ -400,7 +423,7 @@ LARGE_INFERENCE = (
     ("sweep", "--config", "sweep.json", "--out", "reports"),
 )
 # SHA-256 of every file the three inference commands write and of their stdout
-PINNED_LARGE_SHA256 = "f06991bc7d414e6de4d813a516c78f67742c66c49194653ea13737b92dd26b3e"
+PINNED_LARGE_SHA256 = "d3f8a5b1e19b8559526383eed322f2510751ac03edba810333f9d9115496ff44"
 
 
 def test_inference_outputs_on_large_datasets_are_pinned(run_cli, tmp_path):

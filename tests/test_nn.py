@@ -140,6 +140,27 @@ def test_activations_equal_np_where_forms(dtype, data):
     # derivative is exact; SELU's differs from the exp form by rounding only
     assert np.array_equal(got[3], expected[3])
     assert np.abs(got[1] - expected[1]).max() <= selu_grad_atol(dtype)
+    # scaled, as a TRAIN block's activation is: written in place, the same
+    # values as in a new array, which leaves its argument alone
+    scale = 1.0 / (1.0 - 0.2)
+    before = x.tobytes()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        # SELU's derivative as unscaled, relative to the scale; LeakyReLU's
+        # constants scale * (1 - slope) and scale * slope sum to scale to a rounding
+        for act, act_grad, where_grad, atol in (
+            (selu, selu_grad, where_selu_grad, scale * selu_grad_atol(dtype)),
+            (leaky_relu, leaky_relu_grad, where_leaky_relu_grad, scale * np.finfo(dtype).eps),
+        ):
+            scaled = act(x, scale)
+            assert x.tobytes() == before and scaled.dtype == dtype
+            in_place = x.copy()
+            assert act(in_place, scale, out=in_place) is in_place
+            assert np.array_equal(in_place, scaled)
+            with np.errstate(over="ignore"):
+                want = where_grad(x) * scale
+            have = act_grad(scaled, scale)
+            assert have.dtype == dtype
+            assert np.abs(have - want).max() <= atol
 
 
 def test_dropout_keep_frequency(dtype=np.float64):
@@ -148,8 +169,8 @@ def test_dropout_keep_frequency(dtype=np.float64):
     kept = np.zeros(50)
     passes = 10**4
     for _ in range(passes):
-        out, mask = dropout_forward(x, 0.2, TRAIN, rng)
-        assert out.dtype == mask.dtype == dtype
+        out, keep = dropout_forward(x, 0.2, TRAIN, rng)
+        assert out.dtype == dtype and keep.dtype == bool
         kept += (out[0] != 0.0)
     freq = kept / passes
     assert np.all(np.abs(freq - 0.8) < 0.02)
@@ -159,23 +180,23 @@ def test_dropout_keep_frequency_in_float32():
     test_dropout_keep_frequency(np.float32)
 
 
-def test_dropout_inverted_scaling_and_inference_identity(dtype=np.float64):
+def test_dropout_zeroes_dropped_units_and_inference_identity(dtype=np.float64):
+    """Dropout only zeroes: the 1 / (1 - rate) of inverted dropout is the
+    block's activation's (``test_block_output_is_inverted_dropout...``)."""
     rng = np.random.default_rng(3)
-    x = np.ones((2000, 20), dtype=dtype)
-    out, mask = dropout_forward(x, 0.2, TRAIN, rng)
-    assert out.dtype == mask.dtype == dtype
-    assert set(np.unique(out)) <= {0.0, 1.0 / 0.8}
-    assert out.mean() == pytest.approx(1.0, abs=0.02)
-    dx = dropout_backward(np.ones_like(x), mask)
+    x = rng.normal(size=(2000, 20)).astype(dtype)
+    out, keep = dropout_forward(x, 0.2, TRAIN, rng)
+    assert out.dtype == dtype and keep.dtype == bool
+    assert np.array_equal(out, np.where(keep, x, dtype(0.0)))
+    dx = dropout_backward(np.ones_like(x), keep)
     assert dx.dtype == dtype
-    np.testing.assert_array_equal(dx, out)
+    np.testing.assert_array_equal(dx, keep)
     same, none = dropout_forward(x, 0.2, INFER, None)
-    assert none is None
-    np.testing.assert_array_equal(same, x)
+    assert none is None and same is x
 
 
-def test_dropout_inverted_scaling_and_inference_identity_in_float32():
-    test_dropout_inverted_scaling_and_inference_identity(np.float32)
+def test_dropout_zeroes_dropped_units_and_inference_identity_in_float32():
+    test_dropout_zeroes_dropped_units_and_inference_identity(np.float32)
 
 
 DROPOUT_SHAPES = [pytest.param((3, 5), id="3x5"), pytest.param((512, 64), id="512x64")]
@@ -185,30 +206,81 @@ DROPOUT_SHAPES = [pytest.param((3, 5), id="3x5"), pytest.param((512, 64), id="51
 @pytest.mark.parametrize("shape", DROPOUT_SHAPES)
 def test_dropout_mask_is_a_16_bit_draw_from_raw_generator_words(dtype, shape):
     rng, twin = np.random.default_rng(7), np.random.default_rng(7)
-    _, mask = dropout_forward(np.ones(shape, dtype=dtype), 0.2, TRAIN, rng)
+    _, keep = dropout_forward(np.ones(shape, dtype=dtype), 0.2, TRAIN, rng)
     # oracle: each word's four 16-bit quarters, lowest first (memory order on a
     # little-endian host), kept when at least round(0.2 * 2**16) = 13107
     size = shape[0] * shape[1]
     words = twin.bit_generator.random_raw(-(-size // 4))
     quarters = (words[:, None] >> np.array([0, 16, 32, 48], dtype=np.uint64)) & 0xFFFF
-    keep = quarters.ravel()[:size].reshape(shape) >= 13107
-    assert mask.dtype == dtype
-    np.testing.assert_array_equal(mask, np.where(keep, dtype(1.0 / 0.8), dtype(0.0)))
+    assert keep.dtype == bool
+    np.testing.assert_array_equal(keep, quarters.ravel()[:size].reshape(shape) >= 13107)
     assert rng.bit_generator.state == twin.bit_generator.state
+
+
+EXTREME_RATES = pytest.mark.parametrize("rate, keeps", [(2.0**-18, True), (1.0 - 1e-6, False)],
+                                        ids=["below_2**-17", "threshold_rounds_to_2**16"])
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("shape", DROPOUT_SHAPES)
-@pytest.mark.parametrize("rate, keeps", [(2.0**-18, True), (1.0 - 1e-6, False)],
-                         ids=["below_2**-17", "threshold_rounds_to_2**16"])
+@EXTREME_RATES
 def test_dropout_extreme_rates_keep_or_drop_every_unit(dtype, shape, rate, keeps):
     x = np.ones(shape, dtype=dtype)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out, mask = dropout_forward(x, rate, TRAIN, np.random.default_rng(8))
-    expected = np.full(shape, dtype(1.0 / (1.0 - rate)) if keeps else 0.0, dtype=dtype)
-    np.testing.assert_array_equal(mask, expected)
-    np.testing.assert_array_equal(out, expected)
+        out, keep = dropout_forward(x, rate, TRAIN, np.random.default_rng(8))
+    np.testing.assert_array_equal(keep, np.full(shape, keeps))
+    np.testing.assert_array_equal(out, np.full(shape, 1.0 if keeps else 0.0, dtype=dtype))
+
+
+def block_reference_output(block, cache, rate):
+    """(1 / (1 - rate)) * act(normed) * keep, from a TRAIN pass's cache, by the
+    np.where form of the activation at the normalized input, scaled in float64."""
+    _, (centred, inv_std), _, keep = cache
+    normed = centred * (inv_std * block.norm.gamma) + block.norm.beta
+    where_act = where_selu if block.act is selu else where_leaky_relu
+    return where_act(normed).astype(np.float64) * (1.0 / (1.0 - rate)) * keep
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("activation", ["selu", "leaky_relu"])
+def test_block_output_is_inverted_dropout_of_the_scaled_activation(dtype, activation):
+    rng = np.random.default_rng(11)
+    block = DenseBlock(5, 64, activation, 0.2, rng)
+    cast_params(dtype, block.dense, block.norm)
+    block.norm.gamma[...] = rng.normal(size=64)
+    block.norm.beta[...] = rng.normal(size=64)
+    out, cache = block.forward(rng.normal(size=(512, 5)).astype(dtype), TRAIN, rng)
+    assert out.dtype == dtype and cache[3].dtype == bool and cache[2] is out
+    want = block_reference_output(block, cache, 0.2)
+    # the scale meets the activation's own constant in one product, where the
+    # reference rounds act(normed) first: a rounding of each side
+    assert np.all(np.abs(out - want) <= 2 * np.finfo(dtype).eps * np.abs(want))
+    # on ones (a normalized input of exactly 1), the output is act(1) / (1 -
+    # rate) on kept units, and averages act(1): 1 for LeakyReLU, SCALE for SELU
+    block.norm.gamma[...] = 0.0
+    block.norm.beta[...] = 1.0
+    out, cache = block.forward(rng.normal(size=(2000, 5)).astype(dtype), TRAIN, rng)
+    ones = np.ones(1, dtype=dtype)
+    assert set(np.unique(out)) == {0.0, block.act(ones, 1.0 / 0.8)[0]}
+    assert out.mean() == pytest.approx(block.act(ones)[0], abs=0.02)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@EXTREME_RATES
+def test_block_with_an_extreme_rate_keeps_or_drops_every_unit(dtype, rate, keeps):
+    rng = np.random.default_rng(12)
+    block = DenseBlock(5, 64, "selu", rate, rng)
+    cast_params(dtype, block.dense, block.norm)
+    x = rng.normal(size=(512, 5)).astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, cache = block.forward(x, TRAIN, rng)
+        dx = block.backward(np.ones_like(out), cache)
+    np.testing.assert_array_equal(cache[3], np.full(out.shape, keeps))
+    assert np.all(np.abs(out - block_reference_output(block, cache, rate))
+                  <= 2 * np.finfo(dtype).eps * np.abs(out))
+    assert np.all(np.isfinite(dx)) and np.any(dx != 0.0) == keeps
 
 
 # --- batch sums -----------------------------------------------------------------
@@ -389,13 +461,17 @@ def test_block_activation_derivative_matches_input_form(n, seed, activation):
 
     centred, inv_std = cache[1]
     normed = centred * (inv_std * block.norm.gamma) + block.norm.beta
+    scale = 1.0 / (1.0 - 0.3)
     upstream = dropout_backward(dy, cache[3])
     if activation == "leaky_relu":
-        assert np.array_equal(seen[0], upstream * where_leaky_relu_grad(normed))
+        want = upstream * where_leaky_relu_grad(normed) * scale
+        # scale * (1 - slope) + scale * slope, and the product: three roundings
+        assert np.all(np.abs(seen[0] - want) <= 3 * EPS * np.abs(want))
     else:
-        want = upstream * where_selu_grad(normed)
-        # the derivative's difference, plus one rounding of each product
-        tol = np.abs(upstream) * (SELU_GRAD_ATOL + EPS * SELU_SCALE * SELU_ALPHA)
+        want = upstream * where_selu_grad(normed) * scale
+        # the derivative's difference, plus one rounding of each product and
+        # of each scaled constant, all relative to the scale
+        tol = scale * np.abs(upstream) * (SELU_GRAD_ATOL + 2 * EPS * SELU_SCALE * SELU_ALPHA)
         assert np.all(np.abs(seen[0] - want) <= tol)
 
 
@@ -435,6 +511,7 @@ def test_dense_block_and_stack_shapes():
     dy = rng.random((10, 3))
     dx = stack.backward(dy, caches)
     assert dx.shape == x.shape
+    assert caches == []  # each layer's cache is released as backward consumes it
     grads = {name: getattr(owner, owner.RESULTS[leaf]) for name, owner, leaf in stack.named_params()
              if not leaf.startswith("running_")}
     assert {"out.W", "out.b", "hidden0.dense.W", "hidden1.norm.gamma"} <= set(grads)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from photonvae import sampling
 from photonvae.detector import DetectorConfig, observed_chain
 from photonvae.distributions import (
     PhotonPMF,
@@ -360,6 +361,25 @@ def test_csv_file_is_pinned_and_reads_back_whole(tmp_path):
         want, got = getattr(dataset.rows, name), getattr(rows, name)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+
+def test_csv_write_formats_each_distinct_value_once_per_file(tmp_path, monkeypatch):
+    dataset = generate_dataset(small_meta(bin_size=50, bins_per_class=300, detector=DetectorConfig(4, 0.9)))
+    rows = dataset.rows
+    assert len(rows) > 2 * sampling.CSV_BLOCK_ROWS
+    calls = []
+    real_fmt = sampling._fmt
+
+    def counting_fmt(value):
+        calls.append(value)
+        return real_fmt(value)
+
+    monkeypatch.setattr(sampling, "_fmt", counting_fmt)
+    write_dataset_csv(tmp_path / "data.csv", dataset)
+    meta = dataset.meta
+    written = {*rows.p_obs.ravel().tolist(), *rows.nbar_obs.tolist(), meta.detector.efficiency,
+               *dataset.nbar_the.values(), *(src.mix_ratio for _, src in meta.sources)}
+    assert sorted(calls) == sorted(written)
 
 
 def test_csv_write_is_byte_stable(tmp_path):

@@ -277,15 +277,36 @@ def _arrays(tree):
     return []
 
 
-def test_a_float32_training_step_stays_in_float32():
+def record_caches(monkeypatch):
+    """Wrap ``VAEClassifier._forward`` to keep, for each pass, its stacks'
+    cache lists as the forward pass built them: the backward pass empties
+    ``Forward.caches``, so they are copied before it runs."""
+    recorded = []
+    real_forward = VAEClassifier._forward
+
+    def recording_forward(model, x, mode):
+        fwd = real_forward(model, x, mode)
+        recorded.append(tuple(list(caches) for caches in fwd.caches))
+        return fwd
+
+    monkeypatch.setattr(VAEClassifier, "_forward", recording_forward)
+    return recorded
+
+
+def test_a_float32_training_step_stays_in_float32(monkeypatch):
+    recorded = record_caches(monkeypatch)
     model = binary_model(seed=0)
     rng = np.random.default_rng(16)
     x = rng.random((64, 5))  # float64 rows, cast by the model
     y = rng.integers(0, 2, 64)
     _, grads, fwd = model.loss_and_grads(x, y)
+    assert fwd.caches == ([], [], [])  # released by the backward pass
+    cached = _arrays(recorded)
+    assert len(cached) > 50  # every block's input, norm, output and mask caches
+    masks = [a for a in cached if a.dtype == bool]
+    assert len(masks) == 11  # one keep mask per hidden block
     arrays = [fwd.mu, fwd.logvar, fwd.z, fwd.x_hat, fwd.logits, fwd.probs, fwd.eps]
-    arrays += _arrays(fwd.caches)
-    assert len(arrays) > 50  # every block's input, norm, activation and mask caches
+    arrays += [a for a in cached if a.dtype != bool]
     assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
     assert grads.vector.dtype == np.float32
     adam = Adam()
@@ -327,16 +348,18 @@ def test_float32_gradients_match_the_float64_reference(num_classes):
     assert values.total == pytest.approx(want_values.total, rel=8 * np.finfo(np.float32).eps)
 
 
-def test_loss_and_grads_leaves_inputs_unchanged_and_reuses_its_gradient_vector():
+def test_loss_and_grads_leaves_inputs_unchanged_and_reuses_its_gradient_vector(monkeypatch):
     """The gradients are the model's own vector, which the next call
     overwrites; the inputs, and every array the first pass returned or
     cached, stay as they were."""
+    recorded = record_caches(monkeypatch)
     model, x, y = make_case(NetworkSpec(), seed=3, batch=16)
     x_before, y_before = x.tobytes(), y.tobytes()
     _, first, fwd = model.loss_and_grads(x, y)
     first_copy = first.vector.copy()
     held = [fwd.mu, fwd.logvar, fwd.z, fwd.x_hat, fwd.logits, fwd.probs, fwd.eps]
-    held += _arrays(fwd.caches)
+    held += _arrays(recorded)
+    assert len(held) > 50 and any(a.dtype == bool for a in held)
     held_before = [a.tobytes() for a in held]
     model.reseed(model.seed)  # the same masks and noise again
     _, second, _ = model.loss_and_grads(x, y)
@@ -344,6 +367,50 @@ def test_loss_and_grads_leaves_inputs_unchanged_and_reuses_its_gradient_vector()
     assert [a.tobytes() for a in held] == held_before
     assert second is first and second.vector is first.vector
     assert np.array_equal(second.vector, first_copy)
+
+
+# tracemalloc peak of one TRAIN pass at batch 512 of a 6-input, 4-class model,
+# above the memory traced before it: 1,459 KiB measured (numpy 2.4), with
+# about 20% headroom.  Caching each block's unscaled activation, a float
+# dropout mask and the dropped output, all held until the backward pass
+# ended, peaked at 2,709 KiB.
+TRAIN_PASS_PEAK_KIB = 1750
+
+
+def test_a_training_pass_caches_one_activation_per_block_and_releases_it(monkeypatch):
+    model = VAEClassifier(NetworkSpec(input_dim=6, num_classes=4), seed=0)
+    rng = np.random.default_rng(17)
+    n = 512
+    x = rng.random((n, 6)).astype(np.float32)
+    y = rng.integers(0, 4, n)
+    model.loss_and_grads(x, y)  # the first pass allocates the batch sums' ones vectors
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, _, fwd = model.loss_and_grads(x, y)
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert peak <= TRAIN_PASS_PEAK_KIB * 1024, peak // 1024
+    # the returned Forward keeps the latent values and outputs, no layer cache
+    assert held < 200 * 1024, held // 1024
+    assert fwd.caches == ([], [], [])
+    # the caches of a pass whose arrays a recording keeps alive
+    recorded = record_caches(monkeypatch)
+    model.loss_and_grads(x, y)
+    [caches] = recorded
+    for stack, stack_caches in zip((model.encoder, model.decoder, model.classifier), caches):
+        inputs = stack_caches[0][0]
+        for block, cache, after in zip(stack.blocks, stack_caches, stack_caches[1:]):
+            x_in, (centred, inv_std), out, keep = cache
+            width = block.dense.weight.shape[1]
+            assert x_in is inputs  # the previous block's output, or the stack's input
+            # the output is the one activation array, and the next layer's input
+            assert out is (after[0] if isinstance(after, tuple) else after)
+            assert out.shape == centred.shape == keep.shape == (n, width)
+            assert out.dtype == centred.dtype == inv_std.dtype == np.float32
+            assert keep.dtype == bool and inv_std.shape == (width,)
+            inputs = out
 
 
 def test_zero_input_zero_weights_give_zero_weight_gradients():
@@ -628,8 +695,8 @@ def test_train_model_frees_each_steps_forward_before_the_next_step(monkeypatch):
 # arithmetic or the order of a training step changes it.  Recorded with numpy 2.4
 # and OpenBLAS; another BLAS may round the matmuls differently.
 PINNED_TRAINING_SHA256 = {
-    2: "c8f9d8504b151b836d6253284d72bb71a7259ff125b8dab8d9891d5f1b656a79",
-    4: "373f9238dceb753255ae0c686f94336ae7fc25f866f8a2b9a8220dd1399c95bc",
+    2: "f39148065db712cc68a6d2840a2ed2f3f5c73a69040c15d5c1d76228be4197de",
+    4: "318c99f59f9803c3362dce172eb4a5eee6291b81945c3daf98e862462e5e99d5",
 }
 
 
@@ -660,8 +727,8 @@ def test_training_bytes_are_pinned(num_classes):
 # of a step's gradients or of the running-statistics update changes it.
 # Recorded with numpy 2.4 and OpenBLAS, as above.
 PINNED_GRADIENT_SHA256 = {
-    2: "93f98eecdd1c27353e95b1546ec031a270d66564cdadfcb9cd324884e31844e1",
-    4: "f902de4c6ead2fd93dbc502408360f47425a604068688e7ae6dd3fc19580f775",
+    2: "6533734b36de1bd67190340dc7bf3509d31872638587928a54d262fdf9111389",
+    4: "c1babfe6923edfb19776e8fb0c861d35ea6d072085a823ed271e1fb06375fe3d",
 }
 
 

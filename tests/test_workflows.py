@@ -260,8 +260,8 @@ def test_run_algorithm2_structure_and_determinism():
 # SHA-256 of each study's report rows (JSON, sorted keys), confusion matrices
 # and latents; a new value means some study output byte changed
 PINNED_STUDY_SHA256 = {
-    "lossless": "47f778a0b25305d24004f903dc9d916b476f34300e3bf18d3e72b559654f9c70",
-    "lossless_two_fine_tunes": "4ee7f5882cd34df117b4eb0f08956a44c7459b78674f86af957b89a6177f4182",
+    "lossless": "4e3a28c9f8f0570e796302e0695517387d6a68f6bf500dccfa62bb14b62a5bae",
+    "lossless_two_fine_tunes": "b2fd82b3865e58c26f09a7f2fe435a8038b891d73e9fba09df9e9a79fbeef998",
     "lossy": "ff1583c790dc3c9a385393ac5038fb1b8b31e8b35073fc2ca27fdd7f0eb448ff",
     "mixed_grid": "4adb73907959b21afef25d64e1d1ee01c5b44ca4e516ca26087b13da87739808",
 }
