@@ -14,7 +14,6 @@ from .distributions import (
     thermal_pmf,
 )
 from .detector import (
-    ClickCoefficients,
     DetectorConfig,
     apply_click_model,
     apply_efficiency,

@@ -36,23 +36,6 @@ class DetectorConfig:
         _check_efficiency(self.efficiency)
 
 
-@dataclass(frozen=True, eq=False)
-class ClickCoefficients:
-    """Probability table C[n, j]: j photons spread uniformly over the detectors
-    occupy exactly n distinct ones."""
-
-    n_detectors: int
-    table: np.ndarray  # shape (n_detectors + 1, j_max + 1)
-
-    @property
-    def j_max(self) -> int:
-        return self.table.shape[1] - 1
-
-    def __getitem__(self, key: tuple[int, int]) -> float:
-        n, j = key
-        return float(self.table[n, j])
-
-
 def _check_efficiency(efficiency: float) -> None:
     if not (0.0 < efficiency <= 1.0):
         raise PhysicsError(f"efficiency must lie in (0, 1], got {efficiency}")
@@ -93,11 +76,13 @@ def _click_table(n_detectors: int, j_max: int, efficiency: float) -> np.ndarray:
     return np.array(list(_walk(advance, j_max)))
 
 
-def click_coefficients(n_detectors: int, j_max: int) -> ClickCoefficients:
-    """Occupancy coefficients for all photon counts up to ``j_max``."""
+def click_coefficients(n_detectors: int, j_max: int) -> np.ndarray:
+    """Occupancy table C[n, j], of shape (n_detectors + 1, j_max + 1): the
+    probability that j photons spread uniformly over the detectors occupy
+    exactly n distinct ones."""
     if j_max < 0:
         raise PhysicsError(f"j_max must be >= 0, got {j_max}")
-    return ClickCoefficients(n_detectors, _click_table(n_detectors, j_max, 1.0).T)
+    return _click_table(n_detectors, j_max, 1.0).T
 
 
 def apply_click_model(pmf: PhotonPMF, n_detectors: int, efficiency: float = 1.0) -> PhotonPMF:

@@ -13,7 +13,7 @@ it carries the split between 5 and 6 clicks.
 
 Each study only turns a ``TrainPlan`` into cells, refusing a plan it cannot
 run before any dataset is generated, and ``run_study`` generates, splits,
-trains on and scores them.  ``model_inputs`` is the one place that decides a
+trains on and scores them; every study returns its ``StudyResult``.  ``model_inputs`` is the one place that decides a
 model's input layout (a six-input model also reads ``nbar_obs``), and
 ``EvalReport.score`` the one path that scores an evaluation cell.  The
 studies and the CLI's ``eval`` and ``sweep`` all go through them.
@@ -67,7 +67,7 @@ class TrainPlan:
     ``n_detectors``, each study reads the fields ``STUDY_FIELDS`` lists for it,
     and refuses a plan that sets any other field away from its default.
     ``stages[0]`` trains from scratch, and each later stage fine-tunes a copy
-    of it on its own bin size; the two pooled studies refuse a second stage.
+    of it on its own bin size; the ``POOLED`` studies refuse a second stage.
     A value repeated in a grid field, or a bin size repeated among the
     fine-tune stages, is refused: each value is one cell (or one fine-tuned
     model), so a repeat would report two rows for one confusion matrix.
@@ -113,16 +113,18 @@ STUDY_FIELDS = {
                    "eval_bins_per_class"),
 }
 _SHARED_FIELDS = ("algorithm", "stages", "seed", "bins_per_class", "n_detectors")
+# the studies that train one model on pooled datasets, so run one stage
+POOLED = ("lossy_nbar", "mixed_grid")
 
 
 @dataclass
 class EvalReport:
     """Accuracy rows over the evaluation grid plus per-cell confusion matrices."""
 
-    rows: list[dict] = field(default_factory=list)
-    confusions: dict[str, np.ndarray] = field(default_factory=dict)
-    class_labels: list[str] = field(default_factory=list)
-    latents: np.ndarray | None = None
+    class_labels: list[str]
+    rows: list[dict] = field(init=False, default_factory=list)
+    confusions: dict[str, np.ndarray] = field(init=False, default_factory=dict)
+    latents: np.ndarray | None = field(init=False, default=None)
 
     def score(self, key: str, model: VAEClassifier, rows: Rows, /, **fields) -> float:
         """Score ``model`` on ``rows``: keep the confusion matrix under ``key``,
@@ -139,18 +141,10 @@ class EvalReport:
         return accuracy
 
 
-@dataclass
-class Algorithm1Result:
-    base_model: VAEClassifier
-    finetuned: dict[int, VAEClassifier]
-    report: EvalReport
+class StudyResult(NamedTuple):
+    """A study's models, one per stage in stage order, and its report."""
 
-
-@dataclass
-class StudyResult:
-    """The one model a pooled study trains, with its evaluation report."""
-
-    model: VAEClassifier
+    models: list[VAEClassifier]
     report: EvalReport
 
 
@@ -244,8 +238,9 @@ def model_inputs(model: VAEClassifier, rows: Rows,
 
 
 def _check_plan(plan: TrainPlan, algorithm: str) -> None:
-    """Refuse a plan made for another study, or one that sets a field this
-    study would not read, naming the first such field, away from its default."""
+    """Refuse a plan made for another study, one that sets a field this study
+    would not read away from its default (naming the first such field), or a
+    ``POOLED`` study's plan with a second stage, which would go unread."""
     if plan.algorithm != algorithm:
         raise ValueError(f"TrainPlan.algorithm is {plan.algorithm!r}, this study is {algorithm!r}")
     for unread in fields(plan):
@@ -254,16 +249,8 @@ def _check_plan(plan: TrainPlan, algorithm: str) -> None:
             default = "empty" if unread.default == () else repr(unread.default)
             raise ValueError(f"{unread.name} must be {default} in a {algorithm!r} plan, "
                              f"which does not read it; got {value!r}")
-
-
-def _pooled_stage(plan: TrainPlan, algorithm: str) -> TrainStage:
-    """The one training stage of a study that trains one model on pooled
-    datasets, after ``_check_plan``.  A second stage would go unread, so it
-    is a ValueError."""
-    _check_plan(plan, algorithm)
-    if len(plan.stages) > 1:
+    if algorithm in POOLED and len(plan.stages) > 1:
         raise ValueError(f"a pooled study runs one training stage, stages lists {len(plan.stages)}")
-    return plan.stages[0]
 
 
 def export_latent(model: VAEClassifier, rows, class_labels: list[str]) -> np.ndarray:
@@ -274,10 +261,10 @@ def export_latent(model: VAEClassifier, rows, class_labels: list[str]) -> np.nda
 
 def run_study(input_dim: int, class_labels: list[str], stages: list[StudyStage],
               evals: Iterable[EvalCell], latents: TrainCell | None = None,
-              ) -> tuple[list[VAEClassifier], EvalReport]:
+              ) -> StudyResult:
     """Train ``stages`` and score ``evals``, in order, and with ``latents``
-    export stage 0's latent means of that cell's test rows; return the models
-    and the report.  Each training cell is generated and split once, when
+    export stage 0's latent means of that cell's test rows; every study
+    returns the ``StudyResult`` of its models and report.  Each training cell is generated and split once, when
     first needed, and a fresh dataset only when its cell is scored.  ``evals``
     is read after training, so a builder may pass a generator."""
 
@@ -309,13 +296,13 @@ def run_study(input_dim: int, class_labels: list[str], stages: list[StudyStage],
         del rows  # a fresh dataset's rows go before the next cell's are generated
     if latents is not None:
         report.latents = export_latent(models[0], split(latents)[2], class_labels)
-    return models, report
+    return StudyResult(models, report)
 
 
 # --- lossless study (transfer learning over bin sizes) ------------------------
 
 
-def run_algorithm1(plan: TrainPlan) -> Algorithm1Result:
+def run_algorithm1(plan: TrainPlan) -> StudyResult:
     """Train on probability inputs at the stage-0 bin size, fine-tune the same
     weights on each later stage's bin size, and report held-out accuracy per
     evaluated bin size."""
@@ -337,10 +324,7 @@ def run_algorithm1(plan: TrainPlan) -> Algorithm1Result:
     evals = [EvalCell(f"bin{size}", cell(size), {"bin_size": size, "n_test": len},
                       tuned.get(size, 0))
              for size in plan.eval_bin_sizes or sorted({stage.bin_size for stage in plan.stages})]
-    models, report = run_study(5, [label for label, _ in sources], stages, evals,
-                               latents=stages[0].cells[0])
-    finetuned = {size: models[k] for size, k in tuned.items()}
-    return Algorithm1Result(base_model=models[0], finetuned=finetuned, report=report)
+    return run_study(5, [label for label, _ in sources], stages, evals, latents=stages[0].cells[0])
 
 
 # --- lossy study (observed mean photon number as an input) ---------------------
@@ -371,7 +355,8 @@ def run_algorithm2(plan: TrainPlan) -> StudyResult:
     """Train one six-input model on the plan intensity at every ``train_etas``
     efficiency of ``plan.n_detectors`` detectors, then sweep accuracy over
     further efficiencies and observed-mean targets."""
-    stage = _pooled_stage(plan, "lossy_nbar")
+    _check_plan(plan, "lossy_nbar")
+    (stage,) = plan.stages
     if not plan.train_etas:
         raise ValueError("lossy training needs at least one efficiency")
     sources = lossless_sources(plan.mean_param)
@@ -418,8 +403,7 @@ def run_algorithm2(plan: TrainPlan) -> StudyResult:
         evals.append(sweep_cell(intensity, eta, "nbar_sweep", key))
 
     stages = [StudyStage(tuple(cells), derived_seed(plan.seed, 22), stage.epochs)]
-    (model,), report = run_study(6, [label for label, _ in sources], stages, evals)
-    return StudyResult(model=model, report=report)
+    return run_study(6, [label for label, _ in sources], stages, evals)
 
 
 # --- four-class mixture grid ----------------------------------------------------
@@ -445,7 +429,8 @@ def run_mixed_grid(plan: TrainPlan) -> StudyResult:
     a unit ratio coincide with the pure classes, so they are evaluated but
     never trained on.
     """
-    stage = _pooled_stage(plan, "mixed_grid")
+    _check_plan(plan, "mixed_grid")
+    (stage,) = plan.stages
     if not plan.mix_r_values:
         raise ValueError("mixed grid needs at least one ratio value")
     detector = DetectorConfig(plan.n_detectors, plan.efficiency)
@@ -478,8 +463,7 @@ def run_mixed_grid(plan: TrainPlan) -> StudyResult:
              for i, r_thermal in enumerate(plan.mix_r_values)
              for j, r_coherent in enumerate(plan.mix_r_values))
     stages = [StudyStage(tuple(cells), derived_seed(plan.seed, 32), stage.epochs)]
-    (model,), report = run_study(6, list(MIX_CLASS_LABELS), stages, evals)
-    return StudyResult(model=model, report=report)
+    return run_study(6, list(MIX_CLASS_LABELS), stages, evals)
 
 
 # --- report serialization -------------------------------------------------------

@@ -49,14 +49,14 @@ def test_click_coefficients_match_enumeration(n_detectors):
     coeffs = click_coefficients(n_detectors, 8)
     for j in range(9):
         np.testing.assert_allclose(
-            coeffs.table[:, j], enumerate_click_row(n_detectors, j), atol=1e-12
+            coeffs[:, j], enumerate_click_row(n_detectors, j), atol=1e-12
         )
 
 
 @pytest.mark.parametrize("n_detectors", [1, 2, 3, 4, 5, 6])
 def test_click_coefficients_closure(n_detectors):
     coeffs = click_coefficients(n_detectors, 12)
-    sums = coeffs.table.sum(axis=0)
+    sums = coeffs.sum(axis=0)
     np.testing.assert_allclose(sums, np.ones(13), atol=1e-12)
 
 

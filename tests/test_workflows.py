@@ -131,7 +131,7 @@ def test_a_fine_tune_stage_trains_a_copy_of_the_base_model(monkeypatch):
     monkeypatch.setattr(workflows, "train_model", recording)
     result = run_algorithm1(tiny_plan())
     (base, _), (tuned, tuned_start) = starts
-    assert base is result.base_model and tuned is result.finetuned[20]
+    assert base is result.models[0] and tuned is result.models[1]
     base_state, tuned_state = base.get_state(), tuned.get_state()
     for name, value in base_state.items():
         # the copy starts from the trained base model, and its training leaves that model alone
@@ -189,7 +189,7 @@ def test_run_algorithm1_structure_and_determinism():
     assert set(accuracies) == {20, 40}
     assert accuracies == {row["bin_size"]: row["accuracy"] for row in second.report.rows}
     np.testing.assert_array_equal(first.report.latents, second.report.latents)
-    assert sorted(first.finetuned) == [20]
+    assert len(first.models) == 2  # the base model and the one fine-tuned on bin 20
     assert {row["bin_size"] for row in first.report.rows} == {20, 40}
     for acc in accuracies.values():
         assert 0.0 <= acc <= 1.0
@@ -241,7 +241,7 @@ def lossy_plan(**overrides):
 def test_run_algorithm2_structure_and_determinism():
     first = run_algorithm2(lossy_plan())
     second = run_algorithm2(lossy_plan())
-    assert first.model.spec.input_dim == 6
+    assert first.models[0].spec.input_dim == 6
     report = first.report
     cells = [(row["cell"], row["eta"]) for row in report.rows]
     assert cells[:3] == [("held_out", 0.6), ("held_out", 0.9), ("eta_sweep", 0.75)]
