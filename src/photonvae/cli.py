@@ -37,6 +37,7 @@ from .detector import DetectorConfig
 from .distributions import PhysicsError, SourceKind, SourceSpec
 from .nn import GradientError
 from .sampling import (
+    CSV_SEPARATORS,
     DatasetMeta,
     class_label_fault,
     concat_rows,
@@ -227,6 +228,13 @@ def _load_rows(paths):
     return concat_rows(parts)
 
 
+def _read_checkpoint(path: str):
+    try:
+        return load_checkpoint(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {path}: {exc}") from exc
+
+
 def _dataset_paths(config: dict) -> list[str]:
     if "datasets" in config:
         if isinstance(config["datasets"], str):
@@ -236,10 +244,11 @@ def _dataset_paths(config: dict) -> list[str]:
 
 
 def _class_order(config: dict, rows) -> list[str]:
-    """The config's ``classes`` labels, else the sorted labels of ``rows``.  A
-    label that ``class_label_fault`` refuses is a ConfigError."""
+    """The config's ``classes`` labels, else (for no list, or a ``gen`` config's
+    list of sources) the sorted labels of ``rows``.  Any other list must hold
+    strings that ``class_label_fault`` passes, or it is a ConfigError."""
     classes = _require(config, "classes", _array, None)
-    if classes and isinstance(classes[0], str):
+    if classes and not all(isinstance(entry, dict) for entry in classes):
         labels = _require(config, "classes", _list_of(_text))
         fault = class_label_fault(labels)
         if fault:
@@ -298,7 +307,7 @@ def cmd_train(args, config: dict, seed: int, out: Path, name: str, base=None) ->
     if base is not None:
         model, header = base
         features = "probs+nbar" if model.spec.input_dim == 6 else "probs"
-        if "features" in config and config["features"] != features:
+        if "features" in config and _features_flag(config) != features:
             raise DataMismatchError(
                 f"checkpoint expects {features!r} inputs, config says {config['features']!r}"
             )
@@ -348,12 +357,15 @@ def cmd_train(args, config: dict, seed: int, out: Path, name: str, base=None) ->
 def cmd_finetune(args, config: dict, seed: int, out: Path, name: str) -> dict:
     if not args.base_checkpoint:
         raise UsageError("finetune requires --base-checkpoint PATH")
-    return cmd_train(args, config, seed, out, name, base=load_checkpoint(args.base_checkpoint))
+    return cmd_train(args, config, seed, out, name, base=_read_checkpoint(args.base_checkpoint))
 
 
 def cmd_eval(args, config: dict, seed: int, out: Path, name: str) -> dict:
-    model, header = load_checkpoint(_require(config, "checkpoint", _text))
+    model, header = _read_checkpoint(_require(config, "checkpoint", _text))
     paths = _dataset_paths(config)
+    for path in paths:  # a path is written into its report and confusion rows
+        if any(sep in path for sep in CSV_SEPARATORS):
+            raise ConfigError(f"dataset path {path!r} holds a comma or a line break")
     stems = [Path(path).stem for path in paths]
     # a dataset's cells are named after its file stem, or after its path as
     # given, less the suffix, where another dataset has the same file name
@@ -373,7 +385,7 @@ def cmd_eval(args, config: dict, seed: int, out: Path, name: str) -> dict:
 
 
 def cmd_export_latent(args, config: dict, seed: int, out: Path, name: str) -> dict:
-    model, header = load_checkpoint(_require(config, "checkpoint", _text))
+    model, header = _read_checkpoint(_require(config, "checkpoint", _text))
     class_labels = list(header["class_labels"])
     latents = export_latent(model, _load_rows([_require(config, "dataset", _text)]), class_labels)
     latent_path = out / f"{name}_latent.csv"
@@ -382,7 +394,7 @@ def cmd_export_latent(args, config: dict, seed: int, out: Path, name: str) -> di
 
 
 def cmd_sweep(args, config: dict, seed: int, out: Path, name: str) -> dict:
-    model, header = load_checkpoint(_require(config, "checkpoint", _text))
+    model, header = _read_checkpoint(_require(config, "checkpoint", _text))
     sources = _parse_sources(_require(config, "classes", _array))
     detector = _require(config, "detector")
     n_detectors = _require(detector, "n_detectors", _count)

@@ -83,6 +83,10 @@ def concat_rows(parts: list[Rows]) -> Rows:
     )
 
 
+# a text field holding one of these would split its CSV row
+CSV_SEPARATORS = ",\n\r"
+
+
 def class_label_fault(labels: list) -> str | None:
     """What is wrong with a list of class labels, or None: a label that
     repeats would name two classes or two confusion rows alike, and one that
@@ -91,7 +95,7 @@ def class_label_fault(labels: list) -> str | None:
     for i, label in enumerate(labels):
         if label in labels[:i]:
             return f"class label {label!r} repeats"
-        if any(sep in str(label) for sep in ",\n\r"):
+        if any(sep in str(label) for sep in CSV_SEPARATORS):
             return f"class label {label!r} holds a comma or a line break"
     return None
 

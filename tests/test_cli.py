@@ -177,6 +177,32 @@ EXIT_CASES = {
     "finetune_foreign_labels": (4, "dataset/network mismatch:",
                                 ["finetune", "--config", "c.json", "--base-checkpoint", "model.ckpt"],
                                 {"datasets": ["foreign.csv"], "epochs": 1}),
+    "eval_missing_checkpoint": (1, "config error: cannot read checkpoint missing.ckpt:",
+                                ["eval", "--config", "c.json"],
+                                {"checkpoint": "missing.ckpt", "datasets": ["pair.csv"]}),
+    "eval_directory_checkpoint": (1, "config error: cannot read checkpoint copy:",
+                                  ["eval", "--config", "c.json"], {"checkpoint": "copy", "datasets": ["pair.csv"]}),
+    "export_latent_missing_checkpoint": (1, "config error: cannot read checkpoint missing.ckpt:",
+                                         ["export-latent", "--config", "c.json"],
+                                         {"checkpoint": "missing.ckpt", "dataset": "pair.csv"}),
+    "sweep_missing_checkpoint": (1, "config error: cannot read checkpoint missing.ckpt:",
+                                 ["sweep", "--config", "c.json"], {**SWEEP, "checkpoint": "missing.ckpt"}),
+    "finetune_missing_base": (1, "config error: cannot read checkpoint nope.ckpt:",
+                              ["finetune", "--config", "c.json", "--base-checkpoint", "nope.ckpt"],
+                              {"datasets": ["foreign.csv"], "epochs": 1}),
+    "eval_dataset_path_with_comma": (1, "config error: dataset path 'a,b.csv' holds a comma or a line break",
+                                     ["eval", "--config", "c.json"],
+                                     {"checkpoint": "model.ckpt", "datasets": ["a,b.csv"]}),
+    "train_number_first_in_classes": (1, "config error: config field 'classes'", ["train", "--config", "c.json"],
+                                      {"datasets": ["foreign.csv"], "epochs": 1, "classes": [7, "spacs"]}),
+    "train_numbers_as_classes": (1, "config error: config field 'classes'", ["train", "--config", "c.json"],
+                                 {"datasets": ["foreign.csv"], "epochs": 1, "classes": [7, 8]}),
+    "finetune_number_features": (1, "config error: config field 'features'",
+                                 ["finetune", "--config", "c.json", "--base-checkpoint", "model.ckpt"],
+                                 {"datasets": ["foreign.csv"], "epochs": 1, "features": 7}),
+    "finetune_unknown_features": (1, "config error: features must be 'probs' or 'probs+nbar', got 'bogus'",
+                                  ["finetune", "--config", "c.json", "--base-checkpoint", "model.ckpt"],
+                                  {"datasets": ["foreign.csv"], "epochs": 1, "features": "bogus"}),
 }
 # environment each case runs under, set after the shared setup
 EXIT_ENV = {"seed_env_negative": {cli.SEED_ENV_VAR: "-1"}}
@@ -211,6 +237,7 @@ def test_exit_code_contract(case, run_cli, tmp_path, monkeypatch):
     pair = (f"{CSV_HEADER}\n0.35,0.65,0,0,0,0,0,0.65,spacs,20,1,6,1.3,spacs,1\n"
             "0.3,0.7,0,0,0,0,0,0.7,spats,20,1,6,1.3,spats,1\n")
     (tmp_path / "pair.csv").write_text(pair)
+    (tmp_path / "a,b.csv").write_text(pair)
     (tmp_path / "one.csv").write_text(pair.splitlines(keepends=True)[0] + pair.splitlines(keepends=True)[1] * 20)
     (tmp_path / "copy").mkdir()
     (tmp_path / "copy" / "pair.csv").write_text(pair)

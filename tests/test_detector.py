@@ -259,3 +259,37 @@ def test_click_model_efficiency_equals_thinning_first(kind, mean, n_detectors, e
     joint = apply_click_model(pmf, n_detectors, eta)
     staged = apply_click_model(apply_efficiency(pmf, eta), n_detectors)
     np.testing.assert_allclose(joint.probs, staged.probs, rtol=0, atol=1e-12)
+
+
+def generating_function(spec: SourceSpec, x: float) -> float:
+    """Q(x) = sum of P(n) x^n over every n, untruncated; a mixture is linear in Q."""
+    m, r = spec.mean_param, spec.mix_ratio
+    coherent = math.exp(m * (x - 1.0))
+    thermal = 1.0 / (1.0 + m * (1.0 - x))
+    spacs = x * coherent * (1.0 + m * x) / (1.0 + m)
+    spats = x * thermal**2
+    return {
+        SourceKind.COHERENT: coherent,
+        SourceKind.THERMAL: thermal,
+        SourceKind.SPACS: spacs,
+        SourceKind.SPATS: spats,
+        SourceKind.MIXED_COHERENT_SPACS: r * coherent + (1.0 - r) * spacs,
+        SourceKind.MIXED_THERMAL_SPATS: r * thermal + (1.0 - r) * spats,
+    }[spec.kind]
+
+
+@PROPERTY_SETTINGS
+@given(kind=CHAIN_CASES["kind"], mean=st.floats(0.01, 20.0), ratio=st.floats(0.0, 1.0),
+       n_detectors=st.integers(1, 6), eta=st.floats(0.05, 1.0))
+def test_chain_matches_generating_function_oracles(kind, mean, ratio, n_detectors, eta):
+    # every detector stays dark with probability Q(1 - eta), and one given
+    # detector with probability Q(1 - eta / N); the truncated PMF misses at
+    # most the mass it dropped of each
+    spec = SourceSpec(kind, mean, ratio)
+    pmf = source_pmf(spec)
+    dropped = max(1.0 - pmf.probs.sum(), 0.0)
+    config = DetectorConfig(n_detectors, eta)
+    dark = observed_chain(pmf, config).probs[0]
+    assert abs(dark - generating_function(spec, 1.0 - eta)) <= dropped + 1e-13
+    mean_clicks = n_detectors * (1.0 - generating_function(spec, 1.0 - eta / n_detectors))
+    assert abs(chain_mean(pmf, config) - mean_clicks) <= n_detectors * dropped + 1e-12
