@@ -77,9 +77,8 @@ def _click_table(n_detectors: int, j_max: int, efficiency: float) -> np.ndarray:
 
 
 def click_coefficients(n_detectors: int, j_max: int) -> np.ndarray:
-    """Occupancy table C[n, j], of shape (n_detectors + 1, j_max + 1): the
-    probability that j photons spread uniformly over the detectors occupy
-    exactly n distinct ones."""
+    """Occupancy table C[n, j] of shape (n_detectors + 1, j_max + 1): the chance
+    that j photons spread uniformly over the detectors occupy exactly n of them."""
     if j_max < 0:
         raise PhysicsError(f"j_max must be >= 0, got {j_max}")
     return _click_table(n_detectors, j_max, 1.0).T

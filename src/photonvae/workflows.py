@@ -13,10 +13,11 @@ it carries the split between 5 and 6 clicks.
 
 Each study only turns a ``TrainPlan`` into cells, refusing a plan it cannot
 run before any dataset is generated, and ``run_study`` generates, splits,
-trains on and scores them; every study returns its ``StudyResult``.  ``model_inputs`` is the one place that decides a
-model's input layout (a six-input model also reads ``nbar_obs``), and
-``EvalReport.score`` the one path that scores an evaluation cell.  The
-studies and the CLI's ``eval`` and ``sweep`` all go through them.
+trains on and scores them; every study returns its ``StudyResult``.
+``model_inputs`` is the one place that decides a model's input layout (a
+six-input model also reads ``nbar_obs``), and ``EvalReport.score`` the one
+path that scores an evaluation cell.  The studies and the CLI's ``eval`` and
+``sweep`` all go through them.
 """
 
 from __future__ import annotations
@@ -264,9 +265,10 @@ def run_study(input_dim: int, class_labels: list[str], stages: list[StudyStage],
               ) -> StudyResult:
     """Train ``stages`` and score ``evals``, in order, and with ``latents``
     export stage 0's latent means of that cell's test rows; every study
-    returns the ``StudyResult`` of its models and report.  Each training cell is generated and split once, when
-    first needed, and a fresh dataset only when its cell is scored.  ``evals``
-    is read after training, so a builder may pass a generator."""
+    returns the ``StudyResult`` of its models and report.  Each training cell
+    is generated and split once, when first needed, and a fresh dataset only
+    when its cell is scored.  ``evals`` is read after training, so a builder
+    may pass a generator."""
 
     @functools.cache
     def split(cell: TrainCell) -> tuple[Rows, Rows, Rows]:
