@@ -361,11 +361,11 @@ def cmd_finetune(args, config: dict, seed: int, out: Path, name: str) -> dict:
 
 
 def cmd_eval(args, config: dict, seed: int, out: Path, name: str) -> dict:
-    model, header = _read_checkpoint(_require(config, "checkpoint", _text))
     paths = _dataset_paths(config)
     for path in paths:  # a path is written into its report and confusion rows
         if any(sep in path for sep in CSV_SEPARATORS):
             raise ConfigError(f"dataset path {path!r} holds a comma or a line break")
+    model, header = _read_checkpoint(_require(config, "checkpoint", _text))
     stems = [Path(path).stem for path in paths]
     # a dataset's cells are named after its file stem, or after its path as
     # given, less the suffix, where another dataset has the same file name
