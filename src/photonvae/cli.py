@@ -243,19 +243,18 @@ def _dataset_paths(config: dict) -> list[str]:
     return [_require(config, "dataset", _text)]
 
 
-def _class_order(config: dict, rows) -> list[str]:
-    """The config's ``classes`` labels, else (for no list, or a ``gen`` config's
-    list of sources) the sorted labels of ``rows``.  Any other list must hold
-    strings that ``class_label_fault`` passes, or it is a ConfigError."""
+def _class_labels(config: dict) -> list[str] | None:
+    """The config's ``classes`` labels, or None for no list or a ``gen``
+    config's list of sources.  Any other list must hold strings that
+    ``class_label_fault`` passes, or it is a ConfigError."""
     classes = _require(config, "classes", _array, None)
-    if classes and not all(isinstance(entry, dict) for entry in classes):
-        labels = _require(config, "classes", _list_of(_text))
-        fault = class_label_fault(labels)
-        if fault:
-            raise ConfigError(f"config field 'classes': {fault}")
-        return labels
-    # np.unique's order without np.unique, whose first call imports numpy.ma
-    return sorted(set(rows.labels.tolist()))
+    if not classes or all(isinstance(entry, dict) for entry in classes):
+        return None
+    labels = _require(config, "classes", _list_of(_text))
+    fault = class_label_fault(labels)
+    if fault:
+        raise ConfigError(f"config field 'classes': {fault}")
+    return labels
 
 
 def _features_flag(config: dict) -> str:
@@ -303,7 +302,7 @@ def cmd_gen(args, config: dict, seed: int, out: Path, name: str) -> dict:
 def cmd_train(args, config: dict, seed: int, out: Path, name: str, base=None) -> dict:
     """Train from scratch, or from ``base`` = (model, checkpoint header) when fine-tuning."""
     rows = _load_rows(_dataset_paths(config))
-    class_order = _class_order(config, rows)
+    labels = _class_labels(config)
     if base is not None:
         model, header = base
         features = "probs+nbar" if model.spec.input_dim == 6 else "probs"
@@ -312,8 +311,12 @@ def cmd_train(args, config: dict, seed: int, out: Path, name: str, base=None) ->
                 f"checkpoint expects {features!r} inputs, config says {config['features']!r}"
             )
         class_order = list(header["class_labels"])
+        if labels is not None and labels != class_order:
+            raise DataMismatchError(f"checkpoint classes are {class_order}, config says {labels}")
         model.reseed(seed)
     else:
+        # np.unique's order without np.unique, whose first call imports numpy.ma
+        class_order = labels or sorted(set(rows.labels.tolist()))
         if len(class_order) < 2:
             raise ConfigError(f"training needs at least two classes, the class order is {class_order}")
         features = _features_flag(config)

@@ -41,15 +41,12 @@ A TRAIN pass caches only what its backward pass reads.  A BatchNorm caches
 its centred input and 1/std, not the normalized input, which it never forms:
 the output is ``centred * (inv_std * gamma) + beta``.  A Dense caches its
 input, which is the previous block's output.  A block adds its own output and
-a boolean keep mask: its activation, scaled by inverted dropout's
-1 / (1 - rate), is written into the BatchNorm's output array, and the
-activation's derivative is read from the block's output, so SELU's needs no
-exponential.  ``MLPStack.backward`` pops each layer's cache as it consumes
-it, so a pass's arrays are freed layer by layer, not when the pass ends.
-Functions finish their arithmetic in place, but only on temporaries they
-allocated themselves, on a layer's ``RESULTS`` arrays and on an activation's
-``out`` (a block passes its BatchNorm's fresh output): no other array
-argument, and no array held in a cache, is ever written.
+a boolean keep mask.  ``MLPStack.backward`` pops each layer's cache as it
+consumes it, so a pass's arrays are freed layer by layer, not when the pass
+ends.  Functions write in place only temporaries they allocated, a layer's
+``RESULTS`` arrays and an ``out`` argument, a destination that may be the
+input itself and changes no byte of the result.  No other argument and no
+cached array is written; without ``out``, a call returns new arrays.
 """
 
 from __future__ import annotations
@@ -187,10 +184,11 @@ class BatchNorm:
     moves each running statistic to ``MOMENTUM`` * running + (1 - ``MOMENTUM``)
     * batch value.
 
-    ``forward``'s cache is ``(centred, inv_std)``: the input minus the mean
-    and 1 / sqrt(var + EPS).  The normalized input x_hat = centred * inv_std
-    is never formed, so each column is scaled once, by inv_std * gamma, and
-    ``backward`` takes gamma's gradient as inv_std * sum(dy * centred)."""
+    ``forward``'s cache is ``(centred, inv_std)``: the input minus the mean,
+    written to ``out`` when given, and 1 / sqrt(var + EPS).  The normalized
+    input x_hat = centred * inv_std is never formed, so each column is scaled
+    once, by inv_std * gamma, and ``backward`` takes gamma's gradient as
+    inv_std * sum(dy * centred), writing the input's gradient to ``out``."""
 
     EPS = 1e-5
     MOMENTUM = 0.9
@@ -206,24 +204,25 @@ class BatchNorm:
         for attr in self.RESULTS.values():
             setattr(self, attr, np.zeros(dim))
 
-    def forward(self, x: np.ndarray, mode: str):
+    def forward(self, x: np.ndarray, mode: str, out: np.ndarray | None = None):
         if mode == TRAIN:
             # x.mean(0) and x.var(0) from batch sums, centring x only once
             n = x.shape[0]
             mean = column_sums(x, out=self.batch_mean)
             mean /= n
-            centred = x - mean
-            var = column_sums(centred * centred, out=self.batch_var)
+            centred = np.subtract(x, mean, out=out)
+            y = np.multiply(centred, centred)  # the squares, then the output
+            var = column_sums(y, out=self.batch_var)
             var /= n
         else:
-            centred = x - self.running_mean
+            centred, y = np.subtract(x, self.running_mean, out=out), None
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.EPS)
-        y = centred * (inv_std * self.gamma)
+        y = np.multiply(centred, inv_std * self.gamma, out=y)
         y += self.beta
         return y, (centred, inv_std)
 
-    def backward(self, dy: np.ndarray, cache):
+    def backward(self, dy: np.ndarray, cache, out: np.ndarray | None = None):
         centred, inv_std = cache
         proj = dy * centred
         # sum(dy * x_hat) = inv_std * sum(dy * centred)
@@ -235,16 +234,25 @@ class BatchNorm:
         # whose two batch sums are the parameter gradients
         n = centred.shape[0]
         np.multiply(centred, inv_std * gamma_grad / n, out=proj)
-        dx = dy - beta_grad / n
+        dx = np.subtract(dy, beta_grad / n, out=out)
         dx -= proj
         dx *= self.gamma * inv_std
         return dx
 
 
-def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: np.random.Generator | None):
+def _copied(x: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``x``, or ``out`` holding a copy of it (numpy copies nothing when it is ``x``)."""
+    if out is None:
+        return x
+    np.copyto(out, x)
+    return out
+
+
+def dropout_forward(x: np.ndarray, rate: float, mode: str, rng, out: np.ndarray | None = None):
     """Dropout's zeroing: ``x`` times a boolean keep mask in training, and the
-    mask; ``x`` and None otherwise.  The 1 / (1 - rate) of inverted dropout is
-    left to the caller (a block's activation applies it).
+    mask; ``x`` and None otherwise.  The product goes to ``out`` when given.
+    The 1 / (1 - rate) of inverted dropout is left to the caller (a block's
+    activation applies it).
 
     Each unit's keep decision is a 16-bit draw, four to a raw 64-bit word of
     ``rng``'s bit generator (``random_raw(ceil(x.size / 4))``, read as uint16
@@ -253,14 +261,14 @@ def dropout_forward(x: np.ndarray, rate: float, mode: str, rng: np.random.Genera
     2**16: 0.19999695 at rate 0.2.  A rate below 2**-17 keeps every unit, and
     one whose threshold rounds to 65536 drops every unit."""
     if mode != TRAIN or rate <= 0.0:
-        return x, None
+        return _copied(x, out), None
     draws = rng.bit_generator.random_raw(-(-x.size // 4)).view(np.uint16)
     keep = draws[: x.size].reshape(x.shape) >= round(rate * 65536)
-    return x * keep, keep
+    return np.multiply(x, keep, out=out), keep
 
 
-def dropout_backward(dy: np.ndarray, keep):
-    return dy if keep is None else dy * keep
+def dropout_backward(dy: np.ndarray, keep, out: np.ndarray | None = None):
+    return _copied(dy, out) if keep is None else np.multiply(dy, keep, out=out)
 
 
 class DenseBlock:
@@ -269,9 +277,12 @@ class DenseBlock:
     The linear map has no bias: batch normalization would subtract it again,
     and its beta is the block's shift.  The cache is ``(input, (centred,
     inv_std), output, keep)``: the output is the next layer's input, and the
-    keep mask is None when nothing is dropped.  On a dropped unit the
-    derivative is read from the zeroed output, not the activation, but the
-    mask zeroes that unit's gradient."""
+    keep mask is None when nothing is dropped.  The BatchNorm centres the
+    Dense output, which nothing caches, in place; the activation, scaled by
+    1 / (1 - rate), and the mask overwrite the BatchNorm's output.  Backward,
+    the activation's derivative (read from the output, so a dropped unit's is
+    wrong, but the mask zeroes it) times the upstream gradient and the mask
+    becomes the BatchNorm's input gradient in place."""
 
     def __init__(self, in_dim, out_dim, activation: str, dropout_rate: float, rng):
         self.dense = Dense(in_dim, out_dim, rng)
@@ -281,17 +292,18 @@ class DenseBlock:
 
     def forward(self, x, mode: str, rng):
         pre, dense_cache = self.dense.forward(x)
-        normed, norm_cache = self.norm.forward(pre, mode)
+        normed, norm_cache = self.norm.forward(pre, mode, out=pre)
         scale = 1.0 / (1.0 - self.dropout_rate) if mode == TRAIN else 1.0
         activated = self.act(normed, scale, out=normed)
-        out, keep = dropout_forward(activated, self.dropout_rate, mode, rng)
+        out, keep = dropout_forward(activated, self.dropout_rate, mode, rng, out=activated)
         return out, (dense_cache, norm_cache, out, keep)
 
     def backward(self, dy, cache):
         dense_cache, norm_cache, out, keep = cache
         grad = self.act_grad(out, 1.0 / (1.0 - self.dropout_rate))
-        grad *= dropout_backward(dy, keep)
-        return self.dense.backward(self.norm.backward(grad, norm_cache), dense_cache)
+        grad *= dy
+        dropout_backward(grad, keep, out=grad)
+        return self.dense.backward(self.norm.backward(grad, norm_cache, out=grad), dense_cache)
 
 
 class MLPStack:
@@ -343,8 +355,8 @@ class MLPStack:
 
 class Adam:
     """Adaptive-moment optimizer with bias correction, one update over a whole
-    vector.  The moments are allocated at the first step, in the dtype of the
-    parameter vector, and updated in place."""
+    vector.  Its moments and two scratch vectors are allocated at the first
+    step, in the parameter vector's dtype, so a step allocates nothing."""
 
     BETA1 = 0.9
     BETA2 = 0.999
@@ -353,7 +365,7 @@ class Adam:
     def __init__(self, lr=1e-3):
         self.lr = lr
         self.step_count = 0
-        self.m = self.v = None  # moment estimates
+        self.m = self.v = self._scratch = None  # moments, then two scratch vectors
 
     def step(self, params: NamedVector, grads: NamedVector):
         """Update ``params.vector`` in place from ``grads.vector`` (same layout)."""
@@ -364,18 +376,17 @@ class Adam:
         bias1 = 1.0 - b1**self.step_count
         bias2 = 1.0 - b2**self.step_count
         if self.m is None:
-            self.m = np.zeros_like(params.vector)
-            self.v = np.zeros_like(params.vector)
-        m, v = self.m, self.v
+            self.m, self.v, *self._scratch = np.zeros((4, params.vector.size), params.vector.dtype)
+        m, v, term, denom = self.m, self.v, *self._scratch
         m *= b1
-        m += (1.0 - b1) * grad
+        m += np.multiply(grad, 1.0 - b1, out=term)
         v *= b2
-        v += (1.0 - b2) * grad * grad
+        v += np.multiply(np.multiply(grad, 1.0 - b2, out=term), grad, out=term)
         # lr * m_hat / (sqrt(v_hat) + eps), with its operations in that order
-        denom = v / bias2
+        np.divide(v, bias2, out=denom)
         np.sqrt(denom, out=denom)
         denom += self.EPS
-        update = m / bias1
+        update = np.divide(m, bias1, out=term)
         update *= self.lr
         update /= denom
         params.vector -= update

@@ -417,7 +417,8 @@ class VAEClassifier:
         latent = SHAPE["latent_dim"]
         enc_caches, dec_caches, clf_caches = fwd.caches
 
-        dx_hat = (2.0 / (n * d)) * (fwd.x_hat - x)
+        dx_hat = fwd.x_hat - x
+        dx_hat *= 2.0 / (n * d)
         dz = self.decoder.backward(dx_hat, dec_caches)
         dz += self.classifier.backward(_dlogits(labelled, fwd.probs), clf_caches)
 

@@ -200,6 +200,14 @@ EXIT_CASES = {
     "finetune_number_features": (1, "config error: config field 'features'",
                                  ["finetune", "--config", "c.json", "--base-checkpoint", "model.ckpt"],
                                  {"datasets": ["foreign.csv"], "epochs": 1, "features": 7}),
+    "finetune_other_classes": (4, "dataset/network mismatch: checkpoint classes are ['spacs', 'spats'], "
+                                  "config says ['x', 'y', 'z']",
+                               ["finetune", "--config", "c.json", "--base-checkpoint", "model.ckpt"],
+                               {"datasets": ["pair.csv"], "epochs": 1, "classes": ["x", "y", "z"]}),
+    "finetune_same_classes": (0, "", ["finetune", "--config", "c.json", "--base-checkpoint", "model.ckpt"],
+                              {"datasets": ["one.csv"], "epochs": 1, "classes": ["spacs", "spats"]}),
+    "finetune_gen_classes": (0, "", ["finetune", "--config", "c.json", "--base-checkpoint", "model.ckpt"],
+                             {"datasets": ["one.csv"], "epochs": 1, "classes": CLASSES}),
     "finetune_unknown_features": (1, "config error: features must be 'probs' or 'probs+nbar', got 'bogus'",
                                   ["finetune", "--config", "c.json", "--base-checkpoint", "model.ckpt"],
                                   {"datasets": ["foreign.csv"], "epochs": 1, "features": "bogus"}),

@@ -289,7 +289,17 @@ def test_chain_matches_generating_function_oracles(kind, mean, ratio, n_detector
     pmf = source_pmf(spec)
     dropped = max(1.0 - pmf.probs.sum(), 0.0)
     config = DetectorConfig(n_detectors, eta)
-    dark = observed_chain(pmf, config).probs[0]
-    assert abs(dark - generating_function(spec, 1.0 - eta)) <= dropped + 1e-13
+    probs = observed_chain(pmf, config).probs
+    assert abs(probs[0] - generating_function(spec, 1.0 - eta)) <= dropped + 1e-13
     mean_clicks = n_detectors * (1.0 - generating_function(spec, 1.0 - eta / n_detectors))
     assert abs(chain_mean(pmf, config) - mean_clicks) <= n_detectors * dropped + 1e-12
+    # k given detectors click and the other N - k stay dark: inclusion-exclusion
+    # over which j of the k stay dark as well, each of its 2**k terms a Q value
+    # that misses at most the dropped mass
+    n = n_detectors
+    for k in range(n + 1):
+        clicks = math.comb(n, k) * sum(
+            (-1) ** j * math.comb(k, j) * generating_function(spec, 1.0 - eta * (n - k + j) / n)
+            for j in range(k + 1)
+        )
+        assert abs(probs[k] - clicks) <= math.comb(n, k) * 2**k * dropped + 1e-12, k

@@ -452,9 +452,9 @@ def test_block_activation_derivative_matches_input_form(n, seed, activation):
     seen = []
     norm_backward = block.norm.backward
 
-    def recording_backward(g, *args):
-        seen.append(g)
-        return norm_backward(g, *args)
+    def recording_backward(g, *args, **kwargs):
+        seen.append(g.copy())  # the input's gradient overwrites g
+        return norm_backward(g, *args, **kwargs)
 
     block.norm.backward = recording_backward
     block.backward(dy, cache)
@@ -527,6 +527,61 @@ def test_block_infer_mode_is_deterministic():
     a, _ = block.forward(x, INFER, rng)
     b, _ = block.forward(x, INFER, rng)
     np.testing.assert_array_equal(a, b)
+
+
+def _arrays_of(result) -> list:
+    """The arrays in a layer's result or arguments, nested tuples walked in order."""
+    if isinstance(result, tuple):
+        return [a for part in result for a in _arrays_of(part)]
+    return [result] if isinstance(result, np.ndarray) else []
+
+
+def with_and_without_out(f, arg, rest, alias, held=()):
+    """Call ``f(arg, *rest)``, then with ``out``: ``arg`` itself (on a copy), as
+    a block passes it, or a new array.  Both give the same bytes, in the result
+    and in the layer's ``held`` arrays, and the first writes no argument.
+    Returns the second call's result and its ``out``."""
+    args = _arrays_of((arg, *rest))
+    before = [a.tobytes() for a in args]
+    want = [a.tobytes() for a in _arrays_of(f(arg, *rest)) + list(held)]
+    assert [a.tobytes() for a in args] == before
+    out = arg.copy() if alias else np.empty_like(arg)
+    given = f(out if alias else arg, *rest, out=out)
+    assert [a.tobytes() for a in _arrays_of(given) + list(held)] == want
+    return given, out
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("alias", [True, False], ids=["out_is_the_input", "out_is_new"])
+def test_an_out_destination_changes_no_byte_and_no_draw(dtype, alias):
+    rng = np.random.default_rng(12)
+    x = rng.normal(2.0, 3.0, size=(64, 7)).astype(dtype)
+    dy = rng.normal(size=(64, 7)).astype(dtype)
+    bn = BatchNorm(7)
+    cast_params(dtype, bn)
+    for leaf in ("gamma", "beta", "running_mean"):
+        getattr(bn, leaf)[...] = rng.normal(size=7)
+    bn.running_var[...] = rng.uniform(0.5, 2.0, size=7)
+
+    for mode, held in ((TRAIN, (bn.batch_mean, bn.batch_var)), (INFER, ())):
+        (_, (centred, _)), out = with_and_without_out(bn.forward, x, (mode,), alias, held)
+        assert centred is out  # the centred input, which the output is not
+    _, cache = bn.forward(x, TRAIN)
+    dx, out = with_and_without_out(bn.backward, dy, (cache,), alias, (bn.gamma_grad, bn.beta_grad))
+    assert dx is out
+
+    for mode, rate in ((TRAIN, 0.3), (TRAIN, 0.0), (INFER, 0.3)):
+        twins = [np.random.default_rng(5), np.random.default_rng(5)]
+        draws = iter(twins)
+
+        def dropped(a, **kw):
+            return dropout_forward(a, rate, mode, next(draws), **kw)
+
+        (y, keep), out = with_and_without_out(dropped, x, (), alias)
+        assert y is out and (keep is None) == (mode == INFER or rate == 0.0)
+        assert twins[0].bit_generator.state == twins[1].bit_generator.state
+        grad, out = with_and_without_out(dropout_backward, dy, (keep,), alias)
+        assert grad is out
 
 
 # --- optimizer ---------------------------------------------------------------
