@@ -4,7 +4,9 @@ Every command reads a JSON config, applies flag overrides (flags beat the
 PHOTONVAE_SEED environment variable, which beats the config file), echoes the
 effective merged config next to its outputs, and prints a single JSON summary
 line on stdout.  Log chatter goes to stderr so output files and stdout stay
-byte-reproducible.
+byte-reproducible: on one machine with one numpy build every run gives the
+same bytes, but float32 matrix products round differently on another BLAS
+kernel, so trained outputs differ across kernels.
 
 ``main`` frames every command.  It loads the config and resolves the seed, the
 run name and the output directory, then calls ``cmd_<command>(args, config,

@@ -5,16 +5,18 @@ its label and its bin size.  One class's bins are drawn in blocks of
 ``BLOCK_BINS``, one multinomial draw per block from a stream keyed by (dataset
 seed, class index, block index).
 
-The dataset CSV is written and read in blocks of ``CSV_BLOCK_ROWS`` rows, as
-is the latent CSV of ``workflows``.  A row of text is 15 Python strings, over
-ten times the bytes of its parsed row, so a whole-file table would cost more
-memory than the rows it holds; a block of a few hundred rows keeps numpy's
-per-call cost small and the text of one block in memory at a time.
+A dataset CSV row is a bin's label and its counts of windows with 0..6 clicks,
+whose sum is the bin size; only the ``*.meta.json`` sidecar records what
+regenerates the dataset.  The CSV is written and read in blocks of
+``CSV_BLOCK_ROWS`` rows, as is the latent CSV of ``workflows``.  A row of text
+is 8 Python strings, several times the bytes of its parsed row, so a
+whole-file table would cost more memory than the rows it holds; a block of a
+few hundred rows keeps numpy's per-call cost small and the text of one block
+in memory at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from itertools import islice
@@ -33,19 +35,14 @@ from .distributions import (
     source_pmf,
 )
 
-CSV_HEADER = (
-    "p0,p1,p2,p3,p4,p5,p6,nbar_obs,label,bin_size,eta,n_detectors,"
-    "nbar_the,source_kind,mix_ratio"
-)
-_FLOAT_FMT = "{:.9g}"
+CSV_HEADER = "label,c0,c1,c2,c3,c4,c5,c6"
+CSV_BLOCK_ROWS = 256
 
 _CLICKS = np.arange(MAX_RECORDED_CLICKS + 1)
 
 # version 2: histograms come from one multinomial stream per block of bins
 META_FORMAT_VERSION = 2
 BLOCK_BINS = 256
-
-CSV_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,11 +59,6 @@ class Rows:
 
     def take(self, index) -> Rows:
         return Rows(self.counts[index], self.labels[index], self.bin_size[index])
-
-    @property
-    def p_obs(self) -> np.ndarray:
-        """Fractions of each bin's windows with 0..6 clicks."""
-        return self.counts / self.bin_size[:, None]
 
     @property
     def nbar_obs(self) -> np.ndarray:
@@ -125,7 +117,7 @@ class DatasetMeta:
 @dataclass(frozen=True)
 class Dataset:
     """Generated rows with what regenerates them (``meta``) and, per label, the
-    realized pre-loss source mean ``nbar_the``; the CSV and sidecar writers read it."""
+    realized pre-loss source mean ``nbar_the``, which the sidecar records."""
 
     rows: Rows
     meta: DatasetMeta
@@ -222,29 +214,15 @@ def label_vector(rows: Rows, class_order: list[str]) -> np.ndarray:
 # --- file formats ----------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    return _FLOAT_FMT.format(value)
-
-
 def write_dataset_csv(path, dataset: Dataset) -> None:
-    meta, rows = dataset.meta, dataset.rows
-    # a bin's fractions and mean take few distinct values: format each once per file
-    fmt = functools.cache(_fmt)
-    tail = {
-        label: f"{fmt(meta.detector.efficiency)},{meta.detector.n_detectors},"
-        f"{fmt(dataset.nbar_the[label])},{src.kind.value},{fmt(src.mix_ratio)}"
-        for label, src in meta.sources
-    }
+    rows = dataset.rows
     with open(path, "w") as file:
         file.write(CSV_HEADER + "\n")
         for start in range(0, len(rows), CSV_BLOCK_ROWS):
             block = rows.take(slice(start, start + CSV_BLOCK_ROWS))
-            values = np.hstack([block.p_obs, block.nbar_obs[:, None]])
-            distinct, inverse = np.unique(values, return_inverse=True)
-            cells = np.array([fmt(v) for v in distinct.tolist()])[inverse.reshape(values.shape)]
             file.write("".join(
-                f"{','.join(fields)},{label},{size},{tail[label]}\n"
-                for fields, label, size in zip(cells.tolist(), block.labels.tolist(), block.bin_size.tolist())
+                f"{label},{','.join(map(str, counts))}\n"
+                for label, counts in zip(block.labels.tolist(), block.counts.tolist())
             ))
 
 
@@ -283,17 +261,12 @@ def _parse_rows(lines: list[str], first: int) -> Rows:
     fields = [line.split(",") for line in lines]
     _refuse(np.array([len(cells) for cells in fields]) != width, first, 0, f"a row needs {width} fields")
     table = np.array(fields, dtype=object).reshape(len(fields), width)
-    p = _parse(table[:, : MAX_RECORDED_CLICKS + 1], np.float64, first, 1, "fraction")
-    bin_size = _parse(table[:, 9], np.int64, first, 2, "bin_size")
-    _refuse(bin_size < 1, first, 3, "bin_size must be >= 1")
-    _refuse(~((p >= 0.0) & (p <= 1.0)).all(axis=1), first, 4, "fractions must lie in [0, 1]")
-    counts = np.rint(p * bin_size[:, None]).astype(np.int64)
-    _refuse(
-        (np.abs(p - counts / bin_size[:, None]) > 1e-6).any(axis=1),
-        first, 5, "fractions are not whole counts of bin_size",
-    )
-    _refuse(counts.sum(axis=1) != bin_size, first, 6, "counts do not sum to bin_size")
-    return Rows(counts, table[:, 8].astype(str), bin_size)
+    counts = _parse(table[:, 1:], np.int64, first, 1, "count")
+    _refuse((counts < 0).any(axis=1), first, 2, "counts must be >= 0")
+    # counts are >= 0, so a sum past int64 first shows as a negative partial sum
+    sums = np.cumsum(counts, axis=1)
+    _refuse((sums < 0).any(axis=1) | (sums[:, -1] == 0), first, 3, "counts must sum to 1 .. 2**63 - 1")
+    return Rows(counts, table[:, 0].astype(str), sums[:, -1])
 
 
 def _line_blocks(lines: Iterator[str]) -> Iterator[tuple[int, list[str]]]:
@@ -317,22 +290,22 @@ def _line_blocks(lines: Iterator[str]) -> Iterator[tuple[int, list[str]]]:
 
 
 def load_dataset_csv(path) -> Rows:
-    """Read back the rows of a dataset CSV (metadata columns live in the sidecar).
+    """Read back the rows of a dataset CSV; each bin's size is its counts' sum.
 
-    Counts are recovered as rint(p * bin_size).  A row is refused, with its line
-    named, unless it has every field, a bin size >= 1, and fractions in [0, 1]
-    that lie within 1e-6 of whole counts summing to the bin size.  Lines are
-    counted from the header, the first line that is not blank.  A file with
-    several refused rows is refused for the first row of the earliest check
-    in ``_parse_rows`` that any row fails, as if each check ran over the
-    whole file before the next.
+    A row is refused, with its line named, if it has the wrong number of
+    fields, a count that is not a whole number within int64, a negative
+    count, or counts that sum to 0 or past int64.  Lines are counted from the
+    header, the first line that is not blank; any other header, the old
+    15-column one too, is refused.  A file with several refused rows is
+    refused for the first row of the earliest check in ``_parse_rows`` that
+    any row fails, as if each check ran over the whole file before the next.
     """
     parts, fault = [], None
     with open(path) as file:
         header = next((line.strip() for line in file if line.strip()), "")
         if header != CSV_HEADER:
             raise ValueError(f"unexpected dataset header {header!r}")
-        # a line keeps its newline, which only its last field, the unread mix_ratio, holds
+        # a line keeps its newline, which int() ignores at the end of the last count
         for first, block in _line_blocks(file):
             try:
                 parts.append(_parse_rows(block, first))

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from photonvae import sampling
 from photonvae.detector import DetectorConfig, observed_chain
 from photonvae.distributions import (
     PhotonPMF,
@@ -115,14 +114,14 @@ def test_pooled_counts_pass_chi_square():
 
 def test_bin_statistics_direct_count():
     row = rows_of([[2, 2, 0, 0, 0, 0, 0]], label="lab")
-    np.testing.assert_array_equal(row.p_obs[0, :2], [0.5, 0.5])
+    np.testing.assert_array_equal(feature_matrix(row, include_nbar=False)[0, :2], [0.5, 0.5])
     assert row.nbar_obs[0] == 0.5
     assert row.labels[0] == "lab" and row.bin_size[0] == 4
 
 
 def test_bin_statistics_constant_counts():
     row = rows_of([[0, 0, 200, 0, 0, 0, 0]])
-    assert row.p_obs[0, 2] == 1.0
+    assert feature_matrix(row, include_nbar=False)[0, 2] == 1.0
     assert row.nbar_obs[0] == 2.0
 
 
@@ -134,17 +133,18 @@ def test_bin_statistics_drops_trailing_remainder():
 
 def test_bin_statistics_rejects_out_of_range(tmp_path):
     path = tmp_path / "bad.csv"
-    for fractions in ("-0.05,1.05,0,0,0,0,0", "1.05,-0.05,0,0,0,0,0", "nan,1,0,0,0,0,0"):
-        path.write_text(f"{CSV_HEADER}\n{fractions},1,a,20,1,6,1.3,spacs,1\n")
-        with pytest.raises(ValueError, match=r"line 2: fractions must lie in \[0, 1\]"):
+    for counts in ("-1,21,0,0,0,0,0", "21,-1,0,0,0,0,0", "0,0,0,0,0,0,-1"):
+        path.write_text(f"{CSV_HEADER}\na,{counts}\n")
+        with pytest.raises(ValueError, match=r"line 2: counts must be >= 0"):
             load_dataset_csv(path)
 
 
 def test_bin_fractions_are_multiples_of_inverse_bin_size():
     rows = generate_dataset(small_meta(bin_size=200, bins_per_class=300)).rows
-    scaled = rows.p_obs * 200
+    scaled = feature_matrix(rows, include_nbar=False) * 200
     np.testing.assert_allclose(scaled, np.round(scaled), rtol=0, atol=1e-9)
-    np.testing.assert_allclose(rows.nbar_obs, rows.p_obs @ np.arange(7), rtol=0, atol=1e-12)
+    fractions = rows.counts / 200
+    np.testing.assert_allclose(rows.nbar_obs, fractions @ np.arange(7), rtol=0, atol=1e-12)
 
 
 def test_bin_mean_matches_chain_mean_within_three_sigma():
@@ -191,7 +191,8 @@ def test_generate_dataset_records_preloss_mean():
 
 # SHA-256 of the counts and pre-loss means of two small datasets, one per
 # detector: any change to a source PMF, the detector chain or the block draws
-# changes it
+# changes it.  Taken with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 on the
+# SkylakeX kernel
 PINNED_DATASET_SHA256 = "d5874f3289762a20c277a9ed4f219d36c484af092a43115f11758c6947f30866"
 
 
@@ -318,7 +319,7 @@ def test_csv_round_trip(tmp_path):
     write_dataset_csv(path, dataset)
     rows = load_dataset_csv(path)
     assert len(rows) == len(dataset.rows)
-    np.testing.assert_array_equal(rows.counts, dataset.rows.counts)  # rint(p * bin_size)
+    np.testing.assert_array_equal(rows.counts, dataset.rows.counts)
     np.testing.assert_array_equal(rows.labels, dataset.rows.labels)
     np.testing.assert_array_equal(rows.bin_size, dataset.rows.bin_size)
     for include_nbar in (False, True):
@@ -328,26 +329,21 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_csv_lines_match_per_row_formatting(tmp_path):
-    # the writer formats each distinct value once; this is the per-row form
+    # the writer formats a block of rows at a time; this is the per-row form
     dataset = generate_dataset(small_meta(bin_size=30, bins_per_class=20, detector=DetectorConfig(4, 0.9)))
     path = tmp_path / "data.csv"
     write_dataset_csv(path, dataset)
-    sources = dict(dataset.meta.sources)
     want = [CSV_HEADER]
     for counts, label in zip(dataset.rows.counts.tolist(), dataset.rows.labels.tolist()):
-        fractions = [c / 30 for c in counts]
-        nbar = sum(k * c for k, c in enumerate(counts)) / 30
-        fields = ["{:.9g}".format(v) for v in fractions + [nbar]] + [
-            label, "30", "0.9", "4", "{:.9g}".format(dataset.nbar_the[label]),
-            sources[label].kind.value, "1",
-        ]
-        want.append(",".join(fields))
+        assert sum(counts) == 30
+        want.append(",".join([label] + ["%d" % c for c in counts]))
     assert path.read_text() == "\n".join(want) + "\n"
 
 
 # SHA-256 of the file ``write_dataset_csv`` writes for 1,103 rows of a
-# generated dataset; 1,103 is prime, so no block of 2 to 1,102 rows divides it
-PINNED_CSV_SHA256 = "0cf7eee0da5b34088dc8e5c99ab800f9ab34cf5f03f9ef70d0e5d3c41efb5535"
+# generated dataset; 1,103 is prime, so no block of 2 to 1,102 rows divides it.
+# Taken with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 on the SkylakeX kernel
+PINNED_CSV_SHA256 = "8fea9a9c6c02490eb08844c3f052cfd694c3491584ca21b5bd8ffd56fece0fba"
 
 
 def test_csv_file_is_pinned_and_reads_back_whole(tmp_path):
@@ -361,25 +357,6 @@ def test_csv_file_is_pinned_and_reads_back_whole(tmp_path):
         want, got = getattr(dataset.rows, name), getattr(rows, name)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
-
-
-def test_csv_write_formats_each_distinct_value_once_per_file(tmp_path, monkeypatch):
-    dataset = generate_dataset(small_meta(bin_size=50, bins_per_class=300, detector=DetectorConfig(4, 0.9)))
-    rows = dataset.rows
-    assert len(rows) > 2 * sampling.CSV_BLOCK_ROWS
-    calls = []
-    real_fmt = sampling._fmt
-
-    def counting_fmt(value):
-        calls.append(value)
-        return real_fmt(value)
-
-    monkeypatch.setattr(sampling, "_fmt", counting_fmt)
-    write_dataset_csv(tmp_path / "data.csv", dataset)
-    meta = dataset.meta
-    written = {*rows.p_obs.ravel().tolist(), *rows.nbar_obs.tolist(), meta.detector.efficiency,
-               *dataset.nbar_the.values(), *(src.mix_ratio for _, src in meta.sources)}
-    assert sorted(calls) == sorted(written)
 
 
 def test_csv_write_is_byte_stable(tmp_path):
@@ -434,29 +411,39 @@ def test_load_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         load_dataset_csv(path)
+    # the 15-column format of earlier files: fractions, nbar_obs, label, bin_size
+    # and copies of the sidecar's fields
+    old = "p0,p1,p2,p3,p4,p5,p6,nbar_obs,label,bin_size,eta,n_detectors,nbar_the,source_kind,mix_ratio"
+    path.write_text(f"{old}\n0.5,0.25,0.25,0,0,0,0,0.75,a,20,1,6,1.3,spacs,1\n")
+    with pytest.raises(ValueError, match=re.escape(f"unexpected dataset header {old!r}")):
+        load_dataset_csv(path)
 
 
-GOOD_ROW = "0.5,0.25,0.25,0,0,0,0,0.75,a,20,1,6,1.3,spacs,1"
-# a good row, then one per fault in the order a whole-file read checks them
+GOOD_ROW = "a,10,5,5,0,0,0,0"
+# a good row, then one per fault in the order a whole-file read checks them;
+# the last two fail one check, a bin size (the counts' sum) of 0 or past int64
 FAULTY_ROWS = {
-    "fields": "0.5,0.25,0.25,0,0,0,0.75,a,20,1,6,1.3,spacs,1",
-    "fraction": "0.5,0.25,x,0,0,0,0,0.75,a,20,1,6,1.3,spacs,1",
-    "bin_size": "0.5,0.25,0.25,0,0,0,0,0.75,a,0,1,6,1.3,spacs,1",
-    "sum": "0.5,0.25,0.2,0,0,0,0,0.65,a,20,1,6,1.3,spacs,1",
+    "fields": "a,10,5,5,0,0,0",
+    "count": "a,10,5,x,0,0,0,0",
+    "negative": "a,10,-5,15,0,0,0,0",
+    "bin_size": "a,0,0,0,0,0,0,0",
+    "sum": f"a,{2**63 - 1},1,0,0,0,0,0",
 }
 
 
 @pytest.mark.parametrize("bad, problem", [
-    ("0.53,0.22,0.25,0,0,0,0,0.72,a,20,1,6,1.3,spacs,1", "fractions are not whole counts"),
-    ("0.5,0.25,0.2,0,0,0,0,0.65,a,20,1,6,1.3,spacs,1", "counts do not sum to bin_size"),
-    ("0.5,0.25,0.25,0,0,0,0,0.75,a,0,1,6,1.3,spacs,1", "bin_size must be >= 1"),
-    ("0.5,0.25,0.25,0,0,0,0,0.75,a,20.5,1,6,1.3,spacs,1", "bad bin_size"),
-    ("0.5,0.25,x,0,0,0,0,0.75,a,20,1,6,1.3,spacs,1", "bad fraction"),
-    ("0.5,0.25,0.25,0,0,0,0.75,a,20,1,6,1.3,spacs,1", "a row needs 15 fields"),
+    pytest.param(FAULTY_ROWS["fields"], "a row needs 8 fields", id="too_few_fields"),
+    pytest.param("a,10,5,5,0,0,0,0,0", "a row needs 8 fields", id="too_many_fields"),
+    pytest.param(FAULTY_ROWS["count"], "bad count", id="count_not_a_number"),
+    pytest.param("a,10,5.5,4.5,0,0,0,0", "bad count", id="fractional_count"),
+    pytest.param(f"a,{2**63},0,0,0,0,0,0", "bad count", id="count_past_int64"),
+    pytest.param(FAULTY_ROWS["negative"], r"counts must be >= 0", id="negative_count"),
+    pytest.param(FAULTY_ROWS["bin_size"], r"counts must sum to 1 \.\. 2\*\*63 - 1", id="zero_sum"),
+    pytest.param(FAULTY_ROWS["sum"], r"counts must sum to 1 \.\. 2\*\*63 - 1", id="sum_past_int64"),
     # the last line of ``bad`` is the faulty row, past line 1,000
-    pytest.param("\n".join([GOOD_ROW] * 1200 + [FAULTY_ROWS["fraction"]]), "bad fraction",
-                 id="bad_fraction_on_line_1204"),
-    pytest.param("\n".join([GOOD_ROW] * 1200 + [FAULTY_ROWS["sum"]]), "counts do not sum",
+    pytest.param("\n".join([GOOD_ROW] * 1200 + [FAULTY_ROWS["count"]]), "bad count",
+                 id="bad_count_on_line_1204"),
+    pytest.param("\n".join([GOOD_ROW] * 1200 + [FAULTY_ROWS["bin_size"]]), "counts must sum to 1",
                  id="bad_sum_on_line_1204"),
 ])
 def test_load_refuses_rows_that_are_not_whole_bins(tmp_path, bad, problem):
@@ -476,10 +463,10 @@ def test_load_refuses_rows_that_are_not_whole_bins(tmp_path, bad, problem):
     (f"{CSV_HEADER}\n" + f"{GOOD_ROW}\n" * 300 + "\n" * 700 + "  \n", 300),
     # a file is read from its first line that is not blank, its header
     (f"\n \n  {CSV_HEADER}\n{GOOD_ROW}\n", 1),
-    (f"{CSV_HEADER}\n\n{GOOD_ROW}\n", "line 2: a row needs 15 fields"),
-    (f"{CSV_HEADER}\n" + f"{GOOD_ROW}\n" * 250 + " \n" * 20 + f"{GOOD_ROW}\n", "line 252: a row needs 15 fields"),
+    (f"{CSV_HEADER}\n\n{GOOD_ROW}\n", "line 2: a row needs 8 fields"),
+    (f"{CSV_HEADER}\n" + f"{GOOD_ROW}\n" * 250 + " \n" * 20 + f"{GOOD_ROW}\n", "line 252: a row needs 8 fields"),
     # lines are counted from the header, so the bad row on the fifth line is line 4
-    (f" \n{CSV_HEADER}\n{GOOD_ROW}\n{GOOD_ROW}\n{FAULTY_ROWS['fields']}\n", "line 4: a row needs 15 fields"),
+    (f" \n{CSV_HEADER}\n{GOOD_ROW}\n{GOOD_ROW}\n{FAULTY_ROWS['fields']}\n", "line 4: a row needs 8 fields"),
     ("", "unexpected dataset header ''"),
     (" \n\n", "unexpected dataset header ''"),
 ], ids=["header_only", "header_without_newline", "trailing_blank_lines", "long_blank_tail",
@@ -497,12 +484,13 @@ def test_load_reads_blank_lines_only_around_the_table(tmp_path, text, want):
         np.testing.assert_array_equal(rows.counts, np.tile([10, 5, 5, 0, 0, 0, 0], (want, 1)))
 
 
-@pytest.mark.parametrize("first, last", [("bin_size", "fields"), ("sum", "fraction")])
+@pytest.mark.parametrize("first, last", [("bin_size", "fields"), ("sum", "count"), ("bin_size", "negative")])
 def test_load_names_the_first_check_a_file_fails(tmp_path, first, last):
     """Of two faulty rows far apart, the one that fails the earlier check is
     named, as when every check ran over the whole file before the next."""
     path = tmp_path / "bad.csv"
     path.write_text("\n".join([CSV_HEADER, FAULTY_ROWS[first]] + [GOOD_ROW] * 1200
                               + [FAULTY_ROWS[last]]) + "\n")
-    with pytest.raises(ValueError, match="line 1203: " + {"fields": "a row needs", "fraction": "bad fraction"}[last]):
+    problem = {"fields": "a row needs", "count": "bad count", "negative": "counts must be >= 0"}[last]
+    with pytest.raises(ValueError, match="line 1203: " + problem):
         load_dataset_csv(path)

@@ -694,8 +694,9 @@ def test_train_model_frees_each_steps_forward_before_the_next_step(monkeypatch):
 
 
 # SHA-256 of a short run's final parameters and loss history: any change to the
-# arithmetic or the order of a training step changes it.  Recorded with numpy 2.4
-# and OpenBLAS; another BLAS may round the matmuls differently.
+# arithmetic or the order of a training step changes it.  Taken with numpy 2.4.6
+# and its bundled OpenBLAS 0.3.31 on the SkylakeX kernel; another BLAS kernel
+# rounds the matmuls differently.
 PINNED_TRAINING_SHA256 = {
     2: "f39148065db712cc68a6d2840a2ed2f3f5c73a69040c15d5c1d76228be4197de",
     4: "318c99f59f9803c3362dce172eb4a5eee6291b81945c3daf98e862462e5e99d5",
@@ -727,7 +728,8 @@ def test_training_bytes_are_pinned(num_classes):
 # SHA-256 of the gradient vector and of the running statistics after one TRAIN
 # pass of a fresh float32 model: any change to the arithmetic, order or layout
 # of a step's gradients or of the running-statistics update changes it.
-# Recorded with numpy 2.4 and OpenBLAS, as above.
+# Taken with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 on the SkylakeX
+# kernel, as above.
 PINNED_GRADIENT_SHA256 = {
     2: "6533734b36de1bd67190340dc7bf3509d31872638587928a54d262fdf9111389",
     4: "c1babfe6923edfb19776e8fb0c861d35ea6d072085a823ed271e1fb06375fe3d",

@@ -258,7 +258,8 @@ def test_run_algorithm2_structure_and_determinism():
 
 
 # SHA-256 of each study's report rows (JSON, sorted keys), confusion matrices
-# and latents; a new value means some study output byte changed
+# and latents; a new value means some study output byte changed.  Taken with
+# numpy 2.4.6 and its bundled OpenBLAS 0.3.31 on the SkylakeX kernel
 PINNED_STUDY_SHA256 = {
     "lossless": "4e3a28c9f8f0570e796302e0695517387d6a68f6bf500dccfa62bb14b62a5bae",
     "lossless_two_fine_tunes": "b2fd82b3865e58c26f09a7f2fe435a8038b891d73e9fba09df9e9a79fbeef998",
