@@ -22,7 +22,8 @@ writes them into ``config``, so the echoed config is the effective one.
 
 Exit codes: 0 success, 1 config/usage error (a training run that diverges
 counts as one: its ``learning_rate`` is too large), 2 physics validation error,
-3 checkpoint format/version error, 4 dataset/network mismatch.
+3 checkpoint format/version error, 4 dataset/network mismatch.  A dataset CSV
+is refused at its first faulty line, which the message names, with exit 1.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ import json
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .distributions import (
 )
 
 CSV_HEADER = "label,c0,c1,c2,c3,c4,c5,c6"
+CSV_FIELDS = CSV_HEADER.count(",") + 1
 CSV_BLOCK_ROWS = 256
 
 _CLICKS = np.arange(MAX_RECORDED_CLICKS + 1)
@@ -226,94 +226,64 @@ def write_dataset_csv(path, dataset: Dataset) -> None:
             ))
 
 
-class _RowFault(ValueError):
-    """A row refused by the ``check``-th of the checks every row goes through."""
-
-    def __init__(self, check: int, line: int, problem: str):
-        super().__init__(f"line {line}: {problem}")
-        self.check = check
-
-
-def _refuse(bad: np.ndarray, first: int, check: int, problem: str) -> None:
-    """Raise for the first row flagged in ``bad``, naming its line in the file,
-    where the block's first row is line ``first``."""
-    if bad.any():
-        raise _RowFault(check, first + int(np.argmax(bad)), problem)
-
-
-def _parse(table: np.ndarray, kind, first: int, check: int, what: str) -> np.ndarray:
-    """``table`` converted to ``kind``; a cell that does not convert names its line."""
-    try:
-        return table.astype(kind)
-    except (ValueError, OverflowError):
-        for line, cells in enumerate(table, start=first):
-            try:
-                np.asarray(cells).astype(kind)
-            except (ValueError, OverflowError) as exc:
-                raise _RowFault(check, line, f"bad {what}: {exc}") from exc
-        raise
-
-
 def _parse_rows(lines: list[str], first: int) -> Rows:
-    """The rows of data lines of which the first is line ``first`` of the file,
-    or a _RowFault for the first row of the first check they fail."""
-    width = CSV_HEADER.count(",") + 1
+    """The rows of ``lines``, of which the first is line ``first`` of the file;
+    a ValueError names the first faulty line and the first check it fails."""
     fields = [line.split(",") for line in lines]
-    _refuse(np.array([len(cells) for cells in fields]) != width, first, 0, f"a row needs {width} fields")
-    table = np.array(fields, dtype=object).reshape(len(fields), width)
-    counts = _parse(table[:, 1:], np.int64, first, 1, "count")
-    _refuse((counts < 0).any(axis=1), first, 2, "counts must be >= 0")
-    # counts are >= 0, so a sum past int64 first shows as a negative partial sum
+    n = next((i for i, cells in enumerate(fields) if len(cells) != CSV_FIELDS), None)
+    if n is not None:
+        _parse_rows(lines[:n], first)  # a line before n may fail a later check
+        raise ValueError(f"line {first + n}: a row needs {CSV_FIELDS} fields")
+    table = np.array(fields, dtype=object).reshape(len(fields), CSV_FIELDS)
+    try:
+        counts = table[:, 1:].astype(np.int64)
+    except (ValueError, OverflowError):
+        for n, cells in enumerate(table[:, 1:]):
+            try:
+                cells.astype(np.int64)
+            except (ValueError, OverflowError) as exc:
+                _parse_rows(lines[:n], first)
+                raise ValueError(f"line {first + n}: bad count: {exc}") from exc
+        raise
+    negative = (counts < 0).any(axis=1)
+    # with no negative count, a sum past int64 first shows as a negative partial sum
     sums = np.cumsum(counts, axis=1)
-    _refuse((sums < 0).any(axis=1) | (sums[:, -1] == 0), first, 3, "counts must sum to 1 .. 2**63 - 1")
+    bad = negative | (sums < 0).any(axis=1) | (sums[:, -1] == 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        problem = "counts must be >= 0" if negative[i] else "counts must sum to 1 .. 2**63 - 1"
+        raise ValueError(f"line {first + i}: {problem}")
     return Rows(counts, table[:, 0].astype(str), sums[:, -1])
-
-
-def _line_blocks(lines: Iterator[str]) -> Iterator[tuple[int, list[str]]]:
-    """The data lines in blocks of up to ``CSV_BLOCK_ROWS``, each with the
-    number of its first line; the header is line 1.  Blank lines that end the
-    file are dropped.  A run of blank lines that a row follows yields only its
-    first line, on its own: that line is the run's first refusal."""
-    number, blank = 2, None
-    while block := list(islice(lines, CSV_BLOCK_ROWS)):
-        kept = len(block)
-        while kept and not block[kept - 1].strip():
-            kept -= 1
-        if kept:
-            if blank:
-                yield blank
-                blank = None
-            yield number, block[:kept]
-        if kept < len(block) and not blank:
-            blank = number + kept, block[kept:kept + 1]
-        number += len(block)
 
 
 def load_dataset_csv(path) -> Rows:
     """Read back the rows of a dataset CSV; each bin's size is its counts' sum.
 
-    A row is refused, with its line named, if it has the wrong number of
-    fields, a count that is not a whole number within int64, a negative
-    count, or counts that sum to 0 or past int64.  Lines are counted from the
-    header, the first line that is not blank; any other header, the old
-    15-column one too, is refused.  A file with several refused rows is
-    refused for the first row of the earliest check in ``_parse_rows`` that
-    any row fails, as if each check ran over the whole file before the next.
+    A row is refused if it has the wrong number of fields, a count that is not
+    a whole number within int64, a negative count, or counts that sum to 0 or
+    past int64.  The file is refused at its first such line, named with the
+    first of these checks it fails, and read no further.  Lines are counted
+    from the header, the first line that is not blank; any other header, the
+    old 15-column one too, is refused.  Blank lines that end the file are
+    dropped; any other blank line is a row of one field.
     """
-    parts, fault = [], None
+    parts, number, blank = [], 2, None
     with open(path) as file:
         header = next((line.strip() for line in file if line.strip()), "")
         if header != CSV_HEADER:
             raise ValueError(f"unexpected dataset header {header!r}")
         # a line keeps its newline, which int() ignores at the end of the last count
-        for first, block in _line_blocks(file):
-            try:
-                parts.append(_parse_rows(block, first))
-            except _RowFault as exc:
-                if fault is None or exc.check < fault.check:
-                    fault = exc
-    if fault is not None:
-        raise fault
+        while block := list(islice(file, CSV_BLOCK_ROWS)):
+            kept = len(block)
+            while kept and not block[kept - 1].strip():
+                kept -= 1
+            if kept:
+                if blank:  # the first of a run of blank lines that a row follows
+                    raise ValueError(f"line {blank}: a row needs {CSV_FIELDS} fields")
+                parts.append(_parse_rows(block[:kept], number))
+            if kept < len(block) and not blank:
+                blank = number + kept
+            number += len(block)
     return concat_rows(parts) if parts else _parse_rows([], 2)
 
 

@@ -52,6 +52,7 @@ from .sampling import class_label_fault
 PROB_CLIP = 1e-7  # a true-class probability below this is clamped, and its row gets no gradient
 
 CLASSIFICATION_WEIGHT = 20.0  # cross-entropy weight in every training objective
+PATIENCE = 20  # training stops after more than this many epochs without a better validation loss
 
 CHECKPOINT_MAGIC = b"PVAE"
 # 2 also held the cancelled biases of the linear maps feeding a batch
@@ -533,7 +534,6 @@ def train_model(
     epochs: int,
     batch_size: int = 512,
     learning_rate: float = 1e-3,
-    patience: int = 20,
 ) -> TrainHistory:
     """Mini-batch Adam training with optional early stopping on validation loss.
 
@@ -605,7 +605,7 @@ def train_model(
                 stale = 0
             else:
                 stale += 1
-                if stale > patience:
+                if stale > PATIENCE:
                     break
     if best_params is not None:
         model._params.vector[...] = best_params

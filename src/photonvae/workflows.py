@@ -69,9 +69,10 @@ class TrainPlan:
     and refuses a plan that sets any other field away from its default.
     ``stages[0]`` trains from scratch, and each later stage fine-tunes a copy
     of it on its own bin size; the ``POOLED`` studies refuse a second stage.
-    A value repeated in a grid field, or a bin size repeated among the
-    fine-tune stages, is refused: each value is one cell (or one fine-tuned
-    model), so a repeat would report two rows for one confusion matrix.
+    A grid value equal to an earlier one to the thousandth, or a bin size
+    repeated among the fine-tune stages, is refused: the studies key a cell and
+    its seeds by its value to the thousandth, so a repeat would draw one cell
+    twice or report two rows for one confusion matrix.
     """
 
     algorithm: str  # "lossless" | "lossy_nbar" | "mixed_grid"
@@ -100,9 +101,11 @@ class TrainPlan:
         )}
         grids["the fine-tune stages' bin_size"] = [stage.bin_size for stage in self.stages[1:]]
         for what, values in grids.items():
-            for i, value in enumerate(values):
-                if value in values[:i]:
-                    raise ValueError(f"{what} repeats the value {value!r}")
+            keys = [round(value * 1000) for value in values]
+            for i, key in enumerate(keys):
+                if key in keys[:i]:
+                    raise ValueError(f"{what} repeats the value {values[keys.index(key)]!r} as "
+                                     f"{values[i]!r}, to the thousandth")
 
 
 # the TrainPlan fields each study reads besides algorithm, stages, seed,

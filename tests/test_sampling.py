@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from photonvae.detector import DetectorConfig, observed_chain
@@ -420,8 +422,8 @@ def test_load_rejects_foreign_header(tmp_path):
 
 
 GOOD_ROW = "a,10,5,5,0,0,0,0"
-# a good row, then one per fault in the order a whole-file read checks them;
-# the last two fail one check, a bin size (the counts' sum) of 0 or past int64
+# one faulty row per check, in the order each row goes through the checks; the
+# last two fail one check, a bin size (the counts' sum) of 0 or past int64
 FAULTY_ROWS = {
     "fields": "a,10,5,5,0,0,0",
     "count": "a,10,5,x,0,0,0,0",
@@ -485,12 +487,64 @@ def test_load_reads_blank_lines_only_around_the_table(tmp_path, text, want):
 
 
 @pytest.mark.parametrize("first, last", [("bin_size", "fields"), ("sum", "count"), ("bin_size", "negative")])
-def test_load_names_the_first_check_a_file_fails(tmp_path, first, last):
-    """Of two faulty rows far apart, the one that fails the earlier check is
-    named, as when every check ran over the whole file before the next."""
+def test_load_names_the_first_faulty_line(tmp_path, first, last):
+    """Of two faulty rows far apart, the first is named, even where the later
+    one fails a check that comes before the first row's."""
     path = tmp_path / "bad.csv"
     path.write_text("\n".join([CSV_HEADER, FAULTY_ROWS[first]] + [GOOD_ROW] * 1200
                               + [FAULTY_ROWS[last]]) + "\n")
-    problem = {"fields": "a row needs", "count": "bad count", "negative": "counts must be >= 0"}[last]
-    with pytest.raises(ValueError, match="line 1203: " + problem):
+    with pytest.raises(ValueError, match=re.escape("line 2: counts must sum to 1 .. 2**63 - 1")):
         load_dataset_csv(path)
+
+
+def _first_fault(line: str) -> str | None:
+    """The problem of one data line, checked on its own in plain Python."""
+    cells = line.split(",")
+    if len(cells) != 8:
+        return "a row needs 8 fields"
+    try:
+        counts = [int(cell) for cell in cells[1:]]
+    except ValueError:
+        return "bad count"
+    if any(not -2**63 <= count < 2**63 for count in counts):
+        return "bad count"
+    if any(count < 0 for count in counts):
+        return "counts must be >= 0"
+    if not 1 <= sum(counts) < 2**63:
+        return "counts must sum to 1 .. 2**63 - 1"
+    return None
+
+
+_GOOD_ROWS = st.builds(
+    lambda label, counts: f"{label},{','.join(map(str, counts))}",
+    st.sampled_from("ab"), st.lists(st.integers(0, 40), min_size=7, max_size=7).filter(any),
+)
+# a file is up to six runs, each of one line repeated up to 300 times, so a
+# file can cross the edge of a 256-line block
+_RUNS = st.lists(st.tuples(
+    st.one_of(_GOOD_ROWS, _GOOD_ROWS, st.sampled_from([*FAULTY_ROWS.values(), f"a,{2**63},0,0,0,0,0,0",
+                                                       "a,10,5,5,0,0,0,0,0", "", " "])),
+    st.integers(1, 300),
+), max_size=6)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(runs=_RUNS)
+def test_load_refuses_the_line_a_per_line_check_refuses_first(tmp_path_factory, runs):
+    """The reader returns the rows, or refuses the first line that fails a
+    check with that line's first problem, as a per-line check finds them."""
+    lines = [line for line, repeat in runs for _ in range(repeat)]
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    path.write_text("\n".join([CSV_HEADER, *lines]) + "\n")
+    while lines and not lines[-1].strip():
+        lines.pop()
+    faults = [(number, fault) for number, line in enumerate(lines, start=2) if (fault := _first_fault(line))]
+    if faults:
+        with pytest.raises(ValueError, match=re.escape("line {}: {}".format(*faults[0]))):
+            load_dataset_csv(path)
+        return
+    rows = load_dataset_csv(path)
+    cells = [line.split(",") for line in lines]
+    assert rows.labels.tolist() == [row[0] for row in cells]
+    np.testing.assert_array_equal(rows.counts, np.array([row[1:] for row in cells], dtype=np.int64).reshape(-1, 7))
+    np.testing.assert_array_equal(rows.bin_size, rows.counts.sum(axis=1))

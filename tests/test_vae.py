@@ -591,12 +591,13 @@ def test_prediction_memory_does_not_grow_with_the_row_count():
     assert excess[2000] < 2 << 20
 
 
-def test_train_model_runs_and_early_stops():
+def test_train_model_runs_and_early_stops(monkeypatch):
+    monkeypatch.setattr(vae, "PATIENCE", 5)
     rng = np.random.default_rng(12)
     x = rng.random((300, 5))
     y = (x[:, 0] > 0.5).astype(int)
     model = binary_model(seed=6)
-    history = train_model(model, x, y, x[:50], y[:50], epochs=400, batch_size=64, patience=5)
+    history = train_model(model, x, y, x[:50], y[:50], epochs=400, batch_size=64)
     assert history.epochs_run < 400
     assert history.best_epoch >= 0
     model.assert_finite()
@@ -704,7 +705,8 @@ PINNED_TRAINING_SHA256 = {
 
 
 @pytest.mark.parametrize("num_classes", [2, 4])
-def test_training_bytes_are_pinned(num_classes):
+def test_training_bytes_are_pinned(num_classes, monkeypatch):
+    monkeypatch.setattr(vae, "PATIENCE", 2)
     rng = np.random.default_rng(40 + num_classes)
     x = rng.random((300, 5))
     y = rng.integers(0, num_classes, 300)
@@ -712,8 +714,7 @@ def test_training_bytes_are_pinned(num_classes):
     model = VAEClassifier(NetworkSpec(num_classes=num_classes), seed=num_classes)
     # the high rate makes validation loss turn up, so the best epoch is restored
     history = train_model(
-        model, x[:240], y[:240], x[240:], y[240:], epochs=24, batch_size=64,
-        patience=2, learning_rate=0.1,
+        model, x[:240], y[:240], x[240:], y[240:], epochs=24, batch_size=64, learning_rate=0.1,
     )
     assert history.best_epoch < history.epochs_run - 1 < 23
     digest = hashlib.sha256()

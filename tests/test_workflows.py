@@ -59,13 +59,17 @@ def _score_one_cell_twice():
     (lambda: tiny_plan(train_etas=(0.6, 0.7, 0.6)), "train_etas repeats the value 0.6"),
     (lambda: tiny_plan(eval_etas=(0.8, 0.8)), "eval_etas repeats the value 0.8"),
     (lambda: tiny_plan(eval_nbar_obs=(1.2, 1.2)), "eval_nbar_obs repeats the value 1.2"),
+    # the studies key cells and their seeds by the value to the thousandth
+    (lambda: tiny_plan(eval_etas=(0.8, 0.8004)), "eval_etas repeats the value 0.8 as 0.8004"),
+    (lambda: tiny_plan(eval_nbar_obs=(1.2, 1.2004)), "eval_nbar_obs repeats the value 1.2 as 1.2004"),
     (lambda: tiny_plan(eval_bin_sizes=(20, 20)), "eval_bin_sizes repeats the value 20"),
     (lambda: tiny_plan(mix_r_values=(0.5, 0.5)), "mix_r_values repeats the value 0.5"),
     (lambda: tiny_plan(mix_train_r_values=(0.0, 0.0)), "mix_train_r_values repeats the value 0.0"),
     (lambda: tiny_plan(stages=(TrainStage(40, 6), TrainStage(20, 3), TrainStage(20, 2))),
      "the fine-tune stages' bin_size repeats the value 20"),
     (_score_one_cell_twice, "evaluation cell 'bin20' is already scored"),
-], ids=["train_etas", "eval_etas", "eval_nbar_obs", "eval_bin_sizes", "mix_r_values",
+], ids=["train_etas", "eval_etas", "eval_nbar_obs", "eval_etas_to_the_thousandth",
+        "eval_nbar_obs_to_the_thousandth", "eval_bin_sizes", "mix_r_values",
         "mix_train_r_values", "fine_tune_bin_size", "report_key"])
 def test_a_repeated_cell_is_refused(refused, message):
     """Each value of a grid is one report row with one confusion matrix, so a
