@@ -67,6 +67,7 @@ from .workflows import (
     derived_seed,
     export_latent,
     model_inputs,
+    require_thousandths,
     write_confusion_csv,
     write_latent_csv,
     write_report_csv,
@@ -165,8 +166,7 @@ def _learning_rate(value) -> float:
 
 def _distinct(values: list, field: str) -> list:
     """``values``, or a ConfigError naming ``field`` for a value that repeats:
-    a repeated grid value would be scored twice as one cell, and a repeated
-    dataset would put copies of its training rows among the test rows."""
+    a repeated dataset would put copies of its training rows among the test rows."""
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ConfigError(f"{field} repeats the value {value!r}")
@@ -228,7 +228,7 @@ def _load_rows(paths):
             raise ConfigError(f"bad dataset {path}: {exc}") from exc
     if not sum(map(len, parts)):
         raise ConfigError("datasets contain no rows")
-    return concat_rows(parts)
+    return parts[0] if len(parts) == 1 else concat_rows(parts)
 
 
 def _read_checkpoint(path: str):
@@ -383,7 +383,7 @@ def cmd_eval(args, config: dict, seed: int, out: Path, name: str) -> dict:
             rows = _load_rows([path])
             sizes = sorted(set(rows.bin_size.tolist()))
             for size in sizes:
-                part = rows.take(rows.bin_size == size)
+                part = rows if len(sizes) == 1 else rows.take(rows.bin_size == size)
                 fields = {"dataset": str(path), "rows": len(part), "bin_size": size}
                 yield prefix if len(sizes) == 1 else f"{prefix}_bin{size}", part, fields
 
@@ -405,14 +405,19 @@ def cmd_sweep(args, config: dict, seed: int, out: Path, name: str) -> dict:
     detector = _require(config, "detector")
     n_detectors = _require(detector, "n_detectors", _count)
     bins_per_class = _require(config, "bins_per_class", _count, 400)
-    config["bin_sizes"] = bin_sizes = _distinct(
+    config["bin_sizes"] = bin_sizes = (
         args.bin_sizes or _require(config, "bin_sizes", _list_of(_count), None)
-        or [_require(config, "bin_size", _count)], "bin_sizes"
+        or [_require(config, "bin_size", _count)]
     )
-    config["etas"] = etas = _distinct(
+    config["etas"] = etas = (
         args.etas or _require(config, "etas", _list_of(_real), None)
-        or [_require(detector, "efficiency", _real)], "etas"
+        or [_require(detector, "efficiency", _real)]
     )
+    try:  # each cell is seeded by its values to the thousandth
+        require_thousandths(bin_sizes, "bin_sizes")
+        require_thousandths(etas, "etas")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     def cells():  # one dataset generated at a time
         for bin_size in bin_sizes:

@@ -12,9 +12,9 @@ weight holds for every epoch of every run: on the plain sum, reconstruction
 and KL fall faster than the classifier learns, and the latent code collapses
 to chance.  All gradients are analytic, including the path through the
 latent sampling (gradients flow through the mean and log-variance, never
-through the noise draw).  Checkpoints are written in format version 3, whose
-header records ``SHAPE`` with the spec; version 2 also held the biases of the
-linear maps that feed a batch normalization, which cancels them.
+through the noise draw).  Checkpoints are written in format version 4: a JSON
+header, whose ``param_order`` names the entries of the model's parameter
+vector, then that vector as one block.
 
 Predictions (``predict_proba``, ``predict_class``, ``latent_means`` and so
 ``evaluate_model``) run the encoder, and the classifier where probabilities
@@ -55,9 +55,9 @@ CLASSIFICATION_WEIGHT = 20.0  # cross-entropy weight in every training objective
 PATIENCE = 20  # training stops after more than this many epochs without a better validation loss
 
 CHECKPOINT_MAGIC = b"PVAE"
-# 2 also held the cancelled biases of the linear maps feeding a batch
-# normalization; 1 held a single-logit head for two classes
-CHECKPOINT_VERSION = 3
+# 3 listed each parameter's shape, in another order; 2 also held the cancelled
+# biases of maps feeding a batch normalization; 1 a single-logit 2-class head
+CHECKPOINT_VERSION = 4
 
 
 class CheckpointError(RuntimeError):
@@ -84,16 +84,16 @@ SHAPE = {
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """What the data decide about the network: ``input_dim`` (5 click
-    fractions, or 6 with ``nbar_obs``) and ``num_classes``.  The rest of the
-    network, its widths, latent size and dropout rate, is ``SHAPE``."""
+    """What the data decide about the network: ``input_dim`` (5 click fractions,
+    or 6 with ``nbar_obs``: the layouts ``model_inputs`` builds) and
+    ``num_classes``.  Its widths, latent size and dropout rate are ``SHAPE``."""
 
     input_dim: int = 5
     num_classes: int = 2
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
+        if self.input_dim not in (5, 6):
+            raise ValueError(f"input_dim must be 5 or 6, got {self.input_dim}")
         if self.num_classes < 2:
             raise ValueError("num_classes must be >= 2")
 
@@ -309,11 +309,8 @@ class VAEClassifier:
         return {name: self._params[name].copy() for name in self.param_names()}
 
     def set_state(self, state: dict[str, np.ndarray]) -> None:
-        for name in self.param_names():
-            if name not in state:
-                raise KeyError(f"missing parameter {name!r}")
-            view = self._params[name]
-            # a float64 value (as a checkpoint stores) rounds to the nearest
+        for name, view in self._params.items():  # a missing name is a KeyError
+            # a float64 value rounds to the nearest value of the model's dtype
             view[...] = np.asarray(state[name], dtype=self.dtype).reshape(view.shape)
 
     def assert_finite(self) -> None:
@@ -614,15 +611,13 @@ def train_model(
 
 # --- checkpoint format --------------------------------------------------------
 
-# layout (format version 3): magic, uint32 LE format version, uint64 LE
-# header length, UTF-8 JSON header, then all parameters as little-endian
-# float64 in the order listed by the header's "param_order".  The classifier
-# head holds num_classes softmax logits for every class count.  Only each
-# stack's output layer has a bias; format 2 also held one for every linear
-# map feeding a batch normalization, which cancels it.  A float32
-# model's parameters widen to float64 exactly, so save -> load -> save gives
-# the same bytes; float64 values (from an older float64 model) load rounded
-# to the nearest float32.
+# layout (format version 4): magic, uint32 LE format version, uint64 LE
+# header length, UTF-8 JSON header, then the model's parameter vector as
+# little-endian float64: the trainable parameters, then the running
+# statistics, in the order of the header's "param_order".  "network" fixes
+# every shape, so the header lists none.  A float32 model's parameters widen
+# to float64 exactly, so save -> load -> save gives the same bytes; float64
+# values (from a float64 model) load rounded to the nearest float32.
 
 
 def is_seed(value) -> bool:
@@ -633,7 +628,7 @@ def is_seed(value) -> bool:
 
 def save_checkpoint(path, model: VAEClassifier, *, seed: int, epochs_trained: int,
                     class_labels: list[str], hyperparameters: dict | None = None) -> None:
-    """Write ``model`` in format 3; a ``seed`` that ``is_seed`` refuses, or
+    """Write ``model`` in format 4; a ``seed`` that ``is_seed`` refuses, or
     class labels that ``class_label_fault`` refuses or that do not name one
     class each, is a ValueError, raised before the file is opened."""
     if not is_seed(seed):
@@ -644,8 +639,6 @@ def save_checkpoint(path, model: VAEClassifier, *, seed: int, epochs_trained: in
     if len(class_labels) != model.spec.num_classes:  # a confusion CSV names every logit's column
         raise ValueError(f"class_labels lists {len(class_labels)} labels, "
                          f"the network has {model.spec.num_classes} classes")
-    state = model.get_state()
-    order = model.param_names()
     header = {
         "format_version": CHECKPOINT_VERSION,
         "network": model.spec.to_dict(),
@@ -653,22 +646,20 @@ def save_checkpoint(path, model: VAEClassifier, *, seed: int, epochs_trained: in
         "epochs_trained": epochs_trained,
         "class_labels": list(class_labels),
         "hyperparameters": dict(hyperparameters or {}),
-        "param_order": order,
-        "param_shapes": [list(state[name].shape) for name in order],
+        "param_order": list(model._params),
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    block = b"".join(
-        np.ascontiguousarray(state[name], dtype="<f8").tobytes() for name in order
-    )
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(block)
+        fh.write(model._params.vector.astype("<f8"))
 
 
 def load_checkpoint(path) -> tuple[VAEClassifier, dict]:
+    """The model and header of a format-4 checkpoint, or CheckpointError; the
+    whole header is checked before the network it names is built."""
     raw = Path(path).read_bytes()
     if len(raw) < 16 or raw[:4] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: not a model checkpoint")
@@ -684,7 +675,7 @@ def load_checkpoint(path) -> tuple[VAEClassifier, dict]:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
     try:
         spec = NetworkSpec.from_dict(header["network"])
-        listed = list(zip(header["param_order"], header["param_shapes"]))
+        order = list(header["param_order"])
         labels = header["class_labels"]
     except KeyError as exc:
         raise CheckpointError(f"{path}: header field {exc} missing") from exc
@@ -693,28 +684,6 @@ def load_checkpoint(path) -> tuple[VAEClassifier, dict]:
     seed = header.get("seed", 0)
     if not is_seed(seed):
         raise CheckpointError(f"{path}: header field 'seed' is not a non-negative integer")
-    model = VAEClassifier(spec, seed=seed)
-    expected = {name: view.shape for name, view in model._params.items()}
-    offset = 16 + header_len
-    state = {}
-    for name, shape in listed:
-        if name not in expected:
-            raise CheckpointError(f"{path}: parameter {name!r} is not in the network")
-        if tuple(shape) != expected[name]:
-            raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {list(shape)}, "
-                f"the network needs {list(expected[name])}"
-            )
-        end = offset + 8 * math.prod(shape)
-        if end > len(raw):
-            raise CheckpointError(f"{path}: parameter block truncated at {name!r}")
-        state[name] = np.frombuffer(raw[offset:end], dtype="<f8").reshape(shape)
-        offset = end
-    if offset != len(raw):
-        raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes after parameters")
-    missing = [name for name in expected if name not in state]
-    if missing:
-        raise CheckpointError(f"{path}: parameter {missing[0]!r} missing")
     if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
         raise CheckpointError(f"{path}: header field 'class_labels' is not a list of strings")
     fault = class_label_fault(labels)
@@ -725,5 +694,15 @@ def load_checkpoint(path) -> tuple[VAEClassifier, dict]:
             f"{path}: header field 'class_labels' lists {len(labels)} labels, "
             f"the network has {spec.num_classes} classes"
         )
-    model.set_state(state)
+    model = VAEClassifier(spec, seed=seed)
+    names = list(model._params)
+    if order != names:
+        i = next(i for i in range(len(names) + 1) if order[i:i + 1] != names[i:i + 1])
+        raise CheckpointError(f"{path}: header field 'param_order' differs from the network at "
+                              f"entry {i}: {order[i:i + 1]}, the network has {names[i:i + 1]}")
+    block, need = memoryview(raw)[16 + header_len:], 8 * model._params.vector.size
+    if len(block) != need:
+        raise CheckpointError(f"{path}: parameter block holds {len(block)} bytes, "
+                              f"the network needs {need}")
+    model._params.vector[...] = np.frombuffer(block, dtype="<f8")
     return model, header

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, fields
+from numbers import Real
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -69,10 +70,8 @@ class TrainPlan:
     and refuses a plan that sets any other field away from its default.
     ``stages[0]`` trains from scratch, and each later stage fine-tunes a copy
     of it on its own bin size; the ``POOLED`` studies refuse a second stage.
-    A grid value equal to an earlier one to the thousandth, or a bin size
-    repeated among the fine-tune stages, is refused: the studies key a cell and
-    its seeds by its value to the thousandth, so a repeat would draw one cell
-    twice or report two rows for one confusion matrix.
+    Each grid, and the fine-tune stages' bin sizes, must pass
+    ``require_thousandths``.
     """
 
     algorithm: str  # "lossless" | "lossy_nbar" | "mixed_grid"
@@ -95,17 +94,26 @@ class TrainPlan:
     def __post_init__(self):
         if not self.stages:
             raise ValueError("a TrainPlan needs at least one training stage")
-        grids = {name: getattr(self, name) for name in (
-            "train_etas", "eval_etas", "eval_nbar_obs", "eval_bin_sizes",
-            "mix_r_values", "mix_train_r_values",
-        )}
-        grids["the fine-tune stages' bin_size"] = [stage.bin_size for stage in self.stages[1:]]
-        for what, values in grids.items():
-            keys = [round(value * 1000) for value in values]
-            for i, key in enumerate(keys):
-                if key in keys[:i]:
-                    raise ValueError(f"{what} repeats the value {values[keys.index(key)]!r} as "
-                                     f"{values[i]!r}, to the thousandth")
+        for name in ("train_etas", "eval_etas", "eval_nbar_obs", "eval_bin_sizes",
+                     "mix_r_values", "mix_train_r_values"):
+            require_thousandths(getattr(self, name), name)
+        require_thousandths([s.bin_size for s in self.stages[1:]], "the fine-tune stages' bin_size")
+
+
+def require_thousandths(values, what: str) -> None:
+    """Refuse, naming ``what``, a grid value that cannot key a cell and its seeds
+    as the studies and ``sweep`` do, by ``round(value * 1000)``: a bool, a
+    non-number, one with no finite thousandth, or one equal to an earlier value
+    to the thousandth, which would draw one cell twice or report it twice."""
+    keys = []
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, Real) or not np.isfinite(value * 1000):
+            raise ValueError(f"{what} holds {value!r}, not a number with a finite thousandth")
+        key = round(value * 1000)
+        if key in keys:
+            raise ValueError(f"{what} repeats the value {values[keys.index(key)]!r} as "
+                             f"{value!r}, to the thousandth")
+        keys.append(key)
 
 
 # the TrainPlan fields each study reads besides algorithm, stages, seed,
@@ -211,7 +219,9 @@ def _bisect(mean_at, target: float, what: str) -> float:
     reaches ``target``, halving until no float lies strictly between the two
     ends.  Targets outside [mean_at(0), mean_at(INTENSITY_BRACKET)] are
     refused; for photon-added sources mean_at(0) is the single-photon floor,
-    which no intensity gets under."""
+    which no intensity gets under.  A NaN target is refused too."""
+    if np.isnan(target):
+        raise ValueError(f"{what} {target} is not a number")
     floor = mean_at(0.0)
     if target < floor:
         raise ValueError(f"{what} {target} below the single-photon floor {floor:.3f}")

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blas_platform import blas_platform
 from photonvae import cli
 from photonvae.sampling import CSV_HEADER
 from photonvae.vae import NetworkSpec, VAEClassifier, save_checkpoint
@@ -89,6 +90,12 @@ EXIT_CASES = {
                                 ["sweep", "--config", "c.json"], {**SWEEP, "bin_sizes": [20, 30, 20]}),
     "sweep_repeated_eta_flag": (1, "config error: etas repeats the value 0.8",
                                 ["sweep", "--config", "c.json", "--eta", "0.8,0.8"], SWEEP),
+    # each cell is seeded by its efficiency to the thousandth
+    "sweep_etas_to_the_thousandth": (1, "config error: etas repeats the value 0.8 as 0.8004, to the thousandth",
+                                     ["sweep", "--config", "c.json"], {**SWEEP, "etas": [0.8, 0.8004]}),
+    "sweep_eta_flag_to_the_thousandth": (1, "config error: etas repeats the value 0.8 as 0.8004, to the "
+                                            "thousandth",
+                                         ["sweep", "--config", "c.json", "--eta", "0.8,0.8004"], SWEEP),
     "train_label_with_comma": (1, "config error: config field 'classes': class label 'x,y' holds a comma",
                                ["train", "--config", "c.json"],
                                {"datasets": ["foreign.csv"], "epochs": 1,
@@ -414,7 +421,7 @@ PIPELINE = (
 # means some output byte changed.  Taken with numpy 2.4.6 and its bundled
 # OpenBLAS 0.3.31 on the SkylakeX kernel; another BLAS kernel rounds float32
 # products differently
-PINNED_PIPELINE_SHA256 = "9152984af24470c20f580bdfa4b6db25fb80775b1ff5b7bf1d3700db192a71b7"
+PINNED_PIPELINE_SHA256 = "31152cc1a1a165a36bc8496d1074b8ca294ac3188494a694a693b221c3dd654d"
 
 
 def _pipeline_digest(run_cli, root: Path) -> str:
@@ -435,7 +442,7 @@ def _pipeline_digest(run_cli, root: Path) -> str:
 def test_cli_outputs_are_byte_stable(run_cli, tmp_path):
     first = _pipeline_digest(run_cli, tmp_path / "a")
     assert _pipeline_digest(run_cli, tmp_path / "b") == first
-    assert first == PINNED_PIPELINE_SHA256
+    assert first == PINNED_PIPELINE_SHA256, blas_platform()
 
 
 # eval, export-latent and sweep on 1,400 rows per dataset and cell, and eval
@@ -485,4 +492,4 @@ def test_inference_outputs_on_large_datasets_are_pinned(run_cli, tmp_path):
         digest.update(path.read_bytes())
     assert [cell["rows"] for cell in stdout[0]["cells"]] == [1400, 2600]
     assert stdout[1]["rows"] == 1400
-    assert digest.hexdigest() == PINNED_LARGE_SHA256
+    assert digest.hexdigest() == PINNED_LARGE_SHA256, blas_platform()

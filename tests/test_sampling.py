@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from blas_platform import blas_platform
 from photonvae.detector import DetectorConfig, observed_chain
 from photonvae.distributions import (
     PhotonPMF,
@@ -204,7 +205,7 @@ def test_generated_counts_are_pinned():
         dataset = generate_dataset(small_meta(bin_size=30, bins_per_class=300, detector=detector))
         digest.update(np.ascontiguousarray(dataset.rows.counts, dtype="<i8").tobytes())
         digest.update(np.array(list(dataset.nbar_the.values()), dtype="<f8").tobytes())
-    assert digest.hexdigest() == PINNED_DATASET_SHA256
+    assert digest.hexdigest() == PINNED_DATASET_SHA256, blas_platform()
 
 
 def test_lossless_spacs_has_no_vacuum_clicks():
@@ -353,7 +354,7 @@ def test_csv_file_is_pinned_and_reads_back_whole(tmp_path):
     dataset = dataclasses.replace(dataset, rows=dataset.rows.take(slice(None, 1103)))
     path = tmp_path / "data.csv"
     write_dataset_csv(path, dataset)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256, blas_platform()
     rows = load_dataset_csv(path)
     for name in ("counts", "labels", "bin_size"):
         want, got = getattr(dataset.rows, name), getattr(rows, name)

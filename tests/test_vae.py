@@ -11,6 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
+from blas_platform import blas_platform
 from fd_utils import REL_FLOOR, FixedNoise, make_case, max_relative_error, without_dropout
 from photonvae import vae
 from photonvae.nn import INFER, TRAIN, Adam, BatchNorm, GradientError
@@ -60,8 +61,10 @@ def test_network_widths_follow_spec():
 def test_network_spec_validation():
     with pytest.raises(ValueError):
         NetworkSpec(num_classes=1)
-    with pytest.raises(ValueError):
-        NetworkSpec(input_dim=0)
+    # model_inputs builds 5 click fractions, or 6 with nbar_obs
+    for input_dim in (0, 4, 7):
+        with pytest.raises(ValueError, match=f"input_dim must be 5 or 6, got {input_dim}"):
+            NetworkSpec(input_dim=input_dim)
 
 
 def test_spec_dict_round_trip():
@@ -541,7 +544,7 @@ def _moved_model(input_dim, num_classes, seed):
 
 def _assert_same_bytes(got, want, what):
     assert (got.dtype, got.shape) == (want.dtype, want.shape), what
-    assert got.tobytes() == want.tobytes(), what
+    assert got.tobytes() == want.tobytes(), f"{what}, on {blas_platform()}"
 
 
 @pytest.mark.parametrize("input_dim, num_classes", [(5, 2), (6, 2), (5, 4), (6, 4)])
@@ -723,7 +726,7 @@ def test_training_bytes_are_pinned(num_classes, monkeypatch):
         digest.update(np.ascontiguousarray(state[name], dtype="<f8").tobytes())
     for series in (history.train_loss, history.val_loss, history.val_accuracy):
         digest.update(np.asarray(series, dtype="<f8").tobytes())
-    assert digest.hexdigest() == PINNED_TRAINING_SHA256[num_classes]
+    assert digest.hexdigest() == PINNED_TRAINING_SHA256[num_classes], blas_platform()
 
 
 # SHA-256 of the gradient vector and of the running statistics after one TRAIN
@@ -750,7 +753,7 @@ def test_gradient_bytes_are_pinned(num_classes):
     for name in model.param_names():
         if ".running_" in name:
             digest.update(state[name].astype("<f4").tobytes())
-    assert digest.hexdigest() == PINNED_GRADIENT_SHA256[num_classes]
+    assert digest.hexdigest() == PINNED_GRADIENT_SHA256[num_classes], blas_platform()
 
 
 def test_evaluate_model_confusion_shape():
@@ -902,7 +905,7 @@ def test_checkpoint_header_records_the_whole_network(tmp_path, input_dim, num_cl
 
 
 def test_float32_checkpoint_saves_loads_and_saves_the_same_bytes(tmp_path):
-    assert vae.CHECKPOINT_VERSION == 3
+    assert vae.CHECKPOINT_VERSION == 4
     model = VAEClassifier(NetworkSpec(num_classes=4), seed=14)
     rng = np.random.default_rng(14)
     model.set_state({name: rng.normal(size=v.shape) for name, v in model.get_state().items()})
@@ -912,7 +915,7 @@ def test_float32_checkpoint_saves_loads_and_saves_the_same_bytes(tmp_path):
     assert loaded.dtype == np.float32
     save_checkpoint(second, loaded, seed=14, epochs_trained=3, class_labels=list("abcd"))
     assert first.read_bytes() == second.read_bytes()
-    assert struct.unpack("<I", first.read_bytes()[4:8]) == (3,)
+    assert struct.unpack("<I", first.read_bytes()[4:8]) == (4,)
 
 
 def test_float64_parameters_load_rounded_to_nearest(tmp_path):
@@ -944,7 +947,7 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 99])
+@pytest.mark.parametrize("version", [1, 2, 3, 99])
 def test_checkpoint_rejects_future_version(tmp_path, version):
     model = binary_model(seed=11)
     path = tmp_path / "model.ckpt"
@@ -956,17 +959,14 @@ def test_checkpoint_rejects_future_version(tmp_path, version):
         load_checkpoint(path)
 
 
-def _four_class_weights_under_two_class_network(header):
-    header["network"]["num_classes"] = 2
-
-
 def _renamed_parameter(header):
     header["param_order"][header["param_order"].index("classifier.out.W")] = "classifier.head.W"
 
 
 def _dropped_last_parameter(header):
-    header["param_order"].pop()
-    return 8 * math.prod(header["param_shapes"].pop())  # bytes to cut from the block
+    name = header["param_order"].pop()
+    network = VAEClassifier(NetworkSpec.from_dict(header["network"]))
+    return 8 * network._params[name].size  # bytes to cut from the block
 
 
 def _network(field, value):
@@ -991,6 +991,11 @@ def _more_class_labels_than_classes(header):
     header["class_labels"] = list("abcde")
 
 
+def _two_classes_over_a_four_class_block(header):
+    header["network"]["num_classes"] = 2
+    header["class_labels"] = ["a", "b"]
+
+
 def _seed(value):
     def edit(header):
         header["seed"] = value
@@ -1013,10 +1018,13 @@ def _rewrite_header(path, edit):
 
 
 @pytest.mark.parametrize("edit, message", [
-    (_four_class_weights_under_two_class_network,
-     "parameter 'classifier.out.W' has shape [8, 4], the network needs [8, 2]"),
-    (_renamed_parameter, "parameter 'classifier.head.W' is not in the network"),
-    (_dropped_last_parameter, "parameter 'classifier.out.b' missing"),
+    # the two networks have the same parameter names; a 4-class head has 51 more values
+    (_two_classes_over_a_four_class_block,
+     "parameter block holds 62392 bytes, the network needs 62248"),
+    (_renamed_parameter, "header field 'param_order' differs from the network at entry 37: "
+                         "['classifier.head.W'], the network has ['classifier.out.W']"),
+    (_dropped_last_parameter, "header field 'param_order' differs from the network at entry 60: "
+                              "[], the network has ['classifier.hidden1.norm.running_var']"),
     (_network("dropout_rate", 0.5), "header does not describe a network (it records dropout_rate 0.5"),
     (_network("latent_dim", 4), "header does not describe a network (it records latent_dim 4"),
     (_no_network, "header field 'network' missing"),
@@ -1089,3 +1097,32 @@ def test_checkpoint_rejects_truncation(tmp_path):
     path.write_bytes(raw[: len(raw) - 64])
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_a_block_longer_than_the_network(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, binary_model(seed=12), seed=12, epochs_trained=1, class_labels=["x", "y"])
+    path.write_bytes(path.read_bytes() + bytes(8))
+    with pytest.raises(CheckpointError, match="parameter block holds 62256 bytes, the network needs 62248"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_network("num_classes", 10**6), "header field 'class_labels' lists 4 labels, the network has 1000000 classes"),
+    (_network("input_dim", 10**6), "input_dim must be 5 or 6, got 1000000"),
+], ids=["num_classes", "input_dim"])
+def test_checkpoint_header_cannot_ask_for_a_huge_network(tmp_path, edit, message):
+    """The whole header is checked before the network is built, so a small file
+    cannot make the reader allocate a network of a million classes or inputs."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, VAEClassifier(NetworkSpec(num_classes=4)), seed=0, epochs_trained=1,
+                    class_labels=list("abcd"))
+    _rewrite_header(path, edit)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

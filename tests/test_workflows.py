@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from blas_platform import blas_platform
 from photonvae.detector import DetectorConfig, chain_mean
 from photonvae.distributions import SourceKind, SourceSpec, source_pmf
 from photonvae.sampling import DatasetMeta, feature_matrix, generate_dataset, label_vector, split_rows
@@ -76,6 +77,37 @@ def test_a_repeated_cell_is_refused(refused, message):
     repeat would report two rows for one matrix."""
     with pytest.raises(ValueError, match=re.escape(message)):
         refused()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), "a", True], ids=["nan", "inf", "text", "bool"])
+@pytest.mark.parametrize("field", ["train_etas", "eval_etas", "eval_nbar_obs", "eval_bin_sizes",
+                                   "mix_r_values", "mix_train_r_values", "the fine-tune stages' bin_size"],
+                         ids=lambda field: field.replace("the fine-tune stages' ", "stage_"))
+def test_a_grid_value_that_cannot_key_a_cell_is_refused(field, value):
+    """A cell and its seeds are keyed by round(value * 1000), so a grid value
+    must be a number, not a bool, with a finite thousandth; the refusal names
+    the field and the value."""
+    with pytest.raises(ValueError, match=re.escape(f"{field} holds {value!r}, not a number")):
+        if field.startswith("the fine-tune"):
+            tiny_plan(stages=(TrainStage(40, 6), TrainStage(value, 3)))
+        else:
+            tiny_plan(**{field: (0.5, value)})
+
+
+def test_a_nan_target_is_refused_before_training(monkeypatch):
+    detector = DetectorConfig(4, 0.9)
+    with pytest.raises(ValueError, match="target mean nan is not a number"):
+        invert_mean_param(SourceKind.COHERENT, float("nan"), detector)
+    with pytest.raises(ValueError, match=re.escape("observed-mean target (efficiency 0.9) nan is not a number")):
+        invert_shared_intensity(float("nan"), detector)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran before the plan was refused")
+
+    monkeypatch.setattr(workflows, "train_model", refuse)
+    monkeypatch.setattr(workflows, "generate_dataset", refuse)
+    with pytest.raises(ValueError, match="target mean nan is not a number"):
+        run_mixed_grid(dataclasses.replace(mixed_plan(), target_nbar_obs=float("nan")))
 
 
 def test_derived_seed_is_stable_and_keyed():
@@ -293,7 +325,7 @@ def test_study_outputs_are_pinned(study):
         "lossy": (run_algorithm2, lossy_plan),
         "mixed_grid": (run_mixed_grid, mixed_plan),
     }[study]
-    assert _report_digest(run(plan()).report) == PINNED_STUDY_SHA256[study]
+    assert _report_digest(run(plan()).report) == PINNED_STUDY_SHA256[study], blas_platform()
 
 
 @pytest.mark.parametrize("overrides, message", [
