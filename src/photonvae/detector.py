@@ -7,16 +7,23 @@ the number of distinct detectors hit.  The chain is a walk over the ``N + 1``
 lands on one of the ``k`` occupied detectors with probability ``eta k / N``,
 or on a free one with probability ``eta (N - k) / N``, moving ``k`` to
 ``k + 1``.  Every term is a product of probabilities, so nothing cancels or
-underflows before the probability it stands for.
+underflows before the probability it stands for.  The walk is the one path
+to the click PMF.
+
+The mean needs no walk: a detector stays dark through ``n`` photons with
+probability ``(1 - eta / N)**n``, so ``E[clicks] = N * sum_n P(n) * (1 - (1 -
+eta / N)**n)``, a sum of non-negative terms.  The closed form of P(k) is an
+inclusion-exclusion sum whose alternating terms cancel below rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .distributions import PhotonPMF, PhysicsError, pmf_mean
+from .distributions import PhotonPMF, PhysicsError
 
 # Datasets record click probabilities up to this count, so click PMFs are
 # always padded out to at least this index.
@@ -31,12 +38,18 @@ class DetectorConfig:
     efficiency: float
 
     def __post_init__(self):
+        if isinstance(self.n_detectors, bool) or not isinstance(self.n_detectors, Integral):
+            raise PhysicsError(f"n_detectors must be a whole number, got {self.n_detectors!r}")
+        # a numpy integer is stored as an int, which the dataset metadata can write as JSON
+        object.__setattr__(self, "n_detectors", int(self.n_detectors))
         if self.n_detectors < 1:
             raise PhysicsError(f"n_detectors must be >= 1, got {self.n_detectors}")
         _check_efficiency(self.efficiency)
 
 
 def _check_efficiency(efficiency: float) -> None:
+    if isinstance(efficiency, bool):
+        raise PhysicsError(f"efficiency must be a number, got {efficiency!r}")
     if not (0.0 < efficiency <= 1.0):
         raise PhysicsError(f"efficiency must lie in (0, 1], got {efficiency}")
 
@@ -68,9 +81,7 @@ def apply_efficiency(pmf: PhotonPMF, efficiency: float) -> PhotonPMF:
 
 def _click_table(n_detectors: int, j_max: int, efficiency: float) -> np.ndarray:
     """Rows j = 0..j_max: click-count distribution of j incident photons."""
-    if n_detectors < 1:
-        raise PhysicsError(f"n_detectors must be >= 1, got {n_detectors}")
-    _check_efficiency(efficiency)
+    DetectorConfig(n_detectors, efficiency)  # refuses a bank no DetectorConfig describes
     occupied = np.arange(n_detectors)
     advance = efficiency * (n_detectors - occupied) / n_detectors
     return np.array(list(_walk(advance, j_max)))
@@ -104,5 +115,9 @@ def observed_chain(pmf: PhotonPMF, config: DetectorConfig) -> PhotonPMF:
 
 
 def chain_mean(pmf: PhotonPMF, config: DetectorConfig) -> float:
-    """Mean click count after the full detector chain."""
-    return pmf_mean(observed_chain(pmf, config))
+    """Mean click count after the full detector chain, from each detector's
+    dark probability (module docstring).  In the power form N = 1, eta = 1
+    stays exact: its base is 0, and 0.0**0 is 1."""
+    n_detectors, eta = config.n_detectors, config.efficiency
+    dark = (1.0 - eta / n_detectors) ** np.arange(pmf.probs.size)
+    return float(n_detectors * (pmf.probs @ (1.0 - dark)))

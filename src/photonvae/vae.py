@@ -92,6 +92,10 @@ class NetworkSpec:
     num_classes: int = 2
 
     def __post_init__(self):
+        for name in ("input_dim", "num_classes"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.input_dim not in (5, 6):
             raise ValueError(f"input_dim must be 5 or 6, got {self.input_dim}")
         if self.num_classes < 2:
@@ -108,8 +112,7 @@ class NetworkSpec:
         for key, value in SHAPE.items():
             if payload[key] != value:
                 raise ValueError(f"it records {key} {payload[key]!r}, this network has {value!r}")
-        return NetworkSpec(input_dim=int(payload["input_dim"]),
-                           num_classes=int(payload["num_classes"]))
+        return NetworkSpec(input_dim=payload["input_dim"], num_classes=payload["num_classes"])
 
 
 # The losses are reduced in float64 whatever the network's dtype, so that the

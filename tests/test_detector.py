@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -214,6 +214,28 @@ def test_detector_config_validation():
         DetectorConfig(4, 1.1)
 
 
+@pytest.mark.parametrize("n_detectors, efficiency, field", [
+    (4.5, 0.9, "n_detectors"),
+    (4.0, 0.9, "n_detectors"),
+    (True, 0.9, "n_detectors"),
+    ("4", 0.9, "n_detectors"),
+    (4, True, "efficiency"),
+], ids=["fraction", "whole_float", "bool", "text", "efficiency_bool"])
+def test_detector_config_refuses_a_count_or_efficiency_of_the_wrong_type(n_detectors, efficiency, field):
+    # the closed-form chain_mean would give 4.5 detectors a mean click count,
+    # so an inversion could succeed on a bank that cannot exist
+    with pytest.raises(PhysicsError, match=f"{field} must be a"):
+        DetectorConfig(n_detectors, efficiency)
+    with pytest.raises(PhysicsError, match=f"{field} must be a"):
+        apply_click_model(coherent_pmf(1.0, 20), n_detectors, efficiency)
+
+
+def test_detector_config_stores_a_numpy_count_as_an_int():
+    config = DetectorConfig(np.int64(4), 0.9)
+    assert type(config.n_detectors) is int
+    assert config == DetectorConfig(4, 0.9)
+
+
 def test_saturated_chain_within_rounding_of_one():
     out = observed_chain(source_pmf(SourceSpec(SourceKind.COHERENT, 700.0)), DetectorConfig(6, 0.5))
     assert out.probs[6] == pytest.approx(1.0, abs=1e-12)
@@ -259,6 +281,19 @@ def test_click_model_efficiency_equals_thinning_first(kind, mean, n_detectors, e
     joint = apply_click_model(pmf, n_detectors, eta)
     staged = apply_click_model(apply_efficiency(pmf, eta), n_detectors)
     np.testing.assert_allclose(joint.probs, staged.probs, rtol=0, atol=1e-12)
+
+
+@PROPERTY_SETTINGS
+@given(kind=CHAIN_CASES["kind"], mean=st.floats(0.0, 80.0), ratio=st.floats(0.0, 1.0),
+       n_detectors=st.integers(1, 6), eta=st.floats(0.0, 1.0, exclude_min=True))
+@example(kind=SourceKind.THERMAL, mean=80.0, ratio=0.5, n_detectors=1, eta=1.0)
+@example(kind=SourceKind.SPACS, mean=0.0, ratio=0.5, n_detectors=1, eta=1.0)
+def test_chain_mean_matches_the_mean_of_the_walked_click_pmf(kind, mean, ratio, n_detectors, eta):
+    # the walk is the reference; the tolerance was set from a worst case of
+    # 2e-14 over this grid.  At N = 1, eta = 1 the dark probability's base is 0.
+    pmf = source_pmf(SourceSpec(kind, mean, ratio))
+    config = DetectorConfig(n_detectors, eta)
+    assert abs(chain_mean(pmf, config) - pmf_mean(observed_chain(pmf, config))) <= 1e-12
 
 
 def generating_function(spec: SourceSpec, x: float) -> float:

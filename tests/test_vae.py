@@ -1036,9 +1036,14 @@ def _rewrite_header(path, edit):
     (_seed(1.5), "header field 'seed' is not a non-negative integer"),
     (_seed(-1), "header field 'seed' is not a non-negative integer"),
     (_seed(True), "header field 'seed' is not a non-negative integer"),
+    (_network("input_dim", 5.9), "header does not describe a network (input_dim must be an integer, got 5.9)"),
+    (_network("input_dim", "5"), "header does not describe a network (input_dim must be an integer, got '5')"),
+    (_network("input_dim", True), "header does not describe a network (input_dim must be an integer, got True)"),
+    (_network("num_classes", 2.7), "header does not describe a network (num_classes must be an integer, got 2.7)"),
 ], ids=["shape", "unknown_name", "missing_name", "dropout_rate", "latent_dim", "no_network", "no_class_labels",
         "class_labels_not_strings", "more_class_labels_than_classes", "seed_text",
-        "seed_fraction", "seed_negative", "seed_bool"])
+        "seed_fraction", "seed_negative", "seed_bool", "input_dim_fraction", "input_dim_text",
+        "input_dim_bool", "num_classes_fraction"])
 def test_checkpoint_refuses_a_header_that_does_not_fit_its_network(tmp_path, edit, message):
     path = tmp_path / "model.ckpt"
     model = VAEClassifier(NetworkSpec(num_classes=4), seed=13)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from blas_platform import blas_platform
-from photonvae.detector import DetectorConfig, chain_mean
-from photonvae.distributions import SourceKind, SourceSpec, source_pmf
+from photonvae.detector import DetectorConfig, chain_mean, observed_chain
+from photonvae.distributions import SourceKind, SourceSpec, pmf_mean, source_pmf
 from photonvae.sampling import DatasetMeta, feature_matrix, generate_dataset, label_vector, split_rows
 from photonvae.vae import NetworkSpec, VAEClassifier, evaluate_model, train_model
 from photonvae import vae, workflows
@@ -155,6 +155,44 @@ def test_invert_shared_intensity_floor():
         [chain_mean(source_pmf(s), detector) for _, s in lossless_sources(intensity)]
     )
     assert mean == pytest.approx(1.5, abs=1e-6)
+
+
+def test_no_inversion_walks_the_detector_chain(monkeypatch):
+    def walk(*args):
+        raise AssertionError("the detector chain was walked")
+
+    monkeypatch.setattr("photonvae.detector._walk", walk)
+    config = DetectorConfig(4, 0.7)
+    assert chain_mean(source_pmf(SourceSpec(SourceKind.THERMAL, 2.0)), config) > 0.0
+    assert invert_mean_param(SourceKind.COHERENT, 1.2, config) > 0.0
+    assert invert_mean_param(SourceKind.THERMAL, 1.2, config) > 0.0
+    assert invert_shared_intensity(1.2, config) > 0.0
+
+
+def _walked_mean(pmf, config):
+    return pmf_mean(observed_chain(pmf, config))
+
+
+# one detector clicks at most once, and a photon-added source's floor is already
+# eta, so the shared-intensity inversion has targets only for N > 1
+@pytest.mark.parametrize("n_detectors, eta, target, shared_target", [
+    (1, 1.0, 0.6, None), (1, 0.5, 0.3, None), (4, 0.7, 1.2, 1.2), (4, 1.0, 2.5, 2.5),
+    (6, 0.9, 1.3, 1.5), (6, 0.5, 0.8, 0.8),
+])
+def test_inversions_land_where_a_bisection_over_the_walked_mean_does(
+        monkeypatch, n_detectors, eta, target, shared_target):
+    config = DetectorConfig(n_detectors, eta)
+    inversions = [
+        lambda: invert_mean_param(SourceKind.COHERENT, target, config),
+        lambda: invert_mean_param(SourceKind.THERMAL, target, config),
+    ]
+    if shared_target is not None:
+        inversions.append(lambda: invert_shared_intensity(shared_target, config))
+    closed = [invert() for invert in inversions]
+    monkeypatch.setattr(workflows, "chain_mean", _walked_mean)
+    walked = [invert() for invert in inversions]
+    for got, want in zip(closed, walked):
+        assert abs(got - want) <= 1e-13 * want, (got, want)
 
 
 def test_a_fine_tune_stage_trains_a_copy_of_the_base_model(monkeypatch):
