@@ -318,7 +318,8 @@ def cmd_train(args, config: dict, seed: int, out: Path, name: str, base=None) ->
             raise DataMismatchError(f"checkpoint classes are {class_order}, config says {labels}")
         model.reseed(seed)
     else:
-        # np.unique's order without np.unique, whose first call imports numpy.ma
+        # np.unique's order without np.unique, which imports numpy.ma on its
+        # first call unless a return_* flag is set (split_rows and label_vector set one)
         class_order = labels or sorted(set(rows.labels.tolist()))
         if len(class_order) < 2:
             raise ConfigError(f"training needs at least two classes, the class order is {class_order}")

@@ -8,16 +8,22 @@ seed, class index, block index).
 A dataset CSV row is a bin's label and its counts of windows with 0..6 clicks,
 whose sum is the bin size; only the ``*.meta.json`` sidecar records what
 regenerates the dataset.  The CSV is written and read in blocks of
-``CSV_BLOCK_ROWS`` rows, as is the latent CSV of ``workflows``.  A row of text
-is 8 Python strings, several times the bytes of its parsed row, so a
-whole-file table would cost more memory than the rows it holds; a block of a
-few hundred rows keeps numpy's per-call cost small and the text of one block
-in memory at a time.
+``CSV_BLOCK_ROWS`` rows, as is the latent CSV of ``workflows``.  The text of a
+block is several times the bytes of its parsed rows, so a whole-file table
+would cost more memory than the rows it holds; a block of a few hundred rows
+keeps numpy's per-call cost small and the text of one block in memory at a
+time.  A block is written with one ``%`` format, and its labels and counts
+are parsed by numpy's C parser (``np.loadtxt``).  A block that parser refuses,
+or that holds text it reads otherwise than ``int()`` does (a non-ASCII
+character or one of the ASCII separators 0x1C..0x1F), is read cell by cell
+with ``int()``, which accepts what ``int()`` accepts (``1_0``, non-ASCII
+decimal digits) and names the first faulty line of the block.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -37,6 +43,10 @@ from .distributions import (
 CSV_HEADER = "label,c0,c1,c2,c3,c4,c5,c6"
 CSV_FIELDS = CSV_HEADER.count(",") + 1
 CSV_BLOCK_ROWS = 256
+# a block with a longer line is read cell by cell: numpy's parser would be
+# given a label field that long for each line of the block, and would read a
+# count of more digits than int() reads at its lowest digit limit, 640
+_C_PARSED_LINE = 640
 
 _CLICKS = np.arange(MAX_RECORDED_CLICKS + 1)
 
@@ -146,17 +156,18 @@ def observed_click_pmf(source: PhotonPMF, detector: DetectorConfig) -> PhotonPMF
 def _draw(observed: PhotonPMF, bin_size: int, seed: int, class_index: int, n: int) -> np.ndarray:
     """Click histograms of one class's first ``n`` bins, shape (n, 7).
 
-    Block b holds bins [b * BLOCK_BINS, (b + 1) * BLOCK_BINS) and is drawn whole
-    from its own stream keyed (seed, class_index, b).  The multinomial gives its
+    Block b holds bins [b * BLOCK_BINS, (b + 1) * BLOCK_BINS) and is drawn from
+    its own stream keyed (seed, class_index, b).  A multinomial draw takes its
+    rows from the stream in order, so the bins of a block that ``n`` cuts short
+    are the first rows of the whole block's draw.  The multinomial gives its
     last category what the others leave, so residual tail mass lands on n_max.
     """
-    blocks = [
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(class_index, b)))
-        .multinomial(bin_size, observed.probs, size=BLOCK_BINS)
-        for b in range(-(-n // BLOCK_BINS))
-    ]
     counts = np.zeros((n, MAX_RECORDED_CLICKS + 1), dtype=np.int64)
-    counts[:, : observed.n_max + 1] = np.concatenate(blocks)[:n]
+    for b, start in enumerate(range(0, n, BLOCK_BINS)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(class_index, b)))
+        counts[start:start + BLOCK_BINS, : observed.n_max + 1] = rng.multinomial(
+            bin_size, observed.probs, size=min(BLOCK_BINS, n - start)
+        )
     return counts
 
 
@@ -216,19 +227,58 @@ def label_vector(rows: Rows, class_order: list[str]) -> np.ndarray:
 
 def write_dataset_csv(path, dataset: Dataset) -> None:
     rows = dataset.rows
+    line = "%s" + ",%d" * (CSV_FIELDS - 1) + "\n"
     with open(path, "w") as file:
         file.write(CSV_HEADER + "\n")
         for start in range(0, len(rows), CSV_BLOCK_ROWS):
             block = rows.take(slice(start, start + CSV_BLOCK_ROWS))
-            file.write("".join(
-                f"{label},{','.join(map(str, counts))}\n"
-                for label, counts in zip(block.labels.tolist(), block.counts.tolist())
-            ))
+            cells = np.empty((len(block), CSV_FIELDS), dtype=object)
+            cells[:, 0] = block.labels
+            cells[:, 1:] = block.counts
+            file.write(line * len(block) % tuple(cells.ravel().tolist()))
 
 
-def _parse_rows(lines: list[str], first: int) -> Rows:
-    """The rows of ``lines``, of which the first is line ``first`` of the file;
-    a ValueError names the first faulty line and the first check it fails."""
+def _c_parsed(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The counts and labels of ``lines`` from numpy's C parser, or None if a
+    line does not hold exactly ``CSV_FIELDS`` fields or is longer than
+    ``_C_PARSED_LINE``, the block holds a NUL or a character that parser
+    reads where ``int()`` refuses it, or the parser refuses a count."""
+    if not lines:  # loadtxt would warn that its input holds no data
+        return None
+    text = "".join(lines)
+    width = max(map(len, lines))  # a label is at most a line long
+    # numpy's integer parser misreads text that int() refuses: it takes some
+    # non-ASCII characters for digits worth their code point minus 48 ("1①"
+    # as 9274), crashes the process on some that start a field (U+792DA), and
+    # skips the separators \x1c..\x1f as whitespace.  A numpy string drops
+    # the NULs that end it, so a label's width is read only from NUL-free text
+    if (width > _C_PARSED_LINE or not text.isascii()
+            or any(char in text for char in "\x00\x1c\x1d\x1e\x1f")):
+        return None
+    # an ASCII label is read as bytes, a quarter of its width as str
+    fields = [("label", f"S{width}"), ("counts", np.int64, CSV_FIELDS - 1)]
+    try:
+        # with a field per column, loadtxt refuses a line of any other field
+        # count.  numpy 1.x reads an integer via a float ("5.5" as 5) with a
+        # DeprecationWarning; as an error it sends the block to the int() reader
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            table = np.loadtxt(lines, delimiter=",", dtype=fields, comments=None, ndmin=1)
+    except (ValueError, OverflowError, DeprecationWarning):
+        return None
+    if len(table) != len(lines):  # it skips an empty line
+        return None
+    # the labels in the width of the longest, which np.array would give them:
+    # through the last byte column of the label field where a row is not NUL padding
+    used = table.view(np.uint8).reshape(len(table), -1)[:, :width].any(axis=0)
+    labels = table["label"].astype(f"U{used.nonzero()[0].max(initial=0) + 1}")
+    return np.ascontiguousarray(table["counts"]), labels
+
+
+def _parse_cells(lines: list[str], first: int) -> tuple[np.ndarray, np.ndarray]:
+    """The counts and labels of ``lines`` read cell by cell with ``int()``; a
+    ValueError names the first line with the wrong field count or a bad count,
+    unless a line before it fails a later check."""
     fields = [line.split(",") for line in lines]
     n = next((i for i, cells in enumerate(fields) if len(cells) != CSV_FIELDS), None)
     if n is not None:
@@ -236,7 +286,7 @@ def _parse_rows(lines: list[str], first: int) -> Rows:
         raise ValueError(f"line {first + n}: a row needs {CSV_FIELDS} fields")
     table = np.array(fields, dtype=object).reshape(len(fields), CSV_FIELDS)
     try:
-        counts = table[:, 1:].astype(np.int64)
+        return table[:, 1:].astype(np.int64), table[:, 0].astype(str)
     except (ValueError, OverflowError):
         for n, cells in enumerate(table[:, 1:]):
             try:
@@ -245,15 +295,20 @@ def _parse_rows(lines: list[str], first: int) -> Rows:
                 _parse_rows(lines[:n], first)
                 raise ValueError(f"line {first + n}: bad count: {exc}") from exc
         raise
-    negative = (counts < 0).any(axis=1)
+
+
+def _parse_rows(lines: list[str], first: int) -> Rows:
+    """The rows of ``lines``, of which the first is line ``first`` of the file;
+    a ValueError names the first faulty line and the first check it fails."""
+    counts, labels = _c_parsed(lines) or _parse_cells(lines, first)
     # with no negative count, a sum past int64 first shows as a negative partial sum
     sums = np.cumsum(counts, axis=1)
-    bad = negative | (sums < 0).any(axis=1) | (sums[:, -1] == 0)
-    if bad.any():
-        i = int(np.argmax(bad))
+    if not (counts.min(initial=0) >= 0 <= sums.min(initial=0) and sums[:, -1].all()):
+        negative = (counts < 0).any(axis=1)
+        i = int(np.argmax(negative | (sums < 0).any(axis=1) | (sums[:, -1] == 0)))
         problem = "counts must be >= 0" if negative[i] else "counts must sum to 1 .. 2**63 - 1"
         raise ValueError(f"line {first + i}: {problem}")
-    return Rows(counts, table[:, 0].astype(str), sums[:, -1])
+    return Rows(counts, labels, sums[:, -1])
 
 
 def load_dataset_csv(path) -> Rows:

@@ -505,13 +505,16 @@ def write_confusion_csv(path, confusions: dict[str, np.ndarray], class_labels: l
 
 def write_latent_csv(path, latents: np.ndarray, class_labels: list[str]) -> None:
     dim = latents.shape[1] - 1
+    line = ",".join(["%.9g"] * dim) + ",%s\n"
+    labels = np.array(class_labels, dtype=object)
     with open(path, "w") as file:
         file.write(",".join(f"z{k + 1}" for k in range(dim)) + ",label\n")
         for start in range(0, len(latents), CSV_BLOCK_ROWS):
-            file.write("".join(
-                ",".join("{:.9g}".format(v) for v in row[:-1]) + f",{class_labels[int(row[-1])]}\n"
-                for row in latents[start:start + CSV_BLOCK_ROWS]
-            ))
+            block = latents[start:start + CSV_BLOCK_ROWS]
+            cells = np.empty(block.shape, dtype=object)
+            cells[:, :-1] = block[:, :-1]
+            cells[:, -1] = labels[block[:, -1].astype(np.int64)]
+            file.write(line * len(block) % tuple(cells.ravel().tolist()))
 
 
 def _csv_field(value) -> str:

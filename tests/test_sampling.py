@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from blas_platform import blas_platform
+from photonvae import sampling
 from photonvae.detector import DetectorConfig, observed_chain
 from photonvae.distributions import (
     PhotonPMF,
@@ -391,6 +392,42 @@ def test_csv_memory_does_not_hold_the_file(tmp_path):
     assert read < 3 * (rows.counts.nbytes + rows.labels.nbytes + rows.bin_size.nbytes)
 
 
+def test_written_file_is_read_by_numpys_parser_alone(tmp_path, monkeypatch):
+    """Every block of a file the writer wrote is parsed by ``np.loadtxt``; the
+    cell-by-cell reader serves only blocks that parser refuses."""
+    dataset = generate_dataset(small_meta(bin_size=10, bins_per_class=10000))
+    path = tmp_path / "data.csv"
+    write_dataset_csv(path, dataset)
+
+    def refuse(lines, first):
+        raise AssertionError(f"lines {first}..{first + len(lines) - 1} were read cell by cell")
+
+    monkeypatch.setattr(sampling, "_parse_cells", refuse)
+    rows = load_dataset_csv(path)
+    assert len(rows) == 20000
+    np.testing.assert_array_equal(rows.counts, dataset.rows.counts)
+    np.testing.assert_array_equal(rows.labels, dataset.rows.labels)
+
+
+def test_load_reads_a_block_with_a_long_line_cell_by_cell(tmp_path):
+    """numpy's parser would be given a label field as long as the block's
+    longest line, for every line of the block; past
+    ``sampling._C_PARSED_LINE`` characters the block is read cell by cell."""
+    count = " " * 20000 + "1"
+    path = tmp_path / "data.csv"
+    path.write_text(f"{CSV_HEADER}\n" + f"{GOOD_ROW}\n" * 255 + f"b,{count},0,0,0,0,0,0\n")
+    tracemalloc.start()
+    try:
+        rows = load_dataset_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.labels.tolist() == ["a"] * 255 + ["b"]
+    np.testing.assert_array_equal(rows.bin_size, [20] * 255 + [1])
+    # a 20,010-character field for each of 256 labels would be 20 MB
+    assert peak < 1_000_000
+
+
 def test_meta_sidecar_round_trip(tmp_path):
     dataset = generate_dataset(small_meta())
     payload = meta_to_dict(dataset)
@@ -440,6 +477,11 @@ FAULTY_ROWS = {
     pytest.param(FAULTY_ROWS["count"], "bad count", id="count_not_a_number"),
     pytest.param("a,10,5.5,4.5,0,0,0,0", "bad count", id="fractional_count"),
     pytest.param(f"a,{2**63},0,0,0,0,0,0", "bad count", id="count_past_int64"),
+    # past int()'s default limit of 4,300 digits, which numpy's parser does not have
+    pytest.param(f"a,{'0' * 4300}1,0,0,0,0,0,0", "bad count", id="count_of_4301_digits"),
+    # int() refuses these; numpy's parser reads "1①" as 9274 and skips \x1c
+    pytest.param("a,10,5,1①,0,0,0,0", "bad count", id="count_non_ascii_digit"),
+    pytest.param("a,10,5,\x1c5,0,0,0,0", "bad count", id="count_file_separator"),
     pytest.param(FAULTY_ROWS["negative"], r"counts must be >= 0", id="negative_count"),
     pytest.param(FAULTY_ROWS["bin_size"], r"counts must sum to 1 \.\. 2\*\*63 - 1", id="zero_sum"),
     pytest.param(FAULTY_ROWS["sum"], r"counts must sum to 1 \.\. 2\*\*63 - 1", id="sum_past_int64"),
@@ -468,13 +510,16 @@ def test_load_refuses_rows_that_are_not_whole_bins(tmp_path, bad, problem):
     (f"\n \n  {CSV_HEADER}\n{GOOD_ROW}\n", 1),
     (f"{CSV_HEADER}\n\n{GOOD_ROW}\n", "line 2: a row needs 8 fields"),
     (f"{CSV_HEADER}\n" + f"{GOOD_ROW}\n" * 250 + " \n" * 20 + f"{GOOD_ROW}\n", "line 252: a row needs 8 fields"),
+    # numpy's parser skips an empty line; a row it refuses sends the block
+    # to the cell-by-cell reader, which names the empty line
+    (f"{CSV_HEADER}\n{GOOD_ROW}{',0' * 7}\n\n{GOOD_ROW}\n", "line 2: a row needs 8 fields"),
     # lines are counted from the header, so the bad row on the fifth line is line 4
     (f" \n{CSV_HEADER}\n{GOOD_ROW}\n{GOOD_ROW}\n{FAULTY_ROWS['fields']}\n", "line 4: a row needs 8 fields"),
     ("", "unexpected dataset header ''"),
     (" \n\n", "unexpected dataset header ''"),
 ], ids=["header_only", "header_without_newline", "trailing_blank_lines", "long_blank_tail",
         "blank_lines_before_header", "blank_line_between_rows", "blank_run_between_rows",
-        "lines_counted_from_header", "empty", "blank"])
+        "long_row_beside_blank_line", "lines_counted_from_header", "empty", "blank"])
 def test_load_reads_blank_lines_only_around_the_table(tmp_path, text, want):
     path = tmp_path / "data.csv"
     path.write_text(text)
@@ -516,15 +561,23 @@ def _first_fault(line: str) -> str | None:
     return None
 
 
-_GOOD_ROWS = st.builds(
-    lambda label, counts: f"{label},{','.join(map(str, counts))}",
-    st.sampled_from("ab"), st.lists(st.integers(0, 40), min_size=7, max_size=7).filter(any),
-)
+# counts that int() reads: plain, in forms numpy's C parser reads too ("+5",
+# " 5", "007"), and in forms only int() reads ("1_0", "٣"), which send their
+# block of lines to the cell-by-cell reader
+_COUNTS = st.lists(
+    st.one_of(st.integers(0, 40).map(str), st.sampled_from(["+5", " 5", "007", "1_0", "\u0663"])),
+    min_size=7, max_size=7,
+).filter(lambda counts: any(map(int, counts)))
+# a "#" or a quote in a label is text, not a comment or a quoted field
+_GOOD_ROWS = st.builds(lambda label, counts: ",".join([label, *counts]),
+                       st.sampled_from(["a", "b", "#c", 'd"']), _COUNTS)
 # a file is up to six runs, each of one line repeated up to 300 times, so a
-# file can cross the edge of a 256-line block
+# file can cross the edge of a 256-line block; numpy's parser skips an empty
+# line and reads "1①" and "\x1c5", which int() refuses
 _RUNS = st.lists(st.tuples(
     st.one_of(_GOOD_ROWS, _GOOD_ROWS, st.sampled_from([*FAULTY_ROWS.values(), f"a,{2**63},0,0,0,0,0,0",
-                                                       "a,10,5,5,0,0,0,0,0", "", " "])),
+                                                       "a,10,5,5,0,0,0,0,0", GOOD_ROW + ",0" * 7, "", " ",
+                                                       "a,10,5,1①,0,0,0,0", "a,10,5,\x1c5,0,0,0,0"])),
     st.integers(1, 300),
 ), max_size=6)
 

@@ -520,3 +520,17 @@ def test_report_writers(tmp_path):
     lines = latent.read_text().splitlines()
     assert lines[0] == "z1,z2,z3,label"
     assert lines[1] == "0.25,-1,2,b"
+
+
+def test_latent_csv_lines_match_per_row_formatting(tmp_path):
+    # the writer formats a block of rows at a time; this is the per-row form
+    rng = np.random.default_rng(3)
+    latents = np.column_stack([rng.standard_normal((600, 3)) * 10.0 ** rng.integers(-30, 30, (600, 3)),
+                               rng.integers(0, 3, 600)])
+    latents[:6, 0] = [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan]
+    path = tmp_path / "latent.csv"
+    write_latent_csv(path, latents, ["a", "b", "c"])
+    want = ["z1,z2,z3,label"]
+    for row in latents:
+        want.append(",".join("{:.9g}".format(v) for v in row[:-1]) + f",{'abc'[int(row[-1])]}")
+    assert path.read_text() == "\n".join(want) + "\n"
