@@ -19,7 +19,6 @@ from .detector import (
     apply_efficiency,
     chain_mean,
     click_coefficients,
-    observed_chain,
 )
 
 __version__ = "0.1.0"

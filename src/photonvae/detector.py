@@ -8,7 +8,7 @@ lands on one of the ``k`` occupied detectors with probability ``eta k / N``,
 or on a free one with probability ``eta (N - k) / N``, moving ``k`` to
 ``k + 1``.  Every term is a product of probabilities, so nothing cancels or
 underflows before the probability it stands for.  The walk is the one path
-to the click PMF.
+to the click PMF, ``apply_click_model``, whose support is 0..N clicks.
 
 The mean needs no walk: a detector stays dark through ``n`` photons with
 probability ``(1 - eta / N)**n``, so ``E[clicks] = N * sum_n P(n) * (1 - (1 -
@@ -24,10 +24,6 @@ from numbers import Integral
 import numpy as np
 
 from .distributions import PhotonPMF, PhysicsError
-
-# Datasets record click probabilities up to this count, so click PMFs are
-# always padded out to at least this index.
-MAX_RECORDED_CLICKS = 6
 
 
 @dataclass(frozen=True)
@@ -79,9 +75,9 @@ def apply_efficiency(pmf: PhotonPMF, efficiency: float) -> PhotonPMF:
     return PhotonPMF(out)
 
 
-def _click_table(n_detectors: int, j_max: int, efficiency: float) -> np.ndarray:
+def _click_table(detector: DetectorConfig, j_max: int) -> np.ndarray:
     """Rows j = 0..j_max: click-count distribution of j incident photons."""
-    DetectorConfig(n_detectors, efficiency)  # refuses a bank no DetectorConfig describes
+    n_detectors, efficiency = detector.n_detectors, detector.efficiency
     occupied = np.arange(n_detectors)
     advance = efficiency * (n_detectors - occupied) / n_detectors
     return np.array(list(_walk(advance, j_max)))
@@ -92,26 +88,16 @@ def click_coefficients(n_detectors: int, j_max: int) -> np.ndarray:
     that j photons spread uniformly over the detectors occupy exactly n of them."""
     if j_max < 0:
         raise PhysicsError(f"j_max must be >= 0, got {j_max}")
-    return _click_table(n_detectors, j_max, 1.0).T
+    return _click_table(DetectorConfig(n_detectors, 1.0), j_max).T
 
 
-def apply_click_model(pmf: PhotonPMF, n_detectors: int, efficiency: float = 1.0) -> PhotonPMF:
+def apply_click_model(pmf: PhotonPMF, detector: DetectorConfig) -> PhotonPMF:
     """Collapse a photon-number PMF to the click-count PMF of the detector bank,
-    each photon first surviving with probability ``efficiency``.
+    each photon first surviving with probability ``detector.efficiency``.
 
-    The output support is 0..min(n_max, n_detectors), zero-padded out to index
-    ``MAX_RECORDED_CLICKS`` for dataset compatibility.
+    The output support is 0..n_detectors; counts above ``pmf.n_max`` get 0.
     """
-    clicks = pmf.probs @ _click_table(n_detectors, pmf.n_max, efficiency)
-    limit = min(n_detectors, pmf.n_max)
-    out = np.zeros(max(limit, MAX_RECORDED_CLICKS) + 1)
-    out[: limit + 1] = clicks[: limit + 1]
-    return PhotonPMF(out)
-
-
-def observed_chain(pmf: PhotonPMF, config: DetectorConfig) -> PhotonPMF:
-    """Efficiency thinning and the click collapse, in one walk."""
-    return apply_click_model(pmf, config.n_detectors, config.efficiency)
+    return PhotonPMF(pmf.probs @ _click_table(detector, pmf.n_max))
 
 
 def chain_mean(pmf: PhotonPMF, config: DetectorConfig) -> float:

@@ -71,12 +71,6 @@ class PhotonPMF:
     def n_max(self) -> int:
         return self.probs.size - 1
 
-    def truncated(self, n_max: int) -> "PhotonPMF":
-        """Shorten the support to 0..n_max; fails if the dropped mass breaks the tail bound."""
-        if n_max >= self.n_max:
-            return self
-        return PhotonPMF(self.probs[: n_max + 1])
-
 
 @dataclass(frozen=True)
 class SourceSpec:

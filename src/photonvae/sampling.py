@@ -1,7 +1,9 @@
 """Seeded Monte Carlo click sampling and labeled dataset emission, in columns.
 
 A dataset holds its bins as arrays: the occurrences of 0..6 clicks in each bin,
-its label and its bin size.  One class's bins are drawn in blocks of
+its label and its bin size.  That recorded range lives in this module alone:
+``observed_click_pmf`` cuts or zero-pads the detector's click PMF over 0..N
+clicks to the 7 recorded entries.  One class's bins are drawn in blocks of
 ``BLOCK_BINS``, one multinomial draw per block from a stream keyed by (dataset
 seed, class index, block index).
 
@@ -30,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .detector import MAX_RECORDED_CLICKS, DetectorConfig, observed_chain
+from . import detector as _detector
+from .detector import DetectorConfig
 from .distributions import (
     TAIL_BOUND,
     PhotonPMF,
@@ -48,6 +51,8 @@ CSV_BLOCK_ROWS = 256
 # count of more digits than int() reads at its lowest digit limit, 640
 _C_PARSED_LINE = 640
 
+# a dataset records the windows of each bin that saw 0..6 clicks
+MAX_RECORDED_CLICKS = 6
 _CLICKS = np.arange(MAX_RECORDED_CLICKS + 1)
 
 # version 2: histograms come from one multinomial stream per block of bins
@@ -135,22 +140,22 @@ class Dataset:
 
 
 def observed_click_pmf(source: PhotonPMF, detector: DetectorConfig) -> PhotonPMF:
-    """Push a source's photon-number PMF through the detector chain and bound
-    the support at 6 clicks.
+    """The click PMF of a source's photon-number PMF through the detector
+    chain, over the recorded 0..6 clicks: cut there, or zero-padded out to it.
 
     Configurations whose click distribution carries more than the tail bound
     above 6 clicks cannot produce valid dataset rows and are rejected.
     """
-    observed = observed_chain(source, detector)
-    if observed.n_max > MAX_RECORDED_CLICKS:
-        excess = float(observed.probs[MAX_RECORDED_CLICKS + 1 :].sum())
-        if excess > TAIL_BOUND:
-            raise PhysicsError(
-                f"click distribution has {excess:.3g} probability above "
-                f"{MAX_RECORDED_CLICKS} clicks; reduce n_detectors or the source intensity"
-            )
-        observed = observed.truncated(MAX_RECORDED_CLICKS)
-    return observed
+    clicks = _detector.apply_click_model(source, detector).probs
+    excess = float(clicks[MAX_RECORDED_CLICKS + 1 :].sum())
+    if excess > TAIL_BOUND:
+        raise PhysicsError(
+            f"click distribution has {excess:.3g} probability above "
+            f"{MAX_RECORDED_CLICKS} clicks; reduce n_detectors or the source intensity"
+        )
+    recorded = np.zeros(MAX_RECORDED_CLICKS + 1)
+    recorded[: clicks.size] = clicks[: recorded.size]
+    return PhotonPMF(recorded)
 
 
 def _draw(observed: PhotonPMF, bin_size: int, seed: int, class_index: int, n: int) -> np.ndarray:

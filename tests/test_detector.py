@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from photonvae.detector import (
-    MAX_RECORDED_CLICKS,
     DetectorConfig,
     apply_click_model,
     apply_efficiency,
     chain_mean,
     click_coefficients,
-    observed_chain,
 )
 from photonvae.distributions import (
     _SUM_EXCESS,
@@ -119,7 +117,7 @@ def test_efficiency_range_rejected(eta):
     with pytest.raises(PhysicsError):
         apply_efficiency(coherent_pmf(1.0, 20), eta)
     with pytest.raises(PhysicsError):
-        apply_click_model(coherent_pmf(1.0, 20), 4, eta)
+        DetectorConfig(4, eta)
 
 
 def test_efficiency_keeps_mass_where_eta_to_the_n_underflows():
@@ -134,7 +132,7 @@ def test_efficiency_keeps_mass_where_eta_to_the_n_underflows():
 
 def test_click_model_vacuum_passthrough():
     pmf = PhotonPMF(np.array([1.0] + [0.0] * 10))
-    out = apply_click_model(pmf, 4)
+    out = apply_click_model(pmf, DetectorConfig(4, 1.0))
     assert out.probs[0] == 1.0
     assert out.probs[1:].sum() == 0.0
 
@@ -142,26 +140,20 @@ def test_click_model_vacuum_passthrough():
 def test_click_model_single_photon():
     pmf = PhotonPMF(np.array([0.0, 1.0]))
     for n_detectors in (1, 2, 4, 7):
-        out = apply_click_model(pmf, n_detectors)
+        out = apply_click_model(pmf, DetectorConfig(n_detectors, 1.0))
         assert out.probs[1] == 1.0
 
 
 def test_click_model_two_photons_two_detectors():
     pmf = PhotonPMF(np.array([0.0, 0.0, 1.0]))
-    out = apply_click_model(pmf, 2)
+    out = apply_click_model(pmf, DetectorConfig(2, 1.0))
     np.testing.assert_allclose(out.probs[:3], [0.0, 0.5, 0.5], atol=1e-15)
-
-
-def test_click_model_pads_to_recorded_range():
-    out = apply_click_model(PhotonPMF(np.array([0.0, 1.0])), 2)
-    assert out.n_max == MAX_RECORDED_CLICKS
-    assert out.probs[2:].sum() == 0.0
 
 
 def test_click_model_support_bounded_by_detectors():
     pmf = coherent_pmf(3.0, 25)
-    out = apply_click_model(pmf, 4)
-    assert out.probs[5:].sum() == 0.0
+    out = apply_click_model(pmf, DetectorConfig(4, 1.0))
+    assert out.n_max == 4
     assert out.probs.sum() == pytest.approx(pmf.probs.sum(), abs=1e-12)
 
 
@@ -169,7 +161,7 @@ def test_click_model_support_bounded_by_detectors():
 
 
 def test_chain_lossless_single_photon():
-    out = observed_chain(PhotonPMF(np.array([0.0, 1.0])), DetectorConfig(4, 1.0))
+    out = apply_click_model(PhotonPMF(np.array([0.0, 1.0])), DetectorConfig(4, 1.0))
     assert out.probs[1] == 1.0
 
 
@@ -181,14 +173,15 @@ def test_chain_mean_below_thinned_mean():
 
 def test_chain_normalization():
     pmf = thermal_pmf(1.3, 60)
-    out = observed_chain(pmf, DetectorConfig(4, 0.9))
+    out = apply_click_model(pmf, DetectorConfig(4, 0.9))
     assert 1 - 1e-6 <= out.probs[:5].sum() <= 1 + 1e-12
 
 
 def test_composition_order_matters():
     pmf = coherent_pmf(2.5, 40)
-    eff_then_click = apply_click_model(apply_efficiency(pmf, 0.5), 3)
-    click_then_eff = apply_efficiency(apply_click_model(pmf, 3), 0.5)
+    lossless = DetectorConfig(3, 1.0)
+    eff_then_click = apply_click_model(apply_efficiency(pmf, 0.5), lossless)
+    click_then_eff = apply_efficiency(apply_click_model(pmf, lossless), 0.5)
     assert not np.allclose(
         eff_then_click.probs[:4], click_then_eff.probs[:4], atol=1e-6
     )
@@ -226,8 +219,9 @@ def test_detector_config_refuses_a_count_or_efficiency_of_the_wrong_type(n_detec
     # so an inversion could succeed on a bank that cannot exist
     with pytest.raises(PhysicsError, match=f"{field} must be a"):
         DetectorConfig(n_detectors, efficiency)
-    with pytest.raises(PhysicsError, match=f"{field} must be a"):
-        apply_click_model(coherent_pmf(1.0, 20), n_detectors, efficiency)
+    if field == "n_detectors":  # the one function that takes a count, not a DetectorConfig
+        with pytest.raises(PhysicsError, match=f"{field} must be a"):
+            click_coefficients(n_detectors, 4)
 
 
 def test_detector_config_stores_a_numpy_count_as_an_int():
@@ -237,7 +231,7 @@ def test_detector_config_stores_a_numpy_count_as_an_int():
 
 
 def test_saturated_chain_within_rounding_of_one():
-    out = observed_chain(source_pmf(SourceSpec(SourceKind.COHERENT, 700.0)), DetectorConfig(6, 0.5))
+    out = apply_click_model(source_pmf(SourceSpec(SourceKind.COHERENT, 700.0)), DetectorConfig(6, 0.5))
     assert out.probs[6] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -255,12 +249,12 @@ PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=60, d
 @PROPERTY_SETTINGS
 @given(**CHAIN_CASES, ratio=st.floats(0.0, 1.0))
 def test_chain_output_is_a_normalized_pmf(kind, mean, n_detectors, eta, ratio):
-    out = observed_chain(source_pmf(SourceSpec(kind, mean, ratio)), DetectorConfig(n_detectors, eta))
+    out = apply_click_model(source_pmf(SourceSpec(kind, mean, ratio)), DetectorConfig(n_detectors, eta))
     assert np.all(out.probs >= 0.0)
     # the same rounding slack PhotonPMF grants the sum
     assert np.all(out.probs <= 1.0 + _SUM_EXCESS)
     assert 1.0 - TAIL_BOUND <= out.probs.sum() <= 1.0 + _SUM_EXCESS
-    assert out.probs[n_detectors + 1 :].sum() == 0.0
+    assert out.probs.size == n_detectors + 1
 
 
 @PROPERTY_SETTINGS
@@ -268,7 +262,7 @@ def test_chain_output_is_a_normalized_pmf(kind, mean, n_detectors, eta, ratio):
 def test_coherent_chain_matches_binomial_closed_form(mean, n_detectors, eta):
     # each detector of N sees Poisson(eta * mean / N) photons independently,
     # so it clicks with probability 1 - exp(-eta * mean / N)
-    out = observed_chain(source_pmf(SourceSpec(SourceKind.COHERENT, mean)), DetectorConfig(n_detectors, eta))
+    out = apply_click_model(source_pmf(SourceSpec(SourceKind.COHERENT, mean)), DetectorConfig(n_detectors, eta))
     k = np.arange(n_detectors + 1)
     expected = stats.binom.pmf(k, n_detectors, -np.expm1(-eta * mean / n_detectors))
     np.testing.assert_allclose(out.probs[: n_detectors + 1], expected, rtol=0, atol=1e-6)
@@ -278,8 +272,8 @@ def test_coherent_chain_matches_binomial_closed_form(mean, n_detectors, eta):
 @given(**CHAIN_CASES)
 def test_click_model_efficiency_equals_thinning_first(kind, mean, n_detectors, eta):
     pmf = source_pmf(SourceSpec(kind, mean, 0.5))
-    joint = apply_click_model(pmf, n_detectors, eta)
-    staged = apply_click_model(apply_efficiency(pmf, eta), n_detectors)
+    joint = apply_click_model(pmf, DetectorConfig(n_detectors, eta))
+    staged = apply_click_model(apply_efficiency(pmf, eta), DetectorConfig(n_detectors, 1.0))
     np.testing.assert_allclose(joint.probs, staged.probs, rtol=0, atol=1e-12)
 
 
@@ -293,7 +287,7 @@ def test_chain_mean_matches_the_mean_of_the_walked_click_pmf(kind, mean, ratio, 
     # 2e-14 over this grid.  At N = 1, eta = 1 the dark probability's base is 0.
     pmf = source_pmf(SourceSpec(kind, mean, ratio))
     config = DetectorConfig(n_detectors, eta)
-    assert abs(chain_mean(pmf, config) - pmf_mean(observed_chain(pmf, config))) <= 1e-12
+    assert abs(chain_mean(pmf, config) - pmf_mean(apply_click_model(pmf, config))) <= 1e-12
 
 
 def generating_function(spec: SourceSpec, x: float) -> float:
@@ -324,7 +318,7 @@ def test_chain_matches_generating_function_oracles(kind, mean, ratio, n_detector
     pmf = source_pmf(spec)
     dropped = max(1.0 - pmf.probs.sum(), 0.0)
     config = DetectorConfig(n_detectors, eta)
-    probs = observed_chain(pmf, config).probs
+    probs = apply_click_model(pmf, config).probs
     assert abs(probs[0] - generating_function(spec, 1.0 - eta)) <= dropped + 1e-13
     mean_clicks = n_detectors * (1.0 - generating_function(spec, 1.0 - eta / n_detectors))
     assert abs(chain_mean(pmf, config) - mean_clicks) <= n_detectors * dropped + 1e-12

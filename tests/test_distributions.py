@@ -356,10 +356,3 @@ def test_bright_poisson_sources_normalize(kind):
     assert 1.0 - 1e-6 <= pmf.probs.sum() <= 1.0 + 1e-12
     expected = a if kind is SourceKind.COHERENT else (1 + 3 * a + a * a) / (1 + a)
     assert pmf_mean(pmf) == pytest.approx(expected, rel=1e-9)
-
-
-def test_truncated_view():
-    pmf = coherent_pmf(0.5, 30)
-    short = pmf.truncated(10)
-    assert short.n_max == 10
-    np.testing.assert_array_equal(short.probs, pmf.probs[:11])

@@ -12,7 +12,7 @@ from scipy import stats
 
 from blas_platform import blas_platform
 from photonvae import sampling
-from photonvae.detector import DetectorConfig, observed_chain
+from photonvae.detector import DetectorConfig, apply_click_model
 from photonvae.distributions import (
     PhotonPMF,
     PhysicsError,
@@ -87,7 +87,7 @@ def test_sample_counts_residual_tail_goes_to_n_max():
 
 
 def test_empirical_matches_chain_probabilities():
-    observed = observed_chain(source_pmf(SourceSpec(SourceKind.SPATS, 0.45)), DetectorConfig(4, 0.9))
+    observed = apply_click_model(source_pmf(SourceSpec(SourceKind.SPATS, 0.45)), DetectorConfig(4, 0.9))
     n = 5000 * 200
     pooled = _draw(observed, 200, seed=3, class_index=0, n=5000).sum(axis=0)
     empirical = pooled / n
@@ -155,7 +155,7 @@ def test_bin_mean_matches_chain_mean_within_three_sigma():
     # 2000 bins of 200 observations at the paper's lossy operating point
     source = SourceSpec(SourceKind.SPATS, 0.45)  # realized source mean 1.9
     detector = DetectorConfig(4, 0.9)
-    observed = observed_chain(source_pmf(source), detector)
+    observed = apply_click_model(source_pmf(source), detector)
     counts = _draw(
         observed_click_pmf(source_pmf(source), detector), 200, seed=99, class_index=0, n=2000
     )
@@ -259,6 +259,17 @@ def test_observed_click_pmf_support_guard():
         observed_click_pmf(source_pmf(SourceSpec(SourceKind.COHERENT, 3.0)), DetectorConfig(10, 1.0))
     ok = observed_click_pmf(source_pmf(SourceSpec(SourceKind.COHERENT, 3.0)), LOSSLESS)
     assert ok.n_max == 6
+
+
+@pytest.mark.parametrize("n_detectors", range(1, 11))
+def test_observed_click_pmf_pads_or_cuts_to_recorded_range(n_detectors):
+    # the detector's click PMF runs over 0..N; a dataset records 0..6 clicks
+    source = source_pmf(SourceSpec(SourceKind.THERMAL, 0.05))
+    detector = DetectorConfig(n_detectors, 0.9)
+    recorded = observed_click_pmf(source, detector).probs
+    assert recorded.size == 7
+    assert np.all(recorded[n_detectors + 1 :] == 0.0)
+    np.testing.assert_array_equal(recorded[: n_detectors + 1], apply_click_model(source, detector).probs[:7])
 
 
 def test_dataset_meta_validation():

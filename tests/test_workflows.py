@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from blas_platform import blas_platform
-from photonvae.detector import DetectorConfig, chain_mean, observed_chain
+from photonvae.detector import DetectorConfig, apply_click_model, chain_mean
 from photonvae.distributions import SourceKind, SourceSpec, pmf_mean, source_pmf
 from photonvae.sampling import DatasetMeta, feature_matrix, generate_dataset, label_vector, split_rows
 from photonvae.vae import NetworkSpec, VAEClassifier, evaluate_model, train_model
@@ -170,7 +170,7 @@ def test_no_inversion_walks_the_detector_chain(monkeypatch):
 
 
 def _walked_mean(pmf, config):
-    return pmf_mean(observed_chain(pmf, config))
+    return pmf_mean(apply_click_model(pmf, config))
 
 
 # one detector clicks at most once, and a photon-added source's floor is already
