@@ -89,8 +89,11 @@ class SourceSpec:
     def __post_init__(self):
         kind = SourceKind(self.kind)
         object.__setattr__(self, "kind", kind)
-        if not (self.mean_param >= 0.0):
-            raise PhysicsError(f"mean_param must be >= 0, got {self.mean_param}")
+        # an infinite intensity would fail every truncation source_pmf tries
+        if isinstance(self.mean_param, bool) or not 0.0 <= self.mean_param < math.inf:
+            raise PhysicsError(f"mean_param must be a finite number >= 0, got {self.mean_param!r}")
+        if isinstance(self.mix_ratio, bool):
+            raise PhysicsError(f"mix_ratio must be a number, got {self.mix_ratio!r}")
         if kind in MIXED_KINDS:
             if not (0.0 <= self.mix_ratio <= 1.0):
                 raise PhysicsError(f"mix_ratio must lie in [0, 1], got {self.mix_ratio}")

@@ -28,6 +28,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from itertools import islice
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
@@ -123,10 +124,12 @@ class DatasetMeta:
         fault = class_label_fault([label for label, _ in self.sources])
         if fault:
             raise ValueError(fault)
-        if self.bin_size < 1:
-            raise ValueError("bin_size must be >= 1")
-        if self.bins_per_class < 1:
-            raise ValueError("bins_per_class must be >= 1")
+        for name, least in (("bin_size", 1), ("bins_per_class", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
+            # a numpy integer is stored as an int, which the sidecar can write as JSON
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)

@@ -149,6 +149,9 @@ EXIT_CASES = {
                                      {"checkpoint": "model.ckpt", "dataset": 7}),
     "efficiency_above_one": (2, "physics validation error:", ["gen", "--config", "c.json"],
                              {**GEN, "detector": {"n_detectors": 6, "efficiency": 1.5}}),
+    "gen_infinite_mean_param": (2, "physics validation error: mean_param must be a finite number >= 0",
+                                ["gen", "--config", "c.json"],
+                                {**GEN, "classes": [{"kind": "spacs", "mean_param": float("inf")}, CLASSES[1]]}),
     "bad_checkpoint_magic": (3, "checkpoint error:", ["eval", "--config", "c.json"],
                              {"checkpoint": "bad.ckpt", "datasets": ["foreign.csv"]}),
     "misfit_checkpoint_header": (3, "checkpoint error:", ["eval", "--config", "c.json"],

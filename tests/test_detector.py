@@ -24,6 +24,7 @@ from photonvae.distributions import (
     coherent_pmf,
     pmf_mean,
     source_pmf,
+    spacs_pmf,
     thermal_pmf,
 )
 
@@ -332,3 +333,47 @@ def test_chain_matches_generating_function_oracles(kind, mean, ratio, n_detector
             for j in range(k + 1)
         )
         assert abs(probs[k] - clicks) <= math.comb(n, k) * 2**k * dropped + 1e-12, k
+
+
+# --- the sub-binomial parameter Q_B of the click PMF ----------------------------
+# Sperling, Vogel & Agarwal, PRL 109, 093601 (2012): clicks of classical light on
+# N >= 2 detectors with equal splitting have Q_B >= 0, and coherent light gives
+# binomial clicks, Q_B = 0.  At N = 1, Q_B is 0 for every source.  The sources
+# are built on supports long enough that no mass is dropped: source_pmf drops
+# up to TAIL_BOUND, which moves coherent light's Q_B by up to 4e-6.
+
+
+def sub_binomial_parameter(pmf: PhotonPMF, detector: DetectorConfig) -> float:
+    """Q_B = N Var(k) / (<k> (N - <k>)) - 1 of the click PMF."""
+    probs = apply_click_model(pmf, detector).probs
+    k = np.arange(probs.size)
+    mean = probs @ k
+    var = probs @ (k - mean) ** 2
+    n = detector.n_detectors
+    return n * var / (mean * (n - mean)) - 1.0
+
+
+Q_B_CASES = dict(mean=st.floats(0.01, 5.0), n_detectors=st.integers(2, 6), eta=st.floats(0.05, 1.0))
+
+
+@PROPERTY_SETTINGS
+@given(**Q_B_CASES)
+def test_coherent_clicks_are_binomial(mean, n_detectors, eta):
+    # the largest |Q_B| measured on a grid of these ranges was 5.3e-15
+    assert abs(sub_binomial_parameter(coherent_pmf(mean, 80), DetectorConfig(n_detectors, eta))) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(**Q_B_CASES)
+def test_thermal_clicks_are_super_binomial(mean, n_detectors, eta):
+    # the smallest Q_B measured on a grid of these ranges was 2.5e-4
+    assert sub_binomial_parameter(thermal_pmf(mean, 400), DetectorConfig(n_detectors, eta)) > 0.0
+
+
+@PROPERTY_SETTINGS
+@given(mean=st.floats(0.3, 3.0), n_detectors=st.sampled_from([4, 6]), eta=st.floats(0.3, 1.0))
+def test_photon_added_coherent_clicks_are_sub_binomial(mean, n_detectors, eta):
+    # Q_B tends to 0 as the state nears a coherent one, so only this range is
+    # tested; the largest Q_B measured on a grid of it was -0.0697.  SPATS
+    # changes sign with intensity and has no sign test
+    assert sub_binomial_parameter(spacs_pmf(mean, 80), DetectorConfig(n_detectors, eta)) < 0.0

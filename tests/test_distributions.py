@@ -244,6 +244,19 @@ def test_source_spec_canonicalizes_ratio():
         SourceSpec(SourceKind.THERMAL, -1.0)
 
 
+@pytest.mark.parametrize("kind", list(SourceKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("mean_param, mix_ratio, field", [
+    (math.inf, 0.5, "mean_param"),
+    (True, 0.5, "mean_param"),
+    (1.0, True, "mix_ratio"),
+], ids=["infinite_mean", "bool_mean", "bool_ratio"])
+def test_source_spec_refuses_an_infinite_or_bool_parameter(kind, mean_param, mix_ratio, field):
+    # an infinite mean would fail every truncation source_pmf tries, with advice
+    # about n_max; a bool would be read as 0 or 1
+    with pytest.raises(PhysicsError, match=f"{field} must be a"):
+        SourceSpec(kind, mean_param, mix_ratio)
+
+
 def test_source_pmf_auto_growth():
     pmf = source_pmf(SourceSpec(SourceKind.SPATS, 1.3))
     assert pmf.n_max >= 40

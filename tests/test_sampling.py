@@ -285,6 +285,26 @@ def test_dataset_meta_validation():
         DatasetMeta(sources=(), detector=LOSSLESS, bin_size=10, bins_per_class=5, seed=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("bin_size", 2.5), ("bin_size", 5.0), ("bin_size", True), ("bin_size", "5"), ("bin_size", 0),
+    ("bins_per_class", 2.5), ("bins_per_class", False),
+    ("seed", 1.5), ("seed", True), ("seed", -1),
+])
+def test_dataset_meta_refuses_a_size_or_seed_that_is_not_a_whole_number(field, value):
+    # 2.5 would draw bins of 2 windows while the sidecar records 2.5, and True
+    # would be drawn as 1 and recorded as true
+    fields = {"bin_size": 10, "bins_per_class": 5, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+        DatasetMeta((("a", SourceSpec(SourceKind.COHERENT, 1.0)),), LOSSLESS, **fields)
+
+
+def test_dataset_meta_stores_numpy_integers_as_int(tmp_path):
+    meta = small_meta(bin_size=np.int64(5), bins_per_class=np.int32(3), seed=np.uint64(7))
+    assert meta == small_meta(bin_size=5, bins_per_class=3, seed=7)
+    assert {type(value) for value in (meta.bin_size, meta.bins_per_class, meta.seed)} == {int}
+    write_dataset_meta(tmp_path / "d.meta.json", generate_dataset(meta))  # JSON has no numpy integers
+
+
 # --- splits ----------------------------------------------------------------------
 
 
