@@ -33,6 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
+# apply_click_model is called through its module, whose binding perfbench/tracer.py wraps
 from . import detector as _detector
 from .detector import DetectorConfig
 from .distributions import (

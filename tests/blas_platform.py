@@ -16,7 +16,7 @@ except ImportError:  # numpy 1.x
 
 
 def numpy_loops() -> str:
-    """The highest loop set numpy dispatches to on this CPU (``X86_V4``,
+    """The highest loop set numpy dispatches to on this CPU (``AVX512_SPR``,
     ``X86_V3``, ...; ``NPY_DISABLE_CPU_FEATURES`` turns some off): the last
     of the compiled sets in ``__cpu_dispatch__`` that ``__cpu_features__``
     reports enabled, or "baseline" where none is.  ``__cpu_dispatch__`` alone
